@@ -12,7 +12,9 @@ student      generate Student-t samples / evaluate analytic conditionals
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
 ``--theta-eps``, ``--seed``, ``--restarts`` and ``--max-evals`` fall back
 to the environment variables RTBM_THETA_EPS, RTBM_SEED, RTBM_RESTARTS and
-RTBM_MAX_EVALS when the flag is absent.
+RTBM_MAX_EVALS when the flag is absent; a malformed value in any of them is
+a usage error.  Data and point CSVs with NaN or infinite values in the
+columns used are rejected as data errors.
 """
 
 from __future__ import annotations
@@ -40,9 +42,17 @@ from .theta import DEFAULT_EPS, Lattice
 ENV_PREFIX = "RTBM_"
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    return cast(raw) if raw is not None else fallback
+def _env_default(parser, name, cast, fallback):
+    """Flag default from RTBM_<NAME>; a malformed value is a usage error."""
+    var = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
+    if raw is None:
+        return fallback
+    try:
+        return cast(raw)
+    except ValueError:
+        parser.exit(2, f"{parser.prog}: error: environment variable "
+                       f"{var}={raw!r} is not a valid {cast.__name__}\n")
 
 
 def conditional_mse(reference, candidate) -> float:
@@ -84,6 +94,10 @@ def _read_csv(path, cols=None):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if cols is not None:
         data = data[:, cols]
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise RtbmError(f"{path}: {bad.size} row(s) with NaN or infinite values, "
+                        f"first at row {bad[0] + 1}")
     return data
 
 
@@ -283,8 +297,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    theta_eps = _env_default("theta-eps", float, DEFAULT_EPS)
-    seed = _env_default("seed", int, 0)
+    theta_eps = _env_default(parser, "theta-eps", float, DEFAULT_EPS)
+    seed = _env_default(parser, "seed", int, 0)
 
     p = sub.add_parser("fit", help="train a model on CSV samples")
     p.add_argument("--data", required=True)
@@ -292,9 +306,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--restarts", type=int,
-                   default=_env_default("restarts", int, 5))
+                   default=_env_default(parser, "restarts", int, 5))
     p.add_argument("--max-evals", type=int,
-                   default=_env_default("max-evals", int, 50000))
+                   default=_env_default(parser, "max-evals", int, 50000))
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--sigma0", type=float, default=0.3)
     p.add_argument("--theta-eps", type=float, default=theta_eps)
@@ -359,9 +373,8 @@ def build_parser():
 
 def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

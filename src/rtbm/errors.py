@@ -17,7 +17,7 @@ class NotPositiveDefiniteError(RtbmError):
 
 
 class ThetaTruncationError(RtbmError):
-    """The lattice sum did not reach the requested tolerance within the radius cap."""
+    """The lattice sum cannot be certified within the radius or work cap."""
 
 
 class InsufficientSamplesError(RtbmError):

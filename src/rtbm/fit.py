@@ -113,8 +113,11 @@ def encode(params: RtbmParams) -> np.ndarray:
 def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
     """Summed negative log-density over the rows of ``data``.
 
-    Non-finite log-densities and theta truncation failures yield +inf (a
-    penalty value, not an exception) so optimizers see a total function.
+    Malformed data (wrong width, no rows, NaN or infinite values) raises
+    ValueError.  A model whose density cannot be evaluated (an RtbmError
+    such as a theta truncation failure) or is non-finite at some row scores
+    +inf, a penalty value rather than an exception, so that optimizers see a
+    total function of the model.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != params.n_v:
@@ -122,6 +125,8 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
             f"data width {data.shape[1]} does not match n_v={params.n_v}")
     if data.shape[0] == 0:
         raise ValueError("data must be nonempty")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite")
     try:
         lp = log_pdf_many(params, data, eps)
     except RtbmError:
@@ -182,6 +187,10 @@ def fit_density(data, config: FitConfig) -> FitResult:
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] == 0:
         raise FitError("no training data")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise FitError(f"training data has NaN or infinite values in {bad.size} "
+                       f"row(s), first at index {bad[0]}")
     n_v = data.shape[1]
     n_h = config.n_h
     dim = free_parameter_count(n_v, n_h)

@@ -3,9 +3,10 @@
 The visible density is an infinite Gaussian mixture indexed by the hidden
 lattice: component n has weight proportional to
 exp(-n^T (Q - W^T T^-1 W) n / 2 + (bh - W^T T^-1 bv)^T n), mean
-T^-1 (W n - bv) and covariance T^-1.  Hidden states are enumerated with
-the same shell rule as the theta sums (exact at desk scale), so sampling
-is inverse-CDF over a finite categorical plus one Gaussian draw.
+T^-1 (W n - bv) and covariance T^-1.  The hidden states are the lattice
+points the theta kernel enumerates for the normalizer, whose omitted mass
+is certified below the relative tolerance ``eps``, so sampling is
+inverse-CDF over a finite categorical plus one Gaussian draw.
 
 Randomness: numpy's PCG64 via ``default_rng(seed)``; per-run substreams
 are derived with ``SeedSequence.spawn``.  Results depend only on
@@ -46,7 +47,7 @@ class HiddenDistribution:
 
 
 def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistribution:
-    """Enumerate hidden-state probabilities by the theta shell rule."""
+    """Hidden-state probabilities over the normalizer's certified lattice points."""
     chol_t = spd_cholesky(params.t, "T")
     omega = sym(params.q - params.w.T @ la.cho_solve((chol_t, True), params.w))
     z = params.bh - params.w.T @ la.cho_solve((chol_t, True), params.bv)

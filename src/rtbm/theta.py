@@ -5,27 +5,55 @@ The central quantity is
     log sum_{n in L} exp(-1/2 n^T Omega n + n^T z)
 
 for a symmetric positive definite Omega, where the lattice L is either all
-integer vectors or the nonnegative orthant.  The summand is a displaced
-Gaussian on the lattice, so the sum is truncated by walking max-norm shells
-outward from the (rounded) continuous maximizer Omega^{-1} z and stopping
-once a whole shell is negligible *and* a certified Gaussian tail bound
-confirms the omitted mass is below the requested relative tolerance.
+integer vectors or the nonnegative orthant.  With Omega = L L^T and the
+continuous maximizer nhat = Omega^{-1} z, the summand is
+exp(f_peak - |L^T (n - nhat)|^2 / 2): a displaced Gaussian on the lattice.
+
+Each call sums over one ellipsoid, chosen before anything is enumerated:
+
+* Bound.  A count of the lattice points within r of any centre, at most
+  prod_i (2r / L_ii + 1), turns the mass outside |L^T (n - nhat)| <= R
+  into at most a closed-form upper incomplete gamma function of R^2/2 (the
+  radius and tail bound of Deconinck, Heil, Bobenko, van Hoeij and
+  Schmies, "Computing Riemann theta functions", Math. Comp. 73 (2004)
+  1417-1442, whose packing count ((2r + rho) / rho)^h with rho = min L_ii
+  this count never exceeds).  Every sum is at least its term at the
+  rounded maximizer, so solving that bound for R certifies the relative
+  tolerance ``eps``.
+* Ellipsoid.  The offsets k from each row's rounded maximizer with
+  k^T Omega k <= (R + rho_half)^2, rho_half bounding |L^T u| over the
+  rounding errors u, contain every row's own ellipsoid.  They depend only
+  on (Omega, eps), are enumerated once by the Fincke-Pohst recursion over
+  the Cholesky factor (Fincke and Pohst, "Improved methods for calculating
+  vectors of short length in a lattice", Math. Comp. 44 (1985) 463-471),
+  and every row is evaluated against them in blocked products.  On the
+  orthant lattice, points outside it are masked; a row whose rounded
+  maximizer lies outside the orthant gets its own radius from its best
+  orthant point.
+* Work cap.  The ellipsoid's max-norm half-width is checked against
+  ``max_radius`` and its point count against a fixed cap before the points
+  are allocated; either failure raises ThetaTruncationError, so a sum is
+  never silently truncated and never allocates without bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
-from scipy.special import logsumexp
+from scipy.special import gammainccinv, gammaln, logsumexp
 
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
 DEFAULT_EPS = 1e-12
-MAX_SHELL_RADIUS = 64
+# Max-norm half-width cap of the enumerated ellipsoid.  The radius is
+# conservative (one for all rows, from a worst-case point count), so the cap
+# is generous; the point cap below is what bounds the work.
+MAX_RADIUS = 128
+_WORK_CAP = 1 << 21      # most lattice points one ellipsoid may hold
+_BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
+_LOG_TINY = -700.0       # log of a comfortably normal double
 _REFERENCE_POINT_CAP = 10**8
 
 
@@ -66,80 +94,188 @@ class ThetaQuery:
         object.__setattr__(self, "lattice", Lattice(self.lattice))
 
 
-@lru_cache(maxsize=None)
-def _shell_offsets(dim: int, radius: int) -> np.ndarray:
-    """Integer vectors with max-norm exactly ``radius``, each listed once.
+def _certified_radius(pivots, log_rel):
+    """Radius R whose outside holds lattice mass below exp(log_rel) e^f_peak.
 
-    Points are generated segment-wise by the first coordinate index that
-    attains +-radius; earlier coordinates stay strictly inside, later ones
-    range over the full cube.
+    ``pivots`` is the diagonal of L.  A Fincke-Pohst interval for n_i spans
+    at most 2r / L_ii, so at most prod_i (2r / L_ii + 1) lattice points lie
+    within r of any centre; with rho = min_i L_ii, a lower bound on the
+    shortest lattice vector, this never exceeds the packing count
+    ((2r + rho) / rho)^h and is far smaller for anisotropic Omega.  For
+    r >= R0 the count is at most C r^h with C = prod_i (2 / L_ii + 1 / R0),
+    so summing e^{-r^2/2} against it bounds the mass beyond R >= R0 by
+    C 2^{h/2} Gamma(h/2 + 1, R^2/2), which is inverted in closed form; R0 is
+    the Gaussian radius sqrt(-2 log_rel).  Vectorized over ``log_rel``.
     """
-    if radius == 0:
-        pts = np.zeros((1, dim), dtype=np.int64)
-    else:
-        inner = np.arange(-(radius - 1), radius, dtype=np.int64)
-        full = np.arange(-radius, radius + 1, dtype=np.int64)
-        edge = np.array([-radius, radius], dtype=np.int64)
-        segments = []
-        for i in range(dim):
-            axes = [inner] * i + [edge] + [full] * (dim - 1 - i)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            segments.append(np.stack([m.ravel() for m in mesh], axis=1))
-        pts = np.concatenate(segments, axis=0)
-    pts.setflags(write=False)
-    return pts
+    h = pivots.size
+    a = 0.5 * h + 1.0
+    r0 = np.sqrt(np.maximum(-2.0 * log_rel, 1.0))
+    log_count = np.log(2.0 / pivots + 1.0 / np.expand_dims(r0, -1)).sum(axis=-1)
+    # the extra factor 2 absorbs the rounding of the inverse
+    log_y = np.minimum(log_rel - log_count - 0.5 * h * np.log(2.0) - gammaln(a)
+                       - np.log(2.0), 0.0)
+    # Below the representable range, Gamma(a, x + d) <= e^{-d (1 - (a-1)/x)}
+    # Gamma(a, x) (a >= 1) moves the inverse on by the missing log-mass.
+    log_floor = np.maximum(log_y, _LOG_TINY)
+    x = gammainccinv(a, np.exp(log_floor))
+    x = x + (log_floor - log_y) / (1.0 - (a - 1.0) / np.maximum(x, a))
+    return np.maximum(np.sqrt(2.0 * x), r0)
 
 
-@lru_cache(maxsize=None)
-def _eulerian(k: int) -> tuple:
-    """Coefficients of the k-th Eulerian polynomial A_k(q)."""
-    row = [1]
-    for deg in range(1, k + 1):
-        prev = row
-        row = [0] * deg
-        for m in range(deg):
-            left = (m + 1) * (prev[m] if m < len(prev) else 0)
-            right = (deg - m) * (prev[m - 1] if m >= 1 else 0)
-            row[m] = left + right
-    return tuple(row)
+def _ellipsoid_points(chol, centres, radii, orthant=False):
+    """Integer vectors n with |L^T (n - c)| <= r, for each centre c and radius r.
 
+    Fincke-Pohst enumeration over Omega = L L^T, vectorized one coordinate at
+    a time from the last to the first: (L^T (n - c))_i = L_ii (n_i - m_i)
+    with m_i = c_i - sum_{j>i} L_ji (n_j - c_j) / L_ii, so each prefix
+    (n_{i+1}, ..., n_{h-1}) leaves an interval of admissible n_i, cut at
+    zero when ``orthant`` is set.  Every level is counted before it is
+    allocated and raises ThetaTruncationError above the work cap.
 
-def _log_tail_bound(dim, radius, lam_min, f_peak, delta):
-    """Certified log upper bound on the lattice mass beyond ``radius``.
-
-    Uses f(n) <= f_peak - lam_min/2 * (s - delta)^2 on the shell at
-    max-norm distance s from the rounded center, the exact shell counts
-    (2s+1)^dim - (2s-1)^dim, and the closed form
-    sum_j (j+1)^k q^j = A_k(q) / (1-q)^(k+1).  Valid for radius >= delta.
+    Returns ``(owner, points)``: the index of each point's centre, in
+    ascending order, and the (P, h) int64 points.
     """
-    t = radius + 1.0 - delta
-    out = np.full(np.shape(t), np.inf)
-    ok = t > 0
-    if not np.any(ok):
-        return out
-    t = np.where(ok, t, 1.0)
-    q = np.exp(-lam_min * t)
-    coeffs = _eulerian(dim - 1)
-    a = np.zeros_like(q)
-    for c in reversed(coeffs):
-        a = a * q + c
-    val = (
-        np.log(2.0 * dim)
-        + (dim - 1) * np.log(2.0 * radius + 3.0)
-        + f_peak
-        - 0.5 * lam_min * t * t
-        + np.log(a)
-        - dim * np.log1p(-q)
-    )
-    return np.where(ok, val, np.inf)
+    m, h = centres.shape
+    owner = np.arange(m)
+    pts = np.zeros((m, 0))
+    # the slack keeps rounding from dropping a point on the boundary
+    rem = np.square(radii) * (1.0 + 1e-12)
+    for i in range(h - 1, -1, -1):
+        lii = chol[i, i]
+        mid = centres[owner, i]
+        for j in range(i + 1, h):
+            mid = mid - (pts[:, j - i - 1] - centres[owner, j]) * (chol[j, i] / lii)
+        half = np.sqrt(np.maximum(rem, 0.0)) / lii
+        lo = np.ceil(mid - half)
+        if orthant:
+            lo = np.maximum(lo, 0.0)
+        counts = np.maximum(np.floor(mid + half) - lo + 1.0, 0.0).astype(np.int64)
+        total = int(counts.sum())
+        if total > _WORK_CAP:
+            raise ThetaTruncationError(
+                f"the theta ellipsoid of radius {radii.max():.4g} holds over "
+                f"{_WORK_CAP} lattice points, the work cap")
+        parent = np.repeat(np.arange(counts.size), counts)
+        first = np.cumsum(counts) - counts
+        ni = lo[parent] + (np.arange(total) - first[parent])
+        step = lii * (ni - mid[parent])
+        rem = rem[parent] - step * step
+        owner = owner[parent]
+        pts = np.column_stack([ni, pts[parent]])
+    return owner, pts.astype(np.int64)
+
+
+def _orthant_ascent(zs, omega, start):
+    """Raise -n^T Omega n / 2 + n.z over n >= 0 integer, one coordinate at a time.
+
+    Each step sets n_i to its best nonnegative integer given the others, so
+    the value never falls; h sweeps give a lower bound on the orthant sum.
+    """
+    n = start.copy()
+    h = n.shape[1]
+    for _ in range(h):
+        for i in range(h):
+            others = _rows_dot(n, omega[:, i:i + 1])[:, 0] - omega[i, i] * n[:, i]
+            n[:, i] = np.maximum(np.rint((zs[:, i] - others) / omega[i, i]), 0.0)
+    return n
+
+
+def _rows_dot(a, m):
+    """Row-wise ``a @ m``, accumulated over the inner index in a fixed order.
+
+    BLAS rounds a row differently depending on how many rows share the
+    product (gemv for one row, blocked gemm kernels for more), which would
+    make a lattice sum depend on its batch; einsum's own loops do not.
+    """
+    return np.einsum("bh,hk->bk", a, m)
+
+
+def _exponents(g, cols, quad, centre):
+    """g.k - k^T Omega k / 2 for each row and point; -inf outside the orthant.
+
+    ``cols`` holds the offsets k column-wise, ``centre`` the rows' lattice
+    centres for the NONNEG lattice, or None for the full lattice.
+    """
+    e = _rows_dot(g, cols)
+    e -= quad
+    if centre is not None:
+        outside = cols[0] < -centre[:, :1]
+        for j in range(1, cols.shape[0]):
+            outside |= cols[j] < -centre[:, j:j + 1]
+        np.copyto(e, -np.inf, where=outside)
+    return e
+
+
+def _log_sums(g, f0, cols, quad, centre):
+    """Per-row log of sum_k exp(f0 + g.k - k^T Omega k / 2) over the offsets.
+
+    ``cols`` holds the offsets k column-wise.  Rows are taken in blocks of
+    about ``_BLOCK`` row-point pairs (one row at least), so no block
+    exceeds ``_WORK_CAP`` elements.
+    """
+    out = np.empty(g.shape[0])
+    step = max(1, _BLOCK // cols.shape[1])
+    for s in range(0, g.shape[0], step):
+        blk = slice(s, s + step)
+        e = _exponents(g[blk], cols, quad,
+                       None if centre is None else centre[blk])
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        np.exp(e, out=e)
+        out[blk] = f0[blk] + peak + np.log(e.sum(axis=1))
+    return out
+
+
+def _orthant_terms(zs, omega, chol, nhat, reach, best):
+    """Log-terms of each row's orthant points within ``reach`` of its maximizer.
+
+    Terms are expanded about ``best``, the row's orthant point, where the
+    sum's mass lies.  Returns ``(owner, points, logterms)`` grouped by row.
+    """
+    owner, points = _ellipsoid_points(chol, nhat, reach, orthant=True)
+    b_omega = _rows_dot(best, omega)
+    f_best = -0.5 * np.einsum("bh,bh->b", b_omega, best) + np.einsum("bh,bh->b", best, zs)
+    k = points - best[owner]
+    terms = (f_best[owner] + np.einsum("ph,ph->p", (zs - b_omega)[owner], k)
+             - 0.5 * np.einsum("ph,hl,pl->p", k, omega, k))
+    return owner, points, terms
+
+
+def _orthant_log_sums(zs, omega, chol, nhat, reach, best):
+    """Per-row log-sums of :func:`_orthant_terms`, in pieces under the work cap.
+
+    A piece over the cap is halved, and only a single row over it raises,
+    so whether a row's sum succeeds does not depend on its batch.
+    """
+    out = np.empty(zs.shape[0])
+    pieces = [np.arange(zs.shape[0])]
+    while pieces:
+        rows = pieces.pop()
+        try:
+            owner, _, terms = _orthant_terms(zs[rows], omega, chol, nhat[rows],
+                                             reach[rows], best[rows])
+        except ThetaTruncationError:
+            if rows.size == 1:
+                raise
+            pieces += [rows[rows.size // 2:], rows[:rows.size // 2]]
+            continue
+        out[rows] = _segment_log_sums(owner, terms, rows.size)
+    return out
+
+
+def _segment_log_sums(owner, terms, count):
+    """Log-sum-exp of ``terms`` per owner; owners ascending, each present."""
+    starts = np.searchsorted(owner, np.arange(count))
+    peak = np.maximum.reduceat(terms, starts)
+    return peak + np.log(np.add.reduceat(np.exp(terms - peak[owner]), starts))
 
 
 def _spd_cholesky(omega, name="omega"):
     """Lower Cholesky factor, raising NotPositiveDefiniteError on failure."""
     try:
-        return la.cholesky(omega, lower=True)
-    except la.LinAlgError:
-        lam = float(la.eigvalsh(omega)[0])
+        return np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        lam = float(np.linalg.eigvalsh(omega)[0])
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (min eigenvalue ~ {lam:.6g})",
             min_eigenvalue=lam,
@@ -147,7 +283,7 @@ def _spd_cholesky(omega, name="omega"):
 
 
 def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
-                   max_radius=MAX_SHELL_RADIUS, collect_terms=False):
+                   max_radius=MAX_RADIUS, collect_terms=False):
     """Evaluate log tilde-theta for a batch of arguments sharing one Omega.
 
     Parameters
@@ -156,6 +292,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     omega : (h, h) symmetric positive definite matrix.
     lattice : which lattice to sum over.
     eps : relative truncation tolerance.
+    max_radius : cap on the max-norm half-width of the enumerated ellipsoid.
     collect_terms : if True (batch size 1 only), also return the enumerated
         lattice points and their log-terms, for mixture-weight extraction.
 
@@ -169,8 +306,9 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     NotPositiveDefiniteError
         If omega is not positive definite.
     ThetaTruncationError
-        If the tolerance cannot be certified within ``max_radius`` shells;
-        the sum is never silently truncated.
+        If certifying ``eps`` needs a half-width above ``max_radius`` or more
+        lattice points than the work cap; both are checked before the points
+        are allocated, and the sum is never silently truncated.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     omega = np.asarray(omega, dtype=float)
@@ -178,75 +316,75 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     lattice = Lattice(lattice)
     if collect_terms and nb != 1:
         raise ValueError("collect_terms requires a single argument vector")
+    if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
+        raise ValueError("theta arguments must be finite")
 
     chol = _spd_cholesky(omega)
-    lam_min = float(la.eigvalsh(omega)[0])
-    if lam_min <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"omega has min eigenvalue {lam_min:.6g}", min_eigenvalue=lam_min)
+    omega_inv = np.linalg.inv(omega)
 
-    nhat = la.cho_solve((chol, True), zs.T).T           # continuous maximizer
-    f_peak = 0.5 * np.einsum("bh,bh->b", zs, nhat)      # value at the maximizer
-    n0 = np.rint(nhat)
+    # Row arithmetic avoids BLAS (see _rows_dot) so that a row's sum does
+    # not depend on the other rows of its batch.
+    nhat = _rows_dot(zs, omega_inv)                     # continuous maximizer
+    centre = np.rint(nhat)
+    shared = np.ones(nb, dtype=bool)
     if lattice is Lattice.NONNEG:
-        n0 = np.maximum(n0, 0.0)
-    delta = np.abs(n0 - nhat).max(axis=1)
-    n0 = n0.astype(np.int64)
+        shared = ~(centre < 0).any(axis=1)
+    clipped = np.flatnonzero(~shared)
 
-    # f(n0 + k) = f0 + k.(z - Omega n0) - k^T Omega k / 2
-    g = zs - n0 @ omega
-    f0 = -0.5 * np.einsum("bh,bh->b", n0 @ omega, n0.astype(float)) \
-        + np.einsum("bh,bh->b", n0.astype(float), zs)
-
-    anchor = np.full(nb, -np.inf)   # running max exponent per row
-    scaled = np.zeros(nb)           # sum exp(f - anchor) per row
-    active = np.arange(nb)
+    pivots = np.diag(chol)
+    # Every row's sum is at least its term at the rounded maximizer, which
+    # lies within rho_half = max over the half-cube corners of |L^T u| of
+    # it; enumerating |L^T k| <= R + rho_half about the centre therefore
+    # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
+    signs = 1.0 - 2.0 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)
+    rho_half = 0.5 * np.sqrt(np.einsum("ch,hl,cl->c", signs, omega, signs).max())
     log_eps = np.log(eps)
-    points_acc, terms_acc = [], []
+    radius = _certified_radius(pivots, log_eps - 0.5 * rho_half ** 2) + rho_half
+    widths = np.sqrt(np.diag(omega_inv))
+    half_width = np.full(nb, radius * widths.max())
+    if clipped.size:
+        # A rounded maximizer outside the orthant gives no term to bound the
+        # sum with; an orthant point found by coordinate ascent does, and the
+        # row's own ellipsoid is enumerated inside the orthant.
+        best = _orthant_ascent(zs[clipped], omega, np.maximum(centre[clipped], 0.0))
+        u = nhat[clipped] - best
+        dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
+        reach = np.maximum(_certified_radius(pivots, log_eps - 0.5 * dist ** 2), dist)
+        upper = nhat[clipped] + reach[:, None] * widths
+        lower = np.maximum(nhat[clipped] - reach[:, None] * widths, 0.0)
+        half_width[clipped] = 0.5 * (upper - lower).max(axis=1)
 
-    for radius in range(max_radius + 1):
-        offs = _shell_offsets(h, radius)
-        quad = 0.5 * np.einsum("kh,hl,kl->k", offs, omega, offs)
-        f = g[active] @ offs.T - quad[None, :] + f0[active, None]
-        if lattice is Lattice.NONNEG:
-            inside = np.all(n0[active, None, :] + offs[None, :, :] >= 0, axis=2)
-            f = np.where(inside, f, -np.inf)
-        # row-wise log-sum-exp, tolerating rows masked to -inf entirely
-        row_max = f.max(axis=1)
-        finite = np.isfinite(row_max)
-        safe_max = np.where(finite, row_max, 0.0)
-        sums = np.exp(f - safe_max[:, None]).sum(axis=1)
-        shell_log = np.where(finite, safe_max + np.log(sums), -np.inf)
-
-        new_anchor = np.maximum(anchor[active], shell_log)
-        scaled[active] = scaled[active] * np.exp(anchor[active] - new_anchor) \
-            + np.exp(shell_log - new_anchor)
-        anchor[active] = new_anchor
-
-        if collect_terms:
-            pts = n0[0] + offs
-            keep = np.isfinite(f[0])
-            points_acc.append(pts[keep])
-            terms_acc.append(f[0][keep])
-
-        total = anchor[active] + np.log(scaled[active])
-        if radius >= 1:
-            with np.errstate(divide="ignore"):
-                tail = _log_tail_bound(h, radius, lam_min, f_peak[active],
-                                       delta[active])
-            done = (shell_log <= log_eps + total) & (tail <= log_eps + total)
-            active = active[~done]
-            if active.size == 0:
-                break
-    if active.size:
+    too_wide = half_width > max_radius
+    if too_wide.any():
         raise ThetaTruncationError(
-            f"{active.size} of {nb} lattice sums not converged within "
-            f"max-norm radius {max_radius} (eps={eps:g}, "
-            f"min eigenvalue {lam_min:.6g})")
+            f"{int(too_wide.sum())} of {nb} lattice sums not converged: "
+            f"eps={eps:g} needs a max-norm half-width of "
+            f"{half_width.max():.4g}, above max_radius={max_radius} "
+            f"(min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
 
-    result = anchor + np.log(scaled)
-    if collect_terms:
-        return result, np.concatenate(points_acc), np.concatenate(terms_acc)
+    result = np.empty(nb)
+    if clipped.size:
+        if collect_terms:
+            owner, points, terms = _orthant_terms(zs, omega, chol, nhat, reach, best)
+            return _segment_log_sums(owner, terms, 1), points, terms
+        result[clipped] = _orthant_log_sums(zs[clipped], omega, chol, nhat[clipped],
+                                            reach, best)
+    if shared.any():
+        offsets = _ellipsoid_points(chol, np.zeros((1, h)), np.array([radius]))[1]
+        quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, omega, offsets)
+        cols = np.ascontiguousarray(offsets.T, dtype=float)
+        # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
+        centre = centre[shared]
+        c_omega = _rows_dot(centre, omega)
+        g = zs[shared] - c_omega
+        f0 = -0.5 * np.einsum("bh,bh->b", c_omega, centre) \
+            + np.einsum("bh,bh->b", centre, zs[shared])
+        mask = centre if lattice is Lattice.NONNEG else None
+        result[shared] = _log_sums(g, f0, cols, quad, mask)
+        if collect_terms:
+            terms = f0[0] + _exponents(g, cols, quad, mask)[0]
+            keep = np.isfinite(terms)
+            return result, centre[0].astype(np.int64) + offsets[keep], terms[keep]
     return result
 
 

@@ -185,6 +185,18 @@ class TestEnvOverrides:
                             "50", "--out", str(b)]) == 0
         np.testing.assert_array_equal(read_csv(a), read_csv(b))
 
+    @pytest.mark.parametrize("var, value", [("RTBM_SEED", "abc"),
+                                            ("RTBM_THETA_EPS", "tiny"),
+                                            ("RTBM_MAX_EVALS", "1e3")])
+    def test_malformed_environment_is_usage_error(self, model_path, tmp_path,
+                                                  monkeypatch, capsys, var, value):
+        monkeypatch.setenv(var, value)
+        code = run_command(["sample", "--model", str(model_path), "--count",
+                            "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{var}={value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_flag_beats_environment(self, model_path, tmp_path, monkeypatch):
         monkeypatch.setenv("RTBM_SEED", "77")
         a = tmp_path / "a.csv"
@@ -195,6 +207,37 @@ class TestEnvOverrides:
         run_command(["sample", "--model", str(model_path), "--count", "50",
                      "--seed", "78", "--out", str(b)])
         np.testing.assert_array_equal(read_csv(a), read_csv(b))
+
+
+class TestNonFiniteData:
+    def test_fit_rejects_nan_row(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("1.0,2.0\nnan,1.0\n0.5,0.1\n")
+        code = run_command(["fit", "--data", str(data), "--nh", "1",
+                            "--restarts", "1", "--max-evals", "8",
+                            "--out", str(tmp_path / "fm.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "row 2" in err
+        assert not (tmp_path / "fm.json").exists()
+
+    def test_density_rejects_inf_point(self, model_path, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.5\n0.1,inf\n")
+        out = tmp_path / "d.csv"
+        code = run_command(["density", "--model", str(model_path),
+                            "--points-csv", str(pts), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(pts) in err and "row 2" in err
+        assert not out.exists()
+
+    def test_unused_column_is_not_checked(self, model_path, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.5,nan\n0.1,0.2,nan\n")
+        assert run_command(["density", "--model", str(model_path),
+                            "--points-csv", str(pts), "--points-cols", "0,1",
+                            "--out", str(tmp_path / "d.csv")]) == 0
 
 
 class TestFitCommand:

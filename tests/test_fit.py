@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TFIT, random_valid_params
 from rtbm.cma import minimize
+from rtbm.errors import FitError
 from rtbm.density import log_pdf_many
 from rtbm.fit import (FitConfig, _destandardize, decode, encode, fit_density,
                       free_parameter_count, make_objective,
@@ -44,6 +45,13 @@ class TestNegativeLogLikelihood:
     def test_dimension_mismatch(self, tfit_params):
         with pytest.raises(ValueError, match="width"):
             negative_log_likelihood(tfit_params, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_raises(self, tfit_params, bad):
+        data = np.zeros((4, 2))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            negative_log_likelihood(tfit_params, data)
 
 
 class TestEncodeDecode:
@@ -180,3 +188,9 @@ class TestFitDensity:
     def test_empty_data(self):
         with pytest.raises(Exception):
             fit_density(np.zeros((0, 2)), FitConfig(n_h=1))
+
+    def test_non_finite_data_is_rejected_up_front(self):
+        data = np.random.default_rng(0).standard_normal((50, 2))
+        data[[7, 30], 0] = [math.nan, -math.inf]
+        with pytest.raises(FitError, match="2 row.*first at index 7"):
+            fit_density(data, FitConfig(n_h=1, restarts=1, max_evals=8))

@@ -131,3 +131,85 @@ class TestErrors:
             ThetaQuery(z=np.zeros(1), omega=np.eye(1), eps=0.5)
         with pytest.raises(ValueError, match="symmetric"):
             ThetaQuery(z=np.zeros(2), omega=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def spd_with_eigenvalues(rng, eigs):
+    basis = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))[0]
+    a = (basis * np.asarray(eigs, dtype=float)) @ basis.T
+    return 0.5 * (a + a.T)
+
+
+def reference_radius(z, omega, lam_min):
+    """Max-norm radius past which the reference omits under 1e-15 of the sum."""
+    nhat = np.abs(np.linalg.solve(omega, z)).max()
+    return int(np.ceil(nhat + np.sqrt(2.0 * 40.0 / lam_min))) + 1
+
+
+class TestEllipsoidKernel:
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("eigs", [
+        [0.2], [7.0],
+        [0.2, 200.0], [0.25, 9.0, 250.0], [0.3, 3.0, 30.0, 300.0],
+        [1e4, 1e4, 2e4],   # stiff: the radius solve leaves the representable range
+    ], ids=lambda e: f"h{len(e)}-ratio{max(e) / min(e):g}")
+    def test_anisotropic_against_reference(self, eigs, lattice):
+        rng = np.random.default_rng(len(eigs) * 31 + int(min(eigs) * 10))
+        omega = spd_with_eigenvalues(rng, eigs)
+        for _ in range(3):
+            z = omega @ rng.uniform(-4, 4, len(eigs))
+            got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+            radius = reference_radius(z, omega, min(eigs))
+            ref = log_theta_reference(z, omega, lattice=lattice, radius=radius)
+            assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("nhat", [[-6.3, 4.2], [-3.6, -2.2, 5.1], [-4.4, 1.7, -0.8, 2.9]])
+    def test_nonneg_maximizer_outside_orthant(self, nhat):
+        rng = np.random.default_rng(len(nhat))
+        h = len(nhat)
+        omega = spd_with_eigenvalues(rng, np.linspace(0.5, 6.0, h))
+        z = omega @ np.array(nhat)
+        got = log_theta(ThetaQuery(z=z, omega=omega, lattice=Lattice.NONNEG))
+        ref = log_theta_reference(z, omega, lattice=Lattice.NONNEG, radius=30)
+        assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+        # the orthant sum is far below the unconstrained one
+        assert got < log_theta(ThetaQuery(z=z, omega=omega)) - 1.0
+
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_batch_matches_single_far_apart(self, h, lattice):
+        rng = np.random.default_rng(40 + h)
+        omega = random_spd(rng, h, 0.5, 20.0)
+        # on the orthant lattice some maximizers lie just outside it
+        targets = rng.uniform(-40 if lattice is Lattice.FULL else -4, 40, (25, h))
+        zs = targets @ omega + rng.uniform(-1, 1, (25, h))
+        batch = log_theta_many(zs, omega, lattice=lattice)
+        singles = [log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice)) for z in zs]
+        np.testing.assert_array_equal(batch, singles)
+        reversed_batch = log_theta_many(zs[::-1], omega, lattice=lattice)
+        np.testing.assert_array_equal(batch[::-1], reversed_batch)
+
+    def test_unreachable_tolerance_raises_before_enumerating(self, monkeypatch):
+        import rtbm.theta as theta
+
+        def no_enumeration(*args):
+            raise AssertionError("lattice points were enumerated")
+
+        monkeypatch.setattr(theta, "_ellipsoid_points", no_enumeration)
+        with pytest.raises(ThetaTruncationError,
+                           match=r"half-width of [0-9.e+]+, above max_radius=128"):
+            log_theta_many(np.zeros((1, 3)), 1e-4 * np.eye(3))
+
+    def test_over_budget_point_set_raises_without_allocating(self):
+        import tracemalloc
+
+        # the half-width (about 47) is within max_radius, but the ellipsoid
+        # holds about 2e7 points
+        omega = 0.05 * np.eye(4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ThetaTruncationError, match="work cap"):
+                log_theta_many(np.zeros((1, 4)), omega)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
