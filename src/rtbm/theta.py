@@ -30,10 +30,13 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   orthant lattice, points outside it are masked; a row whose rounded
   maximizer lies outside the orthant gets its own radius from its best
   orthant point.
-* Work cap.  The ellipsoid's max-norm half-width is checked against
-  ``max_radius`` and its point count against a fixed cap before the points
-  are allocated; either failure raises ThetaTruncationError, so a sum is
-  never silently truncated and never allocates without bound.
+* Work cap.  Before anything is allocated, each row's point count is
+  bounded by prod_i (min(2r / L_ii, s_i) + 1), s_i the extent of its
+  ellipsoid (cut at zero on the orthant lattice) along n_i, and checked
+  against a fixed cap; a caller may also cap the ellipsoid's max-norm
+  half-width with ``max_radius``.  Either failure raises
+  ThetaTruncationError, so a sum is never silently truncated and never
+  allocates without bound.
 """
 
 from __future__ import annotations
@@ -47,11 +50,7 @@ from scipy.special import gammainccinv, gammaln, logsumexp
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
 DEFAULT_EPS = 1e-12
-# Max-norm half-width cap of the enumerated ellipsoid.  The radius is
-# conservative (one for all rows, from a worst-case point count), so the cap
-# is generous; the point cap below is what bounds the work.
-MAX_RADIUS = 128
-_WORK_CAP = 1 << 21      # most lattice points one ellipsoid may hold
+_WORK_CAP = 1 << 21      # most lattice points enumerated at once
 _BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _REFERENCE_POINT_CAP = 10**8
@@ -129,8 +128,8 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
     a time from the last to the first: (L^T (n - c))_i = L_ii (n_i - m_i)
     with m_i = c_i - sum_{j>i} L_ji (n_j - c_j) / L_ii, so each prefix
     (n_{i+1}, ..., n_{h-1}) leaves an interval of admissible n_i, cut at
-    zero when ``orthant`` is set.  Every level is counted before it is
-    allocated and raises ThetaTruncationError above the work cap.
+    zero when ``orthant`` is set.  The caller bounds the number of points
+    with :func:`_point_bounds` first.
 
     Returns ``(owner, points)``: the index of each point's centre, in
     ascending order, and the (P, h) int64 points.
@@ -151,10 +150,6 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
             lo = np.maximum(lo, 0.0)
         counts = np.maximum(np.floor(mid + half) - lo + 1.0, 0.0).astype(np.int64)
         total = int(counts.sum())
-        if total > _WORK_CAP:
-            raise ThetaTruncationError(
-                f"the theta ellipsoid of radius {radii.max():.4g} holds over "
-                f"{_WORK_CAP} lattice points, the work cap")
         parent = np.repeat(np.arange(counts.size), counts)
         first = np.cumsum(counts) - counts
         ni = lo[parent] + (np.arange(total) - first[parent])
@@ -163,6 +158,19 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
         owner = owner[parent]
         pts = np.column_stack([ni, pts[parent]])
     return owner, pts.astype(np.int64)
+
+
+def _point_bounds(pivots, radii, spans):
+    """Upper bounds on the points :func:`_ellipsoid_points` finds per centre.
+
+    Given its prefix, n_i ranges over an interval of length at most
+    2r / L_ii, and over the ellipsoid's extent ``spans[:, i]`` along n_i
+    (which its orthant cut can shorten), so each coordinate level multiplies
+    the count by at most the smaller of the two plus one.  The factor
+    1 + 1e-12 matches the enumeration's boundary slack.
+    """
+    reach = 2.0 * radii[:, None] / pivots
+    return np.prod(np.minimum(reach, spans) * (1.0 + 1e-12) + 1.0, axis=1)
 
 
 def _orthant_ascent(zs, omega, start):
@@ -206,6 +214,14 @@ def _exponents(g, cols, quad, centre):
     return e
 
 
+def _logsumexp_rows(e):
+    """Per-row log-sum-exp of ``e``, which is overwritten."""
+    peak = e.max(axis=1)
+    e -= peak[:, None]
+    np.exp(e, out=e)
+    return peak + np.log(e.sum(axis=1))
+
+
 def _log_sums(g, f0, cols, quad, centre):
     """Per-row log of sum_k exp(f0 + g.k - k^T Omega k / 2) over the offsets.
 
@@ -219,10 +235,7 @@ def _log_sums(g, f0, cols, quad, centre):
         blk = slice(s, s + step)
         e = _exponents(g[blk], cols, quad,
                        None if centre is None else centre[blk])
-        peak = e.max(axis=1)
-        e -= peak[:, None]
-        np.exp(e, out=e)
-        out[blk] = f0[blk] + peak + np.log(e.sum(axis=1))
+        out[blk] = f0[blk] + _logsumexp_rows(e)
     return out
 
 
@@ -241,25 +254,23 @@ def _orthant_terms(zs, omega, chol, nhat, reach, best):
     return owner, points, terms
 
 
-def _orthant_log_sums(zs, omega, chol, nhat, reach, best):
+def _orthant_log_sums(zs, omega, chol, nhat, reach, best, bounds):
     """Per-row log-sums of :func:`_orthant_terms`, in pieces under the work cap.
 
-    A piece over the cap is halved, and only a single row over it raises,
-    so whether a row's sum succeeds does not depend on its batch.
+    Consecutive rows are grouped so that their point ``bounds`` (each at
+    most the cap) add up to at most the cap.  A row's sum uses its own
+    points only, so it does not depend on its batch.
     """
     out = np.empty(zs.shape[0])
-    pieces = [np.arange(zs.shape[0])]
-    while pieces:
-        rows = pieces.pop()
-        try:
-            owner, _, terms = _orthant_terms(zs[rows], omega, chol, nhat[rows],
-                                             reach[rows], best[rows])
-        except ThetaTruncationError:
-            if rows.size == 1:
-                raise
-            pieces += [rows[rows.size // 2:], rows[:rows.size // 2]]
-            continue
-        out[rows] = _segment_log_sums(owner, terms, rows.size)
+    ends = np.concatenate([[0.0], np.cumsum(bounds)])
+    start = 0
+    while start < zs.shape[0]:
+        stop = int(np.searchsorted(ends, ends[start] + _WORK_CAP, side="right")) - 1
+        rows = slice(start, max(stop, start + 1))
+        owner, _, terms = _orthant_terms(zs[rows], omega, chol, nhat[rows],
+                                         reach[rows], best[rows])
+        out[rows] = _segment_log_sums(owner, terms, rows.stop - rows.start)
+        start = rows.stop
     return out
 
 
@@ -282,8 +293,17 @@ def _spd_cholesky(omega, name="omega"):
         ) from None
 
 
+def _check_converged(failed, eps, omega, need):
+    """Raise ThetaTruncationError if any row is ``failed``; ``need`` says why."""
+    if failed.any():
+        raise ThetaTruncationError(
+            f"{int(failed.sum())} of {failed.size} lattice sums not converged: "
+            f"eps={eps:g} needs {need} "
+            f"(min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
+
+
 def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
-                   max_radius=MAX_RADIUS, collect_terms=False):
+                   max_radius=None, collect_terms=False):
     """Evaluate log tilde-theta for a batch of arguments sharing one Omega.
 
     Parameters
@@ -292,7 +312,8 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     omega : (h, h) symmetric positive definite matrix.
     lattice : which lattice to sum over.
     eps : relative truncation tolerance.
-    max_radius : cap on the max-norm half-width of the enumerated ellipsoid.
+    max_radius : optional cap on the max-norm half-width of each row's
+        enumerated ellipsoid.
     collect_terms : if True (batch size 1 only), also return the enumerated
         lattice points and their log-terms, for mixture-weight extraction.
 
@@ -306,8 +327,8 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     NotPositiveDefiniteError
         If omega is not positive definite.
     ThetaTruncationError
-        If certifying ``eps`` needs a half-width above ``max_radius`` or more
-        lattice points than the work cap; both are checked before the points
+        If certifying ``eps`` needs more lattice points than the work cap or
+        a half-width above ``max_radius``; both are checked before the points
         are allocated, and the sum is never silently truncated.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -340,8 +361,9 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     rho_half = 0.5 * np.sqrt(np.einsum("ch,hl,cl->c", signs, omega, signs).max())
     log_eps = np.log(eps)
     radius = _certified_radius(pivots, log_eps - 0.5 * rho_half ** 2) + rho_half
+    reach = np.full(nb, radius)        # radius of each row's enumerated points
     widths = np.sqrt(np.diag(omega_inv))
-    half_width = np.full(nb, radius * widths.max())
+    spans = np.tile(2.0 * radius * widths, (nb, 1))    # extents along each n_i
     if clipped.size:
         # A rounded maximizer outside the orthant gives no term to bound the
         # sum with; an orthant point found by coordinate ascent does, and the
@@ -349,18 +371,21 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         best = _orthant_ascent(zs[clipped], omega, np.maximum(centre[clipped], 0.0))
         u = nhat[clipped] - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
-        reach = np.maximum(_certified_radius(pivots, log_eps - 0.5 * dist ** 2), dist)
-        upper = nhat[clipped] + reach[:, None] * widths
-        lower = np.maximum(nhat[clipped] - reach[:, None] * widths, 0.0)
-        half_width[clipped] = 0.5 * (upper - lower).max(axis=1)
+        reach[clipped] = np.maximum(
+            _certified_radius(pivots, log_eps - 0.5 * dist ** 2), dist)
+        upper = nhat[clipped] + reach[clipped, None] * widths
+        lower = np.maximum(nhat[clipped] - reach[clipped, None] * widths, 0.0)
+        spans[clipped] = upper - lower
 
-    too_wide = half_width > max_radius
-    if too_wide.any():
-        raise ThetaTruncationError(
-            f"{int(too_wide.sum())} of {nb} lattice sums not converged: "
-            f"eps={eps:g} needs a max-norm half-width of "
-            f"{half_width.max():.4g}, above max_radius={max_radius} "
-            f"(min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
+    bounds = _point_bounds(pivots, reach, spans)
+    _check_converged(bounds > _WORK_CAP, eps, omega,
+                     f"up to {bounds.max():.4g} lattice points, "
+                     f"above the work cap of {_WORK_CAP}")
+    if max_radius is not None:
+        half_width = 0.5 * spans.max(axis=1)
+        _check_converged(half_width > max_radius, eps, omega,
+                         f"a max-norm half-width of {half_width.max():.4g}, "
+                         f"above max_radius={max_radius}")
 
     result = np.empty(nb)
     if clipped.size:
@@ -368,7 +393,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             owner, points, terms = _orthant_terms(zs, omega, chol, nhat, reach, best)
             return _segment_log_sums(owner, terms, 1), points, terms
         result[clipped] = _orthant_log_sums(zs[clipped], omega, chol, nhat[clipped],
-                                            reach, best)
+                                            reach[clipped], best, bounds[clipped])
     if shared.any():
         offsets = _ellipsoid_points(chol, np.zeros((1, h)), np.array([radius]))[1]
         quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, omega, offsets)
@@ -380,11 +405,13 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         f0 = -0.5 * np.einsum("bh,bh->b", c_omega, centre) \
             + np.einsum("bh,bh->b", centre, zs[shared])
         mask = centre if lattice is Lattice.NONNEG else None
-        result[shared] = _log_sums(g, f0, cols, quad, mask)
         if collect_terms:
-            terms = f0[0] + _exponents(g, cols, quad, mask)[0]
+            e = _exponents(g, cols, quad, mask)
+            terms = f0[0] + e[0]
             keep = np.isfinite(terms)
+            result = f0 + _logsumexp_rows(e)
             return result, centre[0].astype(np.int64) + offsets[keep], terms[keep]
+        result[shared] = _log_sums(g, f0, cols, quad, mask)
     return result
 
 

@@ -162,6 +162,22 @@ class TestEllipsoidKernel:
             ref = log_theta_reference(z, omega, lattice=lattice, radius=radius)
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_thin_ellipsoid_against_reference(self, rotated, lattice):
+        # long along one axis and stiff along the other: a wide half-width
+        # but few points, so it is summed, not refused
+        rng = np.random.default_rng(12)
+        omega = (spd_with_eigenvalues(rng, [0.03, 1e3]) if rotated
+                 else np.diag([0.02, 1e4]))
+        lam_min = np.linalg.eigvalsh(omega)[0]
+        for _ in range(3):
+            z = omega @ rng.uniform(-4, 4, 2)
+            got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+            ref = log_theta_reference(z, omega, lattice=lattice,
+                                      radius=reference_radius(z, omega, lam_min))
+            assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
     @pytest.mark.parametrize("nhat", [[-6.3, 4.2], [-3.6, -2.2, 5.1], [-4.4, 1.7, -0.8, 2.9]])
     def test_nonneg_maximizer_outside_orthant(self, nhat):
         rng = np.random.default_rng(len(nhat))
@@ -196,14 +212,16 @@ class TestEllipsoidKernel:
 
         monkeypatch.setattr(theta, "_ellipsoid_points", no_enumeration)
         with pytest.raises(ThetaTruncationError,
-                           match=r"half-width of [0-9.e+]+, above max_radius=128"):
+                           match=r"up to [0-9.e+]+ lattice points, above the work cap"):
             log_theta_many(np.zeros((1, 3)), 1e-4 * np.eye(3))
+        with pytest.raises(ThetaTruncationError,
+                           match=r"half-width of [0-9.e+]+, above max_radius=64"):
+            log_theta_many(np.zeros((1, 2)), 1e-2 * np.eye(2), max_radius=64)
 
     def test_over_budget_point_set_raises_without_allocating(self):
         import tracemalloc
 
-        # the half-width (about 47) is within max_radius, but the ellipsoid
-        # holds about 2e7 points
+        # the ellipsoid holds about 2e7 points
         omega = 0.05 * np.eye(4)
         tracemalloc.start()
         try:
