@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.
 ``--theta-eps``, ``--seed``, ``--restarts`` and ``--max-evals`` fall back
 to the environment variables RTBM_THETA_EPS, RTBM_SEED, RTBM_RESTARTS and
 RTBM_MAX_EVALS when the flag is absent; a malformed value in any of them is
-a usage error.  Data and point CSVs with NaN or infinite values in the
-columns used are rejected as data errors.
+a usage error, and so is a theta tolerance outside (0, 1e-3].  Data and
+point CSVs with NaN or infinite values in the columns used, column indices
+outside a CSV, and model files with a missing or ill-typed field are
+rejected as data errors.
 """
 
 from __future__ import annotations
@@ -24,20 +26,19 @@ import json
 import os
 import re
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
-from .density import condition_on, log_pdf_many
+from .density import condition_on, free_coordinates, log_pdf_many
 from .errors import RtbmError
 from .fit import FitConfig, fit_density
-from .model import load_model, save_model, validate
+from .model import load_model, save_model, validate, write_atomic, write_json
 from .oracle import (StudentTParams, conditional_logpdf, sample_student,
                      student_conditional)
 from .sampling import RNG_NAME, sample_visible
-from .theta import DEFAULT_EPS, Lattice
+from .theta import DEFAULT_EPS, Lattice, check_eps
 
 ENV_PREFIX = "RTBM_"
 
@@ -50,9 +51,17 @@ def _env_default(parser, name, cast, fallback):
         return fallback
     try:
         return cast(raw)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.exit(2, f"{parser.prog}: error: environment variable "
-                       f"{var}={raw!r} is not a valid {cast.__name__}\n")
+                       f"{var}={raw!r} is not a valid {cast.__name__}: {exc}\n")
+
+
+def tolerance(raw):
+    """A theta tolerance from a flag or variable; 0 < eps <= 1e-3."""
+    try:
+        return check_eps(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def conditional_mse(reference, candidate) -> float:
@@ -66,33 +75,17 @@ def conditional_mse(reference, candidate) -> float:
 
 def _write_csv(path, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, rows, delimiter=",", fmt="%.17g")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _write_json(path, doc):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, lambda fh: np.savetxt(fh, rows, delimiter=",", fmt="%.17g"))
 
 
 def _read_csv(path, cols=None):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if cols is not None:
+        width = data.shape[1]
+        outside = [c for c in cols if not -width <= c < width]
+        if outside:
+            raise RtbmError(f"{path}: column {outside[0]} is out of range "
+                            f"for its {width} column(s)")
         data = data[:, cols]
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
@@ -187,7 +180,7 @@ def _cmd_fit(args):
     trace_path = args.trace or args.out + ".trace.csv"
     _write_csv(trace_path, [(e, f) for e, f in result.trace])
     meta_path = args.meta or args.out + ".meta.json"
-    _write_json(meta_path, {
+    write_json(meta_path, {
         "command": "fit",
         "data": args.data,
         "rows": int(data.shape[0]),
@@ -230,7 +223,7 @@ def _cmd_sample(args):
     samples = sample_visible(params, args.count, args.seed, eps=args.theta_eps)
     _write_csv(args.out, samples)
     if args.meta:
-        _write_json(args.meta, {
+        write_json(args.meta, {
             "command": "sample", "model": args.model, "count": args.count,
             "seed": args.seed, "theta_eps": args.theta_eps, "rng": RNG_NAME,
         })
@@ -238,12 +231,8 @@ def _cmd_sample(args):
 
 
 def _cmd_mse(args):
-    ref = _read_csv(args.ref)
-    cand = _read_csv(args.cand)
-    col = args.density_col
-    ref_col = ref[:, col] if col is not None else ref[:, -2]
-    cand_col = cand[:, col] if col is not None else cand[:, -2]
-    print(f"{conditional_mse(ref_col, cand_col):.12g}")
+    col = [-2 if args.density_col is None else args.density_col]
+    print(f"{conditional_mse(_read_csv(args.ref, col), _read_csv(args.cand, col)):.12g}")
     return 0
 
 
@@ -262,9 +251,7 @@ def _cmd_student_sample(args):
 def _cmd_student_conditional(args):
     tp = _student_params(args)
     indices, values = _parse_on(args.on)
-    free = [i for i in range(tp.p) if i not in indices]
-    if not free:
-        raise ValueError("cannot condition on every coordinate")
+    free = free_coordinates(indices, tp.p)
     order = indices + free
     perm_tp = StudentTParams(mu=tp.mu[order],
                              sigma=tp.sigma[np.ix_(order, order)], nu=tp.nu)
@@ -297,7 +284,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    theta_eps = _env_default(parser, "theta-eps", float, DEFAULT_EPS)
+    theta_eps = _env_default(parser, "theta-eps", tolerance, DEFAULT_EPS)
     seed = _env_default(parser, "seed", int, 0)
 
     p = sub.add_parser("fit", help="train a model on CSV samples")
@@ -311,7 +298,7 @@ def build_parser():
                    default=_env_default(parser, "max-evals", int, 50000))
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--sigma0", type=float, default=0.3)
-    p.add_argument("--theta-eps", type=float, default=theta_eps)
+    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
                    default=Lattice.FULL.value)
     p.add_argument("--standardize", action="store_true")
@@ -322,7 +309,7 @@ def build_parser():
     p = sub.add_parser("density", help="evaluate a model density")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta-eps", type=float, default=theta_eps)
+    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     _add_eval_point_flags(p)
     p.set_defaults(func=_cmd_density)
 
@@ -337,7 +324,7 @@ def build_parser():
     p.add_argument("--count", required=True, type=int)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta-eps", type=float, default=theta_eps)
+    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     p.add_argument("--meta", help="optional run metadata JSON path")
     p.set_defaults(func=_cmd_sample)
 

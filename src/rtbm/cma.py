@@ -15,19 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def default_population(dim: int) -> int:
-    return 4 + int(3 * math.log(dim))
-
-
 @dataclass
 class CmaResult:
     x_best: np.ndarray
     f_best: float
     evals: int
     trace: list = field(default_factory=list)  # (evals, best-so-far) per generation
-
-    def __iter__(self):  # allows: x, f = minimize(...)
-        return iter((self.x_best, self.f_best))
 
 
 def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
@@ -44,7 +37,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
     if dim <= 0:
         raise ValueError("dim must be positive")
     rng = np.random.default_rng(seed)
-    lam = population if population else default_population(dim)
+    lam = population if population else 4 + int(3 * math.log(dim))
     lam = max(lam, 4)
     mu = lam // 2
     weights = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))

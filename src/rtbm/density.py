@@ -23,10 +23,9 @@ log P(v) = log P(y|d) + log P(d) holds exactly with it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import RtbmError
-from .model import RtbmParams, block_split, permute, spd_cholesky, sym, validate
+from .model import RtbmParams, block_split, permute, sym, validate
 from .theta import DEFAULT_EPS, log_theta_many
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -36,26 +35,28 @@ def _logdet_from_chol(chol):
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
+def log_normalizer(params: RtbmParams, eps=DEFAULT_EPS) -> float:
+    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model and eps."""
+    memo = params.log_normalizers
+    if eps not in memo:
+        memo[eps] = log_theta_many(params.z_schur[None, :], params.schur,
+                                   params.lattice, eps)[0]
+    return memo[eps]
+
+
 def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
     """Visible-sector log-density at each row of ``vs`` (shape (B, n_v))."""
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape[1] != params.n_v:
         raise ValueError(f"points have width {vs.shape[1]}, expected {params.n_v}")
-    chol_t = spd_cholesky(params.t, "T")
-    tinv_bv = la.cho_solve((chol_t, True), params.bv)
-    tinv_w = la.cho_solve((chol_t, True), params.w)
-
-    u = vs + tinv_bv
-    half_quad = 0.5 * np.square(u @ chol_t).sum(axis=1)  # u^T T u / 2
+    u = vs + params.tinv_bv
+    half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
 
     z_num = vs @ params.w + params.bh
     log_num = log_theta_many(z_num, sym(params.q), params.lattice, eps)
-    z_den = params.bh - params.w.T @ tinv_bv
-    omega_den = sym(params.q - params.w.T @ tinv_w)
-    log_den = log_theta_many(z_den[None, :], omega_den, params.lattice, eps)[0]
 
-    return (0.5 * _logdet_from_chol(chol_t) - 0.5 * params.n_v * _LOG_2PI
-            - half_quad + log_num - log_den)
+    return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI
+            - half_quad + log_num - log_normalizer(params, eps))
 
 
 def log_pdf(params: RtbmParams, v, eps=DEFAULT_EPS) -> float:
@@ -67,36 +68,19 @@ def log_marginal(params: RtbmParams, m: int, d, eps=DEFAULT_EPS) -> float:
     """Closed-form log P(d): the leading m coordinates integrated out.
 
     ``d`` holds the trailing n_v - m coordinates.  Requires 0 < m < n_v;
-    an empty free block is not a marginalization.
+    an empty free block is not a marginalization.  The theta ratio is the
+    normalizer of the child :func:`condition` builds over the parent's.
     """
-    if not 0 < m < params.n_v:
-        raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
+    child = condition(params, m, d)
     d = np.asarray(d, dtype=float).reshape(params.n_v - m)
-
     bd = block_split(params, m)
-    chol_t = spd_cholesky(params.t, "T")
-    chol_t0 = spd_cholesky(bd.t0_bar, "T0 block")
-    tinv_bv = la.cho_solve((chol_t, True), params.bv)
-    tinv_w = la.cho_solve((chol_t, True), params.w)
-
-    c = bd.bv0 + bd.t1_bar.T @ d
-    t0inv_c = la.cho_solve((chol_t0, True), c)
-    t0inv_w0 = la.cho_solve((chol_t0, True), bd.w0)
-
-    z_num = params.bh + bd.w1.T @ d - bd.w0.T @ t0inv_c
-    omega_num = sym(params.q - bd.w0.T @ t0inv_w0)
-    log_num = log_theta_many(z_num[None, :], omega_num, params.lattice, eps)[0]
-    z_den = params.bh - params.w.T @ tinv_bv
-    omega_den = sym(params.q - params.w.T @ tinv_w)
-    log_den = log_theta_many(z_den[None, :], omega_den, params.lattice, eps)[0]
-
-    return (0.5 * _logdet_from_chol(chol_t)
+    return (0.5 * _logdet_from_chol(params.chol_t)
             - 0.5 * (params.n_v - m) * _LOG_2PI
-            - 0.5 * _logdet_from_chol(chol_t0)
+            - 0.5 * _logdet_from_chol(child.chol_t)
             - 0.5 * float(d @ bd.t_tilde @ d) - float(bd.bv1 @ d)
-            - 0.5 * float(params.bv @ tinv_bv)
-            + 0.5 * float(c @ t0inv_c)
-            + log_num - log_den)
+            - 0.5 * float(params.bv @ params.tinv_bv)
+            + 0.5 * float(child.bv @ child.tinv_bv)
+            + log_normalizer(child, eps) - log_normalizer(params, eps))
 
 
 def condition(params: RtbmParams, m: int, d) -> RtbmParams:
@@ -123,6 +107,18 @@ def condition(params: RtbmParams, m: int, d) -> RtbmParams:
     return child
 
 
+def free_coordinates(indices, n) -> list:
+    """Coordinates of 0..n-1 left free by conditioning on ``indices``, checked."""
+    if len(set(indices)) != len(indices):
+        raise ValueError("conditioned indices must be distinct")
+    if not all(0 <= i < n for i in indices):
+        raise ValueError(f"conditioned indices must be in [0, {n})")
+    free = [i for i in range(n) if i not in indices]
+    if not free:
+        raise ValueError("cannot condition on every coordinate")
+    return free
+
+
 def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]:
     """Condition on an arbitrary coordinate subset.
 
@@ -133,12 +129,6 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     """
     indices = [int(i) for i in indices]
     values = np.asarray(values, dtype=float).reshape(len(indices))
-    if len(set(indices)) != len(indices):
-        raise ValueError("conditioned indices must be distinct")
-    if not all(0 <= i < params.n_v for i in indices):
-        raise ValueError(f"conditioned indices must be in [0, {params.n_v})")
-    free = [i for i in range(params.n_v) if i not in indices]
-    if not free:
-        raise ValueError("cannot condition on every coordinate")
+    free = free_coordinates(indices, params.n_v)
     child = condition(permute(params, free + indices), len(free), values)
     return child, free

@@ -20,8 +20,8 @@ import scipy.linalg as la
 from . import cma
 from .density import log_pdf_many
 from .errors import FitError, RtbmError
-from .model import RtbmParams, sym, validate
-from .theta import DEFAULT_EPS, Lattice
+from .model import RtbmParams, spd_cholesky, validate
+from .theta import DEFAULT_EPS, Lattice, check_eps
 
 SCHUR_FLOOR = 1e-8
 _PENALTY_BASE = 1e10
@@ -45,8 +45,9 @@ class FitConfig:
     def __post_init__(self):
         if self.n_h < 1 or self.restarts < 1 or self.max_evals < 1:
             raise ValueError("n_h, restarts and max_evals must be positive")
-        if self.sigma0 <= 0 or self.theta_eps <= 0:
-            raise ValueError("sigma0 and theta_eps must be positive")
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        check_eps(self.theta_eps)
         if self.population is not None and self.population < 2:
             raise ValueError("population must be at least 2")
 
@@ -71,15 +72,11 @@ def _tril_to_matrix(vals, n):
     return fac @ fac.T, fac
 
 
-def _matrix_to_tril(a, name):
-    try:
-        fac = la.cholesky(sym(a), lower=True)
-    except la.LinAlgError:
-        raise ValueError(f"{name} must be positive definite to encode") from None
+def _factor_to_tril(fac):
     fac = fac.copy()
-    diag = np.diag_indices(a.shape[0])
+    diag = np.diag_indices(fac.shape[0])
     fac[diag] = np.log(fac[diag])
-    return fac[np.tril_indices(a.shape[0])]
+    return fac[np.tril_indices(fac.shape[0])]
 
 
 def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
@@ -102,8 +99,8 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
 def encode(params: RtbmParams) -> np.ndarray:
     """Inverse of :func:`decode`; round-trips to ~1e-12 on all entries."""
     return np.concatenate([
-        _matrix_to_tril(params.t, "T"),
-        _matrix_to_tril(params.q, "Q"),
+        _factor_to_tril(params.chol_t),
+        _factor_to_tril(spd_cholesky(params.q, "Q")),
         params.w.ravel(),
         params.bv,
         params.bh,
@@ -136,17 +133,11 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
     return float(-lp.sum())
 
 
-def _schur_min_eigenvalue(params: RtbmParams) -> float:
-    chol = la.cholesky(sym(params.t), lower=True)
-    schur = params.q - params.w.T @ la.cho_solve((chol, True), params.w)
-    return float(la.eigvalsh(sym(schur))[0])
-
-
 def make_objective(data, n_v, n_h, lattice, eps):
     """NLL over the encoding, with the Schur-violation penalty region."""
     def objective(x):
         params = decode(x, n_v, n_h, lattice)
-        lam = _schur_min_eigenvalue(params)
+        lam = float(la.eigvalsh(params.schur)[0])
         if lam <= SCHUR_FLOOR:
             return _PENALTY_BASE + _PENALTY_SLOPE * (SCHUR_FLOOR - lam)
         return negative_log_likelihood(params, data, eps)

@@ -12,11 +12,12 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, RtbmError
 from .theta import Lattice
 
 SYMMETRY_ATOL = 1e-10
@@ -58,7 +59,12 @@ def spd_cholesky(a, name):
 
 @dataclass(frozen=True)
 class RtbmParams:
-    """Parameters of one RTBM. Immutable after construction."""
+    """Parameters of one RTBM. Immutable after construction.
+
+    The factorization of T and the Schur quantities derived from it are
+    computed on first use and kept on the instance; the fields are frozen
+    arrays, so a kept value cannot go stale.
+    """
 
     t: np.ndarray
     q: np.ndarray
@@ -94,6 +100,36 @@ class RtbmParams:
     def n_h(self) -> int:
         return self.q.shape[0]
 
+    @cached_property
+    def chol_t(self) -> np.ndarray:
+        """Lower Cholesky factor of T; NotPositiveDefiniteError if T is not PD."""
+        return _freeze(spd_cholesky(self.t, "T"))
+
+    @cached_property
+    def tinv_w(self) -> np.ndarray:
+        """T^-1 W."""
+        return _freeze(la.cho_solve((self.chol_t, True), self.w))
+
+    @cached_property
+    def tinv_bv(self) -> np.ndarray:
+        """T^-1 bv."""
+        return _freeze(la.cho_solve((self.chol_t, True), self.bv))
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        """S = Q - W^T T^-1 W, symmetrized: the normalizer's theta matrix."""
+        return _freeze(sym(self.q - self.w.T @ self.tinv_w))
+
+    @cached_property
+    def z_schur(self) -> np.ndarray:
+        """bh - W^T T^-1 bv: the normalizer's theta argument."""
+        return _freeze(self.bh - self.w.T @ self.tinv_bv)
+
+    @cached_property
+    def log_normalizers(self) -> dict:
+        """log theta(z_S | S) by tolerance, kept by ``density.log_normalizer``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -124,35 +160,24 @@ def validate(params: RtbmParams) -> ValidationReport:
     skipped (with T already reported invalid) otherwise.
     """
     bad = []
-    asym_t = float(np.abs(params.t - params.t.T).max())
-    if asym_t > SYMMETRY_ATOL:
-        bad.append(Violation("t-asymmetric",
-                             f"T asymmetry {asym_t:.3g} exceeds {SYMMETRY_ATOL}",
-                             asym_t))
-    asym_q = float(np.abs(params.q - params.q.T).max())
-    if asym_q > SYMMETRY_ATOL:
-        bad.append(Violation("q-asymmetric",
-                             f"Q asymmetry {asym_q:.3g} exceeds {SYMMETRY_ATOL}",
-                             asym_q))
-
-    chol_t, lam = try_cholesky(params.t)
-    if chol_t is None:
-        bad.append(Violation("t-not-positive-definite",
-                             f"T not positive definite (min eigenvalue ~ {lam:.6g})",
-                             lam))
-    chol_q, lam = try_cholesky(params.q)
-    if chol_q is None:
-        bad.append(Violation("q-not-positive-definite",
-                             f"Q not positive definite (min eigenvalue ~ {lam:.6g})",
-                             lam))
-    if chol_t is not None:
-        schur = params.q - params.w.T @ la.cho_solve((chol_t, True), params.w)
-        chol_s, lam = try_cholesky(schur)
-        if chol_s is None:
+    for name, a in (("T", params.t), ("Q", params.q)):
+        asym = float(np.abs(a - a.T).max())
+        if asym > SYMMETRY_ATOL:
+            bad.append(Violation(f"{name.lower()}-asymmetric",
+                                 f"{name} asymmetry {asym:.3g} exceeds {SYMMETRY_ATOL}",
+                                 asym))
+    try:
+        schur, lam_t = params.schur, None
+    except NotPositiveDefiniteError as exc:
+        schur, lam_t = None, exc.min_eigenvalue
+    lam_q = try_cholesky(params.q)[1]
+    lam_s = None if schur is None else try_cholesky(schur)[1]
+    for rule, name, lam in (("t", "T", lam_t), ("q", "Q", lam_q),
+                            ("schur", "Q - W^T T^-1 W", lam_s)):
+        if lam is not None:
             bad.append(Violation(
-                "schur-not-positive-definite",
-                f"Q - W^T T^-1 W not positive definite (min eigenvalue ~ {lam:.6g})",
-                lam))
+                f"{rule}-not-positive-definite",
+                f"{name} not positive definite (min eigenvalue ~ {lam:.6g})", lam))
     return ValidationReport(tuple(bad))
 
 
@@ -160,8 +185,6 @@ def validate(params: RtbmParams) -> ValidationReport:
 class BlockDecomposition:
     """Split of (T, W, bv) into a leading m-block and trailing n-block."""
 
-    m: int
-    n: int
     t0_bar: np.ndarray   # m x m
     t1_bar: np.ndarray   # n x m, lower-left block of T
     t_tilde: np.ndarray  # n x n
@@ -169,15 +192,6 @@ class BlockDecomposition:
     w1: np.ndarray       # n x n_h
     bv0: np.ndarray      # m
     bv1: np.ndarray      # n
-
-    def reassemble(self):
-        """Recompose (T, W, bv); inverse of block_split, bit-exact."""
-        top = np.hstack([self.t0_bar, self.t1_bar.T])
-        bottom = np.hstack([self.t1_bar, self.t_tilde])
-        t = np.vstack([top, bottom])
-        w = np.vstack([self.w0, self.w1])
-        bv = np.concatenate([self.bv0, self.bv1])
-        return t, w, bv
 
 
 def block_split(params: RtbmParams, m: int) -> BlockDecomposition:
@@ -190,7 +204,6 @@ def block_split(params: RtbmParams, m: int) -> BlockDecomposition:
         raise ValueError(f"m must be in [1, {params.n_v}], got {m}")
     t, w, bv = params.t, params.w, params.bv
     return BlockDecomposition(
-        m=m, n=params.n_v - m,
         t0_bar=_freeze(t[:m, :m]), t1_bar=_freeze(t[m:, :m]),
         t_tilde=_freeze(t[m:, m:]),
         w0=_freeze(w[:m, :]), w1=_freeze(w[m:, :]),
@@ -226,36 +239,61 @@ def to_dict(params: RtbmParams) -> dict:
 
 
 def from_dict(doc: dict) -> RtbmParams:
-    params = RtbmParams(
-        t=np.array(doc["T"], dtype=float),
-        q=np.array(doc["Q"], dtype=float),
-        w=np.array(doc["W"], dtype=float).reshape(doc["nv"], doc["nh"]),
-        bv=np.array(doc["bv"], dtype=float),
-        bh=np.array(doc["bh"], dtype=float),
-        lattice=Lattice(doc.get("lattice", "full")))
+    """Model from its file form; ValueError names a missing or ill-typed field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    for key in ("nv", "nh", "T", "Q", "W", "bv", "bh"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
+    arrays = {}
+    for key in ("T", "Q", "W", "bv", "bh"):
+        try:
+            arrays[key.lower()] = np.array(doc[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"field {key!r} is not a numeric array") from None
+    params = RtbmParams(**arrays, lattice=Lattice(doc.get("lattice", "full")))
     if params.n_v != doc["nv"] or params.n_h != doc["nh"]:
         raise ValueError("declared nv/nh disagree with matrix shapes")
     return params
 
 
-def save_model(params: RtbmParams, path):
-    """Write a model file atomically (temp file + rename).
+def write_atomic(path, write):
+    """Create ``path`` through ``write(fh)`` on a temporary file, then rename it.
 
-    Python's repr-based JSON floats round-trip at full binary precision.
+    Readers never see a partial file, and a failed write leaves no file.
     """
-    doc = to_dict(params)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def write_json(path, doc):
+    """Write ``doc`` as indented JSON, atomically.
+
+    Python's repr-based JSON floats round-trip at full binary precision.
+    """
+    def write(fh):
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    write_atomic(path, write)
+
+
+def save_model(params: RtbmParams, path):
+    """Write a model file atomically."""
+    write_json(path, to_dict(params))
+
+
 def load_model(path) -> RtbmParams:
+    """Read a model file; a malformed one raises RtbmError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return from_dict(doc)
+    except ValueError as exc:
+        raise RtbmError(f"model {path}: {exc}") from None

@@ -15,16 +15,13 @@ are derived with ``SeedSequence.spawn``.  Results depend only on
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
 from .errors import InsufficientSamplesError
-from .model import RtbmParams, spd_cholesky, sym
+from .model import RtbmParams
 from .theta import DEFAULT_EPS, log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
@@ -42,17 +39,12 @@ class HiddenDistribution:
     log_weights: np.ndarray  # (K,)
     coverage: float
 
-    def __len__(self):
-        return self.points.shape[0]
-
 
 def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistribution:
     """Hidden-state probabilities over the normalizer's certified lattice points."""
-    chol_t = spd_cholesky(params.t, "T")
-    omega = sym(params.q - params.w.T @ la.cho_solve((chol_t, True), params.w))
-    z = params.bh - params.w.T @ la.cho_solve((chol_t, True), params.bv)
     total, points, terms = log_theta_many(
-        z[None, :], omega, params.lattice, eps, collect_terms=True)
+        params.z_schur[None, :], params.schur, params.lattice, eps,
+        collect_terms=True)
     log_w = terms - total[0]
     order = np.lexsort(points.T[::-1])  # deterministic point order
     points = points[order]
@@ -81,7 +73,7 @@ def sample_visible(params: RtbmParams, count: int, seed,
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right")
 
-    chol_t = spd_cholesky(params.t, "T")
+    chol_t = params.chol_t
     means = la.cho_solve((chol_t, True),
                          (params.w @ hidden.points[idx].T) - params.bv[:, None]).T
     noise = rng.standard_normal((count, params.n_v))
@@ -166,35 +158,3 @@ def empirical_conditional(samples, cond_indices, cond_values,
             f"the window (need at least 100)")
     free = [i for i in range(samples.shape[1]) if i not in cond_indices]
     return make_histogram(kept[:, free], bins=bins)
-
-
-def histogram_to_dict(hist: Histogram) -> dict:
-    return {
-        "dims": hist.dims,
-        "edges": [e.tolist() for e in hist.edges],
-        "density": hist.density.tolist(),
-        "counts": hist.counts.tolist(),
-    }
-
-
-def save_histogram(hist: Histogram, path):
-    """Write a histogram as JSON, atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(histogram_to_dict(hist), fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_histogram(path) -> Histogram:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return Histogram(
-        edges=tuple(np.asarray(e, dtype=float) for e in doc["edges"]),
-        density=np.asarray(doc["density"], dtype=float),
-        counts=np.asarray(doc["counts"], dtype=np.int64))

@@ -33,10 +33,11 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
 * Work cap.  Before anything is allocated, each row's point count is
   bounded by prod_i (min(2r / L_ii, s_i) + 1), s_i the extent of its
   ellipsoid (cut at zero on the orthant lattice) along n_i, and checked
-  against a fixed cap; a caller may also cap the ellipsoid's max-norm
-  half-width with ``max_radius``.  Either failure raises
+  against a fixed cap of 2^21 points.  A row over the cap raises
   ThetaTruncationError, so a sum is never silently truncated and never
   allocates without bound.
+
+The tolerance must be finite with 0 < eps <= 1e-3 (:func:`check_eps`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from scipy.special import gammainccinv, gammaln, logsumexp
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
 DEFAULT_EPS = 1e-12
+MAX_EPS = 1e-3
 _WORK_CAP = 1 << 21      # most lattice points enumerated at once
 _BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
 _LOG_TINY = -700.0       # log of a comfortably normal double
@@ -61,6 +63,14 @@ class Lattice(str, Enum):
 
     FULL = "full"      # all integer vectors
     NONNEG = "nonneg"  # vectors with nonnegative integer entries
+
+
+def check_eps(eps) -> float:
+    """``eps`` as a float; ValueError unless 0 < eps <= 1e-3 (NaN fails too)."""
+    eps = float(eps)
+    if not 0.0 < eps <= MAX_EPS:
+        raise ValueError(f"eps must lie in (0, {MAX_EPS:g}], got {eps}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,7 @@ class ThetaQuery:
             raise ValueError("z and omega must be finite")
         if np.abs(omega - omega.T).max() > 1e-10:
             raise ValueError("omega must be symmetric")
-        if not (0.0 < self.eps <= 1e-3):
-            raise ValueError(f"eps must lie in (0, 1e-3], got {self.eps}")
+        object.__setattr__(self, "eps", check_eps(self.eps))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "lattice", Lattice(self.lattice))
@@ -293,17 +302,8 @@ def _spd_cholesky(omega, name="omega"):
         ) from None
 
 
-def _check_converged(failed, eps, omega, need):
-    """Raise ThetaTruncationError if any row is ``failed``; ``need`` says why."""
-    if failed.any():
-        raise ThetaTruncationError(
-            f"{int(failed.sum())} of {failed.size} lattice sums not converged: "
-            f"eps={eps:g} needs {need} "
-            f"(min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
-
-
 def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
-                   max_radius=None, collect_terms=False):
+                   collect_terms=False):
     """Evaluate log tilde-theta for a batch of arguments sharing one Omega.
 
     Parameters
@@ -311,9 +311,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     zs : (B, h) array of argument vectors.
     omega : (h, h) symmetric positive definite matrix.
     lattice : which lattice to sum over.
-    eps : relative truncation tolerance.
-    max_radius : optional cap on the max-norm half-width of each row's
-        enumerated ellipsoid.
+    eps : relative truncation tolerance, 0 < eps <= 1e-3.
     collect_terms : if True (batch size 1 only), also return the enumerated
         lattice points and their log-terms, for mixture-weight extraction.
 
@@ -327,14 +325,17 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     NotPositiveDefiniteError
         If omega is not positive definite.
     ThetaTruncationError
-        If certifying ``eps`` needs more lattice points than the work cap or
-        a half-width above ``max_radius``; both are checked before the points
-        are allocated, and the sum is never silently truncated.
+        If certifying ``eps`` needs more lattice points than the work cap;
+        this is checked before the points are allocated, and the sum is
+        never silently truncated.
+    ValueError
+        If ``eps`` is out of range or an argument is not finite.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     omega = np.asarray(omega, dtype=float)
     nb, h = zs.shape
     lattice = Lattice(lattice)
+    eps = check_eps(eps)
     if collect_terms and nb != 1:
         raise ValueError("collect_terms requires a single argument vector")
     if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
@@ -378,14 +379,12 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         spans[clipped] = upper - lower
 
     bounds = _point_bounds(pivots, reach, spans)
-    _check_converged(bounds > _WORK_CAP, eps, omega,
-                     f"up to {bounds.max():.4g} lattice points, "
-                     f"above the work cap of {_WORK_CAP}")
-    if max_radius is not None:
-        half_width = 0.5 * spans.max(axis=1)
-        _check_converged(half_width > max_radius, eps, omega,
-                         f"a max-norm half-width of {half_width.max():.4g}, "
-                         f"above max_radius={max_radius}")
+    failed = bounds > _WORK_CAP
+    if failed.any():
+        raise ThetaTruncationError(
+            f"{int(failed.sum())} of {nb} lattice sums not converged: eps={eps:g} "
+            f"needs up to {bounds.max():.4g} lattice points, above the work cap "
+            f"of {_WORK_CAP} (min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
 
     result = np.empty(nb)
     if clipped.size:

@@ -258,3 +258,95 @@ class TestFitCommand:
         meta = json.loads((tmp_path / "fit.json.meta.json").read_text())
         assert meta["config"]["seed"] == 7
         assert math.isfinite(meta["nll"])
+
+
+class TestThetaTolerance:
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "5", "inf"])
+    def test_bad_flag_is_usage_error(self, model_path, tmp_path, capsys, value):
+        out = tmp_path / "d.csv"
+        code = run_command(["density", "--model", str(model_path), "--grid",
+                            "-1:1:3,-1:1:3", "--theta-eps", value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--theta-eps" in err and "eps must lie in (0, 0.001]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "5"])
+    def test_bad_environment_is_usage_error(self, model_path, tmp_path,
+                                            monkeypatch, capsys, value):
+        monkeypatch.setenv("RTBM_THETA_EPS", value)
+        code = run_command(["sample", "--model", str(model_path), "--count",
+                            "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"RTBM_THETA_EPS={value!r}" in err and "eps must lie" in err
+
+    def test_fit_flag_checked_before_fitting(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0\n0.5,0.1\n")
+        code = run_command(["fit", "--data", str(data), "--nh", "1",
+                            "--theta-eps", "nan", "--out", str(tmp_path / "fm.json")])
+        assert code == 2
+        assert "--theta-eps" in capsys.readouterr().err
+
+    def test_nan_sigma0_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0\n0.5,0.1\n")
+        code = run_command(["fit", "--data", str(data), "--nh", "1",
+                            "--sigma0", "nan", "--out", str(tmp_path / "fm.json")])
+        assert code == 1
+        assert "sigma0" in capsys.readouterr().err
+        assert not (tmp_path / "fm.json").exists()
+
+
+ILL_TYPED_T = {"nv": 1, "nh": 1, "T": "x", "Q": [[1]], "W": [[0]], "bv": [0], "bh": [0]}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("doc, field", [({"nv": 2, "nh": 1}, "missing field 'T'"),
+                                            ([1, 2], "JSON object"),
+                                            (ILL_TYPED_T, "field 'T' is not")])
+    def test_is_data_error_naming_file_and_field(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["density", "--model", str(path), "--grid", "-1:1:3",
+                            "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+
+    def test_load_model_raises_rtbm_error(self, tmp_path):
+        from rtbm.errors import RtbmError
+        path = tmp_path / "bad.json"
+        path.write_text('{"nv": 2, "nh": 1}')
+        with pytest.raises(RtbmError, match="missing field 'T'"):
+            load_model(path)
+
+
+class TestIndicesOutOfRange:
+    def test_points_column(self, model_path, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.5\n0.1,0.2\n")
+        code = run_command(["density", "--model", str(model_path),
+                            "--points-csv", str(pts), "--points-cols", "0,7",
+                            "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(pts) in err and "column 7" in err
+
+    def test_mse_density_column(self, model_path, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        run_command(["density", "--model", str(model_path),
+                     "--grid", "-1:1:3,-1:1:3", "--out", str(out)])
+        code = run_command(["mse", "--ref", str(out), "--cand", str(out),
+                            "--density-col", "9"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "column 9" in err
+
+    def test_student_conditioned_index(self, tmp_path, capsys):
+        code = run_command(["student", "conditional", "--mu", "0,0",
+                            "--sigma", "2,-1,-1,4", "--nu", "6", "--on", "7=1",
+                            "--grid", "-1:1:5", "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "conditioned indices must be in [0, 2)" in capsys.readouterr().err

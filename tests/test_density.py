@@ -173,3 +173,50 @@ class TestProductRule:
         xs = np.linspace(-25, 25, 10001)
         total = np.trapezoid(np.exp(log_pdf_many(child, xs[:, None])), xs)
         assert total == pytest.approx(1.0, abs=1e-4)
+
+
+class TestPreparedModel:
+    """T is factored and the normalizer summed once per model instance."""
+
+    def count_calls(self, monkeypatch):
+        import rtbm.density
+        import rtbm.model
+        calls = {"cholesky": 0, "theta": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rtbm.model, "spd_cholesky",
+                            counted("cholesky", rtbm.model.spd_cholesky))
+        monkeypatch.setattr(rtbm.density, "log_theta_many",
+                            counted("theta", rtbm.density.log_theta_many))
+        return calls
+
+    def test_second_call_factors_nothing(self, tfit_params, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        vs = np.array([[0.3, -1.2], [2.0, 0.5]])
+        first = log_pdf_many(tfit_params, vs)
+        assert calls == {"cholesky": 1, "theta": 2}
+        second = log_pdf_many(tfit_params, vs)
+        assert calls == {"cholesky": 1, "theta": 3}
+        np.testing.assert_array_equal(first, second)
+
+    def test_normalizer_kept_per_eps(self, tfit_params, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        log_marginal(tfit_params, 1, [0.4])
+        log_marginal(tfit_params, 1, [0.4], eps=1e-6)
+        log_pdf(tfit_params, [0.1, 0.4])
+        # two normalizers of the parent, two of the children, one numerator
+        assert calls["theta"] == 5
+
+    def test_invalid_t_still_reported_after_failed_density(self):
+        from rtbm.errors import NotPositiveDefiniteError
+        p = RtbmParams(t=[[-1.0]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])
+        before = validate(p).violations
+        assert [v.rule for v in before] == ["t-not-positive-definite"]
+        with pytest.raises(NotPositiveDefiniteError):
+            log_pdf_many(p, [[0.0]])
+        assert validate(p).violations == before

@@ -185,6 +185,14 @@ class TestFitDensity:
         best = [f for _, f in a.trace]
         assert all(y <= x for x, y in zip(best, best[1:]))
 
+    @pytest.mark.parametrize("field, value", [("theta_eps", math.nan),
+                                              ("theta_eps", 5.0),
+                                              ("sigma0", math.nan),
+                                              ("sigma0", math.inf)])
+    def test_config_rejects_bad_float(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[-1]):
+            FitConfig(n_h=1, **{field: value})
+
     def test_empty_data(self):
         with pytest.raises(Exception):
             fit_density(np.zeros((0, 2)), FitConfig(n_h=1))

@@ -82,10 +82,11 @@ class TestBlockSplit:
     def test_round_trip_bit_exact(self, constructed_3d_params):
         for m in (1, 2, 3):
             bd = block_split(constructed_3d_params, m)
-            t, w, bv = bd.reassemble()
+            t = np.block([[bd.t0_bar, bd.t1_bar.T], [bd.t1_bar, bd.t_tilde]])
             assert np.array_equal(t, constructed_3d_params.t)
-            assert np.array_equal(w, constructed_3d_params.w)
-            assert np.array_equal(bv, constructed_3d_params.bv)
+            assert np.array_equal(np.vstack([bd.w0, bd.w1]), constructed_3d_params.w)
+            assert np.array_equal(np.concatenate([bd.bv0, bd.bv1]),
+                                  constructed_3d_params.bv)
 
     def test_out_of_range(self, tfit_params):
         with pytest.raises(ValueError):

@@ -121,16 +121,29 @@ class TestErrors:
         assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
     def test_truncation_cap_is_loud(self):
-        # nearly singular omega and a far-off maximizer cannot be certified
-        omega = np.array([[1e-6]])
-        with pytest.raises(ThetaTruncationError, match="not converged"):
-            log_theta_many(np.array([[4.0]]), omega, max_radius=16)
+        # a nearly singular omega needs about 1.6e7 points, over the work cap
+        omega = np.array([[1e-12]])
+        with pytest.raises(ThetaTruncationError, match="not converged.*work cap"):
+            log_theta_many(np.array([[4e-12]]), omega)
 
     def test_query_validation(self):
         with pytest.raises(ValueError, match="eps"):
             ThetaQuery(z=np.zeros(1), omega=np.eye(1), eps=0.5)
         with pytest.raises(ValueError, match="symmetric"):
             ThetaQuery(z=np.zeros(2), omega=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_query_rejects_nan_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            ThetaQuery(z=np.zeros(1), omega=np.eye(1), eps=math.nan)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 5.0, 2e-3, math.inf])
+    def test_out_of_range_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 0.001\]"):
+            log_theta_many(np.zeros((1, 2)), np.eye(2), eps=eps)
+
+    def test_largest_eps_accepted(self):
+        loose = log_theta_many(np.zeros((1, 1)), np.eye(1), eps=1e-3)[0]
+        assert loose == pytest.approx(direct_1d_sum(1.0, 0.0, Lattice.FULL, 12), abs=1e-3)
 
 
 def spd_with_eigenvalues(rng, eigs):
@@ -214,9 +227,6 @@ class TestEllipsoidKernel:
         with pytest.raises(ThetaTruncationError,
                            match=r"up to [0-9.e+]+ lattice points, above the work cap"):
             log_theta_many(np.zeros((1, 3)), 1e-4 * np.eye(3))
-        with pytest.raises(ThetaTruncationError,
-                           match=r"half-width of [0-9.e+]+, above max_radius=64"):
-            log_theta_many(np.zeros((1, 2)), 1e-2 * np.eye(2), max_radius=64)
 
     def test_over_budget_point_set_raises_without_allocating(self):
         import tracemalloc
