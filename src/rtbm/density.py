@@ -37,11 +37,11 @@ def _logdet_from_chol(chol):
 
 def log_normalizer(params: RtbmParams, eps=DEFAULT_EPS) -> float:
     """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model and eps."""
-    memo = params.log_normalizers
-    if eps not in memo:
-        memo[eps] = log_theta_many(params.z_schur[None, :], params.schur,
+    memo, key = params.memo, ("log_normalizer", eps)
+    if key not in memo:
+        memo[key] = log_theta_many(params.z_schur[None, :], params.schur,
                                    params.lattice, eps)[0]
-    return memo[eps]
+    return memo[key]
 
 
 def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
@@ -89,22 +89,37 @@ def condition(params: RtbmParams, m: int, d) -> RtbmParams:
     The child has the same hidden sector (Q, lattice) and the
     reparameterization T -> T0, W -> W0, bv -> bv0 + T1^T d,
     bh -> bh + W1^T d; its density is the parent's conditional P(y|d).
+    An invalid parent raises RtbmError.
     """
+    _check_valid(params)
+    return _condition(params, m, d)
+
+
+def _check_valid(params: RtbmParams):
+    """Raise RtbmError unless ``params`` validates; checked once per instance.
+
+    The child of a valid parent is valid (its Schur matrix dominates the
+    parent's), so children are not checked; one that fails numerically
+    raises NotPositiveDefiniteError when it is first factored.
+    """
+    if "report" not in params.memo:
+        params.memo["report"] = validate(params)
+    report = params.memo["report"]
+    if not report.valid:
+        raise RtbmError(f"cannot condition an invalid model: {report}")
+
+
+def _condition(params: RtbmParams, m: int, d) -> RtbmParams:
+    """:func:`condition` without the parent's validity check."""
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
     d = np.asarray(d, dtype=float).reshape(params.n_v - m)
     bd = block_split(params, m)
-    child = RtbmParams(
+    return RtbmParams(
         t=bd.t0_bar, q=params.q, w=bd.w0,
         bv=bd.bv0 + bd.t1_bar.T @ d,
         bh=params.bh + bd.w1.T @ d,
         lattice=params.lattice)
-    report = validate(child)
-    if not report.valid:
-        # cannot happen for a valid parent (the child Schur matrix dominates
-        # the parent's); reaching this indicates an invalid parent upstream
-        raise RtbmError(f"conditioned model failed validation: {report}")
-    return child
 
 
 def free_coordinates(indices, n) -> list:
@@ -130,5 +145,6 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     indices = [int(i) for i in indices]
     values = np.asarray(values, dtype=float).reshape(len(indices))
     free = free_coordinates(indices, params.n_v)
-    child = condition(permute(params, free + indices), len(free), values)
+    _check_valid(params)
+    child = _condition(permute(params, free + indices), len(free), values)
     return child, free

@@ -77,6 +77,11 @@ class RtbmParams:
         t = _freeze(np.atleast_2d(self.t))
         q = _freeze(np.atleast_2d(self.q))
         n_v, n_h = t.shape[0], q.shape[0]
+        for name, a, size, shape in (("W", self.w, n_v * n_h, "n_v x n_h"),
+                                     ("bv", self.bv, n_v, "n_v"), ("bh", self.bh, n_h, "n_h")):
+            if np.size(a) != size:
+                raise ValueError(f"{name} has {np.size(a)} entries, expected {size} "
+                                 f"({shape} with n_v={n_v}, n_h={n_h})")
         w = _freeze(np.asarray(self.w, dtype=float).reshape(n_v, n_h))
         bv = _freeze(np.asarray(self.bv, dtype=float).reshape(n_v))
         bh = _freeze(np.asarray(self.bh, dtype=float).reshape(n_h))
@@ -126,8 +131,9 @@ class RtbmParams:
         return _freeze(self.bh - self.w.T @ self.tinv_bv)
 
     @cached_property
-    def log_normalizers(self) -> dict:
-        """log theta(z_S | S) by tolerance, kept by ``density.log_normalizer``."""
+    def memo(self) -> dict:
+        """Values ``density`` derives from this model and keeps on it: the log
+        normalizer per tolerance and the validation report."""
         return {}
 
 

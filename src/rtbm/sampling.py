@@ -74,10 +74,11 @@ def sample_visible(params: RtbmParams, count: int, seed,
     idx = np.searchsorted(cdf, u, side="right")
 
     chol_t = params.chol_t
+    # one mean per hidden state, gathered per draw
     means = la.cho_solve((chol_t, True),
-                         (params.w @ hidden.points[idx].T) - params.bv[:, None]).T
+                         (params.w @ hidden.points.T) - params.bv[:, None]).T
     noise = rng.standard_normal((count, params.n_v))
-    return means + la.solve_triangular(chol_t.T, noise.T, lower=False).T
+    return means[idx] + la.solve_triangular(chol_t.T, noise.T, lower=False).T
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,25 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   against a fixed cap of 2^21 points.  A row over the cap raises
   ThetaTruncationError, so a sum is never silently truncated and never
   allocates without bound.
+* Prepared kernels.  What depends only on Omega and eps - the
+  Cholesky factor, Omega^-1, the radius, the shared point bound and, from
+  the matrix's second use on, the shared offsets - is kept in one
+  module-level LRU keyed by Omega's exact bytes and shape, the lattice and
+  eps.  It holds
+  at most 32 kernels and at most 2^21 enumerated points in total.
+  Conditioning changes only the theta arguments, so every conditional of
+  one model sums over the same two or three matrices, bit for bit, and
+  after the first query only the per-row work remains.  A miss does what
+  an uncached call does, in the same order, so results never depend on
+  the cache.
 
 The tolerance must be finite with 0 < eps <= 1e-3 (:func:`check_eps`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,10 +65,15 @@ from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
 DEFAULT_EPS = 1e-12
 MAX_EPS = 1e-3
-_WORK_CAP = 1 << 21      # most lattice points enumerated at once
+_WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at once
+_KERNEL_CAP = 32         # most prepared kernels kept at once
 _BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _REFERENCE_POINT_CAP = 10**8
+
+# Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
+_KERNELS = OrderedDict()
+_KERNELS_LOCK = threading.Lock()
 
 
 class Lattice(str, Enum):
@@ -302,6 +320,78 @@ def _spd_cholesky(omega, name="omega"):
         ) from None
 
 
+class _Kernel:
+    """What a sum needs that depends only on Omega and eps.
+
+    Holds the Cholesky factor, Omega^-1, the certified radius of the shared
+    ellipsoid and the bound on its point count.  The shared offsets
+    (:meth:`shared_points`) are kept, read-only, from the kernel's second
+    use on: a matrix summed once, like each candidate of a fit, holds no
+    points, and its arrays are freed as an uncached call's would be.
+    Raises NotPositiveDefiniteError if Omega is not positive definite.
+    """
+
+    def __init__(self, omega, eps):
+        self.omega = omega
+        self.chol = _spd_cholesky(omega)
+        self.omega_inv = np.linalg.inv(omega)
+        h = omega.shape[0]
+        self.pivots = np.diag(self.chol)
+        # Every row's sum is at least its term at the rounded maximizer, which
+        # lies within rho_half = max over the half-cube corners of |L^T u| of
+        # it; enumerating |L^T k| <= R + rho_half about the centre therefore
+        # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
+        signs = 1.0 - 2.0 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)
+        rho_half = 0.5 * np.sqrt(np.einsum("ch,hl,cl->c", signs, omega, signs).max())
+        self.log_eps = np.log(eps)
+        self.radius = _certified_radius(self.pivots, self.log_eps - 0.5 * rho_half ** 2) \
+            + rho_half
+        self.widths = np.sqrt(np.diag(self.omega_inv))
+        self.bound = _point_bounds(self.pivots, np.array([self.radius]),
+                                   2.0 * self.radius * self.widths[None, :])[0]
+        self.cols = self.quad = None
+        self.points = 0
+        self.used = False
+
+    def shared_points(self):
+        """``(cols, quad)``: the shared offsets k column-wise and k^T Omega k / 2."""
+        if self.cols is None:
+            h = self.omega.shape[0]
+            offsets = _ellipsoid_points(self.chol, np.zeros((1, h)),
+                                        np.array([self.radius]))[1]
+            quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
+            cols = np.ascontiguousarray(offsets.T, dtype=float)
+            if not self.used:
+                self.used = True
+                return cols, quad
+            quad.setflags(write=False)
+            cols.setflags(write=False)
+            # cols last: it marks the enumeration done
+            self.points, self.quad, self.cols = offsets.shape[0], quad, cols
+            with _KERNELS_LOCK:      # least recently used first, until the points fit
+                while sum(k.points for k in _KERNELS.values()) > _WORK_CAP:
+                    _KERNELS.popitem(last=False)
+        return self.cols, self.quad
+
+
+def _kernel(omega, lattice, eps):
+    """The prepared kernel for (Omega, lattice, eps), from the cache or new."""
+    key = (omega.tobytes(), omega.shape, lattice, eps)
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is not None:
+            _KERNELS.move_to_end(key)
+            return kernel
+    omega = omega.copy()
+    omega.setflags(write=False)
+    kernel = _Kernel(omega, eps)
+    with _KERNELS_LOCK:
+        _KERNELS[key] = kernel
+        if len(_KERNELS) > _KERNEL_CAP:
+            _KERNELS.popitem(last=False)
+    return kernel
+
+
 def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
                    collect_terms=False):
     """Evaluate log tilde-theta for a batch of arguments sharing one Omega.
@@ -333,38 +423,26 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     omega = np.asarray(omega, dtype=float)
-    nb, h = zs.shape
+    nb = zs.shape[0]
     lattice = Lattice(lattice)
     eps = check_eps(eps)
     if collect_terms and nb != 1:
         raise ValueError("collect_terms requires a single argument vector")
     if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
         raise ValueError("theta arguments must be finite")
-
-    chol = _spd_cholesky(omega)
-    omega_inv = np.linalg.inv(omega)
+    kernel = _kernel(omega, lattice, eps)
+    omega, chol = kernel.omega, kernel.chol
 
     # Row arithmetic avoids BLAS (see _rows_dot) so that a row's sum does
     # not depend on the other rows of its batch.
-    nhat = _rows_dot(zs, omega_inv)                     # continuous maximizer
+    nhat = _rows_dot(zs, kernel.omega_inv)              # continuous maximizer
     centre = np.rint(nhat)
     shared = np.ones(nb, dtype=bool)
     if lattice is Lattice.NONNEG:
         shared = ~(centre < 0).any(axis=1)
     clipped = np.flatnonzero(~shared)
 
-    pivots = np.diag(chol)
-    # Every row's sum is at least its term at the rounded maximizer, which
-    # lies within rho_half = max over the half-cube corners of |L^T u| of
-    # it; enumerating |L^T k| <= R + rho_half about the centre therefore
-    # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
-    signs = 1.0 - 2.0 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)
-    rho_half = 0.5 * np.sqrt(np.einsum("ch,hl,cl->c", signs, omega, signs).max())
-    log_eps = np.log(eps)
-    radius = _certified_radius(pivots, log_eps - 0.5 * rho_half ** 2) + rho_half
-    reach = np.full(nb, radius)        # radius of each row's enumerated points
-    widths = np.sqrt(np.diag(omega_inv))
-    spans = np.tile(2.0 * radius * widths, (nb, 1))    # extents along each n_i
+    bounds = np.full(nb, kernel.bound)
     if clipped.size:
         # A rounded maximizer outside the orthant gives no term to bound the
         # sum with; an orthant point found by coordinate ascent does, and the
@@ -372,13 +450,11 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         best = _orthant_ascent(zs[clipped], omega, np.maximum(centre[clipped], 0.0))
         u = nhat[clipped] - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
-        reach[clipped] = np.maximum(
-            _certified_radius(pivots, log_eps - 0.5 * dist ** 2), dist)
-        upper = nhat[clipped] + reach[clipped, None] * widths
-        lower = np.maximum(nhat[clipped] - reach[clipped, None] * widths, 0.0)
-        spans[clipped] = upper - lower
-
-    bounds = _point_bounds(pivots, reach, spans)
+        reach = np.maximum(_certified_radius(kernel.pivots, kernel.log_eps - 0.5 * dist ** 2),
+                           dist)        # radius of each clipped row's own points
+        upper = nhat[clipped] + reach[:, None] * kernel.widths
+        lower = np.maximum(nhat[clipped] - reach[:, None] * kernel.widths, 0.0)
+        bounds[clipped] = _point_bounds(kernel.pivots, reach, upper - lower)
     failed = bounds > _WORK_CAP
     if failed.any():
         raise ThetaTruncationError(
@@ -392,11 +468,9 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             owner, points, terms = _orthant_terms(zs, omega, chol, nhat, reach, best)
             return _segment_log_sums(owner, terms, 1), points, terms
         result[clipped] = _orthant_log_sums(zs[clipped], omega, chol, nhat[clipped],
-                                            reach[clipped], best, bounds[clipped])
+                                            reach, best, bounds[clipped])
     if shared.any():
-        offsets = _ellipsoid_points(chol, np.zeros((1, h)), np.array([radius]))[1]
-        quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, omega, offsets)
-        cols = np.ascontiguousarray(offsets.T, dtype=float)
+        cols, quad = kernel.shared_points()
         # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
         centre = centre[shared]
         c_omega = _rows_dot(centre, omega)
@@ -409,7 +483,8 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             terms = f0[0] + e[0]
             keep = np.isfinite(terms)
             result = f0 + _logsumexp_rows(e)
-            return result, centre[0].astype(np.int64) + offsets[keep], terms[keep]
+            return result, centre[0].astype(np.int64) + cols.T[keep].astype(np.int64), \
+                terms[keep]
         result[shared] = _log_sums(g, f0, cols, quad, mask)
     return result
 

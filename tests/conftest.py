@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtbm import theta
 from rtbm.model import RtbmParams
 from rtbm.theta import Lattice
 
@@ -47,6 +48,12 @@ CONSTRUCTED_3D = dict(
     bv=[1.08, -0.67, 4.86],
     bh=[3.17],
 )
+
+
+@pytest.fixture(autouse=True)
+def no_prepared_theta_kernels():
+    """Every test starts with an empty theta kernel cache, whatever ran before."""
+    theta._KERNELS.clear()
 
 
 @pytest.fixture

@@ -315,6 +315,20 @@ class TestMalformedModelFile:
         err = capsys.readouterr().err
         assert str(path) in err and field in err
 
+    @pytest.mark.parametrize("field, entries, message", [
+        ("W", [1, 2, 3], "W has 3 entries, expected 2"),
+        ("bv", [0, 0, 0], "bv has 3 entries, expected 2")])
+    def test_wrong_length_names_field(self, tmp_path, capsys, field, entries, message):
+        doc = {"nv": 2, "nh": 1, "T": [[1, 0], [0, 1]], "Q": [[4]], "W": [[0], [0]],
+               "bv": [0, 0], "bh": [0], field: entries}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["density", "--model", str(path), "--grid", "-1:1:3",
+                            "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
     def test_load_model_raises_rtbm_error(self, tmp_path):
         from rtbm.errors import RtbmError
         path = tmp_path / "bad.json"

@@ -212,6 +212,34 @@ class TestPreparedModel:
         # two normalizers of the parent, two of the children, one numerator
         assert calls["theta"] == 5
 
+    def test_conditioning_validates_the_parent_once(self, tfit_params, monkeypatch):
+        import rtbm.density
+        reports = []
+
+        def counted(params):
+            reports.append(params)
+            return validate(params)
+
+        monkeypatch.setattr(rtbm.density, "validate", counted)
+        for x in np.linspace(-2.0, 2.0, 8):
+            condition_on(tfit_params, [0], [x])
+            log_marginal(tfit_params, 1, [x])
+        assert reports == [tfit_params]
+
+    def test_invalid_parent_raises(self):
+        from rtbm.errors import RtbmError
+        # T is asymmetric in the block that conditioning drops, so the child
+        # alone would pass validation
+        p = RtbmParams(t=[[2.0, 0.3], [0.2, 1.0]], q=[[9.0]], w=[[0.5], [0.1]],
+                       bv=[0.0, 0.0], bh=[0.0])
+        for _ in range(2):
+            with pytest.raises(RtbmError, match="invalid model: T asymmetry"):
+                condition(p, 1, [0.5])
+            with pytest.raises(RtbmError, match="invalid model"):
+                condition_on(p, [0], [0.5])
+            with pytest.raises(RtbmError, match="invalid model"):
+                log_marginal(p, 1, [0.5])
+
     def test_invalid_t_still_reported_after_failed_density(self):
         from rtbm.errors import NotPositiveDefiniteError
         p = RtbmParams(t=[[-1.0]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])

@@ -97,6 +97,26 @@ class TestSampleVisible:
         mse = float(np.mean((hist.density - ref) ** 2))
         assert mse <= 1e-3
 
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    def test_draws_match_per_draw_means(self, lattice, tfit_params,
+                                        constructed_2d_params, constructed_3d_params):
+        # the component means are solved once per hidden state and gathered;
+        # the draws equal those of solving one mean per draw, bit for bit
+        for fixture in (tfit_params, constructed_2d_params, constructed_3d_params):
+            p = RtbmParams(t=fixture.t, q=fixture.q, w=fixture.w, bv=fixture.bv,
+                           bh=fixture.bh - 1.0, lattice=lattice)
+            hd = hidden_distribution(p)
+            cdf = np.cumsum(np.exp(hd.log_weights))
+            cdf[-1] = max(cdf[-1], 1.0)
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                idx = np.searchsorted(cdf, rng.random(5000), side="right")
+                means = la.cho_solve((p.chol_t, True),
+                                     p.w @ hd.points[idx].T - p.bv[:, None]).T
+                noise = rng.standard_normal((5000, p.n_v))
+                expected = means + la.solve_triangular(p.chol_t.T, noise.T, lower=False).T
+                np.testing.assert_array_equal(sample_visible(p, 5000, seed), expected)
+
     def test_count_guard(self, tfit_params):
         with pytest.raises(ValueError):
             sample_visible(tfit_params, 0, seed=1)

@@ -241,3 +241,107 @@ class TestEllipsoidKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestKernelCache:
+    """Prepared kernels are shared across calls and change no result."""
+
+    @staticmethod
+    def held():
+        import rtbm.theta as theta
+        return len(theta._KERNELS), sum(k.points for k in theta._KERNELS.values())
+
+    def test_cold_and_warm_results_identical(self):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng(77)
+        omega = random_spd(rng, 3, 0.5, 20.0)
+        targets = rng.uniform(-3, 6, (30, 3))
+        # on the orthant lattice some rows, batch-1 ones among them, are clipped
+        assert (np.rint(targets[:4]) < 0).any(axis=1).sum() >= 2
+        zs = targets @ omega
+        calls = []
+        for lattice in (Lattice.FULL, Lattice.NONNEG):
+            for eps in (1e-3, 1e-12):
+                calls.append(lambda lattice=lattice, eps=eps: log_theta_many(
+                    zs, omega, lattice=lattice, eps=eps))
+                calls += [lambda z=z, lattice=lattice, eps=eps: log_theta_many(
+                    z[None, :], omega, lattice=lattice, eps=eps, collect_terms=True)
+                    for z in zs[:4]]
+        cold = []
+        for call in calls:
+            theta._KERNELS.clear()
+            cold.append(call())
+        warm = [call() for call in calls]
+        assert self.held()[0] == 4
+        np.testing.assert_equal(warm, cold)
+
+    def test_cache_is_bounded(self):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng(3)
+        omegas = [random_spd(rng, 2) for _ in range(100)]
+        log_theta_many(np.zeros((1, 2)), omegas[0])
+        first = next(iter(theta._KERNELS.values()))
+        for omega in omegas[1:]:
+            log_theta_many(rng.standard_normal((2, 2)), omega)
+            log_theta_many(np.zeros((1, 2)), omegas[0])   # a hit: the most recently used
+        assert any(k is first for k in theta._KERNELS.values())
+        # points are kept from a matrix's second use on, and kernels whose
+        # calls raise on the work cap enumerate nothing
+        assert self.held() == (theta._KERNEL_CAP, first.points)
+        for scale in np.geomspace(1e-6, 1e-5, 40):
+            with pytest.raises(ThetaTruncationError):
+                log_theta_many(np.zeros((1, 3)), scale * np.eye(3))
+        assert self.held() == (theta._KERNEL_CAP, 0)
+        # two kept ellipsoids of about 1.07e6 points each exceed the point bound
+        for scale in (2.5e-4, 2.6e-4):
+            for _ in range(2):
+                log_theta_many(np.zeros((1, 2)), scale * np.eye(2))
+        kernels, points = self.held()
+        assert kernels <= theta._KERNEL_CAP
+        assert 1e6 < points <= theta._WORK_CAP
+        newest = next(reversed(theta._KERNELS.values()))
+        np.testing.assert_array_equal(newest.omega, 2.6e-4 * np.eye(2))
+
+    def test_not_positive_definite_never_cached(self):
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                log_theta_many(np.zeros((1, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert self.held() == (0, 0)
+
+    def test_cached_omega_is_a_read_only_copy(self):
+        omega = np.array([[2.0, 0.3], [0.3, 1.0]])
+        first = log_theta_many(np.ones((1, 2)), omega)
+        omega[0, 0] = 5.0
+        changed = log_theta_many(np.ones((1, 2)), omega)
+        assert self.held()[0] == 2 and first != changed
+        omega[0, 0] = 2.0
+        np.testing.assert_array_equal(log_theta_many(np.ones((1, 2)), omega), first)
+
+    def test_queries_enumerate_each_omega_at_most_twice(self, tfit_params, monkeypatch):
+        import rtbm.theta as theta
+        from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
+
+        seen = []
+        enumerate_points = theta._ellipsoid_points
+
+        def counted(chol, *args, **kwargs):
+            seen.append(chol.tobytes())
+            return enumerate_points(chol, *args, **kwargs)
+
+        monkeypatch.setattr(theta, "_ellipsoid_points", counted)
+        rng = np.random.default_rng(8)
+        for k, point in enumerate(rng.standard_normal((8, 2))):
+            child, _ = condition_on(tfit_params, [1], point[1:])
+            log_pdf_many(child, rng.standard_normal((8, 1)))
+            log_marginal(tfit_params, 1, point[1:])
+            log_pdf(tfit_params, point)
+            if k == 1:
+                # the numerator's Q and the Schur matrices of the parent and
+                # the child, each enumerated on its first use and, if used
+                # again, once more to be kept
+                assert len(set(seen)) == 3
+                assert all(seen.count(chol) <= 2 for chol in seen)
+                enumerated = len(seen)
+        assert len(seen) == enumerated
