@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RtbmError
-from .model import RtbmParams, block_split, permute, sym, validate
+from .model import RtbmParams, block_split, sym, validate
 from .theta import DEFAULT_EPS, log_theta_many
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -113,12 +113,21 @@ def _condition(params: RtbmParams, m: int, d) -> RtbmParams:
     """:func:`condition` without the parent's validity check."""
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
-    d = np.asarray(d, dtype=float).reshape(params.n_v - m)
-    bd = block_split(params, m)
+    return _child(params, np.arange(m), np.arange(m, params.n_v), d)
+
+
+def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
+    """Child RTBM over coordinates ``free`` given the values ``d`` at ``fixed``.
+
+    The blocks are taken from the parent's arrays by index, as
+    :func:`block_split` of the permuted parent would give them.
+    """
+    d = np.asarray(d, dtype=float).reshape(len(fixed))
+    t, w = params.t, params.w
     return RtbmParams(
-        t=bd.t0_bar, q=params.q, w=bd.w0,
-        bv=bd.bv0 + bd.t1_bar.T @ d,
-        bh=params.bh + bd.w1.T @ d,
+        t=t[np.ix_(free, free)], q=params.q, w=w[free],
+        bv=params.bv[free] + t[np.ix_(fixed, free)].T @ d,
+        bh=params.bh + w[fixed].T @ d,
         lattice=params.lattice)
 
 
@@ -137,8 +146,9 @@ def free_coordinates(indices, n) -> list:
 def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]:
     """Condition on an arbitrary coordinate subset.
 
-    Permutes the chosen ``indices`` to the trailing block (free coordinates
-    keep their original relative order up front) and conditions there.
+    The child is :func:`condition` of the parent with the chosen ``indices``
+    permuted to the trailing block (free coordinates keep their original
+    relative order up front), built from the parent's arrays directly.
     Returns the child and the list of free coordinate indices, in the order
     of the child's coordinates.
     """
@@ -146,5 +156,4 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     values = np.asarray(values, dtype=float).reshape(len(indices))
     free = free_coordinates(indices, params.n_v)
     _check_valid(params)
-    child = _condition(permute(params, free + indices), len(free), values)
-    return child, free
+    return _child(params, free, indices, values), free

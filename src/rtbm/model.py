@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .theta import Lattice
+from .theta import Lattice, spd_cholesky, sym, try_cholesky
 
 SYMMETRY_ATOL = 1e-10
 
@@ -27,34 +27,6 @@ def _freeze(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-def sym(a):
-    """Average a square matrix with its transpose."""
-    return 0.5 * (a + a.T)
-
-
-def try_cholesky(a):
-    """(lower factor, None) on success, (None, min eigenvalue) on failure.
-
-    The matrix is symmetrized first so downstream factorizations are
-    deterministic regardless of sub-tolerance asymmetry in the input.
-    """
-    s = sym(np.asarray(a, dtype=float))
-    try:
-        return la.cholesky(s, lower=True), None
-    except la.LinAlgError:
-        return None, float(la.eigvalsh(s)[0])
-
-
-def spd_cholesky(a, name):
-    """Lower Cholesky factor of a symmetrized matrix; loud failure."""
-    chol, lam = try_cholesky(a)
-    if chol is None:
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (min eigenvalue ~ {lam:.6g})",
-            min_eigenvalue=lam)
-    return chol
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,9 @@ def sample_visible(params: RtbmParams, count: int, seed,
     means = la.cho_solve((chol_t, True),
                          (params.w @ hidden.points.T) - params.bv[:, None]).T
     noise = rng.standard_normal((count, params.n_v))
-    return means[idx] + la.solve_triangular(chol_t.T, noise.T, lower=False).T
+    # chol_t is checked finite once per model, and fresh normal draws are finite
+    return means[idx] + la.solve_triangular(chol_t.T, noise.T, lower=False,
+                                            check_finite=False).T
 
 
 @dataclass(frozen=True)

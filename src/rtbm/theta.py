@@ -33,15 +33,37 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
 * Work cap.  Before anything is allocated, each row's point count is
   bounded by prod_i (min(2r / L_ii, s_i) + 1), s_i the extent of its
   ellipsoid (cut at zero on the orthant lattice) along n_i, and checked
-  against a fixed cap of 2^21 points.  A row over the cap raises
-  ThetaTruncationError, so a sum is never silently truncated and never
-  allocates without bound.
-* Prepared kernels.  What depends only on Omega and eps - the
-  Cholesky factor, Omega^-1, the radius, the shared point bound and, from
-  the matrix's second use on, the shared offsets - is kept in one
-  module-level LRU keyed by Omega's exact bytes and shape, the lattice and
-  eps.  It holds
-  at most 32 kernels and at most 2^21 enumerated points in total.
+  against a fixed cap of 2^21 points.  A row over the cap, with no dual
+  form under it, raises ThetaTruncationError, so a sum is never silently
+  truncated and never allocates without bound.
+* Dual sums.  On the full lattice, Poisson summation gives the functional
+  equation of theta (Mumford, "Tata Lectures on Theta I", 1983):
+
+      theta(z | Omega) = (2 pi)^{h/2} det(Omega)^{-1/2} e^{z.nhat / 2}
+                         sum_k e^{-k^T Omega' k / 2} cos(2 pi k.nhat)
+
+  with Omega' = 4 pi^2 Omega^-1, the modular step that Frauendiener, Jaber
+  and Klein, "Efficient computation of multidimensional theta functions",
+  J. Geom. Phys. 141 (2019), arXiv:1701.07486, also take.  The dual
+  weights are the primal terms of Omega' at z = 0, so the bound above,
+  with tolerance eps / 2 and no rounding, certifies their omitted mass,
+  and their points do not depend on z.  The cosine sum is at least 1 - s,
+  s the off-origin weight, which a product of 1-D theta values over the
+  pivots of Omega' bounds; the dual form is used only when that bound is
+  at most 1/2, so its relative error stays at most eps, and only when its
+  point bound is below the primal's and the cap.  The choice is made once
+  per kernel, before anything is enumerated; small matrices, whose primal
+  ellipsoid is large, take the dual.  Per row the sum is z.nhat / 2 plus
+  the log of the cosine sum over k = 0 and one of each pair +-k, with
+  doubled weights, the phases reduced mod 1.  The orthant lattice, to
+  which Poisson summation does not apply, and ``collect_terms``, which
+  needs the primal points, stay primal.
+* Prepared kernels.  What depends only on Omega, the lattice and eps - the
+  Cholesky factor, Omega^-1, the radius, the shared point bound, the dual
+  form and, from each form's second use on, its shared offsets - is kept
+  in one module-level LRU keyed by Omega's exact bytes and shape, the
+  lattice and eps.  It holds at most 32 kernels and at most 2^21 kept
+  offsets in total.
   Conditioning changes only the theta arguments, so every conditional of
   one model sums over the same two or three matrices, bit for bit, and
   after the first query only the per-row work remains.  A miss does what
@@ -53,12 +75,15 @@ The tolerance must be finite with 0 < eps <= 1e-3 (:func:`check_eps`).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as la
 from scipy.special import gammainccinv, gammaln, logsumexp
 
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
@@ -136,7 +161,7 @@ def _certified_radius(pivots, log_rel):
     h = pivots.size
     a = 0.5 * h + 1.0
     r0 = np.sqrt(np.maximum(-2.0 * log_rel, 1.0))
-    log_count = np.log(2.0 / pivots + 1.0 / np.expand_dims(r0, -1)).sum(axis=-1)
+    log_count = np.log(2.0 / pivots + 1.0 / r0[..., None]).sum(axis=-1)
     # the extra factor 2 absorbs the rounding of the inverse
     log_y = np.minimum(log_rel - log_count - 0.5 * h * np.log(2.0) - gammaln(a)
                        - np.log(2.0), 0.0)
@@ -308,32 +333,126 @@ def _segment_log_sums(owner, terms, count):
     return peak + np.log(np.add.reduceat(np.exp(terms - peak[owner]), starts))
 
 
-def _spd_cholesky(omega, name="omega"):
-    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure."""
+def sym(a):
+    """Average a square matrix with its transpose."""
+    return 0.5 * (a + a.T)
+
+
+def try_cholesky(a):
+    """(lower factor, None) on success, (None, min eigenvalue) on failure.
+
+    The matrix is symmetrized first so downstream factorizations are
+    deterministic regardless of sub-tolerance asymmetry in the input.
+    """
+    s = sym(np.asarray(a, dtype=float))
     try:
-        return np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
-        lam = float(np.linalg.eigvalsh(omega)[0])
+        return la.cholesky(s, lower=True), None
+    except la.LinAlgError:
+        return None, float(la.eigvalsh(s)[0])
+
+
+def spd_cholesky(a, name):
+    """Lower Cholesky factor of a symmetrized matrix; loud failure."""
+    chol, lam = try_cholesky(a)
+    if chol is None:
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (min eigenvalue ~ {lam:.6g})",
-            min_eigenvalue=lam,
-        ) from None
+            min_eigenvalue=lam)
+    return chol
+
+
+class _Dual(NamedTuple):
+    """The dual form of a sum over the full lattice."""
+
+    omega: np.ndarray    # Omega' = 4 pi^2 Omega^-1
+    chol: np.ndarray     # its lower Cholesky factor L'
+    radius: float        # certified radius of the dual offsets
+    log_scale: float     # log of (2 pi)^{h/2} det(Omega)^{-1/2}
+
+
+def _off_origin_bound(lengths_sq):
+    """Upper bound on the off-origin mass s of a dual sum, from its pivots.
+
+    Given its later coordinates, the sum over each k_i is a shifted 1-D
+    theta sum, at most its unshifted value 1 + 2 sum_{n>=1} q_i^{n^2} <=
+    1 + 2 q_i / (1 - q_i^3), q_i = exp(-L'_ii^2 / 2); s is at most the
+    product of these, less one.  The bound falls as the ``lengths_sq``
+    L'_ii^2 grow.
+    """
+    bound = 1.0
+    for length_sq in lengths_sq.tolist():
+        bound *= 1.0 + 2.0 * math.exp(-0.5 * length_sq) / -math.expm1(-1.5 * length_sq)
+    return bound - 1.0
+
+
+def _dual_form(omega, omega_inv, eps, primal_bound):
+    """The :class:`_Dual` of a full-lattice sum, or None where it is not used.
+
+    The dual weights exp(-k^T Omega' k / 2) are the primal terms of Omega'
+    at z = 0, so :func:`_certified_radius` bounds their omitted mass by
+    eps / 2.  The dual is used only when :func:`_off_origin_bound` is at
+    most 1/2, so that the cosine sum is at least 1/2 and the relative error
+    at most eps, and when its point bound is below the primal's and the cap.
+    """
+    dual = (4.0 * np.pi ** 2) * omega_inv
+    # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is factored
+    if not np.isfinite(dual).all() or _off_origin_bound(np.diag(dual)) > 0.5:
+        return None
+    chol, _ = try_cholesky(dual)
+    if chol is None:
+        return None
+    pivots = np.diag(chol)
+    if _off_origin_bound(pivots ** 2) > 0.5:
+        return None
+    radius = _certified_radius(pivots, np.log(eps) - np.log(2.0))
+    spans = 2.0 * radius * np.sqrt(np.diag(omega)) / (2.0 * np.pi)
+    bound = _point_bounds(pivots, np.array([radius]), spans[None, :])[0]
+    if bound >= min(primal_bound, _WORK_CAP):
+        return None
+    # det Omega' = (2 pi)^{2h} / det Omega
+    log_scale = np.log(pivots).sum() - 0.5 * pivots.size * np.log(2.0 * np.pi)
+    return _Dual(dual, chol, radius, log_scale)
+
+
+def _dual_log_sums(nhat, cols, weights):
+    """Per-row log of sum_k w_k cos(2 pi k.nhat) over the dual offsets.
+
+    ``cols`` holds k = 0 and one of each pair +-k column-wise, ``weights``
+    their weights, doubled off the origin.  The phase k.nhat is accumulated
+    one coordinate at a time and reduced to [-1/2, 1/2] before the cosine;
+    rows are taken in blocks of about ``_BLOCK`` row-point pairs and each is
+    summed on its own, so a row's sum does not depend on its batch.
+    """
+    out = np.empty(nhat.shape[0])
+    step = max(1, _BLOCK // cols.shape[1])
+    for s in range(0, nhat.shape[0], step):
+        blk = nhat[s:s + step]
+        phase = blk[:, :1] * cols[0]
+        for j in range(1, cols.shape[0]):
+            phase += blk[:, j:j + 1] * cols[j]
+        phase -= np.rint(phase)
+        phase *= 2.0 * np.pi
+        np.cos(phase, out=phase)
+        phase *= weights
+        out[s:s + step] = np.log(phase.sum(axis=1))
+    return out
 
 
 class _Kernel:
-    """What a sum needs that depends only on Omega and eps.
+    """What a sum needs that depends only on Omega, the lattice and eps.
 
     Holds the Cholesky factor, Omega^-1, the certified radius of the shared
-    ellipsoid and the bound on its point count.  The shared offsets
-    (:meth:`shared_points`) are kept, read-only, from the kernel's second
-    use on: a matrix summed once, like each candidate of a fit, holds no
-    points, and its arrays are freed as an uncached call's would be.
+    ellipsoid and the bound on its point count, and on the full lattice the
+    dual form (:func:`_dual_form`) where it is cheaper.  The offsets of each
+    form (:meth:`shared_points`) are kept, read-only, from their second use
+    on: a matrix summed once, like each candidate of a fit, holds no points,
+    and its arrays are freed as an uncached call's would be.
     Raises NotPositiveDefiniteError if Omega is not positive definite.
     """
 
-    def __init__(self, omega, eps):
+    def __init__(self, omega, lattice, eps):
         self.omega = omega
-        self.chol = _spd_cholesky(omega)
+        self.chol = spd_cholesky(omega, "omega")
         self.omega_inv = np.linalg.inv(omega)
         h = omega.shape[0]
         self.pivots = np.diag(self.chol)
@@ -349,29 +468,44 @@ class _Kernel:
         self.widths = np.sqrt(np.diag(self.omega_inv))
         self.bound = _point_bounds(self.pivots, np.array([self.radius]),
                                    2.0 * self.radius * self.widths[None, :])[0]
-        self.cols = self.quad = None
-        self.points = 0
-        self.used = False
+        self.dual = None
+        if lattice is Lattice.FULL:
+            self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
+        self.kept = {False: None, True: None}     # by form: dual or not
+        self.used = {False: False, True: False}
 
-    def shared_points(self):
-        """``(cols, quad)``: the shared offsets k column-wise and k^T Omega k / 2."""
-        if self.cols is None:
+    @property
+    def points(self):
+        """Offsets kept, over both forms."""
+        return sum(kept[0].shape[1] for kept in self.kept.values() if kept is not None)
+
+    def shared_points(self, dual=False):
+        """``(cols, values)``: the offsets k column-wise, with k^T Omega k / 2
+        for the primal form, or their weights for the dual form."""
+        kept = self.kept[dual]
+        if kept is None:
             h = self.omega.shape[0]
-            offsets = _ellipsoid_points(self.chol, np.zeros((1, h)),
-                                        np.array([self.radius]))[1]
-            quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
-            cols = np.ascontiguousarray(offsets.T, dtype=float)
-            if not self.used:
-                self.used = True
-                return cols, quad
-            quad.setflags(write=False)
-            cols.setflags(write=False)
-            # cols last: it marks the enumeration done
-            self.points, self.quad, self.cols = offsets.shape[0], quad, cols
+            form = self.dual if dual else self
+            offsets = _ellipsoid_points(form.chol, np.zeros((1, h)), np.array([form.radius]))[1]
+            if dual:
+                # k = 0 and, of each pair +-k, the one whose first nonzero entry is positive
+                first = offsets[np.arange(offsets.shape[0]), (offsets != 0).argmax(axis=1)]
+                offsets, first = offsets[first >= 0], first[first >= 0]
+                quad = np.einsum("kh,hl,kl->k", offsets, self.dual.omega, offsets)
+                values = np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad)
+            else:
+                values = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
+            kept = np.ascontiguousarray(offsets.T, dtype=float), values
+            if not self.used[dual]:
+                self.used[dual] = True
+                return kept
+            for a in kept:
+                a.setflags(write=False)
+            self.kept[dual] = kept
             with _KERNELS_LOCK:      # least recently used first, until the points fit
                 while sum(k.points for k in _KERNELS.values()) > _WORK_CAP:
                     _KERNELS.popitem(last=False)
-        return self.cols, self.quad
+        return kept
 
 
 def _kernel(omega, lattice, eps):
@@ -384,7 +518,7 @@ def _kernel(omega, lattice, eps):
             return kernel
     omega = omega.copy()
     omega.setflags(write=False)
-    kernel = _Kernel(omega, eps)
+    kernel = _Kernel(omega, lattice, eps)
     with _KERNELS_LOCK:
         _KERNELS[key] = kernel
         if len(_KERNELS) > _KERNEL_CAP:
@@ -415,9 +549,10 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     NotPositiveDefiniteError
         If omega is not positive definite.
     ThetaTruncationError
-        If certifying ``eps`` needs more lattice points than the work cap;
-        this is checked before the points are allocated, and the sum is
-        never silently truncated.
+        If certifying ``eps`` needs more lattice points than the work cap
+        in the form used (the primal one when the dual is not certified or
+        not cheaper); this is checked before the points are allocated, and
+        the sum is never silently truncated.
     ValueError
         If ``eps`` is out of range or an argument is not finite.
     """
@@ -436,6 +571,9 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     # Row arithmetic avoids BLAS (see _rows_dot) so that a row's sum does
     # not depend on the other rows of its batch.
     nhat = _rows_dot(zs, kernel.omega_inv)              # continuous maximizer
+    if kernel.dual is not None and not collect_terms:  # its bound is under the cap
+        return (kernel.dual.log_scale + 0.5 * np.einsum("bh,bh->b", zs, nhat)
+                + _dual_log_sums(nhat, *kernel.shared_points(dual=True)))
     centre = np.rint(nhat)
     shared = np.ones(nb, dtype=bool)
     if lattice is Lattice.NONNEG:

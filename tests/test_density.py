@@ -145,6 +145,25 @@ class TestCondition:
                                    log_pdf_many(one_step, ys), atol=1e-10,
                                    rtol=0)
 
+    @pytest.mark.parametrize("fixture", ["tfit_params", "constructed_2d_params",
+                                         "constructed_3d_params"])
+    def test_condition_on_matches_permuted_parent(self, fixture, request):
+        # the child is built from the parent's arrays by index, bit for bit
+        # as conditioning the permuted parent on its trailing block
+        from rtbm.model import permute
+
+        params = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(params.n_v)
+        for indices in ([0], [params.n_v - 1], list(range(params.n_v - 1, 0, -1))):
+            values = rng.standard_normal(len(indices))
+            free = [i for i in range(params.n_v) if i not in indices]
+            child, got_free = condition_on(params, indices, values)
+            expected = condition(permute(params, free + indices), len(free), values)
+            assert got_free == free
+            for name in ("t", "q", "w", "bv", "bh"):
+                np.testing.assert_array_equal(getattr(child, name), getattr(expected, name))
+            assert child.lattice is expected.lattice
+
     def test_m_bounds(self, tfit_params):
         with pytest.raises(ValueError):
             condition(tfit_params, 2, [])

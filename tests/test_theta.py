@@ -121,10 +121,11 @@ class TestErrors:
         assert err.value.min_eigenvalue == pytest.approx(-1.0)
 
     def test_truncation_cap_is_loud(self):
-        # a nearly singular omega needs about 1.6e7 points, over the work cap
-        omega = np.array([[1e-12]])
+        # a nearly singular omega needs about 1.2e11 points, over the work cap,
+        # and its stiff axis leaves the dual sum uncertified
+        omega = np.diag([1e-6, 1e-6, 1e4])
         with pytest.raises(ThetaTruncationError, match="not converged.*work cap"):
-            log_theta_many(np.array([[4e-12]]), omega)
+            log_theta_many(np.array([[4e-6, 0.0, 0.0]]), omega)
 
     def test_query_validation(self):
         with pytest.raises(ValueError, match="eps"):
@@ -226,13 +227,14 @@ class TestEllipsoidKernel:
         monkeypatch.setattr(theta, "_ellipsoid_points", no_enumeration)
         with pytest.raises(ThetaTruncationError,
                            match=r"up to [0-9.e+]+ lattice points, above the work cap"):
-            log_theta_many(np.zeros((1, 3)), 1e-4 * np.eye(3))
+            log_theta_many(np.zeros((1, 3)), np.diag([1e-6, 1e-6, 1e4]))
 
     def test_over_budget_point_set_raises_without_allocating(self):
         import tracemalloc
 
-        # the ellipsoid holds about 2e7 points
-        omega = 0.05 * np.eye(4)
+        # the ellipsoid holds up to 8e6 points, and the last axis leaves the
+        # dual sum uncertified
+        omega = np.diag([0.05, 0.05, 0.05, 40.0])
         tracemalloc.start()
         try:
             with pytest.raises(ThetaTruncationError, match="work cap"):
@@ -292,17 +294,17 @@ class TestKernelCache:
         assert self.held() == (theta._KERNEL_CAP, first.points)
         for scale in np.geomspace(1e-6, 1e-5, 40):
             with pytest.raises(ThetaTruncationError):
-                log_theta_many(np.zeros((1, 3)), scale * np.eye(3))
+                log_theta_many(np.zeros((1, 3)), scale * np.diag([1.0, 1.0, 1e10]))
         assert self.held() == (theta._KERNEL_CAP, 0)
-        # two kept ellipsoids of about 1.07e6 points each exceed the point bound
-        for scale in (2.5e-4, 2.6e-4):
+        # two kept ellipsoids of about 1.1e6 points each exceed the point bound
+        for scale in (5e-9, 5.2e-9):
             for _ in range(2):
-                log_theta_many(np.zeros((1, 2)), scale * np.eye(2))
+                log_theta_many(np.zeros((1, 2)), np.diag([scale, 40.0]))
         kernels, points = self.held()
         assert kernels <= theta._KERNEL_CAP
         assert 1e6 < points <= theta._WORK_CAP
         newest = next(reversed(theta._KERNELS.values()))
-        np.testing.assert_array_equal(newest.omega, 2.6e-4 * np.eye(2))
+        np.testing.assert_array_equal(newest.omega, np.diag([5.2e-9, 40.0]))
 
     def test_not_positive_definite_never_cached(self):
         for _ in range(2):
@@ -345,3 +347,143 @@ class TestKernelCache:
                 assert all(seen.count(chol) <= 2 for chol in seen)
                 enumerated = len(seen)
         assert len(seen) == enumerated
+
+
+def off_origin_switch(fixed_lengths_sq):
+    """Omega_hh at which the dual's bound on its off-origin mass reaches 1/2.
+
+    The other diagonal entries of Omega' are ``fixed_lengths_sq``.
+    """
+    from scipy.optimize import brentq
+
+    import rtbm.theta as theta
+
+    def excess(c):
+        lengths_sq = np.append(fixed_lengths_sq, 4.0 * np.pi ** 2 / c)
+        return theta._off_origin_bound(lengths_sq) - 0.5
+
+    return brentq(excess, 1.0, 100.0, xtol=1e-14, rtol=1e-14)
+
+
+class TestDualSums:
+    """Small matrices are summed over the dual lattice of Poisson summation."""
+
+    @staticmethod
+    def is_dual(omega, lattice=Lattice.FULL, eps=1e-12):
+        import rtbm.theta as theta
+        return theta._kernel(np.asarray(omega, dtype=float), lattice, eps).dual is not None
+
+    @pytest.mark.parametrize("scales", [
+        [1e-4] * 3, [0.05] * 4, [1e-6] * 3, [1e-5] * 3, [2.5e-4] * 2,
+    ], ids=lambda s: f"h{len(s)}-{s[0]:g}")
+    def test_small_diagonal_omega_is_summed(self, scales):
+        # once over the work cap; the dual holds a few points.  A diagonal
+        # Omega factorizes into 1-D sums.
+        rng = np.random.default_rng(len(scales))
+        omega = np.diag(scales)
+        z = np.array(scales) * rng.uniform(-3, 3, len(scales))
+        assert self.is_dual(omega)
+        got = log_theta_many(z[None, :], omega)[0]
+        ref = sum(log_theta_reference([zi], [[si]], radius=int(np.sqrt(100 / si)) + 4)
+                  for zi, si in zip(z, scales))
+        assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    def test_nearly_singular_scalar_is_summed(self):
+        # too long for the reference; the dual correction exp(-2 pi^2 / omega)
+        # underflows, leaving the Gaussian integral
+        omega, z = 1e-12, 4e-12
+        assert self.is_dual([[omega]])
+        got = log_theta_many(np.array([[z]]), np.array([[omega]]))[0]
+        expected = 0.5 * math.log(2.0 * math.pi / omega) + 0.5 * z * z / omega
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["thin", "rotated-thin", "small-h3", "rotated-h4"])
+    def test_against_reference(self, case):
+        rng = np.random.default_rng(len(case))
+        eigs = {"thin": [1e-3, 2.0], "rotated-thin": [1e-3, 2.0],
+                "small-h3": [0.3, 0.3, 0.3], "rotated-h4": [0.5, 0.8, 1.3, 2.0]}[case]
+        omega = (np.diag(eigs) if case in ("thin", "small-h3")
+                 else spd_with_eigenvalues(rng, eigs))
+        assert self.is_dual(omega)
+        for _ in range(3):
+            z = omega @ rng.uniform(-4, 4, len(eigs))
+            got = log_theta(ThetaQuery(z=z, omega=omega))
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, min(eigs)))
+            assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["dual", "primal"])
+    def test_both_sides_of_the_switch(self, side, eps):
+        # diag(0.01, c): the dual holds far fewer points on both sides, so the
+        # bound on its off-origin mass s decides; just below the switch s is
+        # near 1/2, and at nhat_2 = 1/2 the odd terms cancel against the origin
+        switch = off_origin_switch([4.0 * np.pi ** 2 / 0.01])
+        omega = np.diag([0.01, switch * (1.0 + side * 1e-6)])
+        assert self.is_dual(omega, eps=eps) == (side < 0)
+        for nhat in ([0.0, 0.5], [3.3, 0.5], [-12.7, 0.25]):
+            z = omega @ np.array(nhat)
+            got = log_theta_many(z[None, :], omega, eps=eps)[0]
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 0.01))
+            assert abs(got - ref) <= eps * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("omega, dual", [(6.0, True), (10.0, False)])
+    def test_dual_only_where_it_holds_fewer_points(self, omega, dual):
+        # both bound s well below 1/2; at 10 the primal point bound is the lower
+        assert self.is_dual([[omega]]) == dual
+        for z in (0.0, 1.7, -23.4):
+            got = log_theta_many(np.array([[z]]), np.array([[omega]]))[0]
+            assert got == pytest.approx(direct_1d_sum(omega, z, Lattice.FULL, 30), abs=1e-12)
+
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_batch_matches_single(self, h):
+        rng = np.random.default_rng(60 + h)
+        omega = random_spd(rng, h, 0.05, 2.0)
+        assert self.is_dual(omega)
+        zs = rng.uniform(-40, 40, (25, h)) @ omega + rng.uniform(-1, 1, (25, h))
+        batch = log_theta_many(zs, omega)
+        singles = [log_theta(ThetaQuery(z=z, omega=omega)) for z in zs]
+        np.testing.assert_array_equal(batch, singles)
+        np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega))
+
+    def test_collect_terms_and_nonneg_stay_primal(self, monkeypatch):
+        import rtbm.theta as theta
+
+        omega = np.array([[0.4, 0.1], [0.1, 0.3]])
+        z = np.array([0.7, -0.2])
+        assert self.is_dual(omega) and not self.is_dual(omega, Lattice.NONNEG)
+        dual = log_theta_many(z[None, :], omega)[0]
+
+        def no_dual(*args):
+            raise AssertionError("summed over the dual lattice")
+
+        monkeypatch.setattr(theta, "_dual_log_sums", no_dual)
+        logsum, points, terms = log_theta_many(z[None, :], omega, collect_terms=True)
+        assert points.shape[0] == terms.shape[0] > 100
+        assert logsum[0] == pytest.approx(dual, abs=1e-13)
+        log_theta_many(z[None, :], omega, lattice=Lattice.NONNEG)
+
+    def test_kept_dual_points_count_toward_the_caps(self):
+        import rtbm.theta as theta
+
+        omega = 3.0 * np.eye(3)
+        for _ in range(2):
+            log_theta_many(np.ones((1, 3)), omega)
+        (kernel,) = theta._KERNELS.values()
+        kept = kernel.kept[True][0].shape[1]
+        assert kernel.dual is not None and kept > 1
+        assert TestKernelCache.held() == (1, kept)
+        # the primal offsets that collect_terms keeps count as well
+        for _ in range(2):
+            log_theta_many(np.ones((1, 3)), omega, collect_terms=True)
+        assert TestKernelCache.held() == (1, kept + kernel.kept[False][0].shape[1])
+        for scale in np.linspace(2.0, 2.9, 40):
+            for _ in range(2):
+                log_theta_many(np.ones((1, 3)), scale * np.eye(3))
+        kernels, points = TestKernelCache.held()
+        assert kernels == theta._KERNEL_CAP
+        assert points == sum(k.kept[True][0].shape[1] for k in theta._KERNELS.values())
+
+    def test_unrepresentable_dual_stays_primal(self):
+        # Omega^-1 overflows, so only the primal bound judges the sum
+        with pytest.raises(ThetaTruncationError, match="work cap"):
+            log_theta_many(np.zeros((1, 1)), np.array([[1e-310]]))
