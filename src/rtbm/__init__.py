@@ -6,18 +6,18 @@ from .density import condition, condition_on, log_marginal, log_pdf, log_pdf_man
 from .errors import (FitError, GridError, InsufficientSamplesError,
                      NotPositiveDefiniteError, RtbmError, ThetaTruncationError)
 from .fit import FitConfig, FitResult, fit_density, negative_log_likelihood
-from .model import (BlockDecomposition, RtbmParams, ValidationReport,
-                    block_split, load_model, permute, save_model, validate)
+from .model import (RtbmParams, ValidationReport, load_model, permute,
+                    save_model, validate)
 from .sampling import (HiddenDistribution, Histogram, empirical_conditional,
                        hidden_distribution, make_histogram, sample_visible)
 from .theta import Lattice, ThetaQuery, log_theta, log_theta_many, log_theta_reference
 
 __all__ = [
-    "BlockDecomposition", "FitConfig", "FitError", "FitResult",
+    "FitConfig", "FitError", "FitResult",
     "GridError", "HiddenDistribution", "Histogram",
     "InsufficientSamplesError", "Lattice", "NotPositiveDefiniteError",
     "RtbmParams", "RtbmError", "ThetaQuery", "ThetaTruncationError",
-    "ValidationReport", "block_split", "condition", "condition_on",
+    "ValidationReport", "condition", "condition_on",
     "empirical_conditional", "fit_density", "hidden_distribution",
     "load_model", "log_marginal", "log_pdf", "log_pdf_many", "log_theta",
     "log_theta_many", "log_theta_reference", "make_histogram",

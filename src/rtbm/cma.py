@@ -5,6 +5,11 @@ adaptation and rank-1 plus rank-mu covariance updates, following the
 widely published default tuning.  Selection is purely rank-based, so the
 objective may return +inf for infeasible candidates.  Deterministic for a
 fixed seed: a single PCG64 stream, sequential evaluation.
+
+A run stops on the first of: the evaluation budget; the step size below
+SIGMA_STOP; the covariance condition (ratio of largest to smallest axis
+length) above COND_STOP; or no improvement of the best value by more than
+STALL_TOL over STALL_EVALS_PER_DIM * dim evaluations.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+SIGMA_STOP = 1e-12
+COND_STOP = 1e7
+STALL_TOL = 1e-10
+STALL_EVALS_PER_DIM = 50
 
 
 @dataclass
@@ -24,15 +34,11 @@ class CmaResult:
 
 
 def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
-             max_evals=50000, seed=0, stall_tol=1e-10, stall_evals=None,
-             sigma_stop=1e-12) -> CmaResult:
-    """Minimize a total function on R^dim.
+             max_evals=50000, seed=0) -> CmaResult:
+    """Minimize a total function on R^dim from ``x0`` (default the origin).
 
-    Terminates on the evaluation budget, step-size collapse
-    (sigma < sigma_stop), or stagnation (best value not improving by more
-    than ``stall_tol`` over ``stall_evals`` evaluations, default 50*dim).
-
-    Returns the best evaluated point, never the distribution mean.
+    Stops as the module docstring says.  Returns the best evaluated point,
+    never the distribution mean.
     """
     if dim <= 0:
         raise ValueError("dim must be positive")
@@ -65,8 +71,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
     evals = 0
     gen = 0
     trace = []
-    stall_evals = stall_evals if stall_evals else 50 * dim
-    stall_gens = max(1, math.ceil(stall_evals / lam))
+    stall_gens = max(1, math.ceil(STALL_EVALS_PER_DIM * dim / lam))
     last_improved = 0
 
     while evals < max_evals:
@@ -78,7 +83,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
         evals += lam
 
         order = np.argsort(fs, kind="stable")
-        if fs[order[0]] < f_best - stall_tol:
+        if fs[order[0]] < f_best - STALL_TOL:
             last_improved = gen
         if fs[order[0]] < f_best:
             f_best = float(fs[order[0]])
@@ -110,9 +115,9 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
         eig_vals = np.maximum(eig_vals, 1e-30 * max(eig_vals.max(), 1e-300))
         eig_sqrt = np.sqrt(eig_vals)
 
-        if sigma < sigma_stop:
+        if sigma < SIGMA_STOP:
             break
-        if eig_sqrt.max() / eig_sqrt.min() > 1e7:
+        if eig_sqrt.max() / eig_sqrt.min() > COND_STOP:
             break
         if gen - last_improved >= stall_gens:
             break

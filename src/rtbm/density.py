@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RtbmError
-from .model import RtbmParams, block_split, sym, validate
+from .model import RtbmParams, sym, validate
 from .theta import DEFAULT_EPS, log_theta_many
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -49,6 +49,9 @@ def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape[1] != params.n_v:
         raise ValueError(f"points have width {vs.shape[1]}, expected {params.n_v}")
+    # The batch-1 normalizer goes first: when the Schur matrix is not
+    # positive definite it raises before the wide numerator sum is paid for.
+    log_norm = log_normalizer(params, eps)
     u = vs + params.tinv_bv
     half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
 
@@ -56,7 +59,7 @@ def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
     log_num = log_theta_many(z_num, sym(params.q), params.lattice, eps)
 
     return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI
-            - half_quad + log_num - log_normalizer(params, eps))
+            - half_quad + log_num - log_norm)
 
 
 def log_pdf(params: RtbmParams, v, eps=DEFAULT_EPS) -> float:
@@ -73,11 +76,10 @@ def log_marginal(params: RtbmParams, m: int, d, eps=DEFAULT_EPS) -> float:
     """
     child = condition(params, m, d)
     d = np.asarray(d, dtype=float).reshape(params.n_v - m)
-    bd = block_split(params, m)
     return (0.5 * _logdet_from_chol(params.chol_t)
             - 0.5 * (params.n_v - m) * _LOG_2PI
             - 0.5 * _logdet_from_chol(child.chol_t)
-            - 0.5 * float(d @ bd.t_tilde @ d) - float(bd.bv1 @ d)
+            - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
             - 0.5 * float(params.bv @ params.tinv_bv)
             + 0.5 * float(child.bv @ child.tinv_bv)
             + log_normalizer(child, eps) - log_normalizer(params, eps))
@@ -89,10 +91,12 @@ def condition(params: RtbmParams, m: int, d) -> RtbmParams:
     The child has the same hidden sector (Q, lattice) and the
     reparameterization T -> T0, W -> W0, bv -> bv0 + T1^T d,
     bh -> bh + W1^T d; its density is the parent's conditional P(y|d).
-    An invalid parent raises RtbmError.
+    Requires 0 < m < n_v.  An invalid parent raises RtbmError.
     """
     _check_valid(params)
-    return _condition(params, m, d)
+    if not 0 < m < params.n_v:
+        raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
+    return _child(params, np.arange(m), np.arange(m, params.n_v), d)
 
 
 def _check_valid(params: RtbmParams):
@@ -109,18 +113,10 @@ def _check_valid(params: RtbmParams):
         raise RtbmError(f"cannot condition an invalid model: {report}")
 
 
-def _condition(params: RtbmParams, m: int, d) -> RtbmParams:
-    """:func:`condition` without the parent's validity check."""
-    if not 0 < m < params.n_v:
-        raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
-    return _child(params, np.arange(m), np.arange(m, params.n_v), d)
-
-
 def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     """Child RTBM over coordinates ``free`` given the values ``d`` at ``fixed``.
 
-    The blocks are taken from the parent's arrays by index, as
-    :func:`block_split` of the permuted parent would give them.
+    The blocks of T, W and bv are taken from the parent's arrays by index.
     """
     d = np.asarray(d, dtype=float).reshape(len(fixed))
     t, w = params.t, params.w

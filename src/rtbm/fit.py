@@ -4,9 +4,11 @@ The search runs over an unconstrained encoding: T and Q are built from
 lower-triangular factors with exponentiated diagonals (so both are
 positive definite by construction), while W and the biases are raw.
 Positive definiteness of the Schur-type matrix Q - W^T T^-1 W is not
-structural; candidates violating it are excluded through a penalty that
-ranks them below every feasible candidate (CMA-ES selection is rank
-based) and, among themselves, by the size of the violation.
+structural. The objective is the plain negative log-likelihood: a
+candidate whose Schur matrix does not factor scores +inf, like any other
+model whose density cannot be evaluated. CMA-ES selection is rank based,
+so such candidates rank below every finite one, and among themselves by
+their index in the population.
 """
 
 from __future__ import annotations
@@ -15,17 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from . import cma
 from .density import log_pdf_many
 from .errors import FitError, RtbmError
-from .model import RtbmParams, spd_cholesky, validate
+from .model import RtbmParams, validate
 from .theta import DEFAULT_EPS, Lattice, check_eps
-
-SCHUR_FLOOR = 1e-8
-_PENALTY_BASE = 1e10
-_PENALTY_SLOPE = 1e6
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,6 @@ def _tril_to_matrix(vals, n):
     return fac @ fac.T, fac
 
 
-def _factor_to_tril(fac):
-    fac = fac.copy()
-    diag = np.diag_indices(fac.shape[0])
-    fac[diag] = np.log(fac[diag])
-    return fac[np.tril_indices(fac.shape[0])]
-
-
 def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     """Unpack a free-parameter vector into a model with T, Q guaranteed PD."""
     x = np.asarray(x, dtype=float)
@@ -94,17 +84,6 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     bv = x[pos:pos + n_v]; pos += n_v
     bh = x[pos:]
     return RtbmParams(t=t, q=q, w=w, bv=bv, bh=bh, lattice=lattice)
-
-
-def encode(params: RtbmParams) -> np.ndarray:
-    """Inverse of :func:`decode`; round-trips to ~1e-12 on all entries."""
-    return np.concatenate([
-        _factor_to_tril(params.chol_t),
-        _factor_to_tril(spd_cholesky(params.q, "Q")),
-        params.w.ravel(),
-        params.bv,
-        params.bh,
-    ])
 
 
 def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
@@ -134,13 +113,9 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
 
 
 def make_objective(data, n_v, n_h, lattice, eps):
-    """NLL over the encoding, with the Schur-violation penalty region."""
+    """NLL over the encoding; +inf where the decoded model is invalid."""
     def objective(x):
-        params = decode(x, n_v, n_h, lattice)
-        lam = float(la.eigvalsh(params.schur)[0])
-        if lam <= SCHUR_FLOOR:
-            return _PENALTY_BASE + _PENALTY_SLOPE * (SCHUR_FLOOR - lam)
-        return negative_log_likelihood(params, data, eps)
+        return negative_log_likelihood(decode(x, n_v, n_h, lattice), data, eps)
     return objective
 
 
@@ -172,7 +147,7 @@ def fit_density(data, config: FitConfig) -> FitResult:
     """Fit an RTBM to samples by restarted CMA-ES over the encoding.
 
     Runs ``config.restarts`` independent searches from randomized
-    encodings and returns the best run whose decoded model validates.
+    encodings and returns the best run that found a finite likelihood.
     Fully deterministic for a fixed ``config.seed``.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -207,14 +182,13 @@ def fit_density(data, config: FitConfig) -> FitResult:
                            population=config.population,
                            max_evals=config.max_evals, seed=cma_ss)
         total_evals += res.evals
-        feasible = res.f_best < _PENALTY_BASE and math.isfinite(res.f_best)
         diagnostics.append(f"f_best={res.f_best:.6g} evals={res.evals}")
-        if feasible and (best is None or res.f_best < best.f_best):
+        if math.isfinite(res.f_best) and (best is None or res.f_best < best.f_best):
             best = res
 
     if best is None:
-        raise FitError("all restarts ended on invalid models: "
-                       + "; ".join(diagnostics))
+        raise FitError("no restart found a model whose likelihood could be "
+                       "evaluated: " + "; ".join(diagnostics))
 
     params = decode(best.x_best, n_v, n_h, config.lattice)
     if config.standardize:

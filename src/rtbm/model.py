@@ -1,4 +1,4 @@
-"""RTBM parameter records: validity, block splitting, permutation, model files.
+"""RTBM parameter records: validity, permutation, model files.
 
 An RTBM over ``n_v`` continuous visible units and ``n_h`` lattice-valued
 hidden units is the quintuple (T, Q, W, bv, bh) plus a lattice convention.
@@ -21,12 +21,20 @@ from .errors import NotPositiveDefiniteError, RtbmError
 from .theta import Lattice, spd_cholesky, sym, try_cholesky
 
 SYMMETRY_ATOL = 1e-10
+SCHUR = "Q - W^T T^-1 W"
 
 
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _finite(a, name):
+    """``a`` frozen; NotPositiveDefiniteError naming ``name`` if it overflowed."""
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError(f"{name} is not finite (overflow)")
+    return _freeze(a)
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,22 @@ class RtbmParams:
 
     @cached_property
     def schur(self) -> np.ndarray:
-        """S = Q - W^T T^-1 W, symmetrized: the normalizer's theta matrix."""
-        return _freeze(sym(self.q - self.w.T @ self.tinv_w))
+        """S = Q - W^T T^-1 W, symmetrized: the normalizer's theta matrix.
+
+        NotPositiveDefiniteError if it overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(sym(self.q - self.w.T @ self.tinv_w), SCHUR)
 
     @cached_property
     def z_schur(self) -> np.ndarray:
-        """bh - W^T T^-1 bv: the normalizer's theta argument."""
-        return _freeze(self.bh - self.w.T @ self.tinv_bv)
+        """bh - W^T T^-1 bv: the normalizer's theta argument.
+
+        NotPositiveDefiniteError, naming the Schur matrix, if it overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self.bh - self.w.T @ self.tinv_bv,
+                           f"bh - W^T T^-1 bv (the theta argument over {SCHUR})")
 
     @cached_property
     def memo(self) -> dict:
@@ -135,7 +152,8 @@ def validate(params: RtbmParams) -> ValidationReport:
 
     Every failed rule is reported; nothing is thrown.  The Schur condition
     on Q - W^T T^{-1} W can only be evaluated once T factors, so it is
-    skipped (with T already reported invalid) otherwise.
+    skipped (with T already reported invalid) otherwise.  A Schur matrix
+    or normalizer argument that overflows violates the Schur condition.
     """
     bad = []
     for name, a in (("T", params.t), ("Q", params.q)):
@@ -144,48 +162,25 @@ def validate(params: RtbmParams) -> ValidationReport:
             bad.append(Violation(f"{name.lower()}-asymmetric",
                                  f"{name} asymmetry {asym:.3g} exceeds {SYMMETRY_ATOL}",
                                  asym))
+    lam_t = lam_s = None
     try:
-        schur, lam_t = params.schur, None
+        params.chol_t                           # factors T or raises
     except NotPositiveDefiniteError as exc:
-        schur, lam_t = None, exc.min_eigenvalue
+        lam_t = exc.min_eigenvalue
+    else:
+        try:
+            lam_s = try_cholesky(params.schur)[1]
+            params.z_schur                      # raises if it overflows
+        except NotPositiveDefiniteError as exc:  # either of them overflowed
+            bad.append(Violation("schur-not-positive-definite", str(exc)))
     lam_q = try_cholesky(params.q)[1]
-    lam_s = None if schur is None else try_cholesky(schur)[1]
     for rule, name, lam in (("t", "T", lam_t), ("q", "Q", lam_q),
-                            ("schur", "Q - W^T T^-1 W", lam_s)):
+                            ("schur", SCHUR, lam_s)):
         if lam is not None:
             bad.append(Violation(
                 f"{rule}-not-positive-definite",
                 f"{name} not positive definite (min eigenvalue ~ {lam:.6g})", lam))
     return ValidationReport(tuple(bad))
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Split of (T, W, bv) into a leading m-block and trailing n-block."""
-
-    t0_bar: np.ndarray   # m x m
-    t1_bar: np.ndarray   # n x m, lower-left block of T
-    t_tilde: np.ndarray  # n x n
-    w0: np.ndarray       # m x n_h
-    w1: np.ndarray       # n x n_h
-    bv0: np.ndarray      # m
-    bv1: np.ndarray      # n
-
-
-def block_split(params: RtbmParams, m: int) -> BlockDecomposition:
-    """Split the parameter matrices at ``m`` leading free coordinates.
-
-    The trailing block holds the coordinates to be conditioned on or kept
-    in a marginal; ``m = n_v`` yields an empty trailing block.
-    """
-    if not 1 <= m <= params.n_v:
-        raise ValueError(f"m must be in [1, {params.n_v}], got {m}")
-    t, w, bv = params.t, params.w, params.bv
-    return BlockDecomposition(
-        t0_bar=_freeze(t[:m, :m]), t1_bar=_freeze(t[m:, :m]),
-        t_tilde=_freeze(t[m:, m:]),
-        w0=_freeze(w[:m, :]), w1=_freeze(w[m:, :]),
-        bv0=_freeze(bv[:m]), bv1=_freeze(bv[m:]))
 
 
 def permute(params: RtbmParams, perm) -> RtbmParams:

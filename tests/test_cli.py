@@ -58,6 +58,16 @@ class TestExitCodes:
         assert code == 1
         assert "not positive definite" in capsys.readouterr().err
 
+    def test_overflowing_model_is_1_and_named(self, tmp_path, capsys):
+        big = RtbmParams(t=[[1.0]], q=[[1.0]], w=[[1e200]], bv=[0.0], bh=[0.0])
+        path = tmp_path / "big_w.json"
+        save_model(big, path)
+        code = run_command(["sample", "--model", str(path), "--count", "10",
+                            "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"model {path} is invalid: Q - W^T T^-1 W is not finite" in err
+
     def test_success_is_0(self, model_path, tmp_path):
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-2:2:9,-2:2:9",

@@ -259,6 +259,13 @@ class TestPreparedModel:
             with pytest.raises(RtbmError, match="invalid model"):
                 log_marginal(p, 1, [0.5])
 
+    def test_overflowing_parent_is_an_invalid_model(self):
+        from rtbm.errors import RtbmError
+        p = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[1e200], [0.0]], bv=[0.0, 0.0],
+                       bh=[0.0])
+        with pytest.raises(RtbmError, match=r"invalid model: Q - W\^T T\^-1 W is not finite"):
+            condition_on(p, [1], [0.5])
+
     def test_invalid_t_still_reported_after_failed_density(self):
         from rtbm.errors import NotPositiveDefiniteError
         p = RtbmParams(t=[[-1.0]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])

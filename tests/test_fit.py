@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TFIT, random_valid_params
+import rtbm.density
+import rtbm.fit
+from conftest import random_valid_params
 from rtbm.cma import minimize
 from rtbm.errors import FitError
 from rtbm.density import log_pdf_many
-from rtbm.fit import (FitConfig, _destandardize, decode, encode, fit_density,
+from rtbm.fit import (FitConfig, _destandardize, decode, fit_density,
                       free_parameter_count, make_objective,
                       negative_log_likelihood)
 from rtbm.model import RtbmParams, validate
@@ -42,6 +44,14 @@ class TestNegativeLogLikelihood:
         print(f"fixture nll on 5000 fresh t samples: {nll:.1f}")
         assert 1.5e4 < nll < 3.0e4
 
+    @pytest.mark.parametrize("fields", [
+        dict(t=[[1.0]], w=[[1e200]], bv=[0.0]),            # Schur matrix overflows
+        dict(t=[[1e-200]], w=[[1e-110]], bv=[1e200]),      # its argument overflows
+    ])
+    def test_overflowing_normalizer_scores_inf(self, fields):
+        p = RtbmParams(q=[[1.0]], bh=[0.0], **fields)
+        assert negative_log_likelihood(p, [[0.5], [-1.0]]) == math.inf
+
     def test_dimension_mismatch(self, tfit_params):
         with pytest.raises(ValueError, match="width"):
             negative_log_likelihood(tfit_params, np.zeros((5, 3)))
@@ -66,13 +76,6 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(p.w, np.zeros((2, 2)))
         np.testing.assert_array_equal(p.bv, np.zeros(2))
         np.testing.assert_array_equal(p.bh, np.zeros(2))
-
-    def test_round_trip(self, tfit_params):
-        again = decode(encode(tfit_params), 2, 2)
-        for name in ("t", "q", "w", "bv", "bh"):
-            np.testing.assert_allclose(getattr(again, name),
-                                       getattr(tfit_params, name),
-                                       atol=1e-12, rtol=0)
 
     def test_decode_always_pd(self):
         rng = np.random.default_rng(6)
@@ -124,22 +127,38 @@ class TestMinimize:
 
 
 class TestObjective:
-    def test_penalty_region_ranks_below_feasible(self, tfit_params):
+    def _count_wide_sums(self, monkeypatch):
+        rows = []
+        inner = rtbm.density.log_theta_many
+
+        def counting(zs, *args, **kwargs):
+            rows.append(len(zs))
+            return inner(zs, *args, **kwargs)
+        monkeypatch.setattr(rtbm.density, "log_theta_many", counting)
+        return rows
+
+    def test_infeasible_candidate_scores_inf_without_wide_sum(self, monkeypatch):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((100, 2))
         objective = make_objective(data, 2, 2, "full", 1e-12)
-        good = objective(encode(tfit_params))
-        # giant W drives the Schur matrix indefinite
-        bad_params = RtbmParams(t=TFIT["t"], q=TFIT["q"],
-                                w=20 * np.asarray(TFIT["w"]), bv=TFIT["bv"],
-                                bh=TFIT["bh"])
-        bad = objective(np.concatenate([
-            encode(tfit_params)[:6],
-            (20 * np.asarray(TFIT["w"])).ravel(),
-            TFIT["bv"], TFIT["bh"]]))
-        assert not validate(bad_params).valid
-        assert math.isfinite(good)
-        assert bad > 1e9 > good
+        # T = Q = I and W = 3 I: the Schur matrix I - W^T W = -8 I
+        x = np.zeros(14)
+        x[6:10] = [3.0, 0.0, 0.0, 3.0]
+        assert not validate(decode(x, 2, 2)).valid
+        rows = self._count_wide_sums(monkeypatch)
+        assert objective(x) == math.inf
+        assert rows == [1]          # the normalizer's batch-1 sum only
+
+    def test_feasible_candidate_scores_its_nll(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((100, 2))
+        objective = make_objective(data, 2, 2, "full", 1e-12)
+        x = rng.normal(0.0, 0.3, 14)
+        rows = self._count_wide_sums(monkeypatch)
+        value = objective(x)
+        assert math.isfinite(value)
+        assert value == negative_log_likelihood(decode(x, 2, 2), data, 1e-12)
+        assert rows[:2] == [1, 100]
 
 
 class TestStandardization:
@@ -196,6 +215,14 @@ class TestFitDensity:
     def test_empty_data(self):
         with pytest.raises(Exception):
             fit_density(np.zeros((0, 2)), FitConfig(n_h=1))
+
+    def test_no_finite_restart_is_a_plain_error(self, monkeypatch):
+        monkeypatch.setattr(rtbm.fit, "negative_log_likelihood",
+                            lambda *args: math.inf)
+        data = np.random.default_rng(0).standard_normal((50, 1))
+        with pytest.raises(FitError, match="no restart found a model whose "
+                           "likelihood could be evaluated: f_best=inf"):
+            fit_density(data, FitConfig(n_h=1, restarts=2, max_evals=8))
 
     def test_non_finite_data_is_rejected_up_front(self):
         data = np.random.default_rng(0).standard_normal((50, 2))

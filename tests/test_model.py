@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import (CONSTRUCTED_2D, CONSTRUCTED_2D_BAD_Q,
                       CONSTRUCTED_3D, TFIT, random_valid_params)
-from rtbm.density import log_pdf_many
-from rtbm.model import (RtbmParams, block_split, from_dict, load_model,
-                        permute, save_model, to_dict, validate)
+from rtbm.density import condition, log_pdf_many
+from rtbm.errors import NotPositiveDefiniteError
+from rtbm.model import (RtbmParams, from_dict, load_model, permute,
+                        save_model, to_dict, validate)
 from rtbm.theta import Lattice
 
 
@@ -46,6 +47,23 @@ class TestValidate:
     def test_3d_fixture_is_valid(self, constructed_3d_params):
         assert validate(constructed_3d_params).valid
 
+    def test_overflowing_schur_matrix_is_a_violation(self):
+        # W^T T^-1 W = 1e400 overflows to inf
+        p = RtbmParams(t=[[1.0]], q=[[1.0]], w=[[1e200]], bv=[0.0], bh=[0.0])
+        report = validate(p)
+        assert [v.rule for v in report.violations] == ["schur-not-positive-definite"]
+        assert str(report) == "Q - W^T T^-1 W is not finite (overflow)"
+
+    def test_overflowing_schur_argument_is_a_violation(self):
+        # the Schur matrix is 1 - 1e-20, but T^-1 bv = 1e400 overflows
+        p = RtbmParams(t=[[1e-200]], q=[[1.0]], w=[[1e-110]], bv=[1e200], bh=[0.0])
+        report = validate(p)
+        assert [v.rule for v in report.violations] == ["schur-not-positive-definite"]
+        assert "bh - W^T T^-1 bv" in str(report)
+        assert "Q - W^T T^-1 W" in str(report)
+        with pytest.raises(NotPositiveDefiniteError, match="not finite"):
+            p.z_schur
+
     def test_asymmetry_reported(self):
         t = np.array([[1.0, 1e-6], [0.0, 1.0]])
         p = RtbmParams(t=t, q=[[1.0]], w=[[0.0], [0.0]], bv=[0.0, 0.0], bh=[0.0])
@@ -54,45 +72,31 @@ class TestValidate:
 
 
 class TestBlockSplit:
+    """The split at m leading free coordinates, as :func:`condition` takes it:
+    the child keeps T0 and W0, and shifts bv0 by T1^T d and bh by W1^T d."""
+
     def test_tfit_split(self, tfit_params):
-        bd = block_split(tfit_params, 1)
-        np.testing.assert_allclose(bd.t0_bar, [[0.56]], rtol=0)
-        np.testing.assert_allclose(bd.t1_bar, [[0.18]], rtol=0)
-        np.testing.assert_allclose(bd.t_tilde, [[0.30]], rtol=0)
-        np.testing.assert_allclose(bd.w0, [[-1.11, 1.02]], rtol=0)
-        np.testing.assert_allclose(bd.w1, [[-0.66, 0.60]], rtol=0)
-        np.testing.assert_allclose(bd.bv0, [0.0], rtol=0)
-        np.testing.assert_allclose(bd.bv1, [0.0], rtol=0)
+        child = condition(tfit_params, 1, [2.0])
+        np.testing.assert_allclose(child.t, [[0.56]], rtol=0)
+        np.testing.assert_allclose(child.w, [[-1.11, 1.02]], rtol=0)
+        np.testing.assert_allclose(child.bv, [0.0 + 0.18 * 2.0], rtol=0)
+        np.testing.assert_allclose(
+            child.bh, tfit_params.bh + 2.0 * np.array([-0.66, 0.60]), rtol=0)
 
     def test_3d_split_at_two(self, constructed_3d_params):
-        bd = block_split(constructed_3d_params, 2)
-        t = constructed_3d_params.t
-        np.testing.assert_array_equal(bd.t0_bar, t[:2, :2])
-        np.testing.assert_allclose(bd.t1_bar, [[-6.76, -2.56]], rtol=0)
-        np.testing.assert_allclose(bd.w1, [[2.09]], rtol=0)
-
-    def test_degenerate_split(self, tfit_params):
-        bd = block_split(tfit_params, 2)
-        np.testing.assert_array_equal(bd.t0_bar, tfit_params.t)
-        np.testing.assert_array_equal(bd.w0, tfit_params.w)
-        np.testing.assert_array_equal(bd.bv0, tfit_params.bv)
-        assert bd.t_tilde.shape == (0, 0)
-        assert bd.bv1.shape == (0,)
-
-    def test_round_trip_bit_exact(self, constructed_3d_params):
-        for m in (1, 2, 3):
-            bd = block_split(constructed_3d_params, m)
-            t = np.block([[bd.t0_bar, bd.t1_bar.T], [bd.t1_bar, bd.t_tilde]])
-            assert np.array_equal(t, constructed_3d_params.t)
-            assert np.array_equal(np.vstack([bd.w0, bd.w1]), constructed_3d_params.w)
-            assert np.array_equal(np.concatenate([bd.bv0, bd.bv1]),
-                                  constructed_3d_params.bv)
+        p = constructed_3d_params
+        child = condition(p, 2, [-0.5])
+        np.testing.assert_array_equal(child.t, p.t[:2, :2])
+        np.testing.assert_array_equal(child.w, p.w[:2])
+        np.testing.assert_allclose(child.bv, p.bv[:2] - 0.5 * np.array([-6.76, -2.56]),
+                                   rtol=0)
+        np.testing.assert_allclose(child.bh, p.bh - 0.5 * 2.09, rtol=0)
 
     def test_out_of_range(self, tfit_params):
-        with pytest.raises(ValueError):
-            block_split(tfit_params, 0)
-        with pytest.raises(ValueError):
-            block_split(tfit_params, 3)
+        with pytest.raises(ValueError, match="m must be in"):
+            condition(tfit_params, 0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="m must be in"):
+            condition(tfit_params, 3, [])
 
 
 class TestPermute:
