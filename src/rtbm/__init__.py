@@ -10,17 +10,16 @@ from .model import (RtbmParams, ValidationReport, load_model, permute,
                     save_model, validate)
 from .sampling import (HiddenDistribution, Histogram, empirical_conditional,
                        hidden_distribution, make_histogram, sample_visible)
-from .theta import Lattice, ThetaQuery, log_theta, log_theta_many, log_theta_reference
+from .theta import Lattice, log_theta_many, log_theta_reference
 
 __all__ = [
     "FitConfig", "FitError", "FitResult",
     "GridError", "HiddenDistribution", "Histogram",
     "InsufficientSamplesError", "Lattice", "NotPositiveDefiniteError",
-    "RtbmParams", "RtbmError", "ThetaQuery", "ThetaTruncationError",
-    "ValidationReport", "condition", "condition_on",
-    "empirical_conditional", "fit_density", "hidden_distribution",
-    "load_model", "log_marginal", "log_pdf", "log_pdf_many", "log_theta",
-    "log_theta_many", "log_theta_reference", "make_histogram",
+    "RtbmParams", "RtbmError", "ThetaTruncationError", "ValidationReport",
+    "condition", "condition_on", "empirical_conditional", "fit_density",
+    "hidden_distribution", "load_model", "log_marginal", "log_pdf",
+    "log_pdf_many", "log_theta_many", "log_theta_reference", "make_histogram",
     "negative_log_likelihood", "permute", "sample_visible", "save_model",
     "validate",
 ]

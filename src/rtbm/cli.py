@@ -169,10 +169,8 @@ def _eval_points(args, width, what="model"):
 def _cmd_fit(args):
     data = _read_csv(args.data)
     config = FitConfig(
-        n_h=args.nh, restarts=args.restarts, population=args.population,
-        sigma0=args.sigma0, max_evals=args.max_evals, seed=args.seed,
-        theta_eps=args.theta_eps, lattice=Lattice(args.lattice),
-        standardize=args.standardize)
+        n_h=args.nh, restarts=args.restarts, max_evals=args.max_evals,
+        seed=args.seed, theta_eps=args.theta_eps, lattice=Lattice(args.lattice))
     start = time.time()
     result = fit_density(data, config)
     wall = time.time() - start
@@ -190,10 +188,8 @@ def _cmd_fit(args):
         "rng": RNG_NAME,
         "config": {
             "n_h": config.n_h, "restarts": config.restarts,
-            "population": config.population, "sigma0": config.sigma0,
             "max_evals": config.max_evals, "seed": config.seed,
             "theta_eps": config.theta_eps, "lattice": config.lattice.value,
-            "standardize": config.standardize,
         },
     })
     print(f"nll {result.nll:.6f}")
@@ -296,12 +292,9 @@ def build_parser():
                    default=_env_default(parser, "restarts", int, 5))
     p.add_argument("--max-evals", type=int,
                    default=_env_default(parser, "max-evals", int, 50000))
-    p.add_argument("--population", type=int, default=None)
-    p.add_argument("--sigma0", type=float, default=0.3)
     p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
                    default=Lattice.FULL.value)
-    p.add_argument("--standardize", action="store_true")
     p.add_argument("--trace", help="trace CSV path (default <out>.trace.csv)")
     p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
     p.set_defaults(func=_cmd_fit)

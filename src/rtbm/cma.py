@@ -33,8 +33,8 @@ class CmaResult:
     trace: list = field(default_factory=list)  # (evals, best-so-far) per generation
 
 
-def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
-             max_evals=50000, seed=0) -> CmaResult:
+def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
+             seed=0) -> CmaResult:
     """Minimize a total function on R^dim from ``x0`` (default the origin).
 
     Stops as the module docstring says.  Returns the best evaluated point,
@@ -43,8 +43,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, population=None,
     if dim <= 0:
         raise ValueError("dim must be positive")
     rng = np.random.default_rng(seed)
-    lam = population if population else 4 + int(3 * math.log(dim))
-    lam = max(lam, 4)
+    lam = 4 + int(3 * math.log(dim))
     mu = lam // 2
     weights = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights /= weights.sum()

@@ -52,10 +52,14 @@ def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
     log_norm = log_normalizer(params, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_num = vs @ params.w + params.bh
+    bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))
+    if bad.size:
+        raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
+                        f"first at index {bad[0]}")
     u = vs + params.tinv_bv
     half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
-
-    z_num = vs @ params.w + params.bh
     log_num = log_theta_many(z_num, sym(params.q), params.lattice, eps)
 
     return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI

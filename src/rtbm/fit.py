@@ -5,10 +5,10 @@ lower-triangular factors with exponentiated diagonals (so both are
 positive definite by construction), while W and the biases are raw.
 Positive definiteness of the Schur-type matrix Q - W^T T^-1 W is not
 structural. The objective is the plain negative log-likelihood: a
-candidate whose Schur matrix does not factor scores +inf, like any other
-model whose density cannot be evaluated. CMA-ES selection is rank based,
-so such candidates rank below every finite one, and among themselves by
-their index in the population.
+candidate whose Schur matrix does not factor, or whose T or Q overflows,
+scores +inf, like any other model whose density cannot be evaluated.
+CMA-ES selection is rank based, so such candidates rank below every finite
+one, and among themselves by their index in the population.
 """
 
 from __future__ import annotations
@@ -21,32 +21,25 @@ import numpy as np
 from . import cma
 from .density import log_pdf_many
 from .errors import FitError, RtbmError
-from .model import RtbmParams, validate
+from .model import RtbmParams, _finite, validate
 from .theta import DEFAULT_EPS, Lattice, check_eps
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters of one fit; defaults follow the standard CMA tuning."""
+    """Hyperparameters of one fit; CMA-ES itself runs with its standard tuning."""
 
     n_h: int
     restarts: int = 5
-    population: int | None = None   # None: 4 + floor(3 ln dim)
-    sigma0: float = 0.3
     max_evals: int = 50000
     seed: int = 0
     theta_eps: float = DEFAULT_EPS
     lattice: Lattice = Lattice.FULL
-    standardize: bool = False
 
     def __post_init__(self):
         if self.n_h < 1 or self.restarts < 1 or self.max_evals < 1:
             raise ValueError("n_h, restarts and max_evals must be positive")
-        if not 0 < self.sigma0 < math.inf:
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         check_eps(self.theta_eps)
-        if self.population is not None and self.population < 2:
-            raise ValueError("population must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -61,16 +54,18 @@ def free_parameter_count(n_v: int, n_h: int) -> int:
     return n_v * (n_v + 1) // 2 + n_h * (n_h + 1) // 2 + n_v * n_h + n_v + n_h
 
 
-def _tril_to_matrix(vals, n):
+def _tril_to_matrix(vals, n, name):
+    """L L^T, L lower triangular with exponentiated diagonal; finite or raises."""
     fac = np.zeros((n, n))
     fac[np.tril_indices(n)] = vals
     diag = np.diag_indices(n)
-    fac[diag] = np.exp(fac[diag])
-    return fac @ fac.T, fac
+    with np.errstate(over="ignore", invalid="ignore"):
+        fac[diag] = np.exp(fac[diag])
+        return _finite(fac @ fac.T, name)
 
 
 def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
-    """Unpack a free-parameter vector into a model with T, Q guaranteed PD."""
+    """Unpack a free-parameter vector into a model with T, Q PD, or raise on overflow."""
     x = np.asarray(x, dtype=float)
     expected = free_parameter_count(n_v, n_h)
     if x.shape != (expected,):
@@ -78,8 +73,8 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     nt = n_v * (n_v + 1) // 2
     nq = n_h * (n_h + 1) // 2
     pos = 0
-    t, _ = _tril_to_matrix(x[pos:pos + nt], n_v); pos += nt
-    q, _ = _tril_to_matrix(x[pos:pos + nq], n_h); pos += nq
+    t = _tril_to_matrix(x[pos:pos + nt], n_v, "T"); pos += nt
+    q = _tril_to_matrix(x[pos:pos + nq], n_h, "Q"); pos += nq
     w = x[pos:pos + n_v * n_h].reshape(n_v, n_h); pos += n_v * n_h
     bv = x[pos:pos + n_v]; pos += n_v
     bh = x[pos:]
@@ -115,32 +110,12 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
 def make_objective(data, n_v, n_h, lattice, eps):
     """NLL over the encoding; +inf where the decoded model is invalid."""
     def objective(x):
-        return negative_log_likelihood(decode(x, n_v, n_h, lattice), data, eps)
+        try:
+            params = decode(x, n_v, n_h, lattice)
+        except RtbmError:           # T or Q overflowed
+            return math.inf
+        return negative_log_likelihood(params, data, eps)
     return objective
-
-
-def _standardize(data):
-    mean = data.mean(axis=0)
-    scale = data.std(axis=0)
-    if np.any(scale <= 0):
-        raise FitError("cannot standardize: a column has zero variance")
-    return (data - mean) / scale, mean, scale
-
-
-def _destandardize(params: RtbmParams, mean, scale) -> RtbmParams:
-    """Map a model fit on (x - mean) / scale back to raw coordinates.
-
-    Diagonal affine maps stay inside the family: T -> D^-1 T D^-1,
-    W -> D^-1 W, bv -> D^-1 bv - T' mu, bh -> bh - W'^T mu, with
-    D = diag(scale); the Schur matrix is unchanged.
-    """
-    d_inv = 1.0 / scale
-    t_new = params.t * np.outer(d_inv, d_inv)
-    w_new = params.w * d_inv[:, None]
-    bv_new = d_inv * params.bv - t_new @ mean
-    bh_new = params.bh - w_new.T @ mean
-    return RtbmParams(t=t_new, q=params.q, w=w_new, bv=bv_new, bh=bh_new,
-                      lattice=params.lattice)
 
 
 def fit_density(data, config: FitConfig) -> FitResult:
@@ -161,12 +136,7 @@ def fit_density(data, config: FitConfig) -> FitResult:
     n_h = config.n_h
     dim = free_parameter_count(n_v, n_h)
 
-    fit_data = data
-    mean = scale = None
-    if config.standardize:
-        fit_data, mean, scale = _standardize(data)
-    objective = make_objective(fit_data, n_v, n_h, config.lattice,
-                               config.theta_eps)
+    objective = make_objective(data, n_v, n_h, config.lattice, config.theta_eps)
     bh_slice = slice(dim - n_h, dim)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
@@ -178,9 +148,8 @@ def fit_density(data, config: FitConfig) -> FitResult:
         rng = np.random.default_rng(init_ss)
         x0 = rng.normal(0.0, 0.5, dim)
         x0[bh_slice] += rng.normal(0.0, 2.0, n_h)  # break hidden-unit symmetry
-        res = cma.minimize(objective, dim, x0=x0, sigma0=config.sigma0,
-                           population=config.population,
-                           max_evals=config.max_evals, seed=cma_ss)
+        res = cma.minimize(objective, dim, x0=x0, max_evals=config.max_evals,
+                           seed=cma_ss)
         total_evals += res.evals
         diagnostics.append(f"f_best={res.f_best:.6g} evals={res.evals}")
         if math.isfinite(res.f_best) and (best is None or res.f_best < best.f_best):
@@ -191,8 +160,6 @@ def fit_density(data, config: FitConfig) -> FitResult:
                        "evaluated: " + "; ".join(diagnostics))
 
     params = decode(best.x_best, n_v, n_h, config.lattice)
-    if config.standardize:
-        params = _destandardize(params, mean, scale)
     report = validate(params)
     if not report.valid:
         raise FitError(f"best fit failed validation: {report}")

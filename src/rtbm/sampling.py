@@ -31,13 +31,11 @@ RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
 class HiddenDistribution:
     """Truncated categorical over hidden lattice states.
 
-    ``log_weights`` are normalized (their log-sum-exp is zero); ``coverage``
-    records the relative truncation tolerance used for enumeration.
+    ``log_weights`` are normalized (their log-sum-exp is zero).
     """
 
     points: np.ndarray       # (K, n_h) int64
     log_weights: np.ndarray  # (K,)
-    coverage: float
 
 
 def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistribution:
@@ -51,7 +49,7 @@ def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistributi
     log_w = log_w[order]
     points.setflags(write=False)
     log_w.setflags(write=False)
-    return HiddenDistribution(points=points, log_weights=log_w, coverage=eps)
+    return HiddenDistribution(points=points, log_weights=log_w)
 
 
 def sample_visible(params: RtbmParams, count: int, seed,

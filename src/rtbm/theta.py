@@ -78,7 +78,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -114,35 +113,6 @@ def check_eps(eps) -> float:
     if not 0.0 < eps <= MAX_EPS:
         raise ValueError(f"eps must lie in (0, {MAX_EPS:g}], got {eps}")
     return eps
-
-
-@dataclass(frozen=True)
-class ThetaQuery:
-    """Argument pair (z, Omega) for a tilde-theta evaluation.
-
-    ``eps`` is the relative truncation tolerance: the omitted lattice mass
-    is certified to be below ``eps`` times the returned sum.
-    """
-
-    z: np.ndarray
-    omega: np.ndarray
-    lattice: Lattice = Lattice.FULL
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        omega = np.atleast_2d(np.asarray(self.omega, dtype=float))
-        h = z.shape[0]
-        if z.ndim != 1 or omega.shape != (h, h):
-            raise ValueError(f"shape mismatch: z {z.shape}, omega {omega.shape}")
-        if not np.isfinite(z).all() or not np.isfinite(omega).all():
-            raise ValueError("z and omega must be finite")
-        if np.abs(omega - omega.T).max() > 1e-10:
-            raise ValueError("omega must be symmetric")
-        object.__setattr__(self, "eps", check_eps(self.eps))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "lattice", Lattice(self.lattice))
 
 
 def _certified_radius(pivots, log_rel):
@@ -625,12 +595,6 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
                 terms[keep]
         result[shared] = _log_sums(g, f0, cols, quad, mask)
     return result
-
-
-def log_theta(query: ThetaQuery) -> float:
-    """Log of the tilde-theta lattice sum for a single argument."""
-    return float(log_theta_many(query.z[None, :], query.omega,
-                                query.lattice, query.eps)[0])
 
 
 def log_theta_reference(z, omega, lattice=Lattice.FULL, radius=10) -> float:

@@ -23,7 +23,7 @@ from rtbm.oracle import (StudentTParams, conditional_logpdf,
                          student_conditional)
 from rtbm.sampling import (empirical_conditional, hidden_distribution,
                            sample_visible)
-from rtbm.theta import Lattice, ThetaQuery, log_theta, log_theta_reference
+from rtbm.theta import Lattice, log_theta_many, log_theta_reference
 
 T_BENCH = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
 
@@ -68,7 +68,7 @@ def test_criterion_01_theta_oracle_equivalence():
         lattice = Lattice.FULL if case % 2 == 0 else Lattice.NONNEG
         omega = random_spd(rng, h, 0.5, 50.0)
         z = rng.uniform(-5.0, 5.0, h)
-        got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+        got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
         radius = int(np.ceil(np.abs(np.linalg.solve(omega, z)).max())) + 25
         ref = log_theta_reference(z, omega, lattice=lattice, radius=radius)
         worst = max(worst, abs(got - ref))

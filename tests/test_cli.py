@@ -68,6 +68,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"model {path} is invalid: Q - W^T T^-1 W is not finite" in err
 
+    def test_overflowing_density_point_is_1_and_named(self, tmp_path, capsys):
+        big = RtbmParams(t=[[1.0]], q=[[1e301]], w=[[1e150]], bv=[0.0], bh=[0.0])
+        path = tmp_path / "big_q.json"
+        save_model(big, path)
+        points = tmp_path / "points.csv"
+        points.write_text("0.5\n1e200\n")
+        code = run_command(["density", "--model", str(path), "--points-csv",
+                            str(points), "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert "W^T v + bh is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_success_is_0(self, model_path, tmp_path):
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-2:2:9,-2:2:9",
@@ -267,7 +279,20 @@ class TestFitCommand:
         assert trace.shape[1] == 2
         meta = json.loads((tmp_path / "fit.json.meta.json").read_text())
         assert meta["config"]["seed"] == 7
+        assert sorted(meta["config"]) == ["lattice", "max_evals", "n_h", "restarts",
+                                          "seed", "theta_eps"]
         assert math.isfinite(meta["nll"])
+
+    @pytest.mark.parametrize("flag", [["--population", "8"], ["--sigma0", "0.5"],
+                                      ["--standardize"]])
+    def test_fixed_tuning_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0\n0.5,0.1\n")
+        code = run_command(["fit", "--data", str(data), "--nh", "1",
+                            "--out", str(tmp_path / "fm.json")] + flag)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "fm.json").exists()
 
 
 class TestThetaTolerance:
@@ -298,15 +323,6 @@ class TestThetaTolerance:
                             "--theta-eps", "nan", "--out", str(tmp_path / "fm.json")])
         assert code == 2
         assert "--theta-eps" in capsys.readouterr().err
-
-    def test_nan_sigma0_is_data_error(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        data.write_text("1.0,2.0\n0.5,0.1\n")
-        code = run_command(["fit", "--data", str(data), "--nh", "1",
-                            "--sigma0", "nan", "--out", str(tmp_path / "fm.json")])
-        assert code == 1
-        assert "sigma0" in capsys.readouterr().err
-        assert not (tmp_path / "fm.json").exists()
 
 
 ILL_TYPED_T = {"nv": 1, "nh": 1, "T": "x", "Q": [[1]], "W": [[0]], "bv": [0], "bh": [0]}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_valid_params
 from rtbm.density import (condition, condition_on, log_marginal, log_pdf,
                           log_pdf_many)
+from rtbm.errors import RtbmError
 from rtbm.model import RtbmParams, validate
 from rtbm.oracle import quadrature_marginal
 from rtbm.theta import Lattice
@@ -63,6 +64,15 @@ class TestLogPdf:
     def test_dimension_check(self, tfit_params):
         with pytest.raises(ValueError, match="width"):
             log_pdf_many(tfit_params, np.zeros((3, 3)))
+
+    def test_overflowing_numerator_is_a_typed_error(self):
+        # a valid model (Schur matrix 9e300) whose theta argument W^T v + bh
+        # overflows at the second point
+        p = RtbmParams(t=[[1.0]], q=[[1e301]], w=[[1e150]], bv=[0.0], bh=[0.0])
+        assert validate(p).valid
+        with pytest.raises(RtbmError, match=r"W\^T v \+ bh is not finite .* "
+                           r"1 point\(s\), first at index 1"):
+            log_pdf_many(p, [[0.0], [1e200]])
 
 
 class TestLogMarginal:

@@ -5,15 +5,13 @@ import pytest
 
 import rtbm.density
 import rtbm.fit
-from conftest import random_valid_params
 from rtbm.cma import minimize
-from rtbm.errors import FitError
-from rtbm.density import log_pdf_many
-from rtbm.fit import (FitConfig, _destandardize, decode, fit_density,
-                      free_parameter_count, make_objective,
-                      negative_log_likelihood)
+from rtbm.errors import FitError, NotPositiveDefiniteError
+from rtbm.fit import (FitConfig, decode, fit_density, free_parameter_count,
+                      make_objective, negative_log_likelihood)
 from rtbm.model import RtbmParams, validate
 from rtbm.oracle import StudentTParams, sample_student
+from rtbm.theta import Lattice
 
 
 class TestNegativeLogLikelihood:
@@ -52,6 +50,11 @@ class TestNegativeLogLikelihood:
         p = RtbmParams(q=[[1.0]], bh=[0.0], **fields)
         assert negative_log_likelihood(p, [[0.5], [-1.0]]) == math.inf
 
+    def test_overflowing_numerator_scores_inf(self):
+        # valid (Schur matrix 9e300), but W^T v + bh overflows at the data row
+        p = RtbmParams(t=[[1.0]], q=[[1e301]], w=[[1e150]], bv=[0.0], bh=[0.0])
+        assert negative_log_likelihood(p, [[1e200]]) == math.inf
+
     def test_dimension_mismatch(self, tfit_params):
         with pytest.raises(ValueError, match="width"):
             negative_log_likelihood(tfit_params, np.zeros((5, 3)))
@@ -87,6 +90,13 @@ class TestEncodeDecode:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             decode(np.zeros(13), 2, 2)
+
+    @pytest.mark.parametrize("index, name", [(0, "T"), (1, "Q")])
+    def test_overflowing_factor_is_a_typed_error(self, index, name):
+        x = np.zeros(5)
+        x[index] = 400.0            # exp(400)^2 overflows
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{name} is not finite"):
+            decode(x, 1, 1)
 
 
 class TestMinimize:
@@ -149,6 +159,10 @@ class TestObjective:
         assert objective(x) == math.inf
         assert rows == [1]          # the normalizer's batch-1 sum only
 
+    def test_overflowing_candidate_scores_inf(self):
+        objective = make_objective(np.zeros((5, 1)), 1, 1, "full", 1e-6)
+        assert objective(np.array([400.0, 0.0, 0.0, 0.0, 0.0])) == math.inf
+
     def test_feasible_candidate_scores_its_nll(self, monkeypatch):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((100, 2))
@@ -159,23 +173,6 @@ class TestObjective:
         assert math.isfinite(value)
         assert value == negative_log_likelihood(decode(x, 2, 2), data, 1e-12)
         assert rows[:2] == [1, 100]
-
-
-class TestStandardization:
-    def test_destandardize_is_exact_change_of_variables(self):
-        # a model of z = (x - mean) / scale, mapped back, must satisfy
-        # log p_x(x) = log p_z(z) - sum(log scale) pointwise
-        rng = np.random.default_rng(17)
-        inner = random_valid_params(rng, 2, 2)
-        mean = np.array([3.0, -1.5])
-        scale = np.array([2.5, 0.4])
-        outer = _destandardize(inner, mean, scale)
-        assert validate(outer).valid
-        xs = mean + rng.standard_normal((50, 2)) * scale * 3
-        zs = (xs - mean) / scale
-        expected = log_pdf_many(inner, zs) - np.log(scale).sum()
-        np.testing.assert_allclose(log_pdf_many(outer, xs), expected,
-                                   atol=1e-10, rtol=0)
 
 
 class TestFitDensity:
@@ -204,10 +201,22 @@ class TestFitDensity:
         best = [f for _, f in a.trace]
         assert all(y <= x for x, y in zip(best, best[1:]))
 
+    def test_orthant_lattice_fit(self):
+        data = np.random.default_rng(12).standard_normal((300, 2))
+        cfg = FitConfig(n_h=1, restarts=1, max_evals=200, seed=3,
+                        lattice=Lattice.NONNEG)
+        res = fit_density(data, cfg)
+        assert res.params.lattice is Lattice.NONNEG
+        assert validate(res.params).valid
+        assert res.nll == negative_log_likelihood(res.params, data)
+        again = fit_density(data, cfg)
+        assert again.nll == res.nll and again.evals == res.evals
+        for name in ("t", "q", "w", "bv", "bh"):
+            np.testing.assert_array_equal(getattr(again.params, name),
+                                          getattr(res.params, name))
+
     @pytest.mark.parametrize("field, value", [("theta_eps", math.nan),
-                                              ("theta_eps", 5.0),
-                                              ("sigma0", math.nan),
-                                              ("sigma0", math.inf)])
+                                              ("theta_eps", 5.0)])
     def test_config_rejects_bad_float(self, field, value):
         with pytest.raises(ValueError, match=field.split("_")[-1]):
             FitConfig(n_h=1, **{field: value})

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from rtbm.errors import NotPositiveDefiniteError, ThetaTruncationError
-from rtbm.theta import (Lattice, ThetaQuery, log_theta, log_theta_many,
-                        log_theta_reference)
+from rtbm.theta import Lattice, log_theta_many, log_theta_reference
 
 
 def direct_1d_sum(omega, z, lattice, radius):
@@ -22,14 +21,14 @@ class TestKnownValues:
     def test_full_lattice_scalar(self):
         expected = direct_1d_sum(2.0, 0.0, Lattice.FULL, 6)
         assert expected == pytest.approx(0.572468, abs=1e-6)
-        got = log_theta(ThetaQuery(z=np.array([0.0]), omega=np.array([[2.0]])))
+        got = log_theta_many(np.array([[0.0]]), np.array([[2.0]]))[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_nonneg_lattice_scalar(self):
         expected = direct_1d_sum(2.0, 0.0, Lattice.NONNEG, 6)
         assert expected == pytest.approx(0.326652, abs=1e-6)
-        got = log_theta(ThetaQuery(z=np.array([0.0]), omega=np.array([[2.0]]),
-                                   lattice=Lattice.NONNEG))
+        got = log_theta_many(np.array([[0.0]]), np.array([[2.0]]),
+                             lattice=Lattice.NONNEG)[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_reference_nearest_neighbors(self):
@@ -57,7 +56,7 @@ class TestAgainstReference:
             h = int(rng.integers(1, 4))
             omega = random_spd(rng, h)
             z = rng.uniform(-5, 5, h)
-            got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+            got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
             radius = int(np.ceil(np.abs(np.linalg.solve(omega, z)).max())) + 25
             ref = log_theta_reference(z, omega, lattice=lattice, radius=radius)
             assert got == pytest.approx(ref, abs=1e-12)
@@ -67,7 +66,7 @@ class TestAgainstReference:
         omega = random_spd(rng, 2)
         zs = rng.uniform(-8, 8, (40, 2))
         batch = log_theta_many(zs, omega)
-        singles = [log_theta(ThetaQuery(z=z, omega=omega)) for z in zs]
+        singles = [log_theta_many(z[None, :], omega)[0] for z in zs]
         np.testing.assert_array_equal(batch, singles)
 
     def test_large_arguments_are_anchored(self):
@@ -76,7 +75,7 @@ class TestAgainstReference:
         z = np.array([800.0, -500.0])
         radius = int(np.ceil(np.abs(np.linalg.solve(omega, z)).max())) + 30
         ref = log_theta_reference(z, omega, radius=radius)
-        got = log_theta(ThetaQuery(z=z, omega=omega))
+        got = log_theta_many(z[None, :], omega)[0]
         assert np.isfinite(got)
         assert got == pytest.approx(ref, abs=1e-10)
 
@@ -88,8 +87,8 @@ class TestProperties:
     def test_full_lattice_symmetry(self, z, seed):
         z = np.array(z)
         omega = random_spd(np.random.default_rng(seed), z.shape[0])
-        plus = log_theta(ThetaQuery(z=z, omega=omega))
-        minus = log_theta(ThetaQuery(z=-z, omega=omega))
+        plus = log_theta_many(z[None, :], omega)[0]
+        minus = log_theta_many(-z[None, :], omega)[0]
         assert plus == pytest.approx(minus, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -98,8 +97,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         omega = random_spd(rng, 2)
         z = rng.uniform(-5, 5, 2)
-        loose = log_theta(ThetaQuery(z=z, omega=omega, eps=1e-5))
-        tight = log_theta(ThetaQuery(z=z, omega=omega, eps=1e-13))
+        loose = log_theta_many(z[None, :], omega, eps=1e-5)[0]
+        tight = log_theta_many(z[None, :], omega, eps=1e-13)[0]
         assert abs(loose - tight) <= 1e-5 + 1e-13
 
     @settings(max_examples=40, deadline=None)
@@ -108,7 +107,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         omega = random_spd(rng, 2)
         z = rng.uniform(-5, 5, 2)
-        total = log_theta(ThetaQuery(z=z, omega=omega))
+        total = log_theta_many(z[None, :], omega)[0]
         best = np.rint(np.linalg.solve(omega, z))
         largest = -0.5 * best @ omega @ best + best @ z
         assert total >= largest - 1e-12
@@ -126,16 +125,6 @@ class TestErrors:
         omega = np.diag([1e-6, 1e-6, 1e4])
         with pytest.raises(ThetaTruncationError, match="not converged.*work cap"):
             log_theta_many(np.array([[4e-6, 0.0, 0.0]]), omega)
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError, match="eps"):
-            ThetaQuery(z=np.zeros(1), omega=np.eye(1), eps=0.5)
-        with pytest.raises(ValueError, match="symmetric"):
-            ThetaQuery(z=np.zeros(2), omega=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_query_rejects_nan_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            ThetaQuery(z=np.zeros(1), omega=np.eye(1), eps=math.nan)
 
     @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 5.0, 2e-3, math.inf])
     def test_out_of_range_eps_rejected(self, eps):
@@ -171,7 +160,7 @@ class TestEllipsoidKernel:
         omega = spd_with_eigenvalues(rng, eigs)
         for _ in range(3):
             z = omega @ rng.uniform(-4, 4, len(eigs))
-            got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+            got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
             radius = reference_radius(z, omega, min(eigs))
             ref = log_theta_reference(z, omega, lattice=lattice, radius=radius)
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
@@ -187,7 +176,7 @@ class TestEllipsoidKernel:
         lam_min = np.linalg.eigvalsh(omega)[0]
         for _ in range(3):
             z = omega @ rng.uniform(-4, 4, 2)
-            got = log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice))
+            got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
             ref = log_theta_reference(z, omega, lattice=lattice,
                                       radius=reference_radius(z, omega, lam_min))
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
@@ -198,11 +187,11 @@ class TestEllipsoidKernel:
         h = len(nhat)
         omega = spd_with_eigenvalues(rng, np.linspace(0.5, 6.0, h))
         z = omega @ np.array(nhat)
-        got = log_theta(ThetaQuery(z=z, omega=omega, lattice=Lattice.NONNEG))
+        got = log_theta_many(z[None, :], omega, lattice=Lattice.NONNEG)[0]
         ref = log_theta_reference(z, omega, lattice=Lattice.NONNEG, radius=30)
         assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
         # the orthant sum is far below the unconstrained one
-        assert got < log_theta(ThetaQuery(z=z, omega=omega)) - 1.0
+        assert got < log_theta_many(z[None, :], omega)[0] - 1.0
 
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     @pytest.mark.parametrize("h", [3, 4])
@@ -213,7 +202,7 @@ class TestEllipsoidKernel:
         targets = rng.uniform(-40 if lattice is Lattice.FULL else -4, 40, (25, h))
         zs = targets @ omega + rng.uniform(-1, 1, (25, h))
         batch = log_theta_many(zs, omega, lattice=lattice)
-        singles = [log_theta(ThetaQuery(z=z, omega=omega, lattice=lattice)) for z in zs]
+        singles = [log_theta_many(z[None, :], omega, lattice=lattice)[0] for z in zs]
         np.testing.assert_array_equal(batch, singles)
         reversed_batch = log_theta_many(zs[::-1], omega, lattice=lattice)
         np.testing.assert_array_equal(batch[::-1], reversed_batch)
@@ -407,7 +396,7 @@ class TestDualSums:
         assert self.is_dual(omega)
         for _ in range(3):
             z = omega @ rng.uniform(-4, 4, len(eigs))
-            got = log_theta(ThetaQuery(z=z, omega=omega))
+            got = log_theta_many(z[None, :], omega)[0]
             ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, min(eigs)))
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
@@ -441,7 +430,7 @@ class TestDualSums:
         assert self.is_dual(omega)
         zs = rng.uniform(-40, 40, (25, h)) @ omega + rng.uniform(-1, 1, (25, h))
         batch = log_theta_many(zs, omega)
-        singles = [log_theta(ThetaQuery(z=z, omega=omega)) for z in zs]
+        singles = [log_theta_many(z[None, :], omega)[0] for z in zs]
         np.testing.assert_array_equal(batch, singles)
         np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega))
 
