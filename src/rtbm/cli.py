@@ -10,13 +10,13 @@ mse          mean squared difference of two density CSV columns
 student      generate Student-t samples / evaluate analytic conditionals
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
-``--theta-eps``, ``--seed``, ``--restarts`` and ``--max-evals`` fall back
-to the environment variables RTBM_THETA_EPS, RTBM_SEED, RTBM_RESTARTS and
-RTBM_MAX_EVALS when the flag is absent; a malformed value in any of them is
-a usage error, and so is a theta tolerance outside (0, 1e-3].  Data and
-point CSVs with NaN or infinite values in the columns used, column indices
-outside a CSV, and model files with a missing or ill-typed field are
-rejected as data errors.
+``--seed``, ``--restarts`` and ``--max-evals`` fall back to the environment
+variables RTBM_SEED, RTBM_RESTARTS and RTBM_MAX_EVALS when the flag is
+absent; a malformed value in any of them is a usage error.  Every theta sum
+is certified to the package's fixed relative tolerance, 1e-12.  Data and
+point CSVs with no rows or with NaN or infinite values in the columns used,
+column indices outside a CSV, and model files with a missing or ill-typed
+field are rejected as data errors.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .model import load_model, save_model, validate, write_atomic, write_json
 from .oracle import (StudentTParams, conditional_logpdf, sample_student,
                      student_conditional)
 from .sampling import RNG_NAME, sample_visible
-from .theta import DEFAULT_EPS, Lattice, check_eps
+from .theta import Lattice
 
 ENV_PREFIX = "RTBM_"
 
@@ -56,14 +57,6 @@ def _env_default(parser, name, cast, fallback):
                        f"{var}={raw!r} is not a valid {cast.__name__}: {exc}\n")
 
 
-def tolerance(raw):
-    """A theta tolerance from a flag or variable; 0 < eps <= 1e-3."""
-    try:
-        return check_eps(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def conditional_mse(reference, candidate) -> float:
     """Mean squared difference of two aligned density-value arrays."""
     reference = np.asarray(reference, dtype=float).ravel()
@@ -79,7 +72,11 @@ def _write_csv(path, rows):
 
 
 def _read_csv(path, cols=None):
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise RtbmError(f"{path}: no data rows")
     if cols is not None:
         width = data.shape[1]
         outside = [c for c in cols if not -width <= c < width]
@@ -170,7 +167,7 @@ def _cmd_fit(args):
     data = _read_csv(args.data)
     config = FitConfig(
         n_h=args.nh, restarts=args.restarts, max_evals=args.max_evals,
-        seed=args.seed, theta_eps=args.theta_eps, lattice=Lattice(args.lattice))
+        seed=args.seed, lattice=Lattice(args.lattice))
     start = time.time()
     result = fit_density(data, config)
     wall = time.time() - start
@@ -189,7 +186,7 @@ def _cmd_fit(args):
         "config": {
             "n_h": config.n_h, "restarts": config.restarts,
             "max_evals": config.max_evals, "seed": config.seed,
-            "theta_eps": config.theta_eps, "lattice": config.lattice.value,
+            "lattice": config.lattice.value,
         },
     })
     print(f"nll {result.nll:.6f}")
@@ -200,7 +197,7 @@ def _cmd_fit(args):
 def _cmd_density(args):
     params = _load_valid_model(args.model)
     pts = _eval_points(args, params.n_v)
-    logp = log_pdf_many(params, pts, eps=args.theta_eps)
+    logp = log_pdf_many(params, pts)
     _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
     return 0
 
@@ -216,12 +213,12 @@ def _cmd_conditional(args):
 
 def _cmd_sample(args):
     params = _load_valid_model(args.model)
-    samples = sample_visible(params, args.count, args.seed, eps=args.theta_eps)
+    samples = sample_visible(params, args.count, args.seed)
     _write_csv(args.out, samples)
     if args.meta:
         write_json(args.meta, {
             "command": "sample", "model": args.model, "count": args.count,
-            "seed": args.seed, "theta_eps": args.theta_eps, "rng": RNG_NAME,
+            "seed": args.seed, "rng": RNG_NAME,
         })
     return 0
 
@@ -280,7 +277,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    theta_eps = _env_default(parser, "theta-eps", tolerance, DEFAULT_EPS)
     seed = _env_default(parser, "seed", int, 0)
 
     p = sub.add_parser("fit", help="train a model on CSV samples")
@@ -292,7 +288,6 @@ def build_parser():
                    default=_env_default(parser, "restarts", int, 5))
     p.add_argument("--max-evals", type=int,
                    default=_env_default(parser, "max-evals", int, 50000))
-    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
                    default=Lattice.FULL.value)
     p.add_argument("--trace", help="trace CSV path (default <out>.trace.csv)")
@@ -302,7 +297,6 @@ def build_parser():
     p = sub.add_parser("density", help="evaluate a model density")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     _add_eval_point_flags(p)
     p.set_defaults(func=_cmd_density)
 
@@ -317,7 +311,6 @@ def build_parser():
     p.add_argument("--count", required=True, type=int)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta-eps", type=tolerance, default=theta_eps)
     p.add_argument("--meta", help="optional run metadata JSON path")
     p.set_defaults(func=_cmd_sample)
 

@@ -35,23 +35,23 @@ def _logdet_from_chol(chol):
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
-def log_normalizer(params: RtbmParams, eps=DEFAULT_EPS) -> float:
-    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model and eps."""
-    memo, key = params.memo, ("log_normalizer", eps)
-    if key not in memo:
-        memo[key] = log_theta_many(params.z_schur[None, :], params.schur,
-                                   params.lattice, eps)[0]
-    return memo[key]
+def log_normalizer(params: RtbmParams) -> float:
+    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model."""
+    memo = params.memo
+    if "log_normalizer" not in memo:
+        memo["log_normalizer"] = log_theta_many(
+            params.z_schur[None, :], params.schur, params.lattice, DEFAULT_EPS)[0]
+    return memo["log_normalizer"]
 
 
-def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
+def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     """Visible-sector log-density at each row of ``vs`` (shape (B, n_v))."""
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape[1] != params.n_v:
         raise ValueError(f"points have width {vs.shape[1]}, expected {params.n_v}")
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
-    log_norm = log_normalizer(params, eps)
+    log_norm = log_normalizer(params)
     with np.errstate(over="ignore", invalid="ignore"):
         z_num = vs @ params.w + params.bh
     bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))
@@ -59,19 +59,20 @@ def log_pdf_many(params: RtbmParams, vs, eps=DEFAULT_EPS) -> np.ndarray:
         raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
                         f"first at index {bad[0]}")
     u = vs + params.tinv_bv
-    half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
-    log_num = log_theta_many(z_num, sym(params.q), params.lattice, eps)
+    with np.errstate(over="ignore"):    # a far point's +inf gives log P = -inf
+        half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
+    log_num = log_theta_many(z_num, sym(params.q), params.lattice, DEFAULT_EPS)
 
     return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI
             - half_quad + log_num - log_norm)
 
 
-def log_pdf(params: RtbmParams, v, eps=DEFAULT_EPS) -> float:
+def log_pdf(params: RtbmParams, v) -> float:
     """Visible-sector log-density at a single point."""
-    return float(log_pdf_many(params, np.asarray(v, dtype=float)[None, :], eps)[0])
+    return float(log_pdf_many(params, np.asarray(v, dtype=float)[None, :])[0])
 
 
-def log_marginal(params: RtbmParams, m: int, d, eps=DEFAULT_EPS) -> float:
+def log_marginal(params: RtbmParams, m: int, d) -> float:
     """Closed-form log P(d): the leading m coordinates integrated out.
 
     ``d`` holds the trailing n_v - m coordinates.  Requires 0 < m < n_v;
@@ -86,7 +87,7 @@ def log_marginal(params: RtbmParams, m: int, d, eps=DEFAULT_EPS) -> float:
             - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
             - 0.5 * float(params.bv @ params.tinv_bv)
             + 0.5 * float(child.bv @ child.tinv_bv)
-            + log_normalizer(child, eps) - log_normalizer(params, eps))
+            + log_normalizer(child) - log_normalizer(params))
 
 
 def condition(params: RtbmParams, m: int, d) -> RtbmParams:

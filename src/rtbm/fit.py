@@ -22,7 +22,7 @@ from . import cma
 from .density import log_pdf_many
 from .errors import FitError, RtbmError
 from .model import RtbmParams, _finite, validate
-from .theta import DEFAULT_EPS, Lattice, check_eps
+from .theta import Lattice
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,11 @@ class FitConfig:
     restarts: int = 5
     max_evals: int = 50000
     seed: int = 0
-    theta_eps: float = DEFAULT_EPS
     lattice: Lattice = Lattice.FULL
 
     def __post_init__(self):
         if self.n_h < 1 or self.restarts < 1 or self.max_evals < 1:
             raise ValueError("n_h, restarts and max_evals must be positive")
-        check_eps(self.theta_eps)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     return RtbmParams(t=t, q=q, w=w, bv=bv, bh=bh, lattice=lattice)
 
 
-def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
+def negative_log_likelihood(params: RtbmParams, data) -> float:
     """Summed negative log-density over the rows of ``data``.
 
     Malformed data (wrong width, no rows, NaN or infinite values) raises
@@ -99,7 +97,7 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
     try:
-        lp = log_pdf_many(params, data, eps)
+        lp = log_pdf_many(params, data)
     except RtbmError:
         return math.inf
     if not np.isfinite(lp).all():
@@ -107,14 +105,14 @@ def negative_log_likelihood(params: RtbmParams, data, eps=DEFAULT_EPS) -> float:
     return float(-lp.sum())
 
 
-def make_objective(data, n_v, n_h, lattice, eps):
+def make_objective(data, n_v, n_h, lattice):
     """NLL over the encoding; +inf where the decoded model is invalid."""
     def objective(x):
         try:
             params = decode(x, n_v, n_h, lattice)
         except RtbmError:           # T or Q overflowed
             return math.inf
-        return negative_log_likelihood(params, data, eps)
+        return negative_log_likelihood(params, data)
     return objective
 
 
@@ -136,7 +134,7 @@ def fit_density(data, config: FitConfig) -> FitResult:
     n_h = config.n_h
     dim = free_parameter_count(n_v, n_h)
 
-    objective = make_objective(data, n_v, n_h, config.lattice, config.theta_eps)
+    objective = make_objective(data, n_v, n_h, config.lattice)
     bh_slice = slice(dim - n_h, dim)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
@@ -163,6 +161,6 @@ def fit_density(data, config: FitConfig) -> FitResult:
     report = validate(params)
     if not report.valid:
         raise FitError(f"best fit failed validation: {report}")
-    nll = negative_log_likelihood(params, data, config.theta_eps)
+    nll = negative_log_likelihood(params, data)
     return FitResult(params=params, nll=nll, trace=best.trace,
                      evals=total_evals)

@@ -122,7 +122,7 @@ class RtbmParams:
     @cached_property
     def memo(self) -> dict:
         """Values ``density`` derives from this model and keeps on it: the log
-        normalizer per tolerance and the validation report."""
+        normalizer and the validation report."""
         return {}
 
 
@@ -181,21 +181,6 @@ def validate(params: RtbmParams) -> ValidationReport:
                 f"{rule}-not-positive-definite",
                 f"{name} not positive definite (min eigenvalue ~ {lam:.6g})", lam))
     return ValidationReport(tuple(bad))
-
-
-def permute(params: RtbmParams, perm) -> RtbmParams:
-    """Relabel visible coordinates: new coordinate i is old coordinate perm[i].
-
-    Rows/columns of T, rows of W and entries of bv move together, so the
-    returned model satisfies P'(v[perm]) = P(v) pointwise.  Q and bh are
-    untouched.
-    """
-    idx = np.asarray(perm, dtype=np.int64)
-    if sorted(idx.tolist()) != list(range(params.n_v)):
-        raise ValueError(f"perm must be a bijection on 0..{params.n_v - 1}")
-    return RtbmParams(
-        t=params.t[np.ix_(idx, idx)], q=params.q, w=params.w[idx, :],
-        bv=params.bv[idx], bh=params.bh, lattice=params.lattice)
 
 
 def to_dict(params: RtbmParams) -> dict:

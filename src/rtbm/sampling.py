@@ -5,8 +5,9 @@ lattice: component n has weight proportional to
 exp(-n^T (Q - W^T T^-1 W) n / 2 + (bh - W^T T^-1 bv)^T n), mean
 T^-1 (W n - bv) and covariance T^-1.  The hidden states are the lattice
 points the theta kernel enumerates for the normalizer, whose omitted mass
-is certified below the relative tolerance ``eps``, so sampling is
-inverse-CDF over a finite categorical plus one Gaussian draw.
+is certified below the package's relative tolerance ``theta.DEFAULT_EPS``
+(1e-12), so sampling is inverse-CDF over a finite categorical plus one
+Gaussian draw.
 
 Randomness: numpy's PCG64 via ``default_rng(seed)``; per-run substreams
 are derived with ``SeedSequence.spawn``.  Results depend only on
@@ -38,10 +39,10 @@ class HiddenDistribution:
     log_weights: np.ndarray  # (K,)
 
 
-def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistribution:
+def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
     """Hidden-state probabilities over the normalizer's certified lattice points."""
     total, points, terms = log_theta_many(
-        params.z_schur[None, :], params.schur, params.lattice, eps,
+        params.z_schur[None, :], params.schur, params.lattice, DEFAULT_EPS,
         collect_terms=True)
     log_w = terms - total[0]
     order = np.lexsort(points.T[::-1])  # deterministic point order
@@ -52,8 +53,7 @@ def hidden_distribution(params: RtbmParams, eps=DEFAULT_EPS) -> HiddenDistributi
     return HiddenDistribution(points=points, log_weights=log_w)
 
 
-def sample_visible(params: RtbmParams, count: int, seed,
-                   eps=DEFAULT_EPS) -> np.ndarray:
+def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
     """Draw ``count`` visible configurations, deterministic per seed.
 
     Hidden states by inverse CDF over the truncated weights, then the
@@ -62,7 +62,7 @@ def sample_visible(params: RtbmParams, count: int, seed,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    hidden = hidden_distribution(params, eps)
+    hidden = hidden_distribution(params)
     weights = np.exp(hidden.log_weights)
     cdf = np.cumsum(weights)
     cdf[-1] = max(cdf[-1], 1.0)

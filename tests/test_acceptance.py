@@ -209,7 +209,7 @@ def test_criterion_07_sampler_fidelity(tfit_params):
 def test_criterion_08_mixture_equivalence(fixtures):
     worst = 0.0
     for name, params in fixtures.items():
-        hd = hidden_distribution(params, eps=1e-13)
+        hd = hidden_distribution(params)
         chol = la.cholesky(params.t, lower=True)
         means = la.cho_solve((chol, True),
                              params.w @ hd.points.T - params.bv[:, None]).T

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ class TestExitCodes:
         assert code == 1
         assert "W^T v + bh is not finite" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("command", [["density", "--grid", "-1:1:3,-1:1:3"],
+                                         ["sample", "--count", "1"]])
+    def test_theta_tolerance_flag_is_a_usage_error(self, model_path, tmp_path,
+                                                   capsys, command):
+        out = tmp_path / "o.csv"
+        code = run_command(command[:1] + ["--model", str(model_path), "--out", str(out),
+                                          "--theta-eps", "1e-6"] + command[1:])
+        assert code == 2
+        assert "unrecognized arguments: --theta-eps 1e-6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_success_is_0(self, model_path, tmp_path):
         assert run_command(["density", "--model", str(model_path),
@@ -208,7 +220,6 @@ class TestEnvOverrides:
         np.testing.assert_array_equal(read_csv(a), read_csv(b))
 
     @pytest.mark.parametrize("var, value", [("RTBM_SEED", "abc"),
-                                            ("RTBM_THETA_EPS", "tiny"),
                                             ("RTBM_MAX_EVALS", "1e3")])
     def test_malformed_environment_is_usage_error(self, model_path, tmp_path,
                                                   monkeypatch, capsys, var, value):
@@ -261,6 +272,22 @@ class TestNonFiniteData:
                             "--points-csv", str(pts), "--points-cols", "0,1",
                             "--out", str(tmp_path / "d.csv")]) == 0
 
+    @pytest.mark.parametrize("command", ["fit", "density"])
+    def test_empty_csv_is_a_named_data_error(self, model_path, tmp_path, capsys,
+                                             command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        argv = {"fit": ["fit", "--data", str(empty), "--nh", "1"],
+                "density": ["density", "--model", str(model_path),
+                            "--points-csv", str(empty)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # loadtxt warns on an empty file
+            code = run_command(argv + ["--out", str(out)])
+        assert code == 1
+        assert f"error: {empty}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     @pytest.mark.slow
@@ -280,49 +307,21 @@ class TestFitCommand:
         meta = json.loads((tmp_path / "fit.json.meta.json").read_text())
         assert meta["config"]["seed"] == 7
         assert sorted(meta["config"]) == ["lattice", "max_evals", "n_h", "restarts",
-                                          "seed", "theta_eps"]
+                                          "seed"]
         assert math.isfinite(meta["nll"])
 
     @pytest.mark.parametrize("flag", [["--population", "8"], ["--sigma0", "0.5"],
-                                      ["--standardize"]])
+                                      ["--standardize"], ["--theta-eps", "1e-6"]])
     def test_fixed_tuning_flags_are_usage_errors(self, tmp_path, capsys, flag):
         data = tmp_path / "data.csv"
         data.write_text("1.0,2.0\n0.5,0.1\n")
-        code = run_command(["fit", "--data", str(data), "--nh", "1",
-                            "--out", str(tmp_path / "fm.json")] + flag)
+        # a small budget, so that a flag that is accepted fails fast
+        code = run_command(["fit", "--data", str(data), "--nh", "1", "--restarts", "1",
+                            "--max-evals", "8", "--out", str(tmp_path / "fm.json")] + flag)
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "fm.json").exists()
 
-
-class TestThetaTolerance:
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "5", "inf"])
-    def test_bad_flag_is_usage_error(self, model_path, tmp_path, capsys, value):
-        out = tmp_path / "d.csv"
-        code = run_command(["density", "--model", str(model_path), "--grid",
-                            "-1:1:3,-1:1:3", "--theta-eps", value, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--theta-eps" in err and "eps must lie in (0, 0.001]" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "-1", "5"])
-    def test_bad_environment_is_usage_error(self, model_path, tmp_path,
-                                            monkeypatch, capsys, value):
-        monkeypatch.setenv("RTBM_THETA_EPS", value)
-        code = run_command(["sample", "--model", str(model_path), "--count",
-                            "1", "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"RTBM_THETA_EPS={value!r}" in err and "eps must lie" in err
-
-    def test_fit_flag_checked_before_fitting(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        data.write_text("1.0,2.0\n0.5,0.1\n")
-        code = run_command(["fit", "--data", str(data), "--nh", "1",
-                            "--theta-eps", "nan", "--out", str(tmp_path / "fm.json")])
-        assert code == 2
-        assert "--theta-eps" in capsys.readouterr().err
 
 
 ILL_TYPED_T = {"nv": 1, "nh": 1, "T": "x", "Q": [[1]], "W": [[0]], "bv": [0], "bh": [0]}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ class TestLogPdf:
         with pytest.raises(RtbmError, match=r"W\^T v \+ bh is not finite .* "
                            r"1 point\(s\), first at index 1"):
             log_pdf_many(p, [[0.0], [1e200]])
+
+    def test_far_point_is_minus_inf_without_warning(self):
+        # u^T T u / 2 overflows to +inf at v = 1e200; W = 0 keeps theta finite
+        p = RtbmParams(t=[[1.0]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp = log_pdf_many(p, [[0.0], [1e200]])
+        assert logp[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
+        assert logp[1] == -math.inf
 
 
 class TestLogMarginal:
@@ -159,16 +169,18 @@ class TestCondition:
                                          "constructed_3d_params"])
     def test_condition_on_matches_permuted_parent(self, fixture, request):
         # the child is built from the parent's arrays by index, bit for bit
-        # as conditioning the permuted parent on its trailing block
-        from rtbm.model import permute
-
+        # as conditioning the relabelled parent on its trailing block
         params = request.getfixturevalue(fixture)
         rng = np.random.default_rng(params.n_v)
         for indices in ([0], [params.n_v - 1], list(range(params.n_v - 1, 0, -1))):
             values = rng.standard_normal(len(indices))
             free = [i for i in range(params.n_v) if i not in indices]
             child, got_free = condition_on(params, indices, values)
-            expected = condition(permute(params, free + indices), len(free), values)
+            order = free + indices
+            moved = RtbmParams(t=params.t[np.ix_(order, order)], q=params.q,
+                               w=params.w[order], bv=params.bv[order], bh=params.bh,
+                               lattice=params.lattice)
+            expected = condition(moved, len(free), values)
             assert got_free == free
             for name in ("t", "q", "w", "bv", "bh"):
                 np.testing.assert_array_equal(getattr(child, name), getattr(expected, name))
@@ -233,13 +245,13 @@ class TestPreparedModel:
         assert calls == {"cholesky": 1, "theta": 3}
         np.testing.assert_array_equal(first, second)
 
-    def test_normalizer_kept_per_eps(self, tfit_params, monkeypatch):
+    def test_normalizer_kept_per_model(self, tfit_params, monkeypatch):
         calls = self.count_calls(monkeypatch)
         log_marginal(tfit_params, 1, [0.4])
-        log_marginal(tfit_params, 1, [0.4], eps=1e-6)
+        log_marginal(tfit_params, 1, [0.4])
         log_pdf(tfit_params, [0.1, 0.4])
-        # two normalizers of the parent, two of the children, one numerator
-        assert calls["theta"] == 5
+        # one normalizer of the parent, one of each child, one numerator
+        assert calls["theta"] == 4
 
     def test_conditioning_validates_the_parent_once(self, tfit_params, monkeypatch):
         import rtbm.density

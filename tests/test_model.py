@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (CONSTRUCTED_2D, CONSTRUCTED_2D_BAD_Q,
-                      CONSTRUCTED_3D, TFIT, random_valid_params)
+                      CONSTRUCTED_3D, TFIT)
 from rtbm.density import condition, log_pdf_many
 from rtbm.errors import NotPositiveDefiniteError
-from rtbm.model import (RtbmParams, from_dict, load_model, permute,
-                        save_model, to_dict, validate)
+from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
+                        validate)
 from rtbm.theta import Lattice
 
 
@@ -97,37 +95,6 @@ class TestBlockSplit:
             condition(tfit_params, 0, [1.0, 2.0])
         with pytest.raises(ValueError, match="m must be in"):
             condition(tfit_params, 3, [])
-
-
-class TestPermute:
-    def test_identity(self, tfit_params):
-        p = permute(tfit_params, [0, 1])
-        assert np.array_equal(p.t, tfit_params.t)
-        assert np.array_equal(p.w, tfit_params.w)
-
-    def test_swap_is_conjugation(self, tfit_params):
-        # oracle: conjugate by the explicit permutation matrix
-        pmat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        swapped = permute(tfit_params, [1, 0])
-        np.testing.assert_array_equal(swapped.t, pmat @ tfit_params.t @ pmat.T)
-        np.testing.assert_allclose(swapped.t, [[0.30, 0.18], [0.18, 0.56]], rtol=0)
-        np.testing.assert_array_equal(swapped.w, tfit_params.w[[1, 0], :])
-        assert np.array_equal(swapped.q, tfit_params.q)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_density_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        params = random_valid_params(rng, 3, 2)
-        perm = rng.permutation(3)
-        vs = rng.standard_normal((20, 3))
-        base = log_pdf_many(params, vs)
-        moved = log_pdf_many(permute(params, perm), vs[:, perm])
-        np.testing.assert_allclose(moved, base, atol=1e-12, rtol=0)
-
-    def test_not_a_bijection(self, tfit_params):
-        with pytest.raises(ValueError, match="bijection"):
-            permute(tfit_params, [0, 0])
 
 
 class TestSerialization:

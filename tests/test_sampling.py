@@ -6,16 +6,16 @@ from scipy.special import logsumexp
 from conftest import random_valid_params
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
-from rtbm.model import RtbmParams, permute
+from rtbm.model import RtbmParams
 from rtbm.oracle import quadrature_marginal
 from rtbm.sampling import (empirical_conditional, hidden_distribution,
                            make_histogram, sample_visible)
 from rtbm.theta import Lattice
 
 
-def mixture_logpdf(params, vs, eps=1e-13):
+def mixture_logpdf(params, vs):
     """Brute-force Gaussian-mixture evaluation of the visible density."""
-    hd = hidden_distribution(params, eps)
+    hd = hidden_distribution(params)
     chol = la.cholesky(params.t, lower=True)
     means = la.cho_solve((chol, True),
                          params.w @ hd.points.T - params.bv[:, None]).T
@@ -88,7 +88,9 @@ class TestSampleVisible:
         s = sample_visible(constructed_3d_params, 50000, seed=31)
         hist = make_histogram(s[:, :2], bins=30)
         cx, cy = hist.centers
-        moved = permute(constructed_3d_params, [2, 0, 1])
+        p, order = constructed_3d_params, [2, 0, 1]
+        moved = RtbmParams(t=p.t[np.ix_(order, order)], q=p.q, w=p.w[order],
+                           bv=p.bv[order], bh=p.bh)
         ref = np.empty((cx.size, cy.size))
         for i, x in enumerate(cx):
             for j, y in enumerate(cy):
