@@ -6,24 +6,21 @@ fit          train a model on a headerless CSV of samples
 density      evaluate a model on a grid or at points from a CSV
 conditional  write the child model for ``--on idx=value[,...]``
 sample       draw seeded samples to CSV
-mse          mean squared difference of two density CSV columns
+mse          mean squared difference of the density columns of two CSVs
 student      generate Student-t samples / evaluate analytic conditionals
 
-Exit codes: 0 success, 1 validation or data error, 2 usage error.
-``--seed``, ``--restarts`` and ``--max-evals`` fall back to the environment
-variables RTBM_SEED, RTBM_RESTARTS and RTBM_MAX_EVALS when the flag is
-absent; a malformed value in any of them is a usage error.  Every theta sum
-is certified to the package's fixed relative tolerance, 1e-12.  Data and
-point CSVs with no rows or with NaN or infinite values in the columns used,
-column indices outside a CSV, and model files with a missing or ill-typed
-field are rejected as data errors.
+Exit codes: 0 success, 1 validation or data error, 2 usage error.  Every
+setting comes from its flag.  Every theta sum is certified to the package's
+fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
+NaN or infinite values in the columns used, column indices outside a CSV,
+model files with a missing or ill-typed field, and requests too large to
+allocate are rejected as data errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -40,22 +37,6 @@ from .oracle import (StudentTParams, conditional_logpdf, sample_student,
                      student_conditional)
 from .sampling import RNG_NAME, sample_visible
 from .theta import Lattice
-
-ENV_PREFIX = "RTBM_"
-
-
-def _env_default(parser, name, cast, fallback):
-    """Flag default from RTBM_<NAME>; a malformed value is a usage error."""
-    var = ENV_PREFIX + name.upper().replace("-", "_")
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        parser.exit(2, f"{parser.prog}: error: environment variable "
-                       f"{var}={raw!r} is not a valid {cast.__name__}: {exc}\n")
-
 
 def conditional_mse(reference, candidate) -> float:
     """Mean squared difference of two aligned density-value arrays."""
@@ -224,7 +205,7 @@ def _cmd_sample(args):
 
 
 def _cmd_mse(args):
-    col = [-2 if args.density_col is None else args.density_col]
+    col = [-2]    # the density column of every CSV that density commands write
     print(f"{conditional_mse(_read_csv(args.ref, col), _read_csv(args.cand, col)):.12g}")
     return 0
 
@@ -277,17 +258,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed = _env_default(parser, "seed", int, 0)
-
     p = sub.add_parser("fit", help="train a model on CSV samples")
     p.add_argument("--data", required=True)
     p.add_argument("--nh", required=True, type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--restarts", type=int,
-                   default=_env_default(parser, "restarts", int, 5))
-    p.add_argument("--max-evals", type=int,
-                   default=_env_default(parser, "max-evals", int, 50000))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--max-evals", type=int, default=50000)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
                    default=Lattice.FULL.value)
     p.add_argument("--trace", help="trace CSV path (default <out>.trace.csv)")
@@ -309,7 +286,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw seeded samples")
     p.add_argument("--model", required=True)
     p.add_argument("--count", required=True, type=int)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--meta", help="optional run metadata JSON path")
     p.set_defaults(func=_cmd_sample)
@@ -317,8 +294,6 @@ def build_parser():
     p = sub.add_parser("mse", help="mean squared difference of two density CSVs")
     p.add_argument("--ref", required=True)
     p.add_argument("--cand", required=True)
-    p.add_argument("--density-col", type=int, default=None,
-                   help="column index (default: second-to-last)")
     p.set_defaults(func=_cmd_mse)
 
     p = sub.add_parser("student", help="Student-t reference utilities")
@@ -328,7 +303,7 @@ def build_parser():
     ps.add_argument("--sigma", required=True, help="row-major entries")
     ps.add_argument("--nu", required=True, type=float)
     ps.add_argument("--count", required=True, type=int)
-    ps.add_argument("--seed", type=int, default=seed)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=_cmd_student_sample)
     pc = ssub.add_parser("conditional",
@@ -352,7 +327,8 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RtbmError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (RtbmError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,9 +58,12 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     if bad.size:
         raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
                         f"first at index {bad[0]}")
-    u = vs + params.tinv_bv
-    with np.errstate(over="ignore"):    # a far point's +inf gives log P = -inf
-        half_quad = 0.5 * np.square(u @ params.chol_t).sum(axis=1)  # u^T T u / 2
+    # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to +inf,
+    # or to NaN where an overflowed u meets the factor's zeros; either way
+    # the point is infinitely far out and log P = -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_quad = 0.5 * np.square((vs + params.tinv_bv) @ params.chol_t).sum(axis=1)
+    half_quad[np.isnan(half_quad)] = np.inf
     log_num = log_theta_many(z_num, sym(params.q), params.lattice, DEFAULT_EPS)
 
     return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI

@@ -1,4 +1,4 @@
-"""RTBM parameter records: validity, permutation, model files.
+"""RTBM parameter records: validity, model files.
 
 An RTBM over ``n_v`` continuous visible units and ``n_h`` lattice-valued
 hidden units is the quintuple (T, Q, W, bv, bh) plus a lattice convention.

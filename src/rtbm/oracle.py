@@ -1,8 +1,7 @@
 """Analytic and brute-force references used to validate the RTBM machinery.
 
-Multivariate Student-t joint and conditional densities, the generalized
-Gaussian integral, trapezoid marginalization of the RTBM joint, and
-seeded t sampling for training data.
+Multivariate Student-t joint and conditional densities, trapezoid
+marginalization of the RTBM joint, and seeded t sampling for training data.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from scipy.special import gammaln, logsumexp
 from .errors import GridError
 from .density import log_pdf_many
 from .model import RtbmParams, spd_cholesky
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -105,17 +102,6 @@ def conditional_logpdf(ct: ConditionalTParams, x2) -> np.ndarray | float:
     """Log density of a conditional-t at x2 (vector or rows)."""
     tp = StudentTParams(mu=ct.loc, sigma=ct.scale, nu=ct.df)
     return student_logpdf(tp, x2)
-
-
-def log_gaussian_integral(a, b) -> float:
-    """log of the integral of exp(-x^T A x / 2 + b^T x) over R^n."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = b.shape[0]
-    chol = spd_cholesky(a, "A")
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return float(0.5 * n * _LOG_2PI - 0.5 * logdet
-                 + 0.5 * b @ la.cho_solve((chol, True), b))
 
 
 def quadrature_marginal(params: RtbmParams, m: int, d, grid,

@@ -92,6 +92,24 @@ class TestExitCodes:
         assert "unrecognized arguments: --theta-eps 1e-6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_shift_is_minus_inf_without_warning(self, tmp_path, capsys):
+        # u = v + T^-1 bv overflows at this point; the quadratic form is +inf
+        far = RtbmParams(t=[[1.0, 0.5], [0.5, 1.0]], q=[[1.0]], w=[[0.0], [0.0]],
+                         bv=[1e308, 0.0], bh=[0.0])
+        path = tmp_path / "far.json"
+        save_model(far, path)
+        points = tmp_path / "points.csv"
+        points.write_text("1.7e308,1.7e308\n")
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["density", "--model", str(path), "--points-csv",
+                                str(points), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        row = read_csv(out)[0]
+        assert row[2] == 0.0 and row[3] == -math.inf
+
     def test_success_is_0(self, model_path, tmp_path):
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-2:2:9,-2:2:9",
@@ -171,6 +189,28 @@ class TestSampleCommand:
         doc = json.loads(meta.read_text())
         assert doc["seed"] == 3 and "PCG64" in doc["rng"]
 
+    def test_environment_is_ignored(self, model_path, tmp_path, monkeypatch):
+        # flags are the only source of a setting; these values are not even ints
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_command(["sample", "--model", str(model_path), "--count",
+                            "50", "--seed", "0", "--out", str(a)]) == 0
+        for var, value in [("RTBM_SEED", "abc"), ("RTBM_RESTARTS", "x"),
+                           ("RTBM_MAX_EVALS", "1e3")]:
+            monkeypatch.setenv(var, value)
+        assert run_command(["sample", "--model", str(model_path), "--count",
+                            "50", "--out", str(b)]) == 0
+        np.testing.assert_array_equal(read_csv(a), read_csv(b))
+
+    def test_unallocatable_count_is_1(self, model_path, tmp_path, capsys):
+        # 1e15 draws need petabytes, so the first allocation fails on any host
+        out = tmp_path / "s.csv"
+        code = run_command(["sample", "--model", str(model_path), "--count",
+                            "1000000000000000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestMseCommand:
     def test_model_against_itself_is_zero(self, model_path, tmp_path, capsys):
@@ -179,6 +219,12 @@ class TestMseCommand:
                      "--grid", "-3:3:25,-3:3:25", "--out", str(out)])
         assert run_command(["mse", "--ref", str(out), "--cand", str(out)]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
+
+    def test_density_column_flag_is_a_usage_error(self, capsys):
+        code = run_command(["mse", "--ref", "ref.csv", "--cand", "cand.csv",
+                            "--density-col", "1"])
+        assert code == 2
+        assert "unrecognized arguments: --density-col 1" in capsys.readouterr().err
 
 
 class TestStudentCommands:
@@ -205,41 +251,6 @@ class TestStudentCommands:
         assert peak == pytest.approx(1.0, abs=0.2)
         xs = rows[:, 0]
         assert np.trapezoid(rows[:, 1], xs) == pytest.approx(1.0, abs=1e-2)
-
-
-class TestEnvOverrides:
-    def test_seed_from_environment(self, model_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RTBM_SEED", "77")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        # argv seed omitted: both runs must use the env seed and agree
-        assert run_command(["sample", "--model", str(model_path), "--count",
-                            "50", "--out", str(a)]) == 0
-        assert run_command(["sample", "--model", str(model_path), "--count",
-                            "50", "--out", str(b)]) == 0
-        np.testing.assert_array_equal(read_csv(a), read_csv(b))
-
-    @pytest.mark.parametrize("var, value", [("RTBM_SEED", "abc"),
-                                            ("RTBM_MAX_EVALS", "1e3")])
-    def test_malformed_environment_is_usage_error(self, model_path, tmp_path,
-                                                  monkeypatch, capsys, var, value):
-        monkeypatch.setenv(var, value)
-        code = run_command(["sample", "--model", str(model_path), "--count",
-                            "1", "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert f"{var}={value!r}" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
-
-    def test_flag_beats_environment(self, model_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RTBM_SEED", "77")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run_command(["sample", "--model", str(model_path), "--count", "50",
-                     "--seed", "78", "--out", str(a)])
-        monkeypatch.delenv("RTBM_SEED")
-        run_command(["sample", "--model", str(model_path), "--count", "50",
-                     "--seed", "78", "--out", str(b)])
-        np.testing.assert_array_equal(read_csv(a), read_csv(b))
 
 
 class TestNonFiniteData:
@@ -373,15 +384,14 @@ class TestIndicesOutOfRange:
         err = capsys.readouterr().err
         assert str(pts) in err and "column 7" in err
 
-    def test_mse_density_column(self, model_path, tmp_path, capsys):
-        out = tmp_path / "g.csv"
-        run_command(["density", "--model", str(model_path),
-                     "--grid", "-1:1:3,-1:1:3", "--out", str(out)])
-        code = run_command(["mse", "--ref", str(out), "--cand", str(out),
-                            "--density-col", "9"])
+    def test_mse_density_column(self, tmp_path, capsys):
+        # mse compares the second-to-last column, which a 1-column CSV lacks
+        one = tmp_path / "one.csv"
+        one.write_text("0.1\n0.2\n")
+        code = run_command(["mse", "--ref", str(one), "--cand", str(one)])
         assert code == 1
         err = capsys.readouterr().err
-        assert str(out) in err and "column 9" in err
+        assert str(one) in err and "column -2" in err
 
     def test_student_conditioned_index(self, tmp_path, capsys):
         code = run_command(["student", "conditional", "--mu", "0,0",

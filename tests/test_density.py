@@ -84,6 +84,20 @@ class TestLogPdf:
         assert logp[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
         assert logp[1] == -math.inf
 
+    def test_overflowing_shift_is_minus_inf_without_warning(self):
+        # at v = 1.7e308 the shift u = v + T^-1 bv overflows to inf, and the
+        # factor's zeros would turn u^T T u into NaN; at v = -T^-1 bv, u = 0
+        p = RtbmParams(t=[[1.0, 0.5], [0.5, 1.0]], q=[[1.0]], w=np.zeros((2, 1)),
+                       bv=[1e308, 0.0], bh=[0.0])
+        near = -p.tinv_bv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp = log_pdf_many(p, [[1.7e308, 1.7e308], near])
+        assert logp[0] == -math.inf
+        assert logp[1] == log_pdf_many(p, [near])[0]
+        assert logp[1] == pytest.approx(
+            0.5 * math.log(0.75) - math.log(2 * math.pi), abs=1e-14)
+
 
 class TestLogMarginal:
     def test_gaussian_block_marginal(self):

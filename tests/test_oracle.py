@@ -6,8 +6,7 @@ import pytest
 from rtbm.errors import GridError, NotPositiveDefiniteError
 from rtbm.density import log_marginal
 from rtbm.model import RtbmParams
-from rtbm.oracle import (StudentTParams, conditional_logpdf,
-                         log_gaussian_integral, quadrature_marginal,
+from rtbm.oracle import (StudentTParams, conditional_logpdf, quadrature_marginal,
                          sample_student, student_conditional, student_logpdf)
 
 T_BENCH = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
@@ -76,30 +75,6 @@ class TestStudentConditional:
     def test_p1_bounds(self):
         with pytest.raises(ValueError):
             student_conditional(T_BENCH, 2, [0.0, 0.0])
-
-
-class TestGaussianIntegral:
-    def test_scalar(self):
-        assert log_gaussian_integral([[2.0]], [0.0]) == pytest.approx(
-            0.5 * math.log(math.pi), abs=1e-14)
-
-    def test_shifted(self):
-        got = log_gaussian_integral(np.eye(2), [1.0, 1.0])
-        assert got == pytest.approx(math.log(2 * math.pi) + 1.0, abs=1e-14)
-
-    def test_not_pd(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            log_gaussian_integral([[-1.0]], [0.0])
-
-    def test_against_quadrature(self):
-        rng = np.random.default_rng(3)
-        xs = np.linspace(-60, 60, 200001)
-        for _ in range(5):
-            a = float(rng.uniform(0.2, 3.0))
-            b = float(rng.uniform(-2, 2))
-            direct = np.log(np.trapezoid(np.exp(-0.5 * a * xs**2 + b * xs), xs))
-            assert log_gaussian_integral([[a]], [b]) == pytest.approx(
-                direct, abs=1e-8)
 
 
 class TestQuadratureMarginal:
