@@ -54,7 +54,7 @@ def main():
 
     print(f"{'conditional':>16} {'MSE':>12}")
     for x1 in [float(v) for v in args.conditioning.split(",")]:
-        ct = student_conditional(tp, 1, [x1])
+        ct = student_conditional(tp, [0], [x1])
         ref = np.exp(conditional_logpdf(ct, data[:, 1][:, None]))
         child, _ = condition_on(result.params, [0], [x1])
         cand = np.exp(log_pdf_many(child, data[:, 1][:, None]))

@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.  Every
 setting comes from its flag.  Every theta sum is certified to the package's
 fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
 NaN or infinite values in the columns used, column indices outside a CSV,
-model files with a missing or ill-typed field, and requests too large to
-allocate are rejected as data errors.
+model files with a missing or ill-typed field, non-finite ``--on`` values or
+Student-t parameters, and requests too large to allocate are rejected as
+data errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .density import condition_on, free_coordinates, log_pdf_many
+from .density import condition_on, log_pdf_many
 from .errors import RtbmError
 from .fit import FitConfig, fit_density
 from .model import load_model, save_model, validate, write_atomic, write_json
@@ -100,6 +101,8 @@ def _parse_on(spec):
         idx, val = part.split("=", 1)
         indices.append(int(idx))
         values.append(float(val))
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"conditioning value at index {indices[-1]} is not finite")
     return indices, np.array(values)
 
 
@@ -223,14 +226,8 @@ def _cmd_student_sample(args):
 
 
 def _cmd_student_conditional(args):
-    tp = _student_params(args)
-    indices, values = _parse_on(args.on)
-    free = free_coordinates(indices, tp.p)
-    order = indices + free
-    perm_tp = StudentTParams(mu=tp.mu[order],
-                             sigma=tp.sigma[np.ix_(order, order)], nu=tp.nu)
-    ct = student_conditional(perm_tp, len(indices), values)
-    pts = _eval_points(args, len(free), what="conditional")
+    ct = student_conditional(_student_params(args), *_parse_on(args.on))
+    pts = _eval_points(args, ct.loc.size, what="conditional")
     logp = np.atleast_1d(conditional_logpdf(ct, pts))
     _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
     return 0

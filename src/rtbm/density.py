@@ -14,7 +14,7 @@ The visible log-density is
 Marginalizing the trailing block d of v = (y, d) with the generalized
 Gaussian integral gives a closed-form log P(d), and the ratio
 P(v)/P(d) is itself an RTBM density over y with the reparameterized
-quintuple produced by :func:`condition`.  Note the marginal's exponent
+quintuple produced by :func:`condition_on`.  Note the marginal's exponent
 carries the factor 1/2 in (bv0 + T1^T d)^T T0^-1 (bv0 + T1^T d)/2: the
 Gaussian integral forces it, and the product-rule identity
 log P(v) = log P(y|d) + log P(d) holds exactly with it.
@@ -65,7 +65,9 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
         half_quad = 0.5 * np.square((vs + params.tinv_bv) @ params.chol_t).sum(axis=1)
     half_quad[np.isnan(half_quad)] = np.inf
     log_num = log_theta_many(z_num, sym(params.q), params.lattice, DEFAULT_EPS)
-
+    # Farther out, log theta overflows to +inf as well.  The density of a
+    # valid model vanishes there, so such a row drops its theta term.
+    log_num = np.where(np.isinf(half_quad), 0.0, log_num)
     return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI
             - half_quad + log_num - log_norm)
 
@@ -80,31 +82,23 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
 
     ``d`` holds the trailing n_v - m coordinates.  Requires 0 < m < n_v;
     an empty free block is not a marginalization.  The theta ratio is the
-    normalizer of the child :func:`condition` builds over the parent's.
-    """
-    child = condition(params, m, d)
-    d = np.asarray(d, dtype=float).reshape(params.n_v - m)
-    return (0.5 * _logdet_from_chol(params.chol_t)
-            - 0.5 * (params.n_v - m) * _LOG_2PI
-            - 0.5 * _logdet_from_chol(child.chol_t)
-            - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
-            - 0.5 * float(params.bv @ params.tinv_bv)
-            + 0.5 * float(child.bv @ child.tinv_bv)
-            + log_normalizer(child) - log_normalizer(params))
-
-
-def condition(params: RtbmParams, m: int, d) -> RtbmParams:
-    """Child RTBM over the leading m coordinates given trailing values ``d``.
-
-    The child has the same hidden sector (Q, lattice) and the
-    reparameterization T -> T0, W -> W0, bv -> bv0 + T1^T d,
-    bh -> bh + W1^T d; its density is the parent's conditional P(y|d).
-    Requires 0 < m < n_v.  An invalid parent raises RtbmError.
+    normalizer of the child :func:`condition_on` builds over the parent's.
     """
     _check_valid(params)
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
-    return _child(params, np.arange(m), np.arange(m, params.n_v), d)
+    child = _child(params, np.arange(m), np.arange(m, params.n_v), d)
+    d = np.asarray(d, dtype=float).reshape(params.n_v - m)
+    # A far d overflows d^T T d and the child's normalizer together: P(d) = 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p = (0.5 * _logdet_from_chol(params.chol_t)
+                 - 0.5 * (params.n_v - m) * _LOG_2PI
+                 - 0.5 * _logdet_from_chol(child.chol_t)
+                 - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
+                 - 0.5 * float(params.bv @ params.tinv_bv)
+                 + 0.5 * float(child.bv @ child.tinv_bv)
+                 + log_normalizer(child) - log_normalizer(params))
+    return -np.inf if np.isnan(log_p) else log_p
 
 
 def _check_valid(params: RtbmParams):
@@ -148,13 +142,13 @@ def free_coordinates(indices, n) -> list:
 
 
 def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]:
-    """Condition on an arbitrary coordinate subset.
+    """Child RTBM over the free coordinates y given ``values`` d at ``indices``.
 
-    The child is :func:`condition` of the parent with the chosen ``indices``
-    permuted to the trailing block (free coordinates keep their original
-    relative order up front), built from the parent's arrays directly.
-    Returns the child and the list of free coordinate indices, in the order
-    of the child's coordinates.
+    The child keeps Q and the lattice, and is reparameterized as T -> T_yy,
+    W -> W_y, bv -> bv_y + T_dy^T d, bh -> bh + W_d^T d; its density is the
+    parent's conditional P(y|d).  Returns the child and the free indices in
+    their original order, which is the child's.  An invalid parent raises
+    RtbmError.
     """
     indices = [int(i) for i in indices]
     values = np.asarray(values, dtype=float).reshape(len(indices))

@@ -24,9 +24,5 @@ class InsufficientSamplesError(RtbmError):
     """Too few samples survive a conditioning window."""
 
 
-class GridError(RtbmError):
-    """A quadrature or evaluation grid is unusable (e.g. heavy edge mass)."""
-
-
 class FitError(RtbmError):
     """Density fitting failed to produce a valid model."""

@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
-from scipy.special import gammainccinv, gammaln, logsumexp
+from scipy.special import gammainccinv, gammaln
 
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
@@ -93,7 +93,6 @@ _WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at o
 _KERNEL_CAP = 32         # most prepared kernels kept at once
 _BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
 _LOG_TINY = -700.0       # log of a comfortably normal double
-_REFERENCE_POINT_CAP = 10**8
 
 # Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
 _KERNELS = OrderedDict()
@@ -596,36 +595,3 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         result[shared] = _log_sums(g, f0, cols, quad, mask)
     return result
 
-
-def log_theta_reference(z, omega, lattice=Lattice.FULL, radius=10) -> float:
-    """Brute-force tilde-theta over all lattice points with max-norm <= radius.
-
-    Exhaustive summation in a fixed naive order with log-sum-exp
-    accumulation; intended as a test oracle only.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    lattice = Lattice(lattice)
-    h = z.shape[0]
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    side = radius + 1 if lattice is Lattice.NONNEG else 2 * radius + 1
-    if h * side**h > _REFERENCE_POINT_CAP:
-        raise ValueError(
-            f"enumeration of {h * side**h} points exceeds the "
-            f"{_REFERENCE_POINT_CAP} cap")
-    lo = 0 if lattice is Lattice.NONNEG else -radius
-    axis = np.arange(lo, radius + 1, dtype=np.int64)
-    chunks = []
-    if h == 1:
-        blocks = [axis[:, None]]
-    else:
-        tail = np.meshgrid(*([axis] * (h - 1)), indexing="ij")
-        tail = np.stack([m.ravel() for m in tail], axis=1)
-        blocks = (np.concatenate(
-            [np.full((tail.shape[0], 1), first, dtype=np.int64), tail], axis=1)
-            for first in axis)
-    for pts in blocks:
-        f = -0.5 * np.einsum("kh,hl,kl->k", pts, omega, pts) + pts @ z
-        chunks.append(logsumexp(f))
-    return float(logsumexp(np.array(chunks)))

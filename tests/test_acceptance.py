@@ -12,18 +12,17 @@ import scipy.linalg as la
 from scipy.special import logsumexp
 
 from conftest import random_spd
+from references import log_theta_reference, quadrature_marginal
 from rtbm.cli import run_command
 from rtbm.cma import minimize
-from rtbm.density import (condition, condition_on, log_marginal, log_pdf,
-                          log_pdf_many)
+from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
 from rtbm.fit import FitConfig, fit_density
 from rtbm.model import RtbmParams, load_model, save_model, validate
-from rtbm.oracle import (StudentTParams, conditional_logpdf,
-                         quadrature_marginal, sample_student,
+from rtbm.oracle import (StudentTParams, conditional_logpdf, sample_student,
                          student_conditional)
 from rtbm.sampling import (empirical_conditional, hidden_distribution,
                            sample_visible)
-from rtbm.theta import Lattice, log_theta_many, log_theta_reference
+from rtbm.theta import Lattice, log_theta_many
 
 T_BENCH = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
 
@@ -116,7 +115,7 @@ def test_criterion_03_product_rule(fixtures):
         params = fixtures[name]
         ys = np.atleast_2d(ys if ys.ndim > 1 else ys[:, None])
         for d in ds:
-            child = condition(params, m, d)
+            child = condition_on(params, range(m, params.n_v), d)[0]
             marg = log_marginal(params, m, d)
             for y in ys:
                 joint = log_pdf(params, np.concatenate([y, d]))
@@ -156,7 +155,7 @@ def test_criterion_05_child_normalization(fixtures):
         total = np.trapezoid(np.exp(log_pdf_many(child, xs[:, None])), xs)
         worst = max(worst, abs(total - 1.0))
     # 2D child of the three-dimensional fixture
-    child = condition(fixtures["3d"], 2, [-0.6])
+    child = condition_on(fixtures["3d"], [2], [-0.6])[0]
     xs = np.linspace(-9.0, 4.0, 1301)
     ys = np.linspace(-3.0, 2.0, 501)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2)
@@ -182,7 +181,7 @@ def test_criterion_06_student_t_experiment(student_fit):
     assert validate(result.params).valid
     mses = {}
     for x1 in (-2.0, 0.0, 1.0):
-        ct = student_conditional(T_BENCH, 1, [x1])
+        ct = student_conditional(T_BENCH, [0], [x1])
         ref = np.exp(conditional_logpdf(ct, data[:, 1][:, None]))
         child, _ = condition_on(result.params, [0], [x1])
         cand = np.exp(log_pdf_many(child, data[:, 1][:, None]))

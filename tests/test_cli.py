@@ -110,6 +110,23 @@ class TestExitCodes:
         row = read_csv(out)[0]
         assert row[2] == 0.0 and row[3] == -math.inf
 
+    def test_far_density_point_is_zero_without_warning(self, tmp_path, capsys):
+        # u^T T u / 2 and log theta(W^T v + bh | Q) both overflow at v = 1e200
+        path = tmp_path / "m.json"
+        path.write_text('{"nv":1,"nh":1,"T":[[1.0]],"Q":[[1.0]],"W":[[0.5]],'
+                        '"bv":[0.0],"bh":[0.0]}')
+        points = tmp_path / "points.csv"
+        points.write_text("1e200\n")
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["density", "--model", str(path), "--points-csv",
+                                str(points), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        row = read_csv(out)[0]
+        assert row[1] == 0.0 and row[2] == -math.inf
+
     def test_success_is_0(self, model_path, tmp_path):
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-2:2:9,-2:2:9",
@@ -251,6 +268,40 @@ class TestStudentCommands:
         assert peak == pytest.approx(1.0, abs=0.2)
         xs = rows[:, 0]
         assert np.trapezoid(rows[:, 1], xs) == pytest.approx(1.0, abs=1e-2)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv, message", [
+        (["student", "sample", "--mu", "0,0", "--sigma", "2,-1,-1,4", "--nu", "nan",
+          "--count", "5"], "nu must be finite and positive, got nan"),
+        (["student", "sample", "--mu", "0,0", "--sigma", "2,-1,-1,4", "--nu", "inf",
+          "--count", "5"], "nu must be finite and positive, got inf"),
+        (["student", "sample", "--mu", "nan,0", "--sigma", "2,-1,-1,4", "--nu", "6",
+          "--count", "5"], "mu contains non-finite entries"),
+        (["student", "conditional", "--mu", "0,0", "--sigma", "2,-1,-1,nan",
+          "--nu", "6", "--on", "0=1", "--grid", "-1:1:5"],
+         "sigma contains non-finite entries"),
+        (["student", "conditional", "--mu", "0,0", "--sigma", "2,-1,-1,4",
+          "--nu", "6", "--on", "0=nan", "--grid", "-1:1:5"],
+         "conditioning value at index 0 is not finite"),
+    ])
+    def test_is_1_and_named(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(argv + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_conditioning_value_is_named(self, model_path, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code = run_command(["conditional", "--model", str(model_path),
+                            "--on", "1=0.5,0=-inf", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: conditioning value at index 0 is not finite\n")
+        assert not out.exists()
 
 
 class TestNonFiniteData:

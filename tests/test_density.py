@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_valid_params
-from rtbm.density import (condition, condition_on, log_marginal, log_pdf,
-                          log_pdf_many)
+from references import log_theta_reference, quadrature_marginal
+from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
 from rtbm.errors import RtbmError
 from rtbm.model import RtbmParams, validate
-from rtbm.oracle import quadrature_marginal
 from rtbm.theta import Lattice
 
 
@@ -46,7 +45,6 @@ class TestLogPdf:
 
     def test_value_against_reference_theta(self, tfit_params):
         # independent path: assemble the density from brute-force theta sums
-        from rtbm.theta import log_theta_reference
         v = np.array([0.0, 0.0])
         t, q, w = tfit_params.t, tfit_params.q, tfit_params.w
         bh = tfit_params.bh
@@ -83,6 +81,15 @@ class TestLogPdf:
             logp = log_pdf_many(p, [[0.0], [1e200]])
         assert logp[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
         assert logp[1] == -math.inf
+
+    def test_far_point_with_overflowing_theta_is_minus_inf_without_warning(self):
+        # at v = 1e200 u^T T u / 2 and log theta(W^T v + bh | Q) are both +inf
+        p = RtbmParams(t=[[1.0]], q=[[1.0]], w=[[0.5]], bv=[0.0], bh=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp = log_pdf_many(p, [[1.0], [1e200], [-1e200]])
+        assert logp[0] == log_pdf(p, [1.0])
+        assert logp[1] == logp[2] == -math.inf
 
     def test_overflowing_shift_is_minus_inf_without_warning(self):
         # at v = 1.7e308 the shift u = v + T^-1 bv overflows to inf, and the
@@ -131,6 +138,15 @@ class TestLogMarginal:
         closed = log_marginal(constructed_3d_params, 2, [d])
         assert abs(np.expm1(closed - quad)) <= 1e-6
 
+    def test_far_value_is_minus_inf_without_warning(self):
+        # d^T T_dd d overflows and the child's normalizer is +inf at d = 1e200
+        p = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[0.5], [0.5]], bv=[0.0, 0.0],
+                       bh=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_marginal(p, 1, [1e200]) == -math.inf
+            assert math.isfinite(log_marginal(p, 1, [1.0]))
+
     def test_rejects_empty_free_block(self, tfit_params):
         with pytest.raises(ValueError):
             log_marginal(tfit_params, 2, [])
@@ -144,8 +160,8 @@ class TestCondition:
         t = np.diag([1.0, 2.0])
         w = np.array([[0.5, -0.3], [0.0, 0.0]])
         p = RtbmParams(t=t, q=np.eye(2) * 8, w=w, bv=[0.1, -0.2], bh=[0.3, 0.4])
-        c1 = condition(p, 1, [3.0])
-        c2 = condition(p, 1, [-11.0])
+        c1 = condition_on(p, [1], [3.0])[0]
+        c2 = condition_on(p, [1], [-11.0])[0]
         for name in ("t", "q", "w", "bv", "bh"):
             np.testing.assert_array_equal(getattr(c1, name), getattr(c2, name))
 
@@ -162,7 +178,7 @@ class TestCondition:
         np.testing.assert_allclose(child.bh, [10.44, 15.36], atol=1e-12)
 
     def test_child_passes_validation(self, constructed_2d_params):
-        child = condition(constructed_2d_params, 1, [2.0])
+        child = condition_on(constructed_2d_params, [1], [2.0])[0]
         assert validate(child).valid
 
     @settings(max_examples=20, deadline=None)
@@ -172,8 +188,8 @@ class TestCondition:
         p = random_valid_params(rng, 4, 2)
         d_tail = rng.uniform(-1.5, 1.5, 1)
         d_mid = rng.uniform(-1.5, 1.5, 1)
-        two_step = condition(condition(p, 3, d_tail), 2, d_mid)
-        one_step = condition(p, 2, np.concatenate([d_mid, d_tail]))
+        two_step = condition_on(condition_on(p, [3], d_tail)[0], [2], d_mid)[0]
+        one_step = condition_on(p, [2, 3], np.concatenate([d_mid, d_tail]))[0]
         ys = rng.standard_normal((10, 2))
         np.testing.assert_allclose(log_pdf_many(two_step, ys),
                                    log_pdf_many(one_step, ys), atol=1e-10,
@@ -194,17 +210,17 @@ class TestCondition:
             moved = RtbmParams(t=params.t[np.ix_(order, order)], q=params.q,
                                w=params.w[order], bv=params.bv[order], bh=params.bh,
                                lattice=params.lattice)
-            expected = condition(moved, len(free), values)
+            expected = condition_on(moved, range(len(free), params.n_v), values)[0]
             assert got_free == free
             for name in ("t", "q", "w", "bv", "bh"):
                 np.testing.assert_array_equal(getattr(child, name), getattr(expected, name))
             assert child.lattice is expected.lattice
 
     def test_m_bounds(self, tfit_params):
-        with pytest.raises(ValueError):
-            condition(tfit_params, 2, [])
-        with pytest.raises(ValueError):
-            condition(tfit_params, 0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="every coordinate"):
+            condition_on(tfit_params, [1, 0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\)"):
+            condition_on(tfit_params, [0, 5], [1.0, 2.0])
 
 
 class TestProductRule:
@@ -216,7 +232,7 @@ class TestProductRule:
         p = random_valid_params(rng, 3, 2, lattice)
         m = int(rng.integers(1, 3))
         d = rng.uniform(-2, 2, 3 - m)
-        child = condition(p, m, d)
+        child = condition_on(p, range(m, p.n_v), d)[0]
         marg = log_marginal(p, m, d)
         for _ in range(5):
             y = rng.uniform(-3, 3, m)
@@ -289,7 +305,7 @@ class TestPreparedModel:
                        bv=[0.0, 0.0], bh=[0.0])
         for _ in range(2):
             with pytest.raises(RtbmError, match="invalid model: T asymmetry"):
-                condition(p, 1, [0.5])
+                condition_on(p, [1], [0.5])
             with pytest.raises(RtbmError, match="invalid model"):
                 condition_on(p, [0], [0.5])
             with pytest.raises(RtbmError, match="invalid model"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestNegativeLogLikelihood:
         # valid (Schur matrix 9e300), but W^T v + bh overflows at the data row
         p = RtbmParams(t=[[1.0]], q=[[1e301]], w=[[1e150]], bv=[0.0], bh=[0.0])
         assert negative_log_likelihood(p, [[1e200]]) == math.inf
+
+    def test_far_row_scores_inf_without_warning(self):
+        # u^T T u / 2 and log theta(W^T v + bh | Q) both overflow to +inf
+        p = RtbmParams(t=[[1.0]], q=[[1.0]], w=[[0.5]], bv=[0.0], bh=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert negative_log_likelihood(p, [[1e200]]) == math.inf
 
     def test_dimension_mismatch(self, tfit_params):
         with pytest.raises(ValueError, match="width"):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (CONSTRUCTED_2D, CONSTRUCTED_2D_BAD_Q,
                       CONSTRUCTED_3D, TFIT)
-from rtbm.density import condition, log_pdf_many
+from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import NotPositiveDefiniteError
 from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
                         validate)
@@ -70,11 +70,12 @@ class TestValidate:
 
 
 class TestBlockSplit:
-    """The split at m leading free coordinates, as :func:`condition` takes it:
-    the child keeps T0 and W0, and shifts bv0 by T1^T d and bh by W1^T d."""
+    """The split at m leading free coordinates, as :func:`condition_on` takes
+    it when the trailing block is conditioned: the child keeps T0 and W0, and
+    shifts bv0 by T1^T d and bh by W1^T d."""
 
     def test_tfit_split(self, tfit_params):
-        child = condition(tfit_params, 1, [2.0])
+        child = condition_on(tfit_params, [1], [2.0])[0]
         np.testing.assert_allclose(child.t, [[0.56]], rtol=0)
         np.testing.assert_allclose(child.w, [[-1.11, 1.02]], rtol=0)
         np.testing.assert_allclose(child.bv, [0.0 + 0.18 * 2.0], rtol=0)
@@ -83,7 +84,7 @@ class TestBlockSplit:
 
     def test_3d_split_at_two(self, constructed_3d_params):
         p = constructed_3d_params
-        child = condition(p, 2, [-0.5])
+        child = condition_on(p, [2], [-0.5])[0]
         np.testing.assert_array_equal(child.t, p.t[:2, :2])
         np.testing.assert_array_equal(child.w, p.w[:2])
         np.testing.assert_allclose(child.bv, p.bv[:2] - 0.5 * np.array([-6.76, -2.56]),
@@ -91,10 +92,10 @@ class TestBlockSplit:
         np.testing.assert_allclose(child.bh, p.bh - 0.5 * 2.09, rtol=0)
 
     def test_out_of_range(self, tfit_params):
-        with pytest.raises(ValueError, match="m must be in"):
-            condition(tfit_params, 0, [1.0, 2.0])
-        with pytest.raises(ValueError, match="m must be in"):
-            condition(tfit_params, 3, [])
+        with pytest.raises(ValueError, match="every coordinate"):
+            condition_on(tfit_params, [0, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\)"):
+            condition_on(tfit_params, [2], [1.0])
 
 
 class TestSerialization:
@@ -140,3 +141,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RtbmParams(t=np.eye(2), q=np.eye(2), w=np.zeros((3, 2)),
                        bv=np.zeros(2), bh=np.zeros(2))
+
+
+def test_star_import_resolves_every_export():
+    # a name left in __all__ after its definition moved fails the import
+    import rtbm
+    namespace = {}
+    exec("from rtbm import *", namespace)
+    assert set(rtbm.__all__) <= namespace.keys()

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rtbm.errors import GridError, NotPositiveDefiniteError
+from references import GridError, quadrature_marginal
+from rtbm.errors import NotPositiveDefiniteError
 from rtbm.density import log_marginal
 from rtbm.model import RtbmParams
-from rtbm.oracle import (StudentTParams, conditional_logpdf, quadrature_marginal,
-                         sample_student, student_conditional, student_logpdf)
+from rtbm.oracle import (StudentTParams, conditional_logpdf, sample_student,
+                         student_conditional, student_logpdf)
 
 T_BENCH = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
 
@@ -42,20 +43,20 @@ class TestStudentLogpdf:
 
 class TestStudentConditional:
     def test_at_zero(self):
-        ct = student_conditional(T_BENCH, 1, [0.0])
+        ct = student_conditional(T_BENCH, [0], [0.0])
         assert ct.loc == pytest.approx([0.0])
         # Sigma_22|1 = 4 - (-1)(1/2)(-1) = 3.5, scaled by 6/7
         np.testing.assert_allclose(ct.scale, [[3.0]], atol=1e-12)
         assert ct.df == pytest.approx(7.0)
 
     def test_at_minus_two(self):
-        ct = student_conditional(T_BENCH, 1, [-2.0])
+        ct = student_conditional(T_BENCH, [0], [-2.0])
         assert ct.loc == pytest.approx([1.0])
         np.testing.assert_allclose(ct.scale, [[4.0]], atol=1e-12)  # (6+2)/7 * 3.5
         assert ct.df == pytest.approx(7.0)
 
     def test_conditional_normalizes(self):
-        ct = student_conditional(T_BENCH, 1, [-2.0])
+        ct = student_conditional(T_BENCH, [0], [-2.0])
         xs = np.linspace(-200, 200, 400001)
         vals = np.exp(conditional_logpdf(ct, xs[:, None]))
         assert np.trapezoid(vals, xs) == pytest.approx(1.0, abs=1e-6)
@@ -68,13 +69,33 @@ class TestStudentConditional:
             x1 = float(rng.uniform(-4, 4))
             x2 = float(rng.uniform(-6, 6))
             ratio = student_logpdf(T_BENCH, [x1, x2]) - student_logpdf(marg, [x1])
-            ct = student_conditional(T_BENCH, 1, [x1])
+            ct = student_conditional(T_BENCH, [0], [x1])
             direct = conditional_logpdf(ct, [x2])
             assert abs(np.expm1(direct - ratio)) <= 1e-10
 
     def test_p1_bounds(self):
-        with pytest.raises(ValueError):
-            student_conditional(T_BENCH, 2, [0.0, 0.0])
+        with pytest.raises(ValueError, match="distinct"):
+            student_conditional(T_BENCH, [0, 0], [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\)"):
+            student_conditional(T_BENCH, [2], [0.0])
+        with pytest.raises(ValueError, match="every coordinate"):
+            student_conditional(T_BENCH, [1, 0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("indices", [[2], [1], [2, 0], [0, 2]])
+    def test_any_index_set_is_joint_over_marginal(self, indices):
+        # log p(x) - log p(x_indices), with the marginal t built from the
+        # sub-blocks of mu and Sigma; the free coordinates keep their order
+        tp = StudentTParams(mu=[0.5, -1.0, 2.0],
+                            sigma=[[2.0, 0.3, -0.6], [0.3, 1.5, 0.4],
+                                   [-0.6, 0.4, 3.0]], nu=4.5)
+        marg = StudentTParams(mu=tp.mu[indices],
+                              sigma=tp.sigma[np.ix_(indices, indices)], nu=tp.nu)
+        free = [i for i in range(3) if i not in indices]
+        rng = np.random.default_rng(len(indices) * 10 + indices[0])
+        for x in rng.uniform(-4, 4, (20, 3)):
+            ct = student_conditional(tp, indices, x[indices])
+            ratio = student_logpdf(tp, x) - student_logpdf(marg, x[indices])
+            assert conditional_logpdf(ct, x[free]) == pytest.approx(ratio, abs=1e-10)
 
 
 class TestQuadratureMarginal:

@@ -4,10 +4,10 @@ import scipy.linalg as la
 from scipy.special import logsumexp
 
 from conftest import random_valid_params
+from references import quadrature_marginal
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
 from rtbm.model import RtbmParams
-from rtbm.oracle import quadrature_marginal
 from rtbm.sampling import (empirical_conditional, hidden_distribution,
                            make_histogram, sample_visible)
 from rtbm.theta import Lattice

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+from references import log_theta_reference
 from rtbm.errors import NotPositiveDefiniteError, ThetaTruncationError
-from rtbm.theta import Lattice, log_theta_many, log_theta_reference
+from rtbm.theta import Lattice, log_theta_many
 
 
 def direct_1d_sum(omega, z, lattice, radius):
