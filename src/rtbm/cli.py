@@ -181,7 +181,10 @@ def _cmd_fit(args):
 def _cmd_density(args):
     params = _load_valid_model(args.model)
     pts = _eval_points(args, params.n_v)
-    logp = log_pdf_many(params, pts)
+    try:
+        logp = log_pdf_many(params, pts)
+    except RtbmError as exc:
+        raise RtbmError(f"model {args.model}: {exc}") from exc
     _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
     return 0
 

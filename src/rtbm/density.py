@@ -52,6 +52,9 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
     log_norm = log_normalizer(params)
+    if not np.isfinite(log_norm):
+        raise RtbmError("the normalizer log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W) "
+                        "overflows")
     with np.errstate(over="ignore", invalid="ignore"):
         z_num = vs @ params.w + params.bh
     bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))

@@ -58,12 +58,33 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   doubled weights, the phases reduced mod 1.  The orthant lattice, to
   which Poisson summation does not apply, and ``collect_terms``, which
   needs the primal points, stay primal.
+* Separable sums.  On the full lattice at h = 2, with g = z - Omega c the
+  offset of a row's rounded maximizer c, exp(g.k) = exp(g_1 k_1) exp(g_2 k_2),
+  so a row's sum over the shared offsets is sum_m V_m sum_a A_am U_a, with
+  U_a = exp(g_1 a) over the K1 values a of k_1, V_m = exp(g_2 m) over the M
+  values m of k_2, and the fixed table A_am = exp(-k^T Omega k / 2), zero
+  off the ellipsoid.  A row then takes K1 + M exponentials (about 12 in a
+  fit) instead of one per point (about 31).  Since |nhat - c| <= 1/2 per
+  coordinate, |g_j| <= 1/2 sum_l |Omega_jl|; the form is used only where
+  these bounds times max |k_j|, summed over j, are at most 600, so every
+  factor and term stays below e^600 and a partial product that underflows
+  belongs to a term below e^-100 of a sum that is at least its k = 0 term,
+  1; and only where K1 + M <= 8 sqrt(P), which a thin ellipsoid fails.
+  The products are accumulated one table row and one value of k_2 at a
+  time in a fixed order, without BLAS (whose gemv for a single row rounds
+  differently from its gemm) and without numpy's pairwise sums (which
+  order a one-row sum differently), so a row's sum does not depend on its
+  batch.  The choice is made once per kernel, from its offsets; the dual
+  form, the orthant lattice and ``collect_terms`` keep their sums.  At
+  h = 3, summed one table row and one prefix (k_2, k_3) at a time, a
+  batch-1 call paid 50-90 numpy calls in the n_h = 3 fit, and that fit got
+  slower, so h = 3 sums directly.
 * Prepared kernels.  What depends only on Omega, the lattice and eps - the
   Cholesky factor, Omega^-1, the radius, the shared point bound, the dual
-  form and, from each form's second use on, its shared offsets - is kept
-  in one module-level LRU keyed by Omega's exact bytes and shape, the
-  lattice and eps.  It holds at most 32 kernels and at most 2^21 kept
-  offsets in total.
+  form and, from each form's second use on, its shared offsets and their
+  separable tables - is kept in one module-level LRU keyed by Omega's exact
+  bytes and shape, the lattice and eps.  It holds at most 32 kernels and at
+  most 2^21 kept offsets and table entries in total.
   Conditioning changes only the theta arguments, so every conditional of
   one model sums over the same two or three matrices, bit for bit, and
   after the first query only the per-row work remains.  A miss does what
@@ -93,6 +114,7 @@ _WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at o
 _KERNEL_CAP = 32         # most prepared kernels kept at once
 _BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
 _LOG_TINY = -700.0       # log of a comfortably normal double
+_LOG_FACTOR_CAP = 600.0  # largest exponent of a factor of a separable sum
 
 # Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
 _KERNELS = OrderedDict()
@@ -260,6 +282,84 @@ def _log_sums(g, f0, cols, quad, centre):
     return out
 
 
+class _Separable(NamedTuple):
+    """The offsets k = (k_1, k_2) of a primal kernel with h = 2, as tables."""
+
+    firsts: np.ndarray     # (K1, 1) the values of k_1, one integer range
+    seconds: np.ndarray    # (M, 1) the values of k_2, one integer range
+    weights: np.ndarray    # (K1, M) exp(-k^T Omega k / 2), zero off the ellipsoid
+    spans: np.ndarray      # (K1, 2) the columns from a row's first to last weight
+
+
+def _separable(offsets, quad, slopes):
+    """The :class:`_Separable` tables of ``offsets`` (P, 2), or None.
+
+    ``quad`` holds k^T Omega k / 2 and ``slopes`` the bounds 1/2 sum_l
+    |Omega_jl| on |g_j|.  None where some factor could pass e^600, and
+    where K1 + M > 8 sqrt(P): a thin ellipsoid's table would hold more than
+    16 entries per point, and its many values of k_1 would cost more numpy
+    calls per row than they save exponentials.  A row's weights are
+    contiguous: the ellipsoid cuts each line of constant k_1 in one
+    interval, and exp(-k^T Omega k / 2) can underflow only at its ends.
+    """
+    low, high = offsets.min(axis=0), offsets.max(axis=0)
+    shape = high - low + 1
+    if (slopes @ np.maximum(high, -low) > _LOG_FACTOR_CAP
+            or shape.sum() ** 2 > 64 * offsets.shape[0]):
+        return None
+    weights = np.zeros(shape)
+    weights[offsets[:, 0] - low[0], offsets[:, 1] - low[1]] = np.exp(-quad)
+    present = weights > 0.0
+    start = present.argmax(axis=1)
+    spans = np.column_stack([start, start + present.sum(axis=1)])
+    first, second = (np.arange(lo, hi + 1, dtype=float)[:, None] for lo, hi in zip(low, high))
+    return _Separable(first, second, weights, spans)
+
+
+def _separable_log_sums(g, f0, tables):
+    """:func:`_log_sums` over the full lattice at h = 2, in the separable form.
+
+    Per row, U_a = exp(g_1 a) and V_m = exp(g_2 m); the sum is
+    sum_m V_m sum_a A_am U_a, accumulated elementwise in a fixed order with
+    rows along the contiguous axis.  A block whose rows times the table
+    hold at most ``_BLOCK / 16`` entries takes both sums in one
+    ``np.add.accumulate`` call each, r[i] = r[i-1] + x[i], which adds in the
+    same order as the loop over table rows (a zero weight adds an exact
+    zero) but walks each column on its own, so a wider block takes the
+    loop.  Rows are taken in blocks whose work arrays hold about
+    ``_BLOCK / 4`` elements each, few enough to be reused between blocks
+    rather than mapped afresh.
+    """
+    firsts, seconds, weights, spans = tables
+    spans = spans.tolist()
+    out = np.empty(g.shape[0])
+    step = max(1, _BLOCK // (4 * max(weights.shape)))
+    for s in range(0, g.shape[0], step):
+        blk = slice(s, s + step)
+        u = np.multiply(firsts, g[blk, 0])
+        np.exp(u, out=u)
+        v = np.multiply(seconds, g[blk, 1])
+        np.exp(v, out=v)
+        if u.size * weights.shape[1] <= _BLOCK // 16:
+            acc = np.add.accumulate(weights[:, :, None] * u[:, None, :])[-1]
+            acc *= v
+            total = np.add.accumulate(acc)[-1]
+        else:
+            acc = np.zeros_like(v)
+            term = np.empty_like(v)
+            for a, (lo, hi) in enumerate(spans):
+                part = term[:hi - lo]
+                np.multiply(weights[a, lo:hi, None], u[a], out=part)
+                acc[lo:hi] += part
+            acc *= v
+            total = acc[0]
+            for m in range(1, acc.shape[0]):
+                total += acc[m]
+        np.log(total, out=total)
+        np.add(f0[blk], total, out=out[blk])
+    return out
+
+
 def _orthant_terms(zs, omega, chol, nhat, reach, best):
     """Log-terms of each row's orthant points within ``reach`` of its maximizer.
 
@@ -413,7 +513,8 @@ class _Kernel:
     Holds the Cholesky factor, Omega^-1, the certified radius of the shared
     ellipsoid and the bound on its point count, and on the full lattice the
     dual form (:func:`_dual_form`) where it is cheaper.  The offsets of each
-    form (:meth:`shared_points`) are kept, read-only, from their second use
+    form (:meth:`shared_points`), with the primal form's separable tables
+    (:func:`_separable`), are kept, read-only, from their second use
     on: a matrix summed once, like each candidate of a fit, holds no points,
     and its arrays are freed as an uncached call's would be.
     Raises NotPositiveDefiniteError if Omega is not positive definite.
@@ -440,17 +541,18 @@ class _Kernel:
         self.dual = None
         if lattice is Lattice.FULL:
             self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
+        # bounds on |g_j| where the separable form (:func:`_separable`) may apply
+        self.slopes = None
+        if lattice is Lattice.FULL and self.dual is None and h == 2:
+            self.slopes = 0.5 * np.abs(omega).sum(axis=1)
         self.kept = {False: None, True: None}     # by form: dual or not
         self.used = {False: False, True: False}
-
-    @property
-    def points(self):
-        """Offsets kept, over both forms."""
-        return sum(kept[0].shape[1] for kept in self.kept.values() if kept is not None)
+        self.points = 0     # offsets and separable weights kept, over both forms
 
     def shared_points(self, dual=False):
-        """``(cols, values)``: the offsets k column-wise, with k^T Omega k / 2
-        for the primal form, or their weights for the dual form."""
+        """The offsets k column-wise, with k^T Omega k / 2 and the
+        :class:`_Separable` tables (or None) for the primal form, or with
+        their weights for the dual form."""
         kept = self.kept[dual]
         if kept is None:
             h = self.omega.shape[0]
@@ -461,16 +563,20 @@ class _Kernel:
                 first = offsets[np.arange(offsets.shape[0]), (offsets != 0).argmax(axis=1)]
                 offsets, first = offsets[first >= 0], first[first >= 0]
                 quad = np.einsum("kh,hl,kl->k", offsets, self.dual.omega, offsets)
-                values = np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad)
+                kept = (np.ascontiguousarray(offsets.T, dtype=float),
+                        np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad))
             else:
-                values = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
-            kept = np.ascontiguousarray(offsets.T, dtype=float), values
+                quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
+                kept = (np.ascontiguousarray(offsets.T, dtype=float), quad,
+                        None if self.slopes is None else _separable(offsets, quad, self.slopes))
             if not self.used[dual]:
                 self.used[dual] = True
                 return kept
-            for a in kept:
+            tables = () if dual or kept[2] is None else kept[2]
+            for a in (*kept[:2], *tables):
                 a.setflags(write=False)
             self.kept[dual] = kept
+            self.points += kept[0].shape[1] + (tables.weights.size if tables else 0)
             with _KERNELS_LOCK:      # least recently used first, until the points fit
                 while sum(k.points for k in _KERNELS.values()) > _WORK_CAP:
                     _KERNELS.popitem(last=False)
@@ -577,7 +683,8 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         result[clipped] = _orthant_log_sums(zs[clipped], omega, chol, nhat[clipped],
                                             reach, best, bounds[clipped])
     if shared.any():
-        cols, quad = kernel.shared_points()
+        cols, quad, tables = kernel.shared_points()
+        shared = np.flatnonzero(shared) if clipped.size else slice(None)
         # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
         centre = centre[shared]
         c_omega = _rows_dot(centre, omega)
@@ -592,6 +699,9 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             result = f0 + _logsumexp_rows(e)
             return result, centre[0].astype(np.int64) + cols.T[keep].astype(np.int64), \
                 terms[keep]
-        result[shared] = _log_sums(g, f0, cols, quad, mask)
+        if tables is None:
+            result[shared] = _log_sums(g, f0, cols, quad, mask)
+        else:
+            result[shared] = _separable_log_sums(g, f0, tables)
     return result
 

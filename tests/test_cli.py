@@ -92,6 +92,22 @@ class TestExitCodes:
         assert "unrecognized arguments: --theta-eps 1e-6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_normalizer_is_1_and_named(self, tmp_path, capsys):
+        # the child of d = 1e200 has bh = 5e199, so its normalizer is +inf
+        parent = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[0.5], [0.5]], bv=[0.0, 0.0],
+                            bh=[0.0])
+        path = tmp_path / "child.json"
+        save_model(condition_on(parent, [1], [1e200])[0], path)
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["density", "--model", str(path), "--grid", "-1:1:3",
+                                "--out", str(out)])
+        assert code == 1
+        assert f"model {path}: the normalizer log theta(bh - W^T T^-1 bv" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_shift_is_minus_inf_without_warning(self, tmp_path, capsys):
         # u = v + T^-1 bv overflows at this point; the quadratic form is +inf
         far = RtbmParams(t=[[1.0, 0.5], [0.5, 1.0]], q=[[1.0]], w=[[0.0], [0.0]],

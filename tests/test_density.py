@@ -105,6 +105,20 @@ class TestLogPdf:
         assert logp[1] == pytest.approx(
             0.5 * math.log(0.75) - math.log(2 * math.pi), abs=1e-14)
 
+    def test_overflowing_normalizer_is_a_named_error(self):
+        # conditioning on d = 1e200 gives the child bh = 5e199, whose
+        # normalizer log theta(bh - W^T T^-1 bv | Schur) is +inf
+        from rtbm.fit import negative_log_likelihood
+
+        p = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[0.5], [0.5]], bv=[0.0, 0.0],
+                       bh=[0.0])
+        child, _ = condition_on(p, [1], [1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RtbmError, match=r"normalizer log theta\(bh - W\^T T\^-1 bv"):
+                log_pdf_many(child, [[0.0]])
+            assert negative_log_likelihood(child, [[0.0]]) == math.inf
+
 
 class TestLogMarginal:
     def test_gaussian_block_marginal(self):

@@ -477,3 +477,123 @@ class TestDualSums:
         # Omega^-1 overflows, so only the primal bound judges the sum
         with pytest.raises(ThetaTruncationError, match="work cap"):
             log_theta_many(np.zeros((1, 1)), np.array([[1e-310]]))
+
+
+def rotated(eigs):
+    """The 2x2 matrix with eigenvalues ``eigs`` along the diagonals."""
+    half = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    return half @ np.diag(eigs) @ half.T
+
+
+class TestSeparableSums:
+    """Primal sums at h = 2 factor over k_1 and k_2 where that is safe."""
+
+    @staticmethod
+    def tables(omega, lattice=Lattice.FULL):
+        import rtbm.theta as theta
+        return theta._kernel(np.asarray(omega, dtype=float), lattice, 1e-12).shared_points()[2]
+
+    @pytest.mark.parametrize("omega, separable", [
+        ([[19.0, 4.0], [4.0, 17.0]], True),
+        (np.diag([0.3, 50.0]), True),                  # 45 values of k_1, 3 of k_2
+        (rotated([0.5, 30.0]), True),
+        (400.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), True),
+        (rotated([0.5, 50.0]), False),                 # past the overflow gate
+        (600.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), False),
+        (spd_with_eigenvalues(np.random.default_rng(12), [0.03, 1e3]), False),  # thin
+    ], ids=["small", "long-axis", "rotated", "gate-400", "rotated-past-gate",
+            "gate-600", "thin-rotated"])
+    def test_both_sides_of_the_choice_against_reference(self, omega, separable):
+        omega = np.asarray(omega, dtype=float)
+        assert (self.tables(omega) is not None) == separable
+        rng = np.random.default_rng(31)
+        lam_min = np.linalg.eigvalsh(omega)[0]
+        for _ in range(4):
+            z = omega @ rng.uniform(-6, 6, 2)
+            got = log_theta_many(z[None, :], omega)[0]
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, lam_min))
+            assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    def test_batch_matches_single(self):
+        # 25 values along each coordinate, so every per-row sum has more
+        # than 8 terms, which numpy's pairwise summation would reorder.  Most
+        # maximizers lie near the origin, where the offset f0 is small enough
+        # not to round a reordered sum's last bits away.
+        omega = rotated([0.5, 30.0])
+        tables = self.tables(omega)
+        assert tables is not None and min(tables.weights.shape) > 8
+        rng = np.random.default_rng(70)
+        zs = np.vstack([rng.uniform(-1, 1, (50, 2)), rng.uniform(-40, 40, (10, 2))]) @ omega
+        batch = log_theta_many(zs, omega)
+        singles = [log_theta_many(z[None, :], omega)[0] for z in zs]
+        np.testing.assert_array_equal(batch, singles)
+        np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega))
+
+    def test_past_the_overflow_gate_sums_directly(self, monkeypatch):
+        import rtbm.theta as theta
+
+        # |g_j| max |k_j| reaches 700 summed over j, above the gate of 600
+        omega = rotated([0.5, 50.0])
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        cols = kernel.shared_points()[0]
+        assert kernel.dual is None
+        assert kernel.slopes @ np.abs(cols).max(axis=1) > theta._LOG_FACTOR_CAP
+
+        def no_separable(*args):
+            raise AssertionError("summed in the separable form")
+
+        monkeypatch.setattr(theta, "_separable_log_sums", no_separable)
+        rng = np.random.default_rng(9)
+        zs = rng.uniform(-30, 30, (20, 2)) @ omega
+        got = log_theta_many(zs, omega)
+        for z, value in zip(zs, got):
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 0.5))
+            assert value == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    def test_collect_terms_and_nonneg_never_separate(self, monkeypatch):
+        import rtbm.theta as theta
+
+        omega = np.array([[19.0, 4.0], [4.0, 17.0]])
+        z = np.array([7.0, -3.0])
+        assert self.tables(omega) is not None
+        assert self.tables(omega, Lattice.NONNEG) is None
+        separated = log_theta_many(z[None, :], omega)[0]
+
+        def no_separable(*args):
+            raise AssertionError("summed in the separable form")
+
+        monkeypatch.setattr(theta, "_separable_log_sums", no_separable)
+        logsum, points, terms = log_theta_many(z[None, :], omega, collect_terms=True)
+        assert points.shape[0] == terms.shape[0] == 23
+        assert logsum[0] == pytest.approx(separated, abs=1e-13)
+        log_theta_many(np.vstack([z, -z]), omega, lattice=Lattice.NONNEG)
+        with pytest.raises(AssertionError, match="separable"):
+            log_theta_many(z[None, :], omega)
+
+    def test_kept_tables_count_toward_the_caps(self, monkeypatch):
+        import rtbm.theta as theta
+
+        omega = rotated([0.5, 30.0])
+        for _ in range(2):
+            log_theta_many(np.ones((1, 2)), omega)
+        (kernel,) = theta._KERNELS.values()
+        cols, _, tables = kernel.kept[False]
+        kept = cols.shape[1] + tables.weights.size
+        assert tables.weights.size > cols.shape[1]
+        assert TestKernelCache.held() == (1, kept)
+        # a second such kernel fits under a cap of 1000 points only if the
+        # tables are not counted, so keeping it drops the first
+        monkeypatch.setattr(theta, "_WORK_CAP", 1000)
+        assert kept <= 1000 < 2 * kept and 2 * cols.shape[1] <= 1000
+        for _ in range(2):
+            log_theta_many(np.ones((1, 2)), 1.01 * omega)
+        (newest,) = theta._KERNELS.values()
+        np.testing.assert_array_equal(newest.omega, 1.01 * omega)
+        monkeypatch.undo()
+        for scale in np.linspace(1.0, 1.3, 40):
+            for _ in range(2):
+                log_theta_many(np.ones((1, 2)), scale * np.array([[19.0, 4.0], [4.0, 17.0]]))
+        kernels, points = TestKernelCache.held()
+        assert kernels == theta._KERNEL_CAP
+        assert points == sum(k.kept[False][0].shape[1] + k.kept[False][2].weights.size
+                             for k in theta._KERNELS.values())
