@@ -69,7 +69,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   these bounds times max |k_j|, summed over j, are at most 600, so every
   factor and term stays below e^600 and a partial product that underflows
   belongs to a term below e^-100 of a sum that is at least its k = 0 term,
-  1; and only where K1 + M <= 8 sqrt(P), which a thin ellipsoid fails.
+  1; and only where the table holds at most two entries per offset, which
+  a thin, tilted ellipsoid fails.  Far from the origin, rounding can carry
+  a row's g past those bounds; a row whose own |g_j| max |k_j|, summed
+  over j, passes 600 is summed directly.
   The products are accumulated one table row and one value of k_2 at a
   time in a fixed order, without BLAS (whose gemv for a single row rounds
   differently from its gemm) and without numpy's pairwise sums (which
@@ -289,23 +292,24 @@ class _Separable(NamedTuple):
     seconds: np.ndarray    # (M, 1) the values of k_2, one integer range
     weights: np.ndarray    # (K1, M) exp(-k^T Omega k / 2), zero off the ellipsoid
     spans: np.ndarray      # (K1, 2) the columns from a row's first to last weight
+    reach: np.ndarray      # (2,) max |k_j|
 
 
-def _separable(offsets, quad, slopes):
+def _separable(offsets, quad, omega):
     """The :class:`_Separable` tables of ``offsets`` (P, 2), or None.
 
-    ``quad`` holds k^T Omega k / 2 and ``slopes`` the bounds 1/2 sum_l
-    |Omega_jl| on |g_j|.  None where some factor could pass e^600, and
-    where K1 + M > 8 sqrt(P): a thin ellipsoid's table would hold more than
-    16 entries per point, and its many values of k_1 would cost more numpy
-    calls per row than they save exponentials.  A row's weights are
-    contiguous: the ellipsoid cuts each line of constant k_1 in one
-    interval, and exp(-k^T Omega k / 2) can underflow only at its ends.
+    ``quad`` holds k^T Omega k / 2.  None where some factor could pass
+    e^600 for g within its bounds |g_j| <= 1/2 sum_l |Omega_jl|, and where
+    the table would hold more than 2P entries (a thin, tilted ellipsoid
+    fills little of its bounding box), or more than the kept-point cap
+    leaves beside the P offsets.  A row's weights are contiguous: the
+    ellipsoid cuts each line of constant k_1 in one interval, and
+    exp(-k^T Omega k / 2) can underflow only at its ends.
     """
     low, high = offsets.min(axis=0), offsets.max(axis=0)
-    shape = high - low + 1
-    if (slopes @ np.maximum(high, -low) > _LOG_FACTOR_CAP
-            or shape.sum() ** 2 > 64 * offsets.shape[0]):
+    shape, reach, points = high - low + 1, np.maximum(high, -low), offsets.shape[0]
+    if (0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP
+            or shape.prod() > min(2 * points, _WORK_CAP - points)):
         return None
     weights = np.zeros(shape)
     weights[offsets[:, 0] - low[0], offsets[:, 1] - low[1]] = np.exp(-quad)
@@ -313,10 +317,10 @@ def _separable(offsets, quad, slopes):
     start = present.argmax(axis=1)
     spans = np.column_stack([start, start + present.sum(axis=1)])
     first, second = (np.arange(lo, hi + 1, dtype=float)[:, None] for lo, hi in zip(low, high))
-    return _Separable(first, second, weights, spans)
+    return _Separable(first, second, weights, spans, reach.astype(float))
 
 
-def _separable_log_sums(g, f0, tables):
+def _separable_log_sums(g, f0, cols, quad, tables):
     """:func:`_log_sums` over the full lattice at h = 2, in the separable form.
 
     Per row, U_a = exp(g_1 a) and V_m = exp(g_2 m); the sum is
@@ -326,11 +330,25 @@ def _separable_log_sums(g, f0, tables):
     ``np.add.accumulate`` call each, r[i] = r[i-1] + x[i], which adds in the
     same order as the loop over table rows (a zero weight adds an exact
     zero) but walks each column on its own, so a wider block takes the
-    loop.  Rows are taken in blocks whose work arrays hold about
+    loop (on the kernels of the n_h = 2 fit the two cost the same near
+    6000 entries).  Rows are taken in blocks whose work arrays hold about
     ``_BLOCK / 4`` elements each, few enough to be reused between blocks
     rather than mapped afresh.
+
+    A row whose |g_1| max |k_1| + |g_2| max |k_2| passes 600 is summed by
+    :func:`_log_sums` instead: far from the origin the rounded maximizer
+    and z - Omega c carry rounding errors that can take g past the bounds
+    the tables were admitted on.  The test reads only the row's own g.
     """
-    firsts, seconds, weights, spans = tables
+    far = ~(np.abs(g[:, 0]) * tables.reach[0] + np.abs(g[:, 1]) * tables.reach[1]
+            <= _LOG_FACTOR_CAP)
+    if far.any():
+        out = np.empty(g.shape[0])
+        out[far] = _log_sums(g[far], f0[far], cols, quad, None)
+        near = ~far
+        out[near] = _separable_log_sums(g[near], f0[near], cols, quad, tables)
+        return out
+    firsts, seconds, weights, spans, _ = tables
     spans = spans.tolist()
     out = np.empty(g.shape[0])
     step = max(1, _BLOCK // (4 * max(weights.shape)))
@@ -541,10 +559,7 @@ class _Kernel:
         self.dual = None
         if lattice is Lattice.FULL:
             self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
-        # bounds on |g_j| where the separable form (:func:`_separable`) may apply
-        self.slopes = None
-        if lattice is Lattice.FULL and self.dual is None and h == 2:
-            self.slopes = 0.5 * np.abs(omega).sum(axis=1)
+        self.lattice = lattice
         self.kept = {False: None, True: None}     # by form: dual or not
         self.used = {False: False, True: False}
         self.points = 0     # offsets and separable weights kept, over both forms
@@ -567,8 +582,10 @@ class _Kernel:
                         np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad))
             else:
                 quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
-                kept = (np.ascontiguousarray(offsets.T, dtype=float), quad,
-                        None if self.slopes is None else _separable(offsets, quad, self.slopes))
+                tables = None
+                if self.lattice is Lattice.FULL and self.dual is None and h == 2:
+                    tables = _separable(offsets, quad, self.omega)
+                kept = (np.ascontiguousarray(offsets.T, dtype=float), quad, tables)
             if not self.used[dual]:
                 self.used[dual] = True
                 return kept
@@ -702,6 +719,6 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         if tables is None:
             result[shared] = _log_sums(g, f0, cols, quad, mask)
         else:
-            result[shared] = _separable_log_sums(g, f0, tables)
+            result[shared] = _separable_log_sums(g, f0, cols, quad, tables)
     return result
 

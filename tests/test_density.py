@@ -91,6 +91,19 @@ class TestLogPdf:
         assert logp[0] == log_pdf(p, [1.0])
         assert logp[1] == logp[2] == -math.inf
 
+    def test_far_point_with_two_hidden_units_is_finite_without_warning(self):
+        # at v = 1e19 the theta argument W^T v is near 1e19, where the
+        # rounded maximizer of the h = 2 sum is off by far more than 1/2
+        p = RtbmParams(t=[[1.0]], q=[[19.0, 4.0], [4.0, 17.0]], w=[[1.0, 0.5]],
+                       bv=[0.0], bh=[0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp = log_pdf_many(p, [[1.0], [1e19], [-3e19]])
+        assert np.isfinite(logp).all()
+        assert logp[0] == log_pdf(p, [1.0])
+        # log theta(z | Q) ~ z^T Q^-1 z / 2, with w^T Q^-1 w = 17.75 / 307
+        assert logp[1] == pytest.approx(-0.5e38 * (1.0 - 17.75 / 307.0), rel=1e-9)
+
     def test_overflowing_shift_is_minus_inf_without_warning(self):
         # at v = 1.7e308 the shift u = v + T^-1 bv overflows to inf, and the
         # factor's zeros would turn u^T T u into NaN; at v = -T^-1 bv, u = 0

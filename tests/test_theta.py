@@ -479,10 +479,11 @@ class TestDualSums:
             log_theta_many(np.zeros((1, 1)), np.array([[1e-310]]))
 
 
-def rotated(eigs):
-    """The 2x2 matrix with eigenvalues ``eigs`` along the diagonals."""
-    half = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    return half @ np.diag(eigs) @ half.T
+def rotated(eigs, angle=np.pi / 4):
+    """The 2x2 matrix with eigenvalues ``eigs``, its axes turned by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    return turn @ np.diag(eigs) @ turn.T
 
 
 class TestSeparableSums:
@@ -496,12 +497,12 @@ class TestSeparableSums:
     @pytest.mark.parametrize("omega, separable", [
         ([[19.0, 4.0], [4.0, 17.0]], True),
         (np.diag([0.3, 50.0]), True),                  # 45 values of k_1, 3 of k_2
-        (rotated([0.5, 30.0]), True),
+        (rotated([3.0, 20.0], 0.6), True),             # 11 x 9 table, 55 points
         (400.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), True),
-        (rotated([0.5, 50.0]), False),                 # past the overflow gate
-        (600.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), False),
+        (rotated([0.5, 30.0]), False),                 # 25 x 25 table, 139 points
+        (600.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), False),  # past the overflow gate
         (spd_with_eigenvalues(np.random.default_rng(12), [0.03, 1e3]), False),  # thin
-    ], ids=["small", "long-axis", "rotated", "gate-400", "rotated-past-gate",
+    ], ids=["small", "long-axis", "rotated", "gate-400", "rotated-thin",
             "gate-600", "thin-rotated"])
     def test_both_sides_of_the_choice_against_reference(self, omega, separable):
         omega = np.asarray(omega, dtype=float)
@@ -515,11 +516,11 @@ class TestSeparableSums:
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
     def test_batch_matches_single(self):
-        # 25 values along each coordinate, so every per-row sum has more
-        # than 8 terms, which numpy's pairwise summation would reorder.  Most
-        # maximizers lie near the origin, where the offset f0 is small enough
-        # not to round a reordered sum's last bits away.
-        omega = rotated([0.5, 30.0])
+        # 11 and 9 values along the coordinates, so every per-row sum has
+        # more than 8 terms, which numpy's pairwise summation would reorder.
+        # Most maximizers lie near the origin, where the offset f0 is small
+        # enough not to round a reordered sum's last bits away.
+        omega = rotated([3.0, 20.0], 0.6)
         tables = self.tables(omega)
         assert tables is not None and min(tables.weights.shape) > 8
         rng = np.random.default_rng(70)
@@ -532,12 +533,13 @@ class TestSeparableSums:
     def test_past_the_overflow_gate_sums_directly(self, monkeypatch):
         import rtbm.theta as theta
 
-        # |g_j| max |k_j| reaches 700 summed over j, above the gate of 600
-        omega = rotated([0.5, 50.0])
+        # |g_j| max |k_j| reaches 780 summed over j, above the gate of 600
+        omega = 600.0 * np.array([[1.0, 0.3], [0.3, 1.0]])
         kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
         cols = kernel.shared_points()[0]
         assert kernel.dual is None
-        assert kernel.slopes @ np.abs(cols).max(axis=1) > theta._LOG_FACTOR_CAP
+        assert 0.5 * np.abs(omega).sum(axis=1) @ np.abs(cols).max(axis=1) \
+            > theta._LOG_FACTOR_CAP
 
         def no_separable(*args):
             raise AssertionError("summed in the separable form")
@@ -547,8 +549,27 @@ class TestSeparableSums:
         zs = rng.uniform(-30, 30, (20, 2)) @ omega
         got = log_theta_many(zs, omega)
         for z, value in zip(zs, got):
-            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 0.5))
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 420.0))
             assert value == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    def test_far_rows_past_their_bounds_sum_directly(self, monkeypatch):
+        import rtbm.theta as theta
+
+        # At |z| ~ 1e20 the rounded maximizer is off by far more than 1/2,
+        # so g leaves the bounds the tables were admitted on; every factor
+        # exp(g_j k_j) would overflow.
+        omega = np.array([[19.0, 4.0], [4.0, 17.0]])
+        assert self.tables(omega) is not None
+        rng = np.random.default_rng(14)
+        zs = np.vstack([rng.uniform(-1e20, 1e20, (6, 2)), [[3.0, -2.0]]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = log_theta_many(zs, omega)
+        assert np.isfinite(got).all()
+        theta._KERNELS.clear()
+        monkeypatch.setattr(theta, "_separable", lambda *args: None)
+        direct = log_theta_many(zs, omega)
+        np.testing.assert_array_equal(got[:-1], direct[:-1])
+        assert got[-1] == pytest.approx(direct[-1], abs=1e-14)
 
     def test_collect_terms_and_nonneg_never_separate(self, monkeypatch):
         import rtbm.theta as theta
@@ -573,7 +594,7 @@ class TestSeparableSums:
     def test_kept_tables_count_toward_the_caps(self, monkeypatch):
         import rtbm.theta as theta
 
-        omega = rotated([0.5, 30.0])
+        omega = rotated([3.0, 20.0], 0.6)
         for _ in range(2):
             log_theta_many(np.ones((1, 2)), omega)
         (kernel,) = theta._KERNELS.values()
@@ -581,14 +602,23 @@ class TestSeparableSums:
         kept = cols.shape[1] + tables.weights.size
         assert tables.weights.size > cols.shape[1]
         assert TestKernelCache.held() == (1, kept)
-        # a second such kernel fits under a cap of 1000 points only if the
+        # a second such kernel fits under a cap of 200 points only if the
         # tables are not counted, so keeping it drops the first
-        monkeypatch.setattr(theta, "_WORK_CAP", 1000)
-        assert kept <= 1000 < 2 * kept and 2 * cols.shape[1] <= 1000
+        monkeypatch.setattr(theta, "_WORK_CAP", 200)
+        assert kept <= 200 < 2 * kept and 2 * cols.shape[1] <= 200
         for _ in range(2):
             log_theta_many(np.ones((1, 2)), 1.01 * omega)
         (newest,) = theta._KERNELS.values()
         np.testing.assert_array_equal(newest.omega, 1.01 * omega)
+        assert newest.kept[False][2] is not None
+        # a table that would take its kernel past the cap alone is not built,
+        # so the kernel keeps its offsets
+        monkeypatch.setattr(theta, "_WORK_CAP", kept - 1)
+        for _ in range(2):
+            log_theta_many(np.ones((1, 2)), 1.02 * omega)
+        (newest,) = theta._KERNELS.values()
+        assert newest.kept[False][2] is None
+        assert TestKernelCache.held() == (1, cols.shape[1])
         monkeypatch.undo()
         for scale in np.linspace(1.0, 1.3, 40):
             for _ in range(2):
