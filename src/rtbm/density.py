@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RtbmError
-from .model import RtbmParams, sym, validate
+from .model import RtbmParams, validate
 from .theta import DEFAULT_EPS, log_theta_many
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -57,8 +57,8 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
                         "overflows")
     with np.errstate(over="ignore", invalid="ignore"):
         z_num = vs @ params.w + params.bh
-    bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))
-    if bad.size:
+    if not np.isfinite(z_num).all():
+        bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))
         raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
                         f"first at index {bad[0]}")
     # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to +inf,
@@ -67,7 +67,7 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         half_quad = 0.5 * np.square((vs + params.tinv_bv) @ params.chol_t).sum(axis=1)
     half_quad[np.isnan(half_quad)] = np.inf
-    log_num = log_theta_many(z_num, sym(params.q), params.lattice, DEFAULT_EPS)
+    log_num = log_theta_many(z_num, params.q, params.lattice, DEFAULT_EPS)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     log_num = np.where(np.isinf(half_quad), 0.0, log_num)

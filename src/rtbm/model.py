@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .theta import Lattice, spd_cholesky, sym, try_cholesky
+from .theta import Lattice, spd_cholesky, try_cholesky
 
 SYMMETRY_ATOL = 1e-10
 SCHUR = "Q - W^T T^-1 W"
@@ -102,12 +102,13 @@ class RtbmParams:
 
     @cached_property
     def schur(self) -> np.ndarray:
-        """S = Q - W^T T^-1 W, symmetrized: the normalizer's theta matrix.
+        """S = Q - W^T T^-1 W: the normalizer's theta matrix, whose symmetric
+        part the theta kernel sums.
 
         NotPositiveDefiniteError if it overflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(sym(self.q - self.w.T @ self.tinv_w), SCHUR)
+            return _finite(self.q - self.w.T @ self.tinv_w, SCHUR)
 
     @cached_property
     def z_schur(self) -> np.ndarray:

@@ -4,10 +4,11 @@ The visible density is an infinite Gaussian mixture indexed by the hidden
 lattice: component n has weight proportional to
 exp(-n^T (Q - W^T T^-1 W) n / 2 + (bh - W^T T^-1 bv)^T n), mean
 T^-1 (W n - bv) and covariance T^-1.  The hidden states are the lattice
-points the theta kernel enumerates for the normalizer, whose omitted mass
-is certified below the package's relative tolerance ``theta.DEFAULT_EPS``
-(1e-12), so sampling is inverse-CDF over a finite categorical plus one
-Gaussian draw.
+points of the normalizer argument's own certified ellipsoid, which the
+theta kernel enumerates about its maximizer (``collect_terms``); their
+omitted mass is below the package's relative tolerance
+``theta.DEFAULT_EPS`` (1e-12), so sampling is inverse-CDF over a finite
+categorical plus one Gaussian draw.
 
 Randomness: numpy's PCG64 via ``default_rng(seed)``; per-run substreams
 are derived with ``SeedSequence.spawn``.  Results depend only on
@@ -40,7 +41,7 @@ class HiddenDistribution:
 
 
 def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
-    """Hidden-state probabilities over the normalizer's certified lattice points."""
+    """Hidden-state probabilities over the normalizer argument's own certified ellipsoid."""
     total, points, terms = log_theta_many(
         params.z_schur[None, :], params.schur, params.lattice, DEFAULT_EPS,
         collect_terms=True)

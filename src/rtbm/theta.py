@@ -29,7 +29,8 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   and every row is evaluated against them in blocked products.  On the
   orthant lattice, points outside it are masked; a row whose rounded
   maximizer lies outside the orthant gets its own radius from its best
-  orthant point.
+  orthant point and sums its own ellipsoid, as does the collected row
+  whose points ``collect_terms`` returns.
 * Work cap.  Before anything is allocated, each row's point count is
   bounded by prod_i (min(2r / L_ii, s_i) + 1), s_i the extent of its
   ellipsoid (cut at zero on the orthant lattice) along n_i, and checked
@@ -56,8 +57,7 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   ellipsoid is large, take the dual.  Per row the sum is z.nhat / 2 plus
   the log of the cosine sum over k = 0 and one of each pair +-k, with
   doubled weights, the phases reduced mod 1.  The orthant lattice, to
-  which Poisson summation does not apply, and ``collect_terms``, which
-  needs the primal points, stay primal.
+  which Poisson summation does not apply, and the collected row stay primal.
 * Separable sums.  On the full lattice at h = 2, with g = z - Omega c the
   offset of a row's rounded maximizer c, exp(g.k) = exp(g_1 k_1) exp(g_2 k_2),
   so a row's sum over the shared offsets is sum_m V_m sum_a A_am U_a, with
@@ -78,16 +78,17 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   differently from its gemm) and without numpy's pairwise sums (which
   order a one-row sum differently), so a row's sum does not depend on its
   batch.  The choice is made once per kernel, from its offsets; the dual
-  form, the orthant lattice and ``collect_terms`` keep their sums.  At
+  form, the orthant lattice and the collected row keep their sums.  At
   h = 3, summed one table row and one prefix (k_2, k_3) at a time, a
   batch-1 call paid 50-90 numpy calls in the n_h = 3 fit, and that fit got
   slower, so h = 3 sums directly.
 * Prepared kernels.  What depends only on Omega, the lattice and eps - the
-  Cholesky factor, Omega^-1, the radius, the shared point bound, the dual
-  form and, from each form's second use on, its shared offsets and their
-  separable tables - is kept in one module-level LRU keyed by Omega's exact
-  bytes and shape, the lattice and eps.  It holds at most 32 kernels and at
-  most 2^21 kept offsets and table entries in total.
+  Cholesky factor, Omega^-1, the radius, the shared point bound, the one
+  form its rows take (dual, or primal with separable tables where they
+  apply) and, from that form's second use on, its offsets and tables - is
+  kept in one module-level LRU keyed by Omega's exact bytes and shape, the
+  lattice and eps; the kernel sums (Omega + Omega^T) / 2.  It holds at most
+  32 kernels and at most 2^21 kept offsets and table entries in total.
   Conditioning changes only the theta arguments, so every conditional of
   one model sums over the same two or three matrices, bit for bit, and
   after the first query only the per-row work remains.  A miss does what
@@ -115,7 +116,7 @@ DEFAULT_EPS = 1e-12
 MAX_EPS = 1e-3
 _WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at once
 _KERNEL_CAP = 32         # most prepared kernels kept at once
-_BLOCK = 1 << 16         # row-point pairs evaluated at once, sized for cache
+_BLOCK = 1 << 14         # elements of a blocked sum's work array, few enough to reuse
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _LOG_FACTOR_CAP = 600.0  # largest exponent of a factor of a separable sum
 
@@ -244,44 +245,30 @@ def _rows_dot(a, m):
     return np.einsum("bh,hk->bk", a, m)
 
 
-def _exponents(g, cols, quad, centre):
-    """g.k - k^T Omega k / 2 for each row and point; -inf outside the orthant.
-
-    ``cols`` holds the offsets k column-wise, ``centre`` the rows' lattice
-    centres for the NONNEG lattice, or None for the full lattice.
-    """
-    e = _rows_dot(g, cols)
-    e -= quad
-    if centre is not None:
-        outside = cols[0] < -centre[:, :1]
-        for j in range(1, cols.shape[0]):
-            outside |= cols[j] < -centre[:, j:j + 1]
-        np.copyto(e, -np.inf, where=outside)
-    return e
-
-
-def _logsumexp_rows(e):
-    """Per-row log-sum-exp of ``e``, which is overwritten."""
-    peak = e.max(axis=1)
-    e -= peak[:, None]
-    np.exp(e, out=e)
-    return peak + np.log(e.sum(axis=1))
-
-
 def _log_sums(g, f0, cols, quad, centre):
     """Per-row log of sum_k exp(f0 + g.k - k^T Omega k / 2) over the offsets.
 
-    ``cols`` holds the offsets k column-wise.  Rows are taken in blocks of
-    about ``_BLOCK`` row-point pairs (one row at least), so no block
-    exceeds ``_WORK_CAP`` elements.
+    ``cols`` holds the offsets k column-wise, ``centre`` the rows' lattice
+    centres for the NONNEG lattice, where offsets outside it are masked, or
+    None for the full lattice.  Rows are taken in blocks of about ``_BLOCK``
+    row-point pairs (one row at least), so no block exceeds ``_WORK_CAP``
+    elements.
     """
     out = np.empty(g.shape[0])
     step = max(1, _BLOCK // cols.shape[1])
     for s in range(0, g.shape[0], step):
         blk = slice(s, s + step)
-        e = _exponents(g[blk], cols, quad,
-                       None if centre is None else centre[blk])
-        out[blk] = f0[blk] + _logsumexp_rows(e)
+        e = _rows_dot(g[blk], cols)
+        e -= quad
+        if centre is not None:
+            outside = cols[0] < -centre[blk, :1]
+            for j in range(1, cols.shape[0]):
+                outside |= cols[j] < -centre[blk, j:j + 1]
+            np.copyto(e, -np.inf, where=outside)
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        np.exp(e, out=e)
+        out[blk] = f0[blk] + (peak + np.log(e.sum(axis=1)))
     return out
 
 
@@ -326,14 +313,13 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     Per row, U_a = exp(g_1 a) and V_m = exp(g_2 m); the sum is
     sum_m V_m sum_a A_am U_a, accumulated elementwise in a fixed order with
     rows along the contiguous axis.  A block whose rows times the table
-    hold at most ``_BLOCK / 16`` entries takes both sums in one
+    hold at most ``_BLOCK / 4`` entries takes both sums in one
     ``np.add.accumulate`` call each, r[i] = r[i-1] + x[i], which adds in the
     same order as the loop over table rows (a zero weight adds an exact
     zero) but walks each column on its own, so a wider block takes the
     loop (on the kernels of the n_h = 2 fit the two cost the same near
     6000 entries).  Rows are taken in blocks whose work arrays hold about
-    ``_BLOCK / 4`` elements each, few enough to be reused between blocks
-    rather than mapped afresh.
+    ``_BLOCK`` elements each.
 
     A row whose |g_1| max |k_1| + |g_2| max |k_2| passes 600 is summed by
     :func:`_log_sums` instead: far from the origin the rounded maximizer
@@ -351,14 +337,14 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     firsts, seconds, weights, spans, _ = tables
     spans = spans.tolist()
     out = np.empty(g.shape[0])
-    step = max(1, _BLOCK // (4 * max(weights.shape)))
+    step = max(1, _BLOCK // max(weights.shape))
     for s in range(0, g.shape[0], step):
         blk = slice(s, s + step)
         u = np.multiply(firsts, g[blk, 0])
         np.exp(u, out=u)
         v = np.multiply(seconds, g[blk, 1])
         np.exp(v, out=v)
-        if u.size * weights.shape[1] <= _BLOCK // 16:
+        if u.size * weights.shape[1] <= _BLOCK // 4:
             acc = np.add.accumulate(weights[:, :, None] * u[:, None, :])[-1]
             acc *= v
             total = np.add.accumulate(acc)[-1]
@@ -378,13 +364,14 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     return out
 
 
-def _orthant_terms(zs, omega, chol, nhat, reach, best):
-    """Log-terms of each row's orthant points within ``reach`` of its maximizer.
+def _own_terms(zs, omega, chol, nhat, reach, best, orthant):
+    """Log-terms of each row's points within ``reach`` of its maximizer.
 
-    Terms are expanded about ``best``, the row's orthant point, where the
-    sum's mass lies.  Returns ``(owner, points, logterms)`` grouped by row.
+    Terms are expanded about ``best``, the row's rounded maximizer or, on
+    the ``orthant``, its orthant point, where the sum's mass lies.  Returns
+    ``(owner, points, logterms)`` grouped by row.
     """
-    owner, points = _ellipsoid_points(chol, nhat, reach, orthant=True)
+    owner, points = _ellipsoid_points(chol, nhat, reach, orthant)
     b_omega = _rows_dot(best, omega)
     f_best = -0.5 * np.einsum("bh,bh->b", b_omega, best) + np.einsum("bh,bh->b", best, zs)
     k = points - best[owner]
@@ -394,7 +381,7 @@ def _orthant_terms(zs, omega, chol, nhat, reach, best):
 
 
 def _orthant_log_sums(zs, omega, chol, nhat, reach, best, bounds):
-    """Per-row log-sums of :func:`_orthant_terms`, in pieces under the work cap.
+    """Per-row orthant log-sums of :func:`_own_terms`, in pieces under the work cap.
 
     Consecutive rows are grouped so that their point ``bounds`` (each at
     most the cap) add up to at most the cap.  A row's sum uses its own
@@ -406,8 +393,8 @@ def _orthant_log_sums(zs, omega, chol, nhat, reach, best, bounds):
     while start < zs.shape[0]:
         stop = int(np.searchsorted(ends, ends[start] + _WORK_CAP, side="right")) - 1
         rows = slice(start, max(stop, start + 1))
-        owner, _, terms = _orthant_terms(zs[rows], omega, chol, nhat[rows],
-                                         reach[rows], best[rows])
+        owner, _, terms = _own_terms(zs[rows], omega, chol, nhat[rows],
+                                     reach[rows], best[rows], orthant=True)
         out[rows] = _segment_log_sums(owner, terms, rows.stop - rows.start)
         start = rows.stop
     return out
@@ -421,8 +408,8 @@ def _segment_log_sums(owner, terms, count):
 
 
 def sym(a):
-    """Average a square matrix with its transpose."""
-    return 0.5 * (a + a.T)
+    """Average a square matrix with its transpose, halving first so it cannot overflow."""
+    return 0.5 * a + 0.5 * a.T
 
 
 def try_cholesky(a):
@@ -529,11 +516,12 @@ class _Kernel:
     """What a sum needs that depends only on Omega, the lattice and eps.
 
     Holds the Cholesky factor, Omega^-1, the certified radius of the shared
-    ellipsoid and the bound on its point count, and on the full lattice the
-    dual form (:func:`_dual_form`) where it is cheaper.  The offsets of each
-    form (:meth:`shared_points`), with the primal form's separable tables
-    (:func:`_separable`), are kept, read-only, from their second use
-    on: a matrix summed once, like each candidate of a fit, holds no points,
+    ellipsoid and the bound on its point count, and the one form its rows
+    are summed in: on the full lattice the dual (:func:`_dual_form`) where
+    it is cheaper, and otherwise the primal, with separable tables
+    (:func:`_separable`) where they apply.  The form's offsets
+    (:meth:`shared_points`) are kept, read-only, from their second use on:
+    a matrix summed once, like each candidate of a fit, holds no points,
     and its arrays are freed as an uncached call's would be.
     Raises NotPositiveDefiniteError if Omega is not positive definite.
     """
@@ -560,43 +548,42 @@ class _Kernel:
         if lattice is Lattice.FULL:
             self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
         self.lattice = lattice
-        self.kept = {False: None, True: None}     # by form: dual or not
-        self.used = {False: False, True: False}
-        self.points = 0     # offsets and separable weights kept, over both forms
+        self.kept = None
+        self.used = False
+        self.points = 0     # offsets and separable weights kept
 
-    def shared_points(self, dual=False):
-        """The offsets k column-wise, with k^T Omega k / 2 and the
-        :class:`_Separable` tables (or None) for the primal form, or with
-        their weights for the dual form."""
-        kept = self.kept[dual]
-        if kept is None:
-            h = self.omega.shape[0]
-            form = self.dual if dual else self
-            offsets = _ellipsoid_points(form.chol, np.zeros((1, h)), np.array([form.radius]))[1]
-            if dual:
-                # k = 0 and, of each pair +-k, the one whose first nonzero entry is positive
-                first = offsets[np.arange(offsets.shape[0]), (offsets != 0).argmax(axis=1)]
-                offsets, first = offsets[first >= 0], first[first >= 0]
-                quad = np.einsum("kh,hl,kl->k", offsets, self.dual.omega, offsets)
-                kept = (np.ascontiguousarray(offsets.T, dtype=float),
-                        np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad))
-            else:
-                quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
-                tables = None
-                if self.lattice is Lattice.FULL and self.dual is None and h == 2:
-                    tables = _separable(offsets, quad, self.omega)
-                kept = (np.ascontiguousarray(offsets.T, dtype=float), quad, tables)
-            if not self.used[dual]:
-                self.used[dual] = True
-                return kept
-            tables = () if dual or kept[2] is None else kept[2]
-            for a in (*kept[:2], *tables):
-                a.setflags(write=False)
-            self.kept[dual] = kept
-            self.points += kept[0].shape[1] + (tables.weights.size if tables else 0)
-            with _KERNELS_LOCK:      # least recently used first, until the points fit
-                while sum(k.points for k in _KERNELS.values()) > _WORK_CAP:
-                    _KERNELS.popitem(last=False)
+    def shared_points(self):
+        """The offsets k column-wise: with their weights in the dual form, or
+        with k^T Omega k / 2 and the :class:`_Separable` tables (or None) in
+        the primal form."""
+        if self.kept is not None:
+            return self.kept
+        h = self.omega.shape[0]
+        form = self if self.dual is None else self.dual
+        offsets = _ellipsoid_points(form.chol, np.zeros((1, h)), np.array([form.radius]))[1]
+        tables = None
+        if self.dual is not None:
+            # k = 0 and, of each pair +-k, the one whose first nonzero entry is positive
+            first = offsets[np.arange(offsets.shape[0]), (offsets != 0).argmax(axis=1)]
+            offsets, first = offsets[first >= 0], first[first >= 0]
+            quad = np.einsum("kh,hl,kl->k", offsets, self.dual.omega, offsets)
+            kept = (np.ascontiguousarray(offsets.T, dtype=float),
+                    np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad))
+        else:
+            quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
+            if self.lattice is Lattice.FULL and h == 2:
+                tables = _separable(offsets, quad, self.omega)
+            kept = (np.ascontiguousarray(offsets.T, dtype=float), quad, tables)
+        if not self.used:
+            self.used = True
+            return kept
+        for a in (*kept[:2], *(tables or ())):
+            a.setflags(write=False)
+        self.kept = kept
+        self.points = kept[0].shape[1] + (tables.weights.size if tables else 0)
+        with _KERNELS_LOCK:      # least recently used first, until the points fit
+            while sum(k.points for k in _KERNELS.values()) > _WORK_CAP:
+                _KERNELS.popitem(last=False)
         return kept
 
 
@@ -608,7 +595,7 @@ def _kernel(omega, lattice, eps):
         if kernel is not None:
             _KERNELS.move_to_end(key)
             return kernel
-    omega = omega.copy()
+    omega = sym(omega)          # keyed by the caller's bytes, summed symmetrized
     omega.setflags(write=False)
     kernel = _Kernel(omega, lattice, eps)
     with _KERNELS_LOCK:
@@ -625,11 +612,13 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     Parameters
     ----------
     zs : (B, h) array of argument vectors.
-    omega : (h, h) symmetric positive definite matrix.
+    omega : (h, h) matrix whose symmetric part (Omega + Omega^T) / 2, the
+        matrix that is summed, is positive definite.
     lattice : which lattice to sum over.
     eps : relative truncation tolerance, 0 < eps <= 1e-3.
-    collect_terms : if True (batch size 1 only), also return the enumerated
-        lattice points and their log-terms, for mixture-weight extraction.
+    collect_terms : if True (batch size 1 only), also return the lattice
+        points of the row's own certified ellipsoid and their log-terms, for
+        mixture-weight extraction.
 
     Returns
     -------
@@ -639,7 +628,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     Raises
     ------
     NotPositiveDefiniteError
-        If omega is not positive definite.
+        If the symmetric part of omega is not positive definite.
     ThetaTruncationError
         If certifying ``eps`` needs more lattice points than the work cap
         in the form used (the primal one when the dual is not certified or
@@ -665,60 +654,55 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     nhat = _rows_dot(zs, kernel.omega_inv)              # continuous maximizer
     if kernel.dual is not None and not collect_terms:  # its bound is under the cap
         return (kernel.dual.log_scale + 0.5 * np.einsum("bh,bh->b", zs, nhat)
-                + _dual_log_sums(nhat, *kernel.shared_points(dual=True)))
+                + _dual_log_sums(nhat, *kernel.shared_points()))
     centre = np.rint(nhat)
-    shared = np.ones(nb, dtype=bool)
-    if lattice is Lattice.NONNEG:
-        shared = ~(centre < 0).any(axis=1)
-    clipped = np.flatnonzero(~shared)
+    orthant = lattice is Lattice.NONNEG
+    own = np.full(nb, collect_terms)
+    if orthant:
+        own |= (centre < 0).any(axis=1)
+    rows = np.flatnonzero(own)
 
     bounds = np.full(nb, kernel.bound)
-    if clipped.size:
-        # A rounded maximizer outside the orthant gives no term to bound the
-        # sum with; an orthant point found by coordinate ascent does, and the
-        # row's own ellipsoid is enumerated inside the orthant.
-        best = _orthant_ascent(zs[clipped], omega, np.maximum(centre[clipped], 0.0))
-        u = nhat[clipped] - best
+    if rows.size:
+        # The collected row and, on the orthant, a row whose rounded maximizer
+        # lies outside it sum their own ellipsoid, certified by their term at
+        # the rounded maximizer or at an orthant point found by coordinate ascent.
+        best = centre[rows]
+        if orthant:
+            best = _orthant_ascent(zs[rows], omega, np.maximum(best, 0.0))
+        u = nhat[rows] - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
         reach = np.maximum(_certified_radius(kernel.pivots, kernel.log_eps - 0.5 * dist ** 2),
-                           dist)        # radius of each clipped row's own points
-        upper = nhat[clipped] + reach[:, None] * kernel.widths
-        lower = np.maximum(nhat[clipped] - reach[:, None] * kernel.widths, 0.0)
-        bounds[clipped] = _point_bounds(kernel.pivots, reach, upper - lower)
+                           dist)        # radius of each row's own points
+        upper = nhat[rows] + reach[:, None] * kernel.widths
+        lower = np.maximum(nhat[rows] - reach[:, None] * kernel.widths,
+                           0.0 if orthant else -np.inf)
+        bounds[rows] = _point_bounds(kernel.pivots, reach, upper - lower)
     failed = bounds > _WORK_CAP
     if failed.any():
         raise ThetaTruncationError(
             f"{int(failed.sum())} of {nb} lattice sums not converged: eps={eps:g} "
             f"needs up to {bounds.max():.4g} lattice points, above the work cap "
             f"of {_WORK_CAP} (min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
+    if collect_terms:
+        owner, points, terms = _own_terms(zs, omega, chol, nhat, reach, best, orthant)
+        return _segment_log_sums(owner, terms, 1), points, terms
 
     result = np.empty(nb)
-    if clipped.size:
-        if collect_terms:
-            owner, points, terms = _orthant_terms(zs, omega, chol, nhat, reach, best)
-            return _segment_log_sums(owner, terms, 1), points, terms
-        result[clipped] = _orthant_log_sums(zs[clipped], omega, chol, nhat[clipped],
-                                            reach, best, bounds[clipped])
-    if shared.any():
+    if rows.size:
+        result[rows] = _orthant_log_sums(zs[rows], omega, chol, nhat[rows],
+                                         reach, best, bounds[rows])
+    if rows.size < nb:
         cols, quad, tables = kernel.shared_points()
-        shared = np.flatnonzero(shared) if clipped.size else slice(None)
+        shared = np.flatnonzero(~own) if rows.size else slice(None)
         # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
         centre = centre[shared]
         c_omega = _rows_dot(centre, omega)
         g = zs[shared] - c_omega
         f0 = -0.5 * np.einsum("bh,bh->b", c_omega, centre) \
             + np.einsum("bh,bh->b", centre, zs[shared])
-        mask = centre if lattice is Lattice.NONNEG else None
-        if collect_terms:
-            e = _exponents(g, cols, quad, mask)
-            terms = f0[0] + e[0]
-            keep = np.isfinite(terms)
-            result = f0 + _logsumexp_rows(e)
-            return result, centre[0].astype(np.int64) + cols.T[keep].astype(np.int64), \
-                terms[keep]
         if tables is None:
-            result[shared] = _log_sums(g, f0, cols, quad, mask)
+            result[shared] = _log_sums(g, f0, cols, quad, centre if orthant else None)
         else:
             result[shared] = _separable_log_sums(g, f0, cols, quad, tables)
     return result
-

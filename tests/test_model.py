@@ -62,6 +62,16 @@ class TestValidate:
         with pytest.raises(NotPositiveDefiniteError, match="not finite"):
             p.z_schur
 
+    def test_matrices_past_half_the_double_range_are_judged(self):
+        # their entries pass DBL_MAX / 2, so (a + a^T) / 2 would overflow
+        assert validate(RtbmParams(t=[[1.7e308]], q=[[1.7e308]], w=[[1.0]],
+                                   bv=[0.0], bh=[0.0])).valid
+        # the Schur matrix is finite, with entries of -1.69e308
+        p = RtbmParams(t=[[1.0]], q=np.eye(2), w=[[1.3e154, 1.3e154]], bv=[0.0],
+                       bh=[0.0, 0.0])
+        report = validate(p)
+        assert [v.rule for v in report.violations] == ["schur-not-positive-definite"]
+
     def test_asymmetry_reported(self):
         t = np.array([[1.0, 1e-6], [0.0, 1.0]])
         p = RtbmParams(t=t, q=[[1.0]], w=[[0.0], [0.0]], bv=[0.0, 0.0], bh=[0.0])

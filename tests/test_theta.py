@@ -311,6 +311,24 @@ class TestKernelCache:
         omega[0, 0] = 2.0
         np.testing.assert_array_equal(log_theta_many(np.ones((1, 2)), omega), first)
 
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("omega, z, dual", [
+        ([[2.0, 0.31], [0.29, 1.0]], [0.7, -0.2], True),
+        ([[19.0, 4.001], [3.999, 17.0]], [7.0, -3.0], False),
+    ], ids=["dual", "primal"])
+    def test_asymmetric_omega_sums_its_symmetric_part(self, omega, z, dual, lattice):
+        import rtbm.theta as theta
+
+        omega, z = np.array(omega), np.array(z)
+        part = theta.sym(omega)
+        got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
+        kernel = theta._kernel(omega, lattice, 1e-12)
+        assert (kernel.dual is not None) == (dual and lattice is Lattice.FULL)
+        np.testing.assert_array_equal(kernel.omega, part)
+        assert got == log_theta_many(z[None, :], part, lattice=lattice)[0]
+        ref = log_theta_reference(z, part, lattice=lattice, radius=30)
+        assert got == pytest.approx(ref, abs=1e-12)
+
     def test_queries_enumerate_each_omega_at_most_twice(self, tfit_params, monkeypatch):
         import rtbm.theta as theta
         from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
@@ -459,19 +477,19 @@ class TestDualSums:
         for _ in range(2):
             log_theta_many(np.ones((1, 3)), omega)
         (kernel,) = theta._KERNELS.values()
-        kept = kernel.kept[True][0].shape[1]
+        kept = kernel.kept[0].shape[1]
         assert kernel.dual is not None and kept > 1
         assert TestKernelCache.held() == (1, kept)
-        # the primal offsets that collect_terms keeps count as well
+        # collect_terms sums the row's own ellipsoid and keeps no primal offsets
         for _ in range(2):
             log_theta_many(np.ones((1, 3)), omega, collect_terms=True)
-        assert TestKernelCache.held() == (1, kept + kernel.kept[False][0].shape[1])
+        assert TestKernelCache.held() == (1, kept)
         for scale in np.linspace(2.0, 2.9, 40):
             for _ in range(2):
                 log_theta_many(np.ones((1, 3)), scale * np.eye(3))
         kernels, points = TestKernelCache.held()
         assert kernels == theta._KERNEL_CAP
-        assert points == sum(k.kept[True][0].shape[1] for k in theta._KERNELS.values())
+        assert points == sum(k.kept[0].shape[1] for k in theta._KERNELS.values())
 
     def test_unrepresentable_dual_stays_primal(self):
         # Omega^-1 overflows, so only the primal bound judges the sum
@@ -579,17 +597,53 @@ class TestSeparableSums:
         assert self.tables(omega) is not None
         assert self.tables(omega, Lattice.NONNEG) is None
         separated = log_theta_many(z[None, :], omega)[0]
+        assert theta._kernel(omega, Lattice.FULL, 1e-12).kept[0].shape[1] == 23
 
         def no_separable(*args):
             raise AssertionError("summed in the separable form")
 
         monkeypatch.setattr(theta, "_separable_log_sums", no_separable)
         logsum, points, terms = log_theta_many(z[None, :], omega, collect_terms=True)
-        assert points.shape[0] == terms.shape[0] == 23
+        # the row's own ellipsoid, not the 23 offsets that every row shares
+        assert points.shape[0] == terms.shape[0] == 13
         assert logsum[0] == pytest.approx(separated, abs=1e-13)
         log_theta_many(np.vstack([z, -z]), omega, lattice=Lattice.NONNEG)
         with pytest.raises(AssertionError, match="separable"):
             log_theta_many(z[None, :], omega)
+
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("omega, z, form", [
+        ([[0.4, 0.1], [0.1, 0.3]], [0.7, -0.2], "dual"),
+        ([[19.0, 4.0], [4.0, 17.0]], [7.0, -3.0], "separable"),
+    ], ids=["dual", "separable"])
+    def test_collected_terms_hold_every_term_that_counts(self, omega, z, form,
+                                                         lattice, monkeypatch):
+        import rtbm.theta as theta
+
+        omega, z = np.array(omega), np.array(z)
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        assert form == ("dual" if kernel.dual is not None else "separable")
+        if form == "separable":
+            assert self.tables(omega) is not None
+
+        def refused(*args):
+            raise AssertionError("collect_terms used the shared offsets")
+
+        monkeypatch.setattr(theta._Kernel, "shared_points", refused)
+        monkeypatch.setattr(theta, "_separable", refused)
+        logsum, points, terms = log_theta_many(z[None, :], omega, lattice=lattice,
+                                               collect_terms=True)
+        collected = dict(zip(map(tuple, points.tolist()), terms.tolist()))
+        assert len(collected) == points.shape[0]
+        lo = 0 if lattice is Lattice.NONNEG else -30
+        grid = np.stack(np.meshgrid(np.arange(lo, 31), np.arange(lo, 31)), -1).reshape(-1, 2)
+        brute = -0.5 * np.einsum("nh,hl,nl->n", grid, omega, grid) + grid @ z
+        total = log_theta_reference(z, omega, lattice=lattice, radius=30)
+        assert logsum[0] == pytest.approx(total, abs=1e-12)
+        counted = brute > total + np.log(1e-12)
+        assert counted.sum() >= 1
+        for point, term in zip(grid[counted].tolist(), brute[counted]):
+            assert collected[tuple(point)] == pytest.approx(term, abs=1e-12)
 
     def test_kept_tables_count_toward_the_caps(self, monkeypatch):
         import rtbm.theta as theta
@@ -598,7 +652,7 @@ class TestSeparableSums:
         for _ in range(2):
             log_theta_many(np.ones((1, 2)), omega)
         (kernel,) = theta._KERNELS.values()
-        cols, _, tables = kernel.kept[False]
+        cols, _, tables = kernel.kept
         kept = cols.shape[1] + tables.weights.size
         assert tables.weights.size > cols.shape[1]
         assert TestKernelCache.held() == (1, kept)
@@ -610,14 +664,14 @@ class TestSeparableSums:
             log_theta_many(np.ones((1, 2)), 1.01 * omega)
         (newest,) = theta._KERNELS.values()
         np.testing.assert_array_equal(newest.omega, 1.01 * omega)
-        assert newest.kept[False][2] is not None
+        assert newest.kept[2] is not None
         # a table that would take its kernel past the cap alone is not built,
         # so the kernel keeps its offsets
         monkeypatch.setattr(theta, "_WORK_CAP", kept - 1)
         for _ in range(2):
             log_theta_many(np.ones((1, 2)), 1.02 * omega)
         (newest,) = theta._KERNELS.values()
-        assert newest.kept[False][2] is None
+        assert newest.kept[2] is None
         assert TestKernelCache.held() == (1, cols.shape[1])
         monkeypatch.undo()
         for scale in np.linspace(1.0, 1.3, 40):
@@ -625,5 +679,5 @@ class TestSeparableSums:
                 log_theta_many(np.ones((1, 2)), scale * np.array([[19.0, 4.0], [4.0, 17.0]]))
         kernels, points = TestKernelCache.held()
         assert kernels == theta._KERNEL_CAP
-        assert points == sum(k.kept[False][0].shape[1] + k.kept[False][2].weights.size
+        assert points == sum(k.kept[0].shape[1] + k.kept[2].weights.size
                              for k in theta._KERNELS.values())
