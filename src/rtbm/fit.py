@@ -13,6 +13,7 @@ one, and among themselves by their index in the population.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,10 +53,19 @@ def free_parameter_count(n_v: int, n_h: int) -> int:
     return n_v * (n_v + 1) // 2 + n_h * (n_h + 1) // 2 + n_v * n_h + n_v + n_h
 
 
+@functools.lru_cache(maxsize=16)
+def _tril_indices(n):
+    """``np.tril_indices(n)``, made once per size rather than on every decode."""
+    rows, cols = np.tril_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _tril_to_matrix(vals, n, name):
     """L L^T, L lower triangular with exponentiated diagonal; finite or raises."""
     fac = np.zeros((n, n))
-    fac[np.tril_indices(n)] = vals
+    fac[_tril_indices(n)] = vals
     diag = np.diag_indices(n)
     with np.errstate(over="ignore", invalid="ignore"):
         fac[diag] = np.exp(fac[diag])

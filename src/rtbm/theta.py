@@ -73,15 +73,19 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   a thin, tilted ellipsoid fails.  Far from the origin, rounding can carry
   a row's g past those bounds; a row whose own |g_j| max |k_j|, summed
   over j, passes 600 is summed directly.
+  The rows lie along the contiguous axis: U is (K1, rows) and V (M, rows).
   The products are accumulated one table row and one value of k_2 at a
   time in a fixed order, without BLAS (whose gemv for a single row rounds
   differently from its gemm) and without numpy's pairwise sums (which
   order a one-row sum differently), so a row's sum does not depend on its
-  batch.  The choice is made once per kernel, from its offsets; the dual
-  form, the orthant lattice and the collected row keep their sums.  At
-  h = 3, summed one table row and one prefix (k_2, k_3) at a time, a
-  batch-1 call paid 50-90 numpy calls in the n_h = 3 fit, and that fit got
-  slower, so h = 3 sums directly.
+  batch.  A block takes 2^16 / max(K1, M) rows, so that each of its arrays
+  fits one row of a work array that each thread keeps (1.5 MiB) rather
+  than having it mapped afresh per call; a 5000-row call of the n_h = 2
+  fit is one block or two.  The choice is made once per kernel, from its
+  offsets; the dual form, the orthant lattice and the collected row keep
+  their sums.  At h = 3, summed one table row and one prefix (k_2, k_3)
+  at a time, a batch-1 call paid 50-90 numpy calls in the n_h = 3 fit,
+  and that fit got slower, so h = 3 sums directly.
 * Prepared kernels.  What depends only on Omega, the lattice and eps - the
   Cholesky factor, Omega^-1, the radius, the shared point bound, the one
   form its rows take (dual, or primal with separable tables where they
@@ -93,7 +97,13 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   one model sums over the same two or three matrices, bit for bit, and
   after the first query only the per-row work remains.  A miss does what
   an uncached call does, in the same order, so results never depend on
-  the cache.
+  the cache.  That per-row work - the maximizer Omega^-1 z, its rounding
+  c, g = z - Omega c and the term at c - reads each coordinate of the
+  batch as one contiguous row of B values and sums over the coordinates
+  in index order, one length-B operation each, which neither the batch
+  nor the CPU's vector width can reorder.  The direct and dual sums build
+  their (rows x points) blocks of about 2^14 elements (one row at least)
+  from these rows.
 
 The tolerance must be finite with 0 < eps <= 1e-3 (:func:`check_eps`).
 """
@@ -108,6 +118,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammainccinv, gammaln
 
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
@@ -116,13 +127,15 @@ DEFAULT_EPS = 1e-12
 MAX_EPS = 1e-3
 _WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at once
 _KERNEL_CAP = 32         # most prepared kernels kept at once
-_BLOCK = 1 << 14         # elements of a blocked sum's work array, few enough to reuse
+_BLOCK = 1 << 14         # elements of a direct or dual sum's (rows x points) block, reused
+_TABLE_BLOCK = 1 << 16   # elements of each row of a separable sum's kept work array
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _LOG_FACTOR_CAP = 600.0  # largest exponent of a factor of a separable sum
 
 # Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
 _KERNELS = OrderedDict()
 _KERNELS_LOCK = threading.Lock()
+_TABLE_WORK = threading.local()   # each thread's work array for separable sums
 
 
 class Lattice(str, Enum):
@@ -235,35 +248,61 @@ def _orthant_ascent(zs, omega, start):
     return n
 
 
-def _rows_dot(a, m):
-    """Row-wise ``a @ m``, accumulated over the inner index in a fixed order.
+def _coords_dot(rows, m):
+    """``m^T rows`` for coordinate rows (h, B): out[k] = sum_j m[j, k] rows[j].
 
+    The sum runs over j in index order, one (h', B) product per coordinate.
     BLAS rounds a row differently depending on how many rows share the
     product (gemv for one row, blocked gemm kernels for more), which would
-    make a lattice sum depend on its batch; einsum's own loops do not.
+    make a lattice sum depend on its batch; this order depends on nothing
+    but h, and is the order in which einsum accumulates :func:`_rows_dot`.
+    """
+    out = m[0][:, None] * rows[0]
+    for j in range(1, rows.shape[0]):
+        out += m[j][:, None] * rows[j]
+    return out
+
+
+def _rows_dot(a, m):
+    """Row-wise ``a @ m`` for rows (B, h), in the order of :func:`_coords_dot`.
+
+    The own-ellipsoid paths keep their few rows in this layout, the one
+    :func:`_ellipsoid_points` enumerates in.
     """
     return np.einsum("bh,hk->bk", a, m)
+
+
+def _coords_inner(a, b):
+    """sum_j a[j] b[j] for coordinate rows (h, B), over j in index order.
+
+    ``np.einsum("hb,hb->b")`` would sum a lone row (B = 1) in the CPU's
+    vector-lane order instead.
+    """
+    out = a[0] * b[0]
+    for j in range(1, a.shape[0]):
+        out += a[j] * b[j]
+    return out
 
 
 def _log_sums(g, f0, cols, quad, centre):
     """Per-row log of sum_k exp(f0 + g.k - k^T Omega k / 2) over the offsets.
 
-    ``cols`` holds the offsets k column-wise, ``centre`` the rows' lattice
-    centres for the NONNEG lattice, where offsets outside it are masked, or
-    None for the full lattice.  Rows are taken in blocks of about ``_BLOCK``
-    row-point pairs (one row at least), so no block exceeds ``_WORK_CAP``
-    elements.
+    ``g`` holds the rows' coordinates as rows (h, B), ``cols`` the offsets k
+    column-wise, ``centre`` the rows' lattice centres (h, B) for the NONNEG
+    lattice, where offsets outside it are masked, or None for the full
+    lattice.  Rows are taken in blocks of about ``_BLOCK`` row-point pairs
+    (one row at least), so no block exceeds ``_WORK_CAP`` elements.
     """
-    out = np.empty(g.shape[0])
+    out = np.empty(g.shape[1])
     step = max(1, _BLOCK // cols.shape[1])
-    for s in range(0, g.shape[0], step):
+    for s in range(0, g.shape[1], step):
         blk = slice(s, s + step)
-        e = _rows_dot(g[blk], cols)
+        e = np.einsum("hb,hk->bk", g[:, blk], cols)
         e -= quad
         if centre is not None:
-            outside = cols[0] < -centre[blk, :1]
+            outside = cols[0] < -centre[0, blk, None]
             for j in range(1, cols.shape[0]):
-                outside |= cols[j] < -centre[blk, j:j + 1]
+                outside |= cols[j] < -centre[j, blk, None]
             np.copyto(e, -np.inf, where=outside)
         peak = e.max(axis=1)
         e -= peak[:, None]
@@ -307,6 +346,18 @@ def _separable(offsets, quad, omega):
     return _Separable(first, second, weights, spans, reach.astype(float))
 
 
+def _table_work():
+    """This thread's (3, ``_TABLE_BLOCK``) work array for separable sums.
+
+    Made once per thread and reused: a new work array of this size would be
+    mapped afresh by the allocator, and its pages faulted in, on every call.
+    """
+    work = getattr(_TABLE_WORK, "array", None)
+    if work is None:
+        work = _TABLE_WORK.array = np.empty((3, _TABLE_BLOCK))
+    return work
+
+
 def _separable_log_sums(g, f0, cols, quad, tables):
     """:func:`_log_sums` over the full lattice at h = 2, in the separable form.
 
@@ -318,47 +369,57 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     same order as the loop over table rows (a zero weight adds an exact
     zero) but walks each column on its own, so a wider block takes the
     loop (on the kernels of the n_h = 2 fit the two cost the same near
-    6000 entries).  Rows are taken in blocks whose work arrays hold about
-    ``_BLOCK`` elements each.
+    6000 entries).  ``g`` holds the rows' coordinates as rows (2, B), and a
+    block takes ``_TABLE_BLOCK // max(K1, M)`` rows, so that U, V and the
+    partial sums each fill at most one row of the thread's work array
+    (:func:`_table_work`).  A 5000-row call is one block while the table
+    has at most 13 values per coordinate, as in all but 1 of the 879
+    separable wide calls of the seeded n_h = 2 fit.
 
     A row whose |g_1| max |k_1| + |g_2| max |k_2| passes 600 is summed by
     :func:`_log_sums` instead: far from the origin the rounded maximizer
     and z - Omega c carry rounding errors that can take g past the bounds
     the tables were admitted on.  The test reads only the row's own g.
     """
-    far = ~(np.abs(g[:, 0]) * tables.reach[0] + np.abs(g[:, 1]) * tables.reach[1]
+    far = ~(np.abs(g[0]) * tables.reach[0] + np.abs(g[1]) * tables.reach[1]
             <= _LOG_FACTOR_CAP)
     if far.any():
-        out = np.empty(g.shape[0])
-        out[far] = _log_sums(g[far], f0[far], cols, quad, None)
+        out = np.empty(g.shape[1])
+        out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
         near = ~far
-        out[near] = _separable_log_sums(g[near], f0[near], cols, quad, tables)
+        out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
         return out
     firsts, seconds, weights, spans, _ = tables
     spans = spans.tolist()
-    out = np.empty(g.shape[0])
-    step = max(1, _BLOCK // max(weights.shape))
-    for s in range(0, g.shape[0], step):
+    (k1, m), nb = weights.shape, g.shape[1]
+    work = _table_work()
+    out = np.empty(nb)
+    step = max(1, _TABLE_BLOCK // max(k1, m))
+    for s in range(0, nb, step):
         blk = slice(s, s + step)
-        u = np.multiply(firsts, g[blk, 0])
+        n = min(step, nb - s)
+        u, v = work[0, :k1 * n].reshape(k1, n), work[1, :m * n].reshape(m, n)
+        np.multiply(firsts, g[0, blk], out=u)
         np.exp(u, out=u)
-        v = np.multiply(seconds, g[blk, 1])
-        np.exp(v, out=v)
-        if u.size * weights.shape[1] <= _BLOCK // 4:
+        few = k1 * m * n <= _BLOCK // 4
+        if few:
             acc = np.add.accumulate(weights[:, :, None] * u[:, None, :])[-1]
-            acc *= v
-            total = np.add.accumulate(acc)[-1]
         else:
-            acc = np.zeros_like(v)
-            term = np.empty_like(v)
+            acc = work[2, :m * n].reshape(m, n)
+            acc.fill(0.0)
             for a, (lo, hi) in enumerate(spans):
-                part = term[:hi - lo]
+                part = v[:hi - lo]
                 np.multiply(weights[a, lo:hi, None], u[a], out=part)
                 acc[lo:hi] += part
-            acc *= v
+        np.multiply(seconds, g[1, blk], out=v)
+        np.exp(v, out=v)
+        acc *= v
+        if few:
+            total = np.add.accumulate(acc)[-1]
+        else:
             total = acc[0]
-            for m in range(1, acc.shape[0]):
-                total += acc[m]
+            for i in range(1, m):
+                total += acc[i]
         np.log(total, out=total)
         np.add(f0[blk], total, out=out[blk])
     return out
@@ -419,10 +480,15 @@ def try_cholesky(a):
     deterministic regardless of sub-tolerance asymmetry in the input.
     """
     s = sym(np.asarray(a, dtype=float))
-    try:
-        return la.cholesky(s, lower=True), None
-    except la.LinAlgError:
+    # LAPACK directly: scipy's la.cholesky wrapper costs about 8x the factorization
+    if not np.isfinite(s).all():
+        raise ValueError("array must not contain infs or NaNs")
+    chol, info = dpotrf(s, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info > 0:
         return None, float(la.eigvalsh(s)[0])
+    return chol, None
 
 
 def spd_cholesky(a, name):
@@ -497,13 +563,11 @@ def _dual_log_sums(nhat, cols, weights):
     rows are taken in blocks of about ``_BLOCK`` row-point pairs and each is
     summed on its own, so a row's sum does not depend on its batch.
     """
-    out = np.empty(nhat.shape[0])
+    out = np.empty(nhat.shape[1])
     step = max(1, _BLOCK // cols.shape[1])
-    for s in range(0, nhat.shape[0], step):
-        blk = nhat[s:s + step]
-        phase = blk[:, :1] * cols[0]
-        for j in range(1, cols.shape[0]):
-            phase += blk[:, j:j + 1] * cols[j]
+    for s in range(0, nhat.shape[1], step):
+        blk = slice(s, s + step)
+        phase = np.einsum("hb,hk->bk", nhat[:, blk], cols)
         phase -= np.rint(phase)
         phase *= 2.0 * np.pi
         np.cos(phase, out=phase)
@@ -649,17 +713,31 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     kernel = _kernel(omega, lattice, eps)
     omega, chol = kernel.omega, kernel.chol
 
-    # Row arithmetic avoids BLAS (see _rows_dot) so that a row's sum does
-    # not depend on the other rows of its batch.
-    nhat = _rows_dot(zs, kernel.omega_inv)              # continuous maximizer
-    if kernel.dual is not None and not collect_terms:  # its bound is under the cap
-        return (kernel.dual.log_scale + 0.5 * np.einsum("bh,bh->b", zs, nhat)
-                + _dual_log_sums(nhat, *kernel.shared_points()))
-    centre = np.rint(nhat)
+    # The set-up reads each coordinate as one contiguous row of B values and
+    # sums over the coordinates in index order (_coords_dot, _coords_inner),
+    # one length-B operation per coordinate.  No BLAS and no reduction over
+    # the short axis, whose order depends on the batch or the CPU's vector
+    # width, so a row's sum does not depend on the other rows of its batch.
+    z = np.ascontiguousarray(zs.T)
+    dual = kernel.dual is not None and not collect_terms  # its bound is under the cap
+    # A far argument, or the Omega^-1 of a nearly singular Omega, can overflow
+    # here; the bounds below reject such a matrix, and the callers judge the rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nhat = _coords_dot(z, kernel.omega_inv)         # continuous maximizer
+        if dual:
+            half_dot = 0.5 * _coords_inner(z, nhat)
+        else:
+            # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
+            centre = np.rint(nhat)
+            c_omega = _coords_dot(centre, omega)
+            g = z - c_omega
+            f0 = -0.5 * _coords_inner(c_omega, centre) + _coords_inner(centre, z)
+    if dual:
+        return kernel.dual.log_scale + half_dot + _dual_log_sums(nhat, *kernel.shared_points())
     orthant = lattice is Lattice.NONNEG
     own = np.full(nb, collect_terms)
     if orthant:
-        own |= (centre < 0).any(axis=1)
+        own |= (centre < 0).any(axis=0)
     rows = np.flatnonzero(own)
 
     bounds = np.full(nb, kernel.bound)
@@ -667,15 +745,16 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         # The collected row and, on the orthant, a row whose rounded maximizer
         # lies outside it sum their own ellipsoid, certified by their term at
         # the rounded maximizer or at an orthant point found by coordinate ascent.
-        best = centre[rows]
+        # (rows, h) copies in row order, the layout the own-ellipsoid paths use
+        zs_own, nhat_own, best = zs[rows], nhat[:, rows].T.copy(), centre[:, rows].T.copy()
         if orthant:
-            best = _orthant_ascent(zs[rows], omega, np.maximum(best, 0.0))
-        u = nhat[rows] - best
+            best = _orthant_ascent(zs_own, omega, np.maximum(best, 0.0))
+        u = nhat_own - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
         reach = np.maximum(_certified_radius(kernel.pivots, kernel.log_eps - 0.5 * dist ** 2),
                            dist)        # radius of each row's own points
-        upper = nhat[rows] + reach[:, None] * kernel.widths
-        lower = np.maximum(nhat[rows] - reach[:, None] * kernel.widths,
+        upper = nhat_own + reach[:, None] * kernel.widths
+        lower = np.maximum(nhat_own - reach[:, None] * kernel.widths,
                            0.0 if orthant else -np.inf)
         bounds[rows] = _point_bounds(kernel.pivots, reach, upper - lower)
     failed = bounds > _WORK_CAP
@@ -685,22 +764,17 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             f"needs up to {bounds.max():.4g} lattice points, above the work cap "
             f"of {_WORK_CAP} (min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
     if collect_terms:
-        owner, points, terms = _own_terms(zs, omega, chol, nhat, reach, best, orthant)
+        owner, points, terms = _own_terms(zs, omega, chol, nhat_own, reach, best, orthant)
         return _segment_log_sums(owner, terms, 1), points, terms
 
     result = np.empty(nb)
     if rows.size:
-        result[rows] = _orthant_log_sums(zs[rows], omega, chol, nhat[rows],
-                                         reach, best, bounds[rows])
+        result[rows] = _orthant_log_sums(zs_own, omega, chol, nhat_own, reach, best,
+                                         bounds[rows])
     if rows.size < nb:
         cols, quad, tables = kernel.shared_points()
         shared = np.flatnonzero(~own) if rows.size else slice(None)
-        # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
-        centre = centre[shared]
-        c_omega = _rows_dot(centre, omega)
-        g = zs[shared] - c_omega
-        f0 = -0.5 * np.einsum("bh,bh->b", c_omega, centre) \
-            + np.einsum("bh,bh->b", centre, zs[shared])
+        g, f0, centre = g[:, shared], f0[shared], centre[:, shared]
         if tables is None:
             result[shared] = _log_sums(g, f0, cols, quad, centre if orthant else None)
         else:

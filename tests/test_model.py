@@ -147,6 +147,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             RtbmParams(t=[[np.nan]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])
 
+    @pytest.mark.parametrize("fixture", [TFIT, CONSTRUCTED_2D, CONSTRUCTED_3D],
+                             ids=["tfit", "constructed_2d", "constructed_3d"])
+    def test_solves_match_scipy(self, fixture):
+        import scipy.linalg as la
+
+        p = RtbmParams(**fixture)
+        np.testing.assert_array_equal(p.chol_t, la.cholesky(p.t, lower=True))
+        np.testing.assert_array_equal(p.tinv_w, la.cho_solve((p.chol_t, True), p.w))
+        np.testing.assert_array_equal(p.tinv_bv, la.cho_solve((p.chol_t, True), p.bv))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RtbmParams(t=np.eye(2), q=np.eye(2), w=np.zeros((3, 2)),

@@ -18,6 +18,19 @@ def direct_1d_sum(omega, z, lattice, radius):
         math.exp(-0.5 * omega * n * n + z * n) for n in range(lo, radius + 1)))
 
 
+def over_three_blocks(step):
+    """A batch size of three blocks of ``step`` rows and a remainder."""
+    return 3 * step + step // 3 + 1
+
+
+def assert_batch_independent(zs, omega, lattice=Lattice.FULL):
+    """Each row's sum equals its single-row call and the reversed batch's, bit for bit."""
+    batch = log_theta_many(zs, omega, lattice=lattice)
+    singles = [log_theta_many(z[None, :], omega, lattice=lattice)[0] for z in zs]
+    np.testing.assert_array_equal(batch, singles)
+    np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega, lattice=lattice))
+
+
 class TestKnownValues:
     def test_full_lattice_scalar(self):
         expected = direct_1d_sum(2.0, 0.0, Lattice.FULL, 6)
@@ -132,6 +145,25 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 0.001\]"):
             log_theta_many(np.zeros((1, 2)), np.eye(2), eps=eps)
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_cholesky_matches_scipy_and_fails_as_it_did(self, h):
+        import scipy.linalg as la
+
+        from rtbm.theta import sym, try_cholesky
+
+        rng = np.random.default_rng(80 + h)
+        for _ in range(20):
+            a = random_spd(rng, h, 1e-3, 1e3) + 1e-9 * rng.standard_normal((h, h))
+            chol, lam = try_cholesky(a)
+            assert lam is None
+            np.testing.assert_array_equal(chol, la.cholesky(sym(a), lower=True))
+        indefinite = random_spd(rng, h, -2.0, -1.0)
+        chol, lam = try_cholesky(indefinite)
+        assert chol is None and lam == np.linalg.eigvalsh(indefinite)[0]
+        indefinite[0, -1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            try_cholesky(indefinite)
+
     def test_largest_eps_accepted(self):
         loose = log_theta_many(np.zeros((1, 1)), np.eye(1), eps=1e-3)[0]
         assert loose == pytest.approx(direct_1d_sum(1.0, 0.0, Lattice.FULL, 12), abs=1e-3)
@@ -197,16 +229,17 @@ class TestEllipsoidKernel:
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     @pytest.mark.parametrize("h", [3, 4])
     def test_batch_matches_single_far_apart(self, h, lattice):
+        import rtbm.theta as theta
+
         rng = np.random.default_rng(40 + h)
         omega = random_spd(rng, h, 0.5, 20.0)
+        # the direct sum, over more than three of its blocks of rows
+        kernel = theta._kernel(omega, lattice, 1e-12)
+        assert kernel.dual is None and kernel.shared_points()[2] is None
+        rows = over_three_blocks(theta._BLOCK // kernel.shared_points()[0].shape[1])
         # on the orthant lattice some maximizers lie just outside it
-        targets = rng.uniform(-40 if lattice is Lattice.FULL else -4, 40, (25, h))
-        zs = targets @ omega + rng.uniform(-1, 1, (25, h))
-        batch = log_theta_many(zs, omega, lattice=lattice)
-        singles = [log_theta_many(z[None, :], omega, lattice=lattice)[0] for z in zs]
-        np.testing.assert_array_equal(batch, singles)
-        reversed_batch = log_theta_many(zs[::-1], omega, lattice=lattice)
-        np.testing.assert_array_equal(batch[::-1], reversed_batch)
+        targets = rng.uniform(-40 if lattice is Lattice.FULL else -4, 40, (rows, h))
+        assert_batch_independent(targets @ omega + rng.uniform(-1, 1, (rows, h)), omega, lattice)
 
     def test_unreachable_tolerance_raises_before_enumerating(self, monkeypatch):
         import rtbm.theta as theta
@@ -442,16 +475,18 @@ class TestDualSums:
             got = log_theta_many(np.array([[z]]), np.array([[omega]]))[0]
             assert got == pytest.approx(direct_1d_sum(omega, z, Lattice.FULL, 30), abs=1e-12)
 
-    @pytest.mark.parametrize("h", [3, 4])
+    @pytest.mark.parametrize("h", [2, 3, 4])
     def test_batch_matches_single(self, h):
+        import rtbm.theta as theta
+
         rng = np.random.default_rng(60 + h)
         omega = random_spd(rng, h, 0.05, 2.0)
         assert self.is_dual(omega)
-        zs = rng.uniform(-40, 40, (25, h)) @ omega + rng.uniform(-1, 1, (25, h))
-        batch = log_theta_many(zs, omega)
-        singles = [log_theta_many(z[None, :], omega)[0] for z in zs]
-        np.testing.assert_array_equal(batch, singles)
-        np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega))
+        # more than three of the dual sum's blocks of rows
+        rows = over_three_blocks(
+            theta._BLOCK // theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[0].shape[1])
+        zs = rng.uniform(-40, 40, (rows, h)) @ omega + rng.uniform(-1, 1, (rows, h))
+        assert_batch_independent(zs, omega)
 
     def test_collect_terms_and_nonneg_stay_primal(self, monkeypatch):
         import rtbm.theta as theta
@@ -543,10 +578,56 @@ class TestSeparableSums:
         assert tables is not None and min(tables.weights.shape) > 8
         rng = np.random.default_rng(70)
         zs = np.vstack([rng.uniform(-1, 1, (50, 2)), rng.uniform(-40, 40, (10, 2))]) @ omega
-        batch = log_theta_many(zs, omega)
-        singles = [log_theta_many(z[None, :], omega)[0] for z in zs]
-        np.testing.assert_array_equal(batch, singles)
-        np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega))
+        assert_batch_independent(zs, omega)
+
+        # More than three blocks of the wide step (45 values of k_1 set it),
+        # summed in the loop where a single row takes np.add.accumulate, with
+        # a few rows past the far-row gate mixed in: those leave the batch
+        # before it is cut into blocks, so every boundary after them moves.
+        import rtbm.theta as theta
+
+        omega = np.diag([0.3, 50.0])
+        tables = self.tables(omega)
+        assert tables is not None and max(tables.weights.shape) == 45
+        rows = over_three_blocks(theta._TABLE_BLOCK // max(tables.weights.shape))
+        zs = np.vstack([rng.uniform(-1, 1, (rows, 2)), rng.uniform(-40, 40, (rows // 10, 2))])
+        zs = zs @ omega
+        far = rng.choice(zs.shape[0], 5, replace=False)
+        zs[far] = rng.uniform(-1e20, 1e20, (5, 2))
+        assert_batch_independent(zs, omega)
+
+    def test_threads_keep_their_own_work_arrays(self):
+        import sys
+        import threading
+
+        # four threads at once, more than the cores, each summing its own
+        # matrix and rows, must give the sums each makes alone
+        rng = np.random.default_rng(21)
+        cases = []
+        for k in range(4):
+            omega = rotated([3.0 + k, 20.0], 0.6)
+            zs = rng.uniform(-3, 3, (6000, 2)) @ omega
+            assert self.tables(omega) is not None
+            cases.append((omega, zs, log_theta_many(zs, omega)))
+        mismatches = []
+
+        def repeat(omega, zs, expected):
+            for _ in range(5):
+                if not np.array_equal(log_theta_many(zs, omega), expected):
+                    mismatches.append(omega[0, 0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=repeat, args=case) for case in cases]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
     def test_past_the_overflow_gate_sums_directly(self, monkeypatch):
         import rtbm.theta as theta
