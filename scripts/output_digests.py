@@ -7,6 +7,8 @@ bit, on this battery:
 * ``log_pdf_many``, the child of ``condition_on`` (its ``log_pdf_many``) and
   ``log_marginal`` on the three test fixtures of ``tests/conftest.py``, on
   both lattices;
+* ``log_pdf_many`` on random models with 8 and 12 visible and 2 hidden
+  units (``random_valid_params``), on both lattices;
 * ``sample_visible(params, 20000, seed=5)`` on each fixture;
 * ``log_theta_many`` on 200-row and 1-row batches of random SPD matrices at
   h = 1..4, on both lattices and at three scales.
@@ -29,7 +31,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_spd  # noqa: E402
+from conftest import (CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_spd,  # noqa: E402
+                      random_valid_params)
 
 from rtbm.density import condition_on, log_marginal, log_pdf_many  # noqa: E402
 from rtbm.model import RtbmParams  # noqa: E402
@@ -54,6 +57,12 @@ def battery():
             values = np.linspace(-3.0, 3.0, 30)
             yield (f"log_marginal/{name}/{lattice.value}",
                    np.array([log_marginal(params, params.n_v - 1, [d]) for d in values]))
+    for n_v in (8, 12):
+        for lattice in Lattice:
+            rng = np.random.default_rng(n_v)
+            params = random_valid_params(rng, n_v, 2, lattice)
+            rows = rng.normal(0.0, 1.0, (300, n_v))
+            yield f"log_pdf_many/wide_nv{n_v}/{lattice.value}", log_pdf_many(params, rows)
     for name, fixture in FIXTURES.items():
         yield f"sample_visible/{name}", sample_visible(RtbmParams(**fixture), 20000, seed=5)
     for h in range(1, 5):

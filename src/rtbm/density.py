@@ -64,15 +64,19 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to +inf,
     # or to NaN where an overflowed u meets the factor's zeros; either way
     # the point is infinitely far out and log P = -inf.
-    # The squares are summed one coordinate at a time, in index order (the
-    # order numpy's row sum takes up to 7 coordinates): a row sum over the
-    # short contiguous axis costs numpy more than the product and squares.
+    # numpy's row sum adds up to 7 values in index order and more pairwise.
+    # Over so short a contiguous axis it costs more than the product and the
+    # squares, so up to 7 coordinates are summed one at a time in that order;
+    # wider rows keep the row sum.  Either way the bits are the row sum's.
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (vs + params.tinv_bv) @ params.chol_t
         sq *= sq
-        half_quad = sq[:, 0].copy()
-        for j in range(1, params.n_v):
-            half_quad += sq[:, j]
+        if params.n_v < 8:
+            half_quad = sq[:, 0].copy()
+            for j in range(1, params.n_v):
+                half_quad += sq[:, j]
+        else:
+            half_quad = sq.sum(axis=1)
         half_quad *= 0.5
     half_quad[np.isnan(half_quad)] = np.inf
     log_num = log_theta_many(z_num, params.q, params.lattice, DEFAULT_EPS)

@@ -70,9 +70,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   factor and term stays below e^600 and a partial product that underflows
   belongs to a term below e^-100 of a sum that is at least its k = 0 term,
   1; and only where the table holds at most two entries per offset, which
-  a thin, tilted ellipsoid fails.  Far from the origin, rounding can carry
-  a row's g past those bounds; a row whose own |g_j| max |k_j|, summed
-  over j, passes 600 is summed directly.
+  a thin, tilted ellipsoid fails, and at most 2^16 values of either
+  coordinate, which a long ellipsoid on an axis fails.  Far from the
+  origin, rounding can carry a row's g past those bounds; a row whose own
+  |g_j| max |k_j|, summed over j, passes 600 is summed directly.
   The rows lie along the contiguous axis: U is (K1, rows) and V (M, rows).
   The products are accumulated one table row and one value of k_2 at a
   time in a fixed order, without BLAS (whose gemv for a single row rounds
@@ -243,7 +244,7 @@ def _orthant_ascent(zs, omega, start):
     h = n.shape[1]
     for _ in range(h):
         for i in range(h):
-            others = _rows_dot(n, omega[:, i:i + 1])[:, 0] - omega[i, i] * n[:, i]
+            others = _coords_dot_rows(n.T, omega[:, i:i + 1])[:, 0] - omega[i, i] * n[:, i]
             n[:, i] = np.maximum(np.rint((zs[:, i] - others) / omega[i, i]), 0.0)
     return n
 
@@ -255,7 +256,7 @@ def _coords_dot(rows, m):
     BLAS rounds a row differently depending on how many rows share the
     product (gemv for one row, blocked gemm kernels for more), which would
     make a lattice sum depend on its batch; this order depends on nothing
-    but h, and is the order in which einsum accumulates :func:`_rows_dot`.
+    but h.  It is also the order of :func:`_coords_dot_rows`, bit for bit.
     """
     out = m[0][:, None] * rows[0]
     for j in range(1, rows.shape[0]):
@@ -263,13 +264,15 @@ def _coords_dot(rows, m):
     return out
 
 
-def _rows_dot(a, m):
-    """Row-wise ``a @ m`` for rows (B, h), in the order of :func:`_coords_dot`.
+def _coords_dot_rows(rows, m):
+    """``rows^T m`` (B, k) for coordinate rows (h, B), summed over h in index order.
 
-    The own-ellipsoid paths keep their few rows in this layout, the one
-    :func:`_ellipsoid_points` enumerates in.
+    The blocked sums' (rows x points) products, in one call that allocates
+    only its output (:func:`_coords_dot` would make a temporary of the
+    block per coordinate).  The own-ellipsoid paths, which keep their few
+    rows as (rows, h), pass the transpose.
     """
-    return np.einsum("bh,hk->bk", a, m)
+    return np.einsum("hb,hk->bk", rows, m)
 
 
 def _coords_inner(a, b):
@@ -297,7 +300,7 @@ def _log_sums(g, f0, cols, quad, centre):
     step = max(1, _BLOCK // cols.shape[1])
     for s in range(0, g.shape[1], step):
         blk = slice(s, s + step)
-        e = np.einsum("hb,hk->bk", g[:, blk], cols)
+        e = _coords_dot_rows(g[:, blk], cols)
         e -= quad
         if centre is not None:
             outside = cols[0] < -centre[0, blk, None]
@@ -328,14 +331,17 @@ def _separable(offsets, quad, omega):
     e^600 for g within its bounds |g_j| <= 1/2 sum_l |Omega_jl|, and where
     the table would hold more than 2P entries (a thin, tilted ellipsoid
     fills little of its bounding box), or more than the kept-point cap
-    leaves beside the P offsets.  A row's weights are contiguous: the
-    ellipsoid cuts each line of constant k_1 in one interval, and
-    exp(-k^T Omega k / 2) can underflow only at its ends.
+    leaves beside the P offsets, or more than ``_TABLE_BLOCK`` values of
+    one coordinate, which would not fit a row of the work array even for a
+    block of one row.  A row's weights are contiguous: the ellipsoid cuts
+    each line of constant k_1 in one interval, and exp(-k^T Omega k / 2)
+    can underflow only at its ends.
     """
     low, high = offsets.min(axis=0), offsets.max(axis=0)
     shape, reach, points = high - low + 1, np.maximum(high, -low), offsets.shape[0]
     if (0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP
-            or shape.prod() > min(2 * points, _WORK_CAP - points)):
+            or shape.prod() > min(2 * points, _WORK_CAP - points)
+            or shape.max() > _TABLE_BLOCK):
         return None
     weights = np.zeros(shape)
     weights[offsets[:, 0] - low[0], offsets[:, 1] - low[1]] = np.exp(-quad)
@@ -433,7 +439,7 @@ def _own_terms(zs, omega, chol, nhat, reach, best, orthant):
     ``(owner, points, logterms)`` grouped by row.
     """
     owner, points = _ellipsoid_points(chol, nhat, reach, orthant)
-    b_omega = _rows_dot(best, omega)
+    b_omega = _coords_dot_rows(best.T, omega)
     f_best = -0.5 * np.einsum("bh,bh->b", b_omega, best) + np.einsum("bh,bh->b", best, zs)
     k = points - best[owner]
     terms = (f_best[owner] + np.einsum("ph,ph->p", (zs - b_omega)[owner], k)
@@ -567,7 +573,7 @@ def _dual_log_sums(nhat, cols, weights):
     step = max(1, _BLOCK // cols.shape[1])
     for s in range(0, nhat.shape[1], step):
         blk = slice(s, s + step)
-        phase = np.einsum("hb,hk->bk", nhat[:, blk], cols)
+        phase = _coords_dot_rows(nhat[:, blk], cols)
         phase -= np.rint(phase)
         phase *= 2.0 * np.pi
         np.cos(phase, out=phase)
@@ -745,7 +751,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         # The collected row and, on the orthant, a row whose rounded maximizer
         # lies outside it sum their own ellipsoid, certified by their term at
         # the rounded maximizer or at an orthant point found by coordinate ascent.
-        # (rows, h) copies in row order, the layout the own-ellipsoid paths use
+        # (rows, h) copies in row order, the layout _ellipsoid_points enumerates in
         zs_own, nhat_own, best = zs[rows], nhat[:, rows].T.copy(), centre[:, rows].T.copy()
         if orthant:
             best = _orthant_ascent(zs_own, omega, np.maximum(best, 0.0))

@@ -43,6 +43,19 @@ class TestLogPdf:
                                    gaussian_logpdf(t, bv, vs),
                                    atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("n_v", [7, 8, 12, 20])
+    def test_gaussian_reduction_wide(self, n_v):
+        # on both sides of the width where the half-quadratic changes summation
+        rng = np.random.default_rng(n_v)
+        a = rng.standard_normal((n_v, n_v))
+        t = a @ a.T + n_v * np.eye(n_v)
+        bv = rng.standard_normal(n_v)
+        p = RtbmParams(t=t, q=[[5.0]], w=np.zeros((n_v, 1)), bv=bv, bh=[0.7])
+        vs = rng.standard_normal((300, n_v)) * 2
+        # log P reaches about -1400 here, so the bound is relative
+        np.testing.assert_allclose(log_pdf_many(p, vs), gaussian_logpdf(t, bv, vs),
+                                   atol=1e-12, rtol=1e-14)
+
     def test_value_against_reference_theta(self, tfit_params):
         # independent path: assemble the density from brute-force theta sums
         v = np.array([0.0, 0.0])

@@ -182,6 +182,19 @@ def reference_radius(z, omega, lam_min):
 
 
 class TestEllipsoidKernel:
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_coordinate_products_sum_in_one_order(self, h):
+        import rtbm.theta as theta
+
+        # the set-up's loop and the blocks' einsum round every entry alike,
+        # for a lone row, a few and many, so either can feed the other
+        rng = np.random.default_rng(h)
+        m = rng.normal(size=(h, h + 2))
+        for b in (1, 7, 5000):
+            rows = 50.0 * rng.normal(size=(h, b))
+            np.testing.assert_array_equal(theta._coords_dot(rows, m),
+                                          theta._coords_dot_rows(rows, m).T)
+
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     @pytest.mark.parametrize("eigs", [
         [0.2], [7.0],
@@ -595,6 +608,27 @@ class TestSeparableSums:
         far = rng.choice(zs.shape[0], 5, replace=False)
         zs[far] = rng.uniform(-1e20, 1e20, (5, 2))
         assert_batch_independent(zs, omega)
+
+    @pytest.mark.parametrize("eigs", [[1e-8, 50.0], [50.0, 1e-8]], ids=["long-k1", "long-k2"])
+    def test_tables_past_the_work_array_sum_directly(self, eigs):
+        import rtbm.theta as theta
+
+        # A primal kernel (the dual's off-origin bound is about 1.9) whose
+        # offsets span about 270,000 values of one coordinate and 3 of the
+        # other: every other gate passes, but no block of rows fits the
+        # work array, so the tables are not built.
+        omega = np.diag(eigs)
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        cols = kernel.shared_points()[0]
+        assert kernel.dual is None
+        assert np.ptp(cols, axis=1).max() + 1 > theta._TABLE_BLOCK
+        rng = np.random.default_rng(44)
+        zs = np.vstack([np.zeros(2), rng.uniform(-3, 3, (5, 2)) @ omega])
+        assert_batch_independent(zs, omega)
+        assert self.tables(omega) is None
+        # Omega is diagonal, so the sum is the sum of two 1-D sums
+        expected = sum(log_theta_many(zs[:, [j]], omega[j:j + 1, j:j + 1]) for j in range(2))
+        np.testing.assert_allclose(log_theta_many(zs, omega), expected, rtol=1e-12)
 
     def test_threads_keep_their_own_work_arrays(self):
         import sys
