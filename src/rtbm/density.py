@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RtbmError
 from .model import RtbmParams, validate
-from .theta import DEFAULT_EPS, log_theta_many
+from .theta import DEFAULT_EPS, _coords_dot, _coords_inner, log_theta_many
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -45,7 +45,11 @@ def log_normalizer(params: RtbmParams) -> float:
 
 
 def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
-    """Visible-sector log-density at each row of ``vs`` (shape (B, n_v))."""
+    """Visible-sector log-density at each row of ``vs`` (shape (B, n_v)).
+
+    A row's value does not depend on its batch: it equals :func:`log_pdf`
+    of that point, bit for bit.
+    """
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape[1] != params.n_v:
         raise ValueError(f"points have width {vs.shape[1]}, expected {params.n_v}")
@@ -55,31 +59,25 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     if not np.isfinite(log_norm):
         raise RtbmError("the normalizer log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W) "
                         "overflows")
+    # Coordinates as contiguous rows, summed in index order by theta's
+    # helpers, so that a point's value does not depend on its batch.
+    v = np.ascontiguousarray(vs.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        z_num = vs @ params.w + params.bh
+        z_num = _coords_dot(v, params.w)
+        z_num += params.bh[:, None]
     if not np.isfinite(z_num).all():
-        bad = np.flatnonzero(~np.isfinite(z_num).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(z_num).all(axis=0))
         raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
                         f"first at index {bad[0]}")
     # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to +inf,
     # or to NaN where an overflowed u meets the factor's zeros; either way
     # the point is infinitely far out and log P = -inf.
-    # numpy's row sum adds up to 7 values in index order and more pairwise.
-    # Over so short a contiguous axis it costs more than the product and the
-    # squares, so up to 7 coordinates are summed one at a time in that order;
-    # wider rows keep the row sum.  Either way the bits are the row sum's.
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (vs + params.tinv_bv) @ params.chol_t
-        sq *= sq
-        if params.n_v < 8:
-            half_quad = sq[:, 0].copy()
-            for j in range(1, params.n_v):
-                half_quad += sq[:, j]
-        else:
-            half_quad = sq.sum(axis=1)
+        sq = _coords_dot(v + params.tinv_bv[:, None], params.chol_t)
+        half_quad = _coords_inner(sq, sq)
         half_quad *= 0.5
     half_quad[np.isnan(half_quad)] = np.inf
-    log_num = log_theta_many(z_num, params.q, params.lattice, DEFAULT_EPS)
+    log_num = log_theta_many(z_num.T, params.q, params.lattice, DEFAULT_EPS)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     log_num = np.where(np.isinf(half_quad), 0.0, log_num)

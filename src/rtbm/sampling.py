@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import InsufficientSamplesError
-from .model import RtbmParams
+from .model import RtbmParams, _cho_solve
 from .theta import DEFAULT_EPS, log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
@@ -74,8 +74,7 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
 
     chol_t = params.chol_t
     # one mean per hidden state, gathered per draw
-    means = la.cho_solve((chol_t, True),
-                         (params.w @ hidden.points.T) - params.bv[:, None]).T
+    means = _cho_solve(chol_t, (params.w @ hidden.points.T) - params.bv[:, None]).T
     noise = rng.standard_normal((count, params.n_v))
     # chol_t is checked finite once per model, and fresh normal draws are finite
     return means[idx] + la.solve_triangular(chol_t.T, noise.T, lower=False,

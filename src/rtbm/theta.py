@@ -70,23 +70,25 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   factor and term stays below e^600 and a partial product that underflows
   belongs to a term below e^-100 of a sum that is at least its k = 0 term,
   1; and only where the table holds at most two entries per offset, which
-  a thin, tilted ellipsoid fails, and at most 2^16 values of either
+  a thin, tilted ellipsoid fails, and at most 2^15 values of either
   coordinate, which a long ellipsoid on an axis fails.  Far from the
   origin, rounding can carry a row's g past those bounds; a row whose own
   |g_j| max |k_j|, summed over j, passes 600 is summed directly.
   The rows lie along the contiguous axis: U is (K1, rows) and V (M, rows).
-  The products are accumulated one table row and one value of k_2 at a
-  time in a fixed order, without BLAS (whose gemv for a single row rounds
-  differently from its gemm) and without numpy's pairwise sums (which
-  order a one-row sum differently), so a row's sum does not depend on its
-  batch.  A block takes 2^16 / max(K1, M) rows, so that each of its arrays
-  fits one row of a work array that each thread keeps (1.5 MiB) rather
-  than having it mapped afresh per call; a 5000-row call of the n_h = 2
-  fit is one block or two.  The choice is made once per kernel, from its
-  offsets; the dual form, the orthant lattice and the collected row keep
-  their sums.  At h = 3, summed one table row and one prefix (k_2, k_3)
-  at a time, a batch-1 call paid 50-90 numpy calls in the n_h = 3 fit,
-  and that fit got slower, so h = 3 sums directly.
+  A block of rows takes sum_a A_am U_a in one einsum and sum_m of its
+  products with V_m in one reduction, both over the leading axis in index
+  order, without BLAS (whose gemv for a single row rounds differently from
+  its gemm).  numpy sums a block of one row in an order of its own, so a
+  lone row is summed beside a copy of itself.  A row's sum then does not
+  depend on its batch.  A block takes 2^16 / max(K1, M) rows, at least
+  two, so that each of its arrays fits one row of a work array that each
+  thread keeps (1.5 MiB) rather than having it mapped afresh per call; a
+  5000-row call of the n_h = 2 fit is one block or two.  The choice is
+  made once per kernel, from its offsets; the dual form, the orthant
+  lattice and the collected row keep their sums.  At h = 3, summed one
+  table row and one prefix (k_2, k_3) at a time, a batch-1 call paid
+  50-90 numpy calls in the n_h = 3 fit, and that fit got slower, so h = 3
+  sums directly.
 * Prepared kernels.  What depends only on Omega, the lattice and eps - the
   Cholesky factor, Omega^-1, the radius, the shared point bound, the one
   form its rows take (dual, or primal with separable tables where they
@@ -320,7 +322,6 @@ class _Separable(NamedTuple):
     firsts: np.ndarray     # (K1, 1) the values of k_1, one integer range
     seconds: np.ndarray    # (M, 1) the values of k_2, one integer range
     weights: np.ndarray    # (K1, M) exp(-k^T Omega k / 2), zero off the ellipsoid
-    spans: np.ndarray      # (K1, 2) the columns from a row's first to last weight
     reach: np.ndarray      # (2,) max |k_j|
 
 
@@ -331,25 +332,20 @@ def _separable(offsets, quad, omega):
     e^600 for g within its bounds |g_j| <= 1/2 sum_l |Omega_jl|, and where
     the table would hold more than 2P entries (a thin, tilted ellipsoid
     fills little of its bounding box), or more than the kept-point cap
-    leaves beside the P offsets, or more than ``_TABLE_BLOCK`` values of
-    one coordinate, which would not fit a row of the work array even for a
-    block of one row.  A row's weights are contiguous: the ellipsoid cuts
-    each line of constant k_1 in one interval, and exp(-k^T Omega k / 2)
-    can underflow only at its ends.
+    leaves beside the P offsets, or more than ``_TABLE_BLOCK // 2`` (2^15)
+    values of one coordinate, which would not fit a row of the work array
+    even for a block of the two rows every block holds at least.
     """
     low, high = offsets.min(axis=0), offsets.max(axis=0)
     shape, reach, points = high - low + 1, np.maximum(high, -low), offsets.shape[0]
     if (0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP
             or shape.prod() > min(2 * points, _WORK_CAP - points)
-            or shape.max() > _TABLE_BLOCK):
+            or shape.max() > _TABLE_BLOCK // 2):
         return None
     weights = np.zeros(shape)
     weights[offsets[:, 0] - low[0], offsets[:, 1] - low[1]] = np.exp(-quad)
-    present = weights > 0.0
-    start = present.argmax(axis=1)
-    spans = np.column_stack([start, start + present.sum(axis=1)])
     first, second = (np.arange(lo, hi + 1, dtype=float)[:, None] for lo, hi in zip(low, high))
-    return _Separable(first, second, weights, spans, reach.astype(float))
+    return _Separable(first, second, weights, reach.astype(float))
 
 
 def _table_work():
@@ -368,19 +364,17 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     """:func:`_log_sums` over the full lattice at h = 2, in the separable form.
 
     Per row, U_a = exp(g_1 a) and V_m = exp(g_2 m); the sum is
-    sum_m V_m sum_a A_am U_a, accumulated elementwise in a fixed order with
-    rows along the contiguous axis.  A block whose rows times the table
-    hold at most ``_BLOCK / 4`` entries takes both sums in one
-    ``np.add.accumulate`` call each, r[i] = r[i-1] + x[i], which adds in the
-    same order as the loop over table rows (a zero weight adds an exact
-    zero) but walks each column on its own, so a wider block takes the
-    loop (on the kernels of the n_h = 2 fit the two cost the same near
-    6000 entries).  ``g`` holds the rows' coordinates as rows (2, B), and a
-    block takes ``_TABLE_BLOCK // max(K1, M)`` rows, so that U, V and the
-    partial sums each fill at most one row of the thread's work array
-    (:func:`_table_work`).  A 5000-row call is one block while the table
-    has at most 13 values per coordinate, as in all but 1 of the 879
-    separable wide calls of the seeded n_h = 2 fit.
+    sum_m V_m sum_a A_am U_a.  ``g`` holds the rows' coordinates as rows
+    (2, B).  A block takes ``_TABLE_BLOCK // max(K1, M)`` rows, so that U,
+    V and the partial sums each fill at most one row of the thread's work
+    array (:func:`_table_work`).  It forms the partial sums in one einsum
+    and their products with V in one ``np.add.reduce``; both add over the
+    leading axis in index order (a zero weight adds an exact zero), the
+    same for every row of a block of two rows or more.  A block of one row
+    would be summed in numpy's own order, so a lone row (a batch of one, or
+    one past a whole block) is broadcast into two columns.  A 5000-row call
+    is one block while the table has at most 13 values per coordinate, as
+    in all but 1 of the 879 separable wide calls of the seeded n_h = 2 fit.
 
     A row whose |g_1| max |k_1| + |g_2| max |k_2| passes 600 is summed by
     :func:`_log_sums` instead: far from the origin the rounded maximizer
@@ -395,39 +389,26 @@ def _separable_log_sums(g, f0, cols, quad, tables):
         near = ~far
         out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
         return out
-    firsts, seconds, weights, spans, _ = tables
-    spans = spans.tolist()
+    firsts, seconds, weights, _ = tables
     (k1, m), nb = weights.shape, g.shape[1]
+    step = _TABLE_BLOCK // max(k1, m)
     work = _table_work()
     out = np.empty(nb)
-    step = max(1, _TABLE_BLOCK // max(k1, m))
     for s in range(0, nb, step):
         blk = slice(s, s + step)
-        n = min(step, nb - s)
+        rows = min(step, nb - s)
+        n = max(rows, 2)     # a lone row is broadcast into two columns
         u, v = work[0, :k1 * n].reshape(k1, n), work[1, :m * n].reshape(m, n)
+        acc = work[2, :m * n].reshape(m, n)
         np.multiply(firsts, g[0, blk], out=u)
         np.exp(u, out=u)
-        few = k1 * m * n <= _BLOCK // 4
-        if few:
-            acc = np.add.accumulate(weights[:, :, None] * u[:, None, :])[-1]
-        else:
-            acc = work[2, :m * n].reshape(m, n)
-            acc.fill(0.0)
-            for a, (lo, hi) in enumerate(spans):
-                part = v[:hi - lo]
-                np.multiply(weights[a, lo:hi, None], u[a], out=part)
-                acc[lo:hi] += part
+        np.einsum("an,am->mn", u, weights, out=acc)
         np.multiply(seconds, g[1, blk], out=v)
         np.exp(v, out=v)
         acc *= v
-        if few:
-            total = np.add.accumulate(acc)[-1]
-        else:
-            total = acc[0]
-            for i in range(1, m):
-                total += acc[i]
+        total = np.add.reduce(acc, axis=0)
         np.log(total, out=total)
-        np.add(f0[blk], total, out=out[blk])
+        np.add(f0[blk], total[:rows], out=out[blk])
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_params
+from conftest import CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_valid_params
 from references import log_theta_reference, quadrature_marginal
 from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
 from rtbm.errors import RtbmError
@@ -55,6 +55,28 @@ class TestLogPdf:
         # log P reaches about -1400 here, so the bound is relative
         np.testing.assert_allclose(log_pdf_many(p, vs), gaussian_logpdf(t, bv, vs),
                                    atol=1e-12, rtol=1e-14)
+
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("model", ["tfit", "constructed_2d", "constructed_3d",
+                                       "random_nv3_nh1", "random_nv3_nh2",
+                                       "random_nv8_nh1", "random_nv8_nh2"])
+    def test_point_does_not_depend_on_its_batch(self, model, lattice):
+        # Each row equals log_pdf of that point and the reversed batch's row,
+        # bit for bit.  CONSTRUCTED_3D and n_h = 1 have a one-column W, which
+        # an einsum would sum in another order for a single-row batch.
+        fixtures = {"tfit": TFIT, "constructed_2d": CONSTRUCTED_2D,
+                    "constructed_3d": CONSTRUCTED_3D}
+        if model in fixtures:
+            params = RtbmParams(**fixtures[model], lattice=lattice)
+        else:
+            n_v, n_h = (int(part[2:]) for part in model.split("_")[1:])
+            params = random_valid_params(np.random.default_rng(n_v + 10 * n_h), n_v, n_h,
+                                         lattice)
+        vs = np.random.default_rng(2026).normal(0.0, 2.0, (300, params.n_v))
+        batch = log_pdf_many(params, vs)
+        assert np.isfinite(batch).all()
+        np.testing.assert_array_equal(batch, [log_pdf(params, v) for v in vs])
+        np.testing.assert_array_equal(batch[::-1], log_pdf_many(params, vs[::-1]))
 
     def test_value_against_reference_theta(self, tfit_params):
         # independent path: assemble the density from brute-force theta sums

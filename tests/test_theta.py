@@ -594,7 +594,7 @@ class TestSeparableSums:
         assert_batch_independent(zs, omega)
 
         # More than three blocks of the wide step (45 values of k_1 set it),
-        # summed in the loop where a single row takes np.add.accumulate, with
+        # so rows share blocks of many sizes with different neighbours, with
         # a few rows past the far-row gate mixed in: those leave the batch
         # before it is cut into blocks, so every boundary after them moves.
         import rtbm.theta as theta
@@ -609,19 +609,31 @@ class TestSeparableSums:
         zs[far] = rng.uniform(-1e20, 1e20, (5, 2))
         assert_batch_independent(zs, omega)
 
-    @pytest.mark.parametrize("eigs", [[1e-8, 50.0], [50.0, 1e-8]], ids=["long-k1", "long-k2"])
+        # One row past a whole block (a 3 x 45 table, 1456 rows per block):
+        # numpy would sum a block of that one row in another order, so it
+        # must equal its own single-row call.
+        omega = np.diag([50.0, 0.3])
+        tables = self.tables(omega)
+        step = theta._TABLE_BLOCK // max(tables.weights.shape)
+        assert tables.weights.shape == (3, 45) and step == 1456
+        for _ in range(40):
+            zs = rng.uniform(-1, 1, (step + 1, 2)) @ omega
+            assert log_theta_many(zs, omega)[-1] == log_theta_many(zs[-1:], omega)[0]
+
+    @pytest.mark.parametrize("eigs", [[1e-8, 50.0], [50.0, 1e-8], [3e-7, 50.0]],
+                             ids=["long-k1", "long-k2", "half-block-k1"])
     def test_tables_past_the_work_array_sum_directly(self, eigs):
         import rtbm.theta as theta
 
-        # A primal kernel (the dual's off-origin bound is about 1.9) whose
-        # offsets span about 270,000 values of one coordinate and 3 of the
-        # other: every other gate passes, but no block of rows fits the
-        # work array, so the tables are not built.
+        # Primal kernels (the dual's off-origin bound is above 1/2) whose
+        # offsets span about 270,000 or 48,000 values of one coordinate and
+        # 3 of the other: every other gate passes, but no block of two rows
+        # fits the work array, so the tables are not built.
         omega = np.diag(eigs)
         kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
         cols = kernel.shared_points()[0]
         assert kernel.dual is None
-        assert np.ptp(cols, axis=1).max() + 1 > theta._TABLE_BLOCK
+        assert np.ptp(cols, axis=1).max() + 1 > theta._TABLE_BLOCK // 2
         rng = np.random.default_rng(44)
         zs = np.vstack([np.zeros(2), rng.uniform(-3, 3, (5, 2)) @ omega])
         assert_batch_independent(zs, omega)
