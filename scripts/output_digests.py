@@ -11,7 +11,10 @@ bit, on this battery:
   units (``random_valid_params``), on both lattices;
 * ``sample_visible(params, 20000, seed=5)`` on each fixture;
 * ``log_theta_many`` on 200-row and 1-row batches of random SPD matrices at
-  h = 1..4, on both lattices and at three scales.
+  h = 1..4, on both lattices and at three scales;
+* ``log_theta_many`` on 200-row and 1-row batches of one random SPD matrix
+  at h = 3 and one at h = 4 whose full-lattice sums take the separable
+  tables (a 7 x 49 and a 7 x 255 table).
 
 Each line reads ``<item> <sha256>``.  To compare two checkouts value by
 value where their digests differ, import :func:`battery` from this file
@@ -42,6 +45,8 @@ from rtbm.theta import Lattice, log_theta_many  # noqa: E402
 FIXTURES = {"tfit": TFIT, "constructed_2d": CONSTRUCTED_2D, "constructed_3d": CONSTRUCTED_3D}
 # eigenvalue ranges of the random theta matrices: dual, mixed and primal sums
 SCALES = {"small": (0.05, 2.0), "mid": (0.5, 20.0), "stiff": (5.0, 200.0)}
+# eigenvalue range of the h = 3 and h = 4 matrices summed in the separable form
+SEPARABLE_SCALE = (5.0, 20.0)
 
 
 def battery():
@@ -75,6 +80,12 @@ def battery():
                 single = log_theta_many(zs[:1], omega, lattice)
                 yield f"log_theta_many/h{h}/{scale}/{lattice.value}/200", batch
                 yield f"log_theta_many/h{h}/{scale}/{lattice.value}/1", single
+    for h in (3, 4):
+        rng = np.random.default_rng([h, 16])
+        omega = random_spd(rng, h, *SEPARABLE_SCALE)
+        zs = rng.uniform(-6.0, 6.0, (200, h)) @ omega + rng.uniform(-1.0, 1.0, (200, h))
+        yield f"log_theta_many/separable_h{h}/200", log_theta_many(zs, omega)
+        yield f"log_theta_many/separable_h{h}/1", log_theta_many(zs[:1], omega)
 
 
 def main():

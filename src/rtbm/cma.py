@@ -6,10 +6,12 @@ widely published default tuning.  Selection is purely rank-based, so the
 objective may return +inf for infeasible candidates.  Deterministic for a
 fixed seed: a single PCG64 stream, sequential evaluation.
 
-A run stops on the first of: the evaluation budget; the step size below
-SIGMA_STOP; the covariance condition (ratio of largest to smallest axis
-length) above COND_STOP; or no improvement of the best value by more than
-STALL_TOL over STALL_EVALS_PER_DIM * dim evaluations.
+A run stops on the first of: the evaluation budget (``"budget"``); the
+step size below SIGMA_STOP (``"sigma"``); the covariance condition (ratio
+of largest to smallest axis length) above COND_STOP (``"condition"``); or
+no improvement of the best value by more than STALL_TOL over
+STALL_EVALS_PER_DIM * dim evaluations (``"stall"``).  The result names the
+reason in ``stop``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class CmaResult:
     f_best: float
     evals: int
     trace: list = field(default_factory=list)  # (evals, best-so-far) per generation
+    stop: str = "budget"   # why the run ended: budget, sigma, condition or stall
 
 
 def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
@@ -72,6 +75,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
     trace = []
     stall_gens = max(1, math.ceil(STALL_EVALS_PER_DIM * dim / lam))
     last_improved = 0
+    stop = "budget"
 
     while evals < max_evals:
         gen += 1
@@ -115,10 +119,13 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
         eig_sqrt = np.sqrt(eig_vals)
 
         if sigma < SIGMA_STOP:
-            break
-        if eig_sqrt.max() / eig_sqrt.min() > COND_STOP:
-            break
-        if gen - last_improved >= stall_gens:
-            break
+            stop = "sigma"
+        elif eig_sqrt.max() / eig_sqrt.min() > COND_STOP:
+            stop = "condition"
+        elif gen - last_improved >= stall_gens:
+            stop = "stall"
+        else:
+            continue
+        break
 
-    return CmaResult(x_best=x_best, f_best=f_best, evals=evals, trace=trace)
+    return CmaResult(x_best=x_best, f_best=f_best, evals=evals, trace=trace, stop=stop)

@@ -159,7 +159,7 @@ def fit_density(data, config: FitConfig) -> FitResult:
         res = cma.minimize(objective, dim, x0=x0, max_evals=config.max_evals,
                            seed=cma_ss)
         total_evals += res.evals
-        diagnostics.append(f"f_best={res.f_best:.6g} evals={res.evals}")
+        diagnostics.append(f"f_best={res.f_best:.6g} evals={res.evals} stop={res.stop}")
         if math.isfinite(res.f_best) and (best is None or res.f_best < best.f_best):
             best = res
 

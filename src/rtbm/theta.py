@@ -58,37 +58,45 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   the log of the cosine sum over k = 0 and one of each pair +-k, with
   doubled weights, the phases reduced mod 1.  The orthant lattice, to
   which Poisson summation does not apply, and the collected row stay primal.
-* Separable sums.  On the full lattice at h = 2, with g = z - Omega c the
-  offset of a row's rounded maximizer c, exp(g.k) = exp(g_1 k_1) exp(g_2 k_2),
-  so a row's sum over the shared offsets is sum_m V_m sum_a A_am U_a, with
-  U_a = exp(g_1 a) over the K1 values a of k_1, V_m = exp(g_2 m) over the M
-  values m of k_2, and the fixed table A_am = exp(-k^T Omega k / 2), zero
-  off the ellipsoid.  A row then takes K1 + M exponentials (about 12 in a
-  fit) instead of one per point (about 31).  Since |nhat - c| <= 1/2 per
-  coordinate, |g_j| <= 1/2 sum_l |Omega_jl|; the form is used only where
-  these bounds times max |k_j|, summed over j, are at most 600, so every
-  factor and term stays below e^600 and a partial product that underflows
-  belongs to a term below e^-100 of a sum that is at least its k = 0 term,
-  1; and only where the table holds at most two entries per offset, which
-  a thin, tilted ellipsoid fails, and at most 2^15 values of either
-  coordinate, which a long ellipsoid on an axis fails.  Far from the
-  origin, rounding can carry a row's g past those bounds; a row whose own
-  |g_j| max |k_j|, summed over j, passes 600 is summed directly.
-  The rows lie along the contiguous axis: U is (K1, rows) and V (M, rows).
-  A block of rows takes sum_a A_am U_a in one einsum and sum_m of its
-  products with V_m in one reduction, both over the leading axis in index
-  order, without BLAS (whose gemv for a single row rounds differently from
-  its gemm).  numpy sums a block of one row in an order of its own, so a
-  lone row is summed beside a copy of itself.  A row's sum then does not
-  depend on its batch.  A block takes 2^16 / max(K1, M) rows, at least
-  two, so that each of its arrays fits one row of a work array that each
-  thread keeps (1.5 MiB) rather than having it mapped afresh per call; a
-  5000-row call of the n_h = 2 fit is one block or two.  The choice is
-  made once per kernel, from its offsets; the dual form, the orthant
-  lattice and the collected row keep their sums.  At h = 3, summed one
-  table row and one prefix (k_2, k_3) at a time, a batch-1 call paid
-  50-90 numpy calls in the n_h = 3 fit, and that fit got slower, so h = 3
-  sums directly.
+* Separable sums.  On the full lattice at h >= 2, with g = z - Omega c the
+  offset of a row's rounded maximizer c, exp(g.k) = exp(g_1 k_1)
+  exp(g_2 k_2 + ... + g_h k_h), the factoring of the primal terms that
+  Deconinck et al. use, so a row's sum over the shared offsets is
+  sum_m V_m sum_a A_am U_a, with U_a = exp(g_1 a) over the K1 values a of
+  k_1, V_m = exp(g_2 p_m2 + ... + g_h p_mh) over the M prefixes
+  p_m = (k_2, ..., k_h), and the fixed table A_am = exp(-k^T Omega k / 2),
+  zero off the ellipsoid.  The enumeration emits the offsets grouped by
+  prefix with k_1 innermost, so the table is read from its last level.  A
+  row then takes K1 + M exponentials instead of one per point: about 14
+  instead of 31 in the n_h = 2 fit, and 68 instead of 273 in the n_h = 3
+  fit.  Since |nhat - c| <= 1/2 per coordinate, |g_j| <= 1/2 sum_l
+  |Omega_jl|; the form is used only where these bounds times max |k_j|,
+  summed over j, are at most 600, so every factor and term stays below
+  e^600 and a partial product that underflows belongs to a term below
+  e^-100 of a sum that is at least its k = 0 term, 1; and only where the
+  table holds at most two entries per offset, which a thin, tilted
+  ellipsoid fails, and at most 2^15 values of k_1 or prefixes, which a
+  long ellipsoid fails.  Far from the origin, rounding can carry a row's g
+  past those bounds; a row whose own |g_j| max |k_j|, summed over j in
+  index order, passes 600 is summed directly.  The rows lie along the
+  contiguous axis: U is (K1, rows) and V (M, rows).  A block of rows takes
+  sum_a A_am U_a in one einsum and sum_m of its products with V_m in one
+  reduction, both over the leading axis in index order, without BLAS
+  (whose gemv for a single row rounds differently from its gemm).  numpy
+  reduces a block of one row in an order of its own, so a lone row takes
+  its partial sums from an einsum along the prefixes, which adds over k_1
+  in index order as well, and their total by an accumulation.  A row's sum
+  then does not depend on its batch.  A block takes 2^16 / max(K1, M) rows,
+  at least two, so that each of its arrays fits one row of a work array
+  that each thread keeps (1.5 MiB) rather than having it mapped afresh per
+  call; a 5000-row call of the n_h = 2 fit is one block or two, and of the
+  n_h = 3 fit about five.  The choice is made once per kernel, from its
+  offsets, whatever its batch: a kernel summed for one row, like each fit
+  candidate's normalizer, pays for tables it does not repay (about 45 us
+  of a 300 us cold call at h = 3), but no property of the matrix tells it
+  from the candidate's wide numerator kernel, whose tables save about
+  0.8 ms.  The dual form, the orthant lattice and the collected row keep
+  their sums.
 * Prepared kernels.  What depends only on Omega, the lattice and eps - the
   Cholesky factor, Omega^-1, the radius, the shared point bound, the one
   form its rows take (dual, or primal with separable tables where they
@@ -194,8 +202,12 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
     zero when ``orthant`` is set.  The caller bounds the number of points
     with :func:`_point_bounds` first.
 
-    Returns ``(owner, points)``: the index of each point's centre, in
-    ascending order, and the (P, h) int64 points.
+    Returns ``(owner, points, parent, prefixes)``: the index of each
+    point's centre, in ascending order; the (P, h) int64 points; and, from
+    the last level, the index of each point's prefix (n_2, ..., n_h) among
+    the (h - 1)-coordinate ``prefixes`` (float), also ascending, so the
+    points come grouped by prefix with n_1 ascending within each group.  A
+    prefix may hold no point.
     """
     m, h = centres.shape
     owner = np.arange(m)
@@ -203,6 +215,7 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
     # the slack keeps rounding from dropping a point on the boundary
     rem = np.square(radii) * (1.0 + 1e-12)
     for i in range(h - 1, -1, -1):
+        prefixes = pts
         lii = chol[i, i]
         mid = centres[owner, i]
         for j in range(i + 1, h):
@@ -220,7 +233,7 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
         rem = rem[parent] - step * step
         owner = owner[parent]
         pts = np.column_stack([ni, pts[parent]])
-    return owner, pts.astype(np.int64)
+    return owner, pts.astype(np.int64), parent, prefixes
 
 
 def _point_bounds(pivots, radii, spans):
@@ -317,35 +330,44 @@ def _log_sums(g, f0, cols, quad, centre):
 
 
 class _Separable(NamedTuple):
-    """The offsets k = (k_1, k_2) of a primal kernel with h = 2, as tables."""
+    """The offsets k = (k_1, ..., k_h) of a primal kernel with h >= 2, as tables."""
 
     firsts: np.ndarray     # (K1, 1) the values of k_1, one integer range
-    seconds: np.ndarray    # (M, 1) the values of k_2, one integer range
+    prefixes: np.ndarray   # (h - 1, M, 1) the prefixes (k_2, ..., k_h), a coordinate each
     weights: np.ndarray    # (K1, M) exp(-k^T Omega k / 2), zero off the ellipsoid
-    reach: np.ndarray      # (2,) max |k_j|
+    reach: np.ndarray      # (h, 1) max |k_j|
 
 
-def _separable(offsets, quad, omega):
-    """The :class:`_Separable` tables of ``offsets`` (P, 2), or None.
+def _separable(cols, quad, omega, parent, prefixes):
+    """The :class:`_Separable` tables of the offsets ``cols`` (h, P), or None.
 
-    ``quad`` holds k^T Omega k / 2.  None where some factor could pass
-    e^600 for g within its bounds |g_j| <= 1/2 sum_l |Omega_jl|, and where
+    ``quad`` holds k^T Omega k / 2, and ``parent`` and ``prefixes`` group
+    the offsets by (k_2, ..., k_h) as :func:`_ellipsoid_points` emits them;
+    the groups from the first to the last that holds an offset are the
+    table's M prefixes (at h = 2, the values of k_2 from least to greatest),
+    read from ``parent`` with no search.  The enumeration about the origin
+    negates exactly, so the offsets hold -k with k, and max |k_j| and the
+    range of k_1 come from one maximum per coordinate.  None where some
+    factor could pass e^600 for g within its bounds
+    |g_j| <= 1/2 sum_l |Omega_jl|, and where
     the table would hold more than 2P entries (a thin, tilted ellipsoid
     fills little of its bounding box), or more than the kept-point cap
     leaves beside the P offsets, or more than ``_TABLE_BLOCK // 2`` (2^15)
-    values of one coordinate, which would not fit a row of the work array
+    values of k_1 or prefixes, which would not fit a row of the work array
     even for a block of the two rows every block holds at least.
     """
-    low, high = offsets.min(axis=0), offsets.max(axis=0)
-    shape, reach, points = high - low + 1, np.maximum(high, -low), offsets.shape[0]
+    reach, points, first = cols.max(axis=1), cols.shape[1], parent[0]
+    shape = (2 * int(reach[0]) + 1, int(parent[-1] - first) + 1)
     if (0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP
-            or shape.prod() > min(2 * points, _WORK_CAP - points)
-            or shape.max() > _TABLE_BLOCK // 2):
+            or shape[0] * shape[1] > min(2 * points, _WORK_CAP - points)
+            or max(shape) > _TABLE_BLOCK // 2):
         return None
     weights = np.zeros(shape)
-    weights[offsets[:, 0] - low[0], offsets[:, 1] - low[1]] = np.exp(-quad)
-    first, second = (np.arange(lo, hi + 1, dtype=float)[:, None] for lo, hi in zip(low, high))
-    return _Separable(first, second, weights, reach.astype(float))
+    weights[(cols[0] + reach[0]).astype(np.intp), parent - first] = np.exp(-quad)
+    # a copy: a view would keep the enumeration's whole level in the kernel cache
+    prefixes = np.ascontiguousarray(prefixes[first:first + shape[1]].T)
+    return _Separable(np.arange(-reach[0], reach[0] + 1)[:, None], prefixes[:, :, None],
+                      weights, reach[:, None])
 
 
 def _table_work():
@@ -361,54 +383,74 @@ def _table_work():
 
 
 def _separable_log_sums(g, f0, cols, quad, tables):
-    """:func:`_log_sums` over the full lattice at h = 2, in the separable form.
+    """:func:`_log_sums` over the full lattice at h >= 2, in the separable form.
 
-    Per row, U_a = exp(g_1 a) and V_m = exp(g_2 m); the sum is
-    sum_m V_m sum_a A_am U_a.  ``g`` holds the rows' coordinates as rows
-    (2, B).  A block takes ``_TABLE_BLOCK // max(K1, M)`` rows, so that U,
-    V and the partial sums each fill at most one row of the thread's work
-    array (:func:`_table_work`).  It forms the partial sums in one einsum
-    and their products with V in one ``np.add.reduce``; both add over the
-    leading axis in index order (a zero weight adds an exact zero), the
-    same for every row of a block of two rows or more.  A block of one row
-    would be summed in numpy's own order, so a lone row (a batch of one, or
-    one past a whole block) is broadcast into two columns.  A 5000-row call
-    is one block while the table has at most 13 values per coordinate, as
-    in all but 1 of the 879 separable wide calls of the seeded n_h = 2 fit.
+    Per row, U_a = exp(g_1 a) over the K1 values a of k_1 and V_m =
+    exp(g_2 p_m2 + ... + g_h p_mh) over the M prefixes p_m, its exponent
+    summed in index order; the sum is sum_m V_m sum_a A_am U_a, K1 + M
+    exponentials where the direct sum takes one per offset.  ``g`` holds the
+    rows' coordinates as rows (h, B).  A block takes
+    ``_TABLE_BLOCK // max(K1, M)`` rows, so that U, V and the partial sums
+    each fill at most one row of the thread's work array
+    (:func:`_table_work`).  It forms the partial sums in one einsum and
+    their products with V in one ``np.add.reduce``; both add over the
+    leading axis in index order (a zero weight adds an exact zero), the same
+    for every row of a block of two rows or more.  numpy would reduce a
+    block of one row (a batch of one, or one past a whole block) in an order
+    of its own, so a lone row takes its partial sums from a one-row einsum,
+    whose inner loop runs along the prefixes and whose outer loop adds over
+    k_1 in index order, and their total by ``np.add.accumulate``.  That
+    einsum needs M >= 2, which always holds: the radius is at least twice
+    rho_half, and 4 rho_half^2 >= trace(Omega) >= Omega_jj, so each +-e_j
+    is an offset and M >= 3.  A 5000-row call is one block while the table
+    has at most 13 values of k_1 and prefixes, as in all but 1 of the 879
+    separable wide calls of the seeded n_h = 2 fit; the 87 separable wide
+    calls of the seeded n_h = 3 fit take tables of a median 7 x 61 for 273
+    offsets, about 1000 rows a block.
 
-    A row whose |g_1| max |k_1| + |g_2| max |k_2| passes 600 is summed by
-    :func:`_log_sums` instead: far from the origin the rounded maximizer
-    and z - Omega c carry rounding errors that can take g past the bounds
-    the tables were admitted on.  The test reads only the row's own g.
+    A row whose sum over j of |g_j| max |k_j|, taken in index order, passes
+    600 is summed by :func:`_log_sums` instead: far from the origin the
+    rounded maximizer and z - Omega c carry rounding errors that can take g
+    past the bounds the tables were admitted on.  The test reads only the
+    row's own g.
     """
-    far = ~(np.abs(g[0]) * tables.reach[0] + np.abs(g[1]) * tables.reach[1]
-            <= _LOG_FACTOR_CAP)
-    if far.any():
-        out = np.empty(g.shape[1])
-        out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
-        near = ~far
-        out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
-        return out
-    firsts, seconds, weights, _ = tables
+    mags = np.abs(g)
+    # No row passes where the batch's largest |g_j|, summed against max |k_j|,
+    # stays under 600 with room for any rounding; one reduction then decides.
+    if not mags.max(axis=1, initial=0.0) @ tables.reach[:, 0] <= 0.999 * _LOG_FACTOR_CAP:
+        far = ~(_coords_inner(mags, tables.reach) <= _LOG_FACTOR_CAP)
+        if far.any():
+            out = np.empty(g.shape[1])
+            out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
+            near = ~far
+            out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
+            return out
+    firsts, prefixes, weights, _ = tables
     (k1, m), nb = weights.shape, g.shape[1]
     step = _TABLE_BLOCK // max(k1, m)
     work = _table_work()
     out = np.empty(nb)
     for s in range(0, nb, step):
         blk = slice(s, s + step)
-        rows = min(step, nb - s)
-        n = max(rows, 2)     # a lone row is broadcast into two columns
-        u, v = work[0, :k1 * n].reshape(k1, n), work[1, :m * n].reshape(m, n)
-        acc = work[2, :m * n].reshape(m, n)
+        n = min(step, nb - s)
+        u, v, acc = (work[i, :size * n].reshape(size, n) for i, size in enumerate((k1, m, m)))
+        np.multiply(prefixes[0], g[1, blk], out=v)
+        for j in range(1, prefixes.shape[0]):
+            v += np.multiply(prefixes[j], g[j + 1, blk], out=acc)
+        np.exp(v, out=v)
         np.multiply(firsts, g[0, blk], out=u)
         np.exp(u, out=u)
-        np.einsum("an,am->mn", u, weights, out=acc)
-        np.multiply(seconds, g[1, blk], out=v)
-        np.exp(v, out=v)
-        acc *= v
-        total = np.add.reduce(acc, axis=0)
+        if n > 1:
+            np.einsum("an,am->mn", u, weights, out=acc)
+            acc *= v
+            total = np.add.reduce(acc, axis=0)
+        else:
+            acc, v = acc[:, 0], v[:, 0]
+            np.einsum("a,am->m", u[:, 0], weights, out=acc)
+            acc *= v
+            total = np.add.accumulate(acc)[-1:]
         np.log(total, out=total)
-        np.add(f0[blk], total[:rows], out=out[blk])
+        np.add(f0[blk], total, out=out[blk])
     return out
 
 
@@ -419,7 +461,7 @@ def _own_terms(zs, omega, chol, nhat, reach, best, orthant):
     the ``orthant``, its orthant point, where the sum's mass lies.  Returns
     ``(owner, points, logterms)`` grouped by row.
     """
-    owner, points = _ellipsoid_points(chol, nhat, reach, orthant)
+    owner, points = _ellipsoid_points(chol, nhat, reach, orthant)[:2]
     b_omega = _coords_dot_rows(best.T, omega)
     f_best = -0.5 * np.einsum("bh,bh->b", b_omega, best) + np.einsum("bh,bh->b", best, zs)
     k = points - best[owner]
@@ -611,7 +653,8 @@ class _Kernel:
             return self.kept
         h = self.omega.shape[0]
         form = self if self.dual is None else self.dual
-        offsets = _ellipsoid_points(form.chol, np.zeros((1, h)), np.array([form.radius]))[1]
+        _, offsets, parent, prefixes = _ellipsoid_points(form.chol, np.zeros((1, h)),
+                                                         np.array([form.radius]))
         tables = None
         if self.dual is not None:
             # k = 0 and, of each pair +-k, the one whose first nonzero entry is positive
@@ -622,9 +665,10 @@ class _Kernel:
                     np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad))
         else:
             quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
-            if self.lattice is Lattice.FULL and h == 2:
-                tables = _separable(offsets, quad, self.omega)
-            kept = (np.ascontiguousarray(offsets.T, dtype=float), quad, tables)
+            cols = np.ascontiguousarray(offsets.T, dtype=float)
+            if self.lattice is Lattice.FULL and h > 1:
+                tables = _separable(cols, quad, self.omega, parent, prefixes)
+            kept = (cols, quad, tables)
         if not self.used:
             self.used = True
             return kept

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import rtbm.cma
 import rtbm.density
 import rtbm.fit
 from rtbm.cma import minimize
@@ -143,6 +144,30 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(lambda x: 0.0, 0)
 
+    def test_stop_reason_budget(self):
+        res = minimize(lambda x: float(x @ x), 4, x0=np.ones(4), max_evals=40, seed=5)
+        assert res.stop == "budget"
+        assert res.evals >= 40
+
+    def test_stop_reason_stall_on_constant_objective(self):
+        # the first generation improves on +inf; none does after it
+        res = minimize(lambda x: 1.0, 3, max_evals=100000, seed=6)
+        lam = 4 + int(3 * math.log(3))
+        stall_gens = math.ceil(rtbm.cma.STALL_EVALS_PER_DIM * 3 / lam)
+        assert res.stop == "stall"
+        assert res.evals == (stall_gens + 1) * lam
+        assert res.f_best == 1.0
+
+    def test_stop_reason_stall_on_infinite_objective(self):
+        # +inf never improves on the starting +inf, so the run stops after
+        # stall_gens generations
+        res = minimize(lambda x: math.inf, 3, max_evals=100000, seed=7)
+        lam = 4 + int(3 * math.log(3))
+        stall_gens = math.ceil(rtbm.cma.STALL_EVALS_PER_DIM * 3 / lam)
+        assert res.stop == "stall"
+        assert res.evals == stall_gens * lam
+        assert res.f_best == math.inf
+
 
 class TestObjective:
     def _count_wide_sums(self, monkeypatch):
@@ -234,6 +259,17 @@ class TestFitDensity:
         with pytest.raises(FitError, match="no restart found a model whose "
                            "likelihood could be evaluated: f_best=inf"):
             fit_density(data, FitConfig(n_h=1, restarts=2, max_evals=8))
+
+    def test_error_names_why_each_restart_ended(self, monkeypatch):
+        monkeypatch.setattr(rtbm.fit, "negative_log_likelihood",
+                            lambda *args: math.inf)
+        data = np.random.default_rng(0).standard_normal((50, 1))
+        with pytest.raises(FitError) as caught:
+            fit_density(data, FitConfig(n_h=1, restarts=2, max_evals=8))
+        assert str(caught.value).count("stop=budget") == 2
+        with pytest.raises(FitError) as caught:
+            fit_density(data, FitConfig(n_h=1, restarts=2, max_evals=100000))
+        assert str(caught.value).count("stop=stall") == 2
 
     def test_non_finite_data_is_rejected_up_front(self):
         data = np.random.default_rng(0).standard_normal((50, 2))

@@ -31,6 +31,33 @@ def assert_batch_independent(zs, omega, lattice=Lattice.FULL):
     np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega, lattice=lattice))
 
 
+def assert_threads_repeat_their_sums(cases):
+    """Threads, one per (omega, zs) case and all at once, each repeat its own sums."""
+    import sys
+    import threading
+
+    cases = [(omega, zs, log_theta_many(zs, omega)) for omega, zs in cases]
+    mismatches = []
+
+    def repeat(omega, zs, expected):
+        for _ in range(5):
+            if not np.array_equal(log_theta_many(zs, omega), expected):
+                mismatches.append(omega[0, 0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=repeat, args=case) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+
+
 class TestKnownValues:
     def test_full_lattice_scalar(self):
         expected = direct_1d_sum(2.0, 0.0, Lattice.FULL, 6)
@@ -175,6 +202,12 @@ def spd_with_eigenvalues(rng, eigs):
     return 0.5 * (a + a.T)
 
 
+def thin_along_diagonal(h):
+    """Eigenvalue 1 along (1, ..., 1) and 20 across it: a thin, tilted ellipsoid."""
+    u = np.ones(h) / np.sqrt(h)
+    return 20.0 * np.eye(h) - 19.0 * np.outer(u, u)
+
+
 def reference_radius(z, omega, lam_min):
     """Max-norm radius past which the reference omits under 1e-15 of the sum."""
     nhat = np.abs(np.linalg.solve(omega, z)).max()
@@ -246,6 +279,10 @@ class TestEllipsoidKernel:
 
         rng = np.random.default_rng(40 + h)
         omega = random_spd(rng, h, 0.5, 20.0)
+        if lattice is Lattice.FULL:
+            # long and thin along the diagonal: the separable tables would
+            # hold over three entries per offset, so they are refused
+            omega = thin_along_diagonal(h)
         # the direct sum, over more than three of its blocks of rows
         kernel = theta._kernel(omega, lattice, 1e-12)
         assert kernel.dual is None and kernel.shared_points()[2] is None
@@ -643,9 +680,6 @@ class TestSeparableSums:
         np.testing.assert_allclose(log_theta_many(zs, omega), expected, rtol=1e-12)
 
     def test_threads_keep_their_own_work_arrays(self):
-        import sys
-        import threading
-
         # four threads at once, more than the cores, each summing its own
         # matrix and rows, must give the sums each makes alone
         rng = np.random.default_rng(21)
@@ -654,26 +688,8 @@ class TestSeparableSums:
             omega = rotated([3.0 + k, 20.0], 0.6)
             zs = rng.uniform(-3, 3, (6000, 2)) @ omega
             assert self.tables(omega) is not None
-            cases.append((omega, zs, log_theta_many(zs, omega)))
-        mismatches = []
-
-        def repeat(omega, zs, expected):
-            for _ in range(5):
-                if not np.array_equal(log_theta_many(zs, omega), expected):
-                    mismatches.append(omega[0, 0])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=repeat, args=case) for case in cases]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not mismatches
+            cases.append((omega, zs))
+        assert_threads_repeat_their_sums(cases)
 
     def test_past_the_overflow_gate_sums_directly(self, monkeypatch):
         import rtbm.theta as theta
@@ -808,3 +824,100 @@ class TestSeparableSums:
         assert kernels == theta._KERNEL_CAP
         assert points == sum(k.kept[0].shape[1] + k.kept[2].weights.size
                              for k in theta._KERNELS.values())
+
+
+def equicorrelated(h, scale, rho):
+    """``scale`` times the matrix with ones on the diagonal and ``rho`` off it."""
+    return scale * ((1.0 - rho) * np.eye(h) + rho)
+
+
+class TestSeparableSumsAnyH:
+    """The separable form at h = 3 and 4: k_1 against the prefixes (k_2, ..., k_h)."""
+
+    @staticmethod
+    def separable(h):
+        # the matrices of scripts/output_digests.py: 7 x 49 and 7 x 255 tables
+        return random_spd(np.random.default_rng([h, 16]), h, 5.0, 20.0)
+
+    @pytest.mark.parametrize("h, omega, separable", [
+        (3, equicorrelated(3, 100.0, 0.3), True),      # factors up to e^480
+        (3, equicorrelated(3, 150.0, 0.3), False),     # e^720, past the overflow gate
+        (4, equicorrelated(4, 100.0, 0.1), True),      # e^520
+        (4, equicorrelated(4, 150.0, 0.1), False),     # e^780
+        (3, None, True),
+        (3, thin_along_diagonal(3), False),            # 15 x 91 table for 417 offsets
+        (4, None, True),
+        (4, thin_along_diagonal(4), False),            # 15 x 525 table for 2213 offsets
+    ], ids=["overflow-h3-in", "overflow-h3-out", "overflow-h4-in", "overflow-h4-out",
+            "fill-h3-in", "fill-h3-out", "fill-h4-in", "fill-h4-out"])
+    def test_both_sides_of_each_gate_against_reference(self, h, omega, separable):
+        import rtbm.theta as theta
+
+        omega = self.separable(h) if omega is None else omega
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        assert kernel.dual is None
+        assert (kernel.shared_points()[2] is not None) == separable
+        rng = np.random.default_rng(32 + h)
+        lam_min = np.linalg.eigvalsh(omega)[0]
+        for _ in range(2):
+            z = omega @ rng.uniform(-3, 3, h)
+            got = log_theta_many(z[None, :], omega)[0]
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, lam_min))
+            assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("eigs, separable", [
+        ([1e-6, 50.0, 50.0], True),     # 30709 values of k_1, under 2^15
+        ([3e-7, 50.0, 50.0], False),    # 56283 values of k_1: no block fits
+    ], ids=["width-in", "width-out"])
+    def test_both_sides_of_the_width_gate(self, eigs, separable):
+        import rtbm.theta as theta
+
+        omega = np.diag(eigs)
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        assert kernel.dual is None
+        tables = kernel.shared_points()[2]
+        assert (tables is not None) == separable
+        if separable:
+            assert max(tables.weights.shape) <= theta._TABLE_BLOCK // 2
+        rng = np.random.default_rng(45)
+        zs = np.vstack([np.zeros(3), rng.uniform(-3, 3, (3, 3)) @ omega])
+        # Omega is diagonal, so the sum is the sum of three 1-D sums
+        expected = sum(log_theta_many(zs[:, [j]], omega[j:j + 1, j:j + 1]) for j in range(3))
+        np.testing.assert_allclose(log_theta_many(zs, omega), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_batch_matches_single(self, h):
+        import rtbm.theta as theta
+
+        # More than three blocks and a remainder, with rows far apart so each
+        # block mixes many maximizers, and five rows past the far-row gate
+        # mixed in, which leave the batch before it is cut into blocks.
+        omega = self.separable(h)
+        tables = theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[2]
+        step = theta._TABLE_BLOCK // max(tables.weights.shape)
+        rng = np.random.default_rng(80 + h)
+        rows = over_three_blocks(step)
+        zs = np.vstack([rng.uniform(-1, 1, (rows, h)), rng.uniform(-40, 40, (rows // 10, h))])
+        zs = zs @ omega
+        far = rng.choice(zs.shape[0], 5, replace=False)
+        zs[far] = rng.uniform(-1e20, 1e20, (5, h))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert_batch_independent(zs, omega)
+        # one row past a whole block is a block of its own
+        for _ in range(20):
+            zs = rng.uniform(-1, 1, (step + 1, h)) @ omega
+            assert log_theta_many(zs, omega)[-1] == log_theta_many(zs[-1:], omega)[0]
+
+    def test_threads_keep_their_own_work_arrays(self):
+        import rtbm.theta as theta
+
+        # four threads at once, each summing its own h = 3 matrix and rows
+        # over several blocks, must give the sums each makes alone
+        rng = np.random.default_rng(23)
+        cases = []
+        for k in range(4):
+            omega = (1.0 + 0.05 * k) * self.separable(3)
+            zs = rng.uniform(-3, 3, (3000, 3)) @ omega
+            assert theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[2] is not None
+            cases.append((omega, zs))
+        assert_threads_repeat_their_sums(cases)
