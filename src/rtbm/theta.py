@@ -70,10 +70,11 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   row then takes K1 + M exponentials instead of one per point: about 14
   instead of 31 in the n_h = 2 fit, and 68 instead of 273 in the n_h = 3
   fit.  Since |nhat - c| <= 1/2 per coordinate, |g_j| <= 1/2 sum_l
-  |Omega_jl|; the form is used only where these bounds times max |k_j|,
-  summed over j, are at most 600, so every factor and term stays below
-  e^600 and a partial product that underflows belongs to a term below
-  e^-100 of a sum that is at least its k = 0 term, 1; and only where the
+  |Omega_jl|; the form is used only where these bounds times max |k_j|
+  (for j >= 2 over the table's prefixes, some of which may hold no
+  offset), summed over j, are at most 600, so every factor and term stays
+  below e^600 and a partial product that underflows belongs to a term
+  below e^-100 of a sum that is at least its k = 0 term, 1; and only where the
   table holds at most two entries per offset, which a thin, tilted
   ellipsoid fails, and at most 2^15 values of k_1 or prefixes, which a
   long ellipsoid fails.  Far from the origin, rounding can carry a row's g
@@ -83,17 +84,16 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   sum_a A_am U_a in one einsum and sum_m of its products with V_m in one
   reduction, both over the leading axis in index order, without BLAS
   (whose gemv for a single row rounds differently from its gemm).  numpy
-  reduces a block of one row in an order of its own, so a lone row takes
-  its partial sums from an einsum along the prefixes, which adds over k_1
-  in index order as well, and their total by an accumulation.  A row's sum
-  then does not depend on its batch.  A block takes 2^16 / max(K1, M) rows,
-  at least two, so that each of its arrays fits one row of a work array
+  reduces a block of one row in an order of its own, so a lone row is
+  broadcast into two columns, and a row's sum does not depend on its
+  batch.  A block takes 2^16 / max(K1, M) rows, at least two, so that
+  each of its arrays fits one row of a work array
   that each thread keeps (1.5 MiB) rather than having it mapped afresh per
   call; a 5000-row call of the n_h = 2 fit is one block or two, and of the
   n_h = 3 fit about five.  The choice is made once per kernel, from its
   offsets, whatever its batch: a kernel summed for one row, like each fit
-  candidate's normalizer, pays for tables it does not repay (about 45 us
-  of a 300 us cold call at h = 3), but no property of the matrix tells it
+  candidate's normalizer, pays for tables it does not repay (about a
+  fifth of a cold call at h = 3), but no property of the matrix tells it
   from the candidate's wide numerator kernel, whose tables save about
   0.8 ms.  The dual form, the orthant lattice and the collected row keep
   their sums.
@@ -335,7 +335,7 @@ class _Separable(NamedTuple):
     firsts: np.ndarray     # (K1, 1) the values of k_1, one integer range
     prefixes: np.ndarray   # (h - 1, M, 1) the prefixes (k_2, ..., k_h), a coordinate each
     weights: np.ndarray    # (K1, M) exp(-k^T Omega k / 2), zero off the ellipsoid
-    reach: np.ndarray      # (h, 1) max |k_j|
+    reach: np.ndarray      # (h, 1) max |k_1|, then max |k_j| over the prefixes
 
 
 def _separable(cols, quad, omega, parent, prefixes):
@@ -346,27 +346,34 @@ def _separable(cols, quad, omega, parent, prefixes):
     the groups from the first to the last that holds an offset are the
     table's M prefixes (at h = 2, the values of k_2 from least to greatest),
     read from ``parent`` with no search.  The enumeration about the origin
-    negates exactly, so the offsets hold -k with k, and max |k_j| and the
-    range of k_1 come from one maximum per coordinate.  None where some
-    factor could pass e^600 for g within its bounds
-    |g_j| <= 1/2 sum_l |Omega_jl|, and where
-    the table would hold more than 2P entries (a thin, tilted ellipsoid
-    fills little of its bounding box), or more than the kept-point cap
+    negates exactly, so the offsets hold -k with k, and max |k_1| and the
+    range of k_1 come from one maximum.  A prefix in that range may hold no
+    offset (at h >= 3, say the end of one k_3 row of a tilted ellipsoid)
+    and reach past every offset's |k_j|, yet its V_m is formed all the
+    same, so max |k_j| for j >= 2 is taken over the table's prefixes.  None
+    where some factor could pass e^600 for g within its bounds
+    |g_j| <= 1/2 sum_l |Omega_jl|, and where the table would hold more than
+    2P entries (a thin, tilted ellipsoid fills little of its bounding box),
+    or more than the kept-point cap
     leaves beside the P offsets, or more than ``_TABLE_BLOCK // 2`` (2^15)
     values of k_1 or prefixes, which would not fit a row of the work array
     even for a block of the two rows every block holds at least.
     """
-    reach, points, first = cols.max(axis=1), cols.shape[1], parent[0]
-    shape = (2 * int(reach[0]) + 1, int(parent[-1] - first) + 1)
-    if (0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP
-            or shape[0] * shape[1] > min(2 * points, _WORK_CAP - points)
+    points, first = cols.shape[1], parent[0]
+    k1 = cols[0].max()
+    shape = (2 * int(k1) + 1, int(parent[-1] - first) + 1)
+    if (shape[0] * shape[1] > min(2 * points, _WORK_CAP - points)
             or max(shape) > _TABLE_BLOCK // 2):
         return None
+    prefixes = prefixes[first:first + shape[1]]
+    reach = np.concatenate(([k1], np.abs(prefixes).max(axis=0)))
+    if 0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP:
+        return None
     weights = np.zeros(shape)
-    weights[(cols[0] + reach[0]).astype(np.intp), parent - first] = np.exp(-quad)
+    weights[(cols[0] + k1).astype(np.intp), parent - first] = np.exp(-quad)
     # a copy: a view would keep the enumeration's whole level in the kernel cache
-    prefixes = np.ascontiguousarray(prefixes[first:first + shape[1]].T)
-    return _Separable(np.arange(-reach[0], reach[0] + 1)[:, None], prefixes[:, :, None],
+    prefixes = np.ascontiguousarray(prefixes.T)
+    return _Separable(np.arange(-k1, k1 + 1)[:, None], prefixes[:, :, None],
                       weights, reach[:, None])
 
 
@@ -395,18 +402,13 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     (:func:`_table_work`).  It forms the partial sums in one einsum and
     their products with V in one ``np.add.reduce``; both add over the
     leading axis in index order (a zero weight adds an exact zero), the same
-    for every row of a block of two rows or more.  numpy would reduce a
-    block of one row (a batch of one, or one past a whole block) in an order
-    of its own, so a lone row takes its partial sums from a one-row einsum,
-    whose inner loop runs along the prefixes and whose outer loop adds over
-    k_1 in index order, and their total by ``np.add.accumulate``.  That
-    einsum needs M >= 2, which always holds: the radius is at least twice
-    rho_half, and 4 rho_half^2 >= trace(Omega) >= Omega_jj, so each +-e_j
-    is an offset and M >= 3.  A 5000-row call is one block while the table
-    has at most 13 values of k_1 and prefixes, as in all but 1 of the 879
-    separable wide calls of the seeded n_h = 2 fit; the 87 separable wide
-    calls of the seeded n_h = 3 fit take tables of a median 7 x 61 for 273
-    offsets, about 1000 rows a block.
+    for every row of a block of two rows or more.  A block of one row would
+    be summed in numpy's own order, so a lone row (a batch of one, or one
+    past a whole block) is broadcast into two columns.  A 5000-row call is
+    one block while the table has at most 13 values of k_1 and prefixes, as
+    in all but 1 of the 879 separable wide calls of the seeded n_h = 2 fit;
+    the 87 separable wide calls of the seeded n_h = 3 fit take tables of a
+    median 7 x 61 for 273 offsets, about 1000 rows a block.
 
     A row whose sum over j of |g_j| max |k_j|, taken in index order, passes
     600 is summed by :func:`_log_sums` instead: far from the origin the
@@ -414,17 +416,13 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     past the bounds the tables were admitted on.  The test reads only the
     row's own g.
     """
-    mags = np.abs(g)
-    # No row passes where the batch's largest |g_j|, summed against max |k_j|,
-    # stays under 600 with room for any rounding; one reduction then decides.
-    if not mags.max(axis=1, initial=0.0) @ tables.reach[:, 0] <= 0.999 * _LOG_FACTOR_CAP:
-        far = ~(_coords_inner(mags, tables.reach) <= _LOG_FACTOR_CAP)
-        if far.any():
-            out = np.empty(g.shape[1])
-            out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
-            near = ~far
-            out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
-            return out
+    far = ~(_coords_inner(np.abs(g), tables.reach) <= _LOG_FACTOR_CAP)
+    if far.any():
+        out = np.empty(g.shape[1])
+        out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
+        near = ~far
+        out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
+        return out
     firsts, prefixes, weights, _ = tables
     (k1, m), nb = weights.shape, g.shape[1]
     step = _TABLE_BLOCK // max(k1, m)
@@ -432,7 +430,8 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     out = np.empty(nb)
     for s in range(0, nb, step):
         blk = slice(s, s + step)
-        n = min(step, nb - s)
+        rows = min(step, nb - s)
+        n = max(rows, 2)     # a lone row is broadcast into two columns
         u, v, acc = (work[i, :size * n].reshape(size, n) for i, size in enumerate((k1, m, m)))
         np.multiply(prefixes[0], g[1, blk], out=v)
         for j in range(1, prefixes.shape[0]):
@@ -440,17 +439,11 @@ def _separable_log_sums(g, f0, cols, quad, tables):
         np.exp(v, out=v)
         np.multiply(firsts, g[0, blk], out=u)
         np.exp(u, out=u)
-        if n > 1:
-            np.einsum("an,am->mn", u, weights, out=acc)
-            acc *= v
-            total = np.add.reduce(acc, axis=0)
-        else:
-            acc, v = acc[:, 0], v[:, 0]
-            np.einsum("a,am->m", u[:, 0], weights, out=acc)
-            acc *= v
-            total = np.add.accumulate(acc)[-1:]
+        np.einsum("an,am->mn", u, weights, out=acc)
+        acc *= v
+        total = np.add.reduce(acc, axis=0)
         np.log(total, out=total)
-        np.add(f0[blk], total, out=out[blk])
+        np.add(f0[blk], total[:rows], out=out[blk])
     return out
 
 

@@ -885,6 +885,36 @@ class TestSeparableSumsAnyH:
         expected = sum(log_theta_many(zs[:, [j]], omega[j:j + 1, j:j + 1]) for j in range(3))
         np.testing.assert_allclose(log_theta_many(zs, omega), expected, rtol=1e-12)
 
+    def test_empty_prefixes_bound_the_factors(self):
+        import rtbm.theta as theta
+
+        # A tilted matrix near the overflow gate (566 of 600) whose table holds
+        # prefixes with no offset and |k_2| = 3, past every offset's |k_2| = 2;
+        # their factors V_m are formed all the same.
+        omega = random_spd(np.random.default_rng([3, 129]), 3, 20.0, 200.0)
+        cols, quad, tables = theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()
+        assert tables is not None
+        np.testing.assert_array_equal(cols.max(axis=1), [1, 2, 2])
+        np.testing.assert_array_equal(tables.reach[:, 0], [1, 3, 2])
+        bound = 0.5 * np.abs(omega).sum(axis=1) @ tables.reach[:, 0]
+        assert 500 < bound <= theta._LOG_FACTOR_CAP
+        # g along k_2 at the far-row test's edge, counted against |k_2| = 3 and
+        # against the offsets' 2 (where e^(3 x 299) would overflow), both signs
+        g = np.array([[0.0, 199.0, 0.0], [0.0, -199.0, 0.0],
+                      [0.0, 299.0, 0.0], [0.0, -299.0, 0.0]]).T
+        f0 = np.zeros(g.shape[1])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = theta._separable_log_sums(g, f0, cols, quad, tables)
+            np.testing.assert_allclose(got, theta._log_sums(g, f0, cols, quad, None),
+                                       rtol=1e-14)
+            rng = np.random.default_rng(41)
+            zs = rng.uniform(-3, 3, (200, 3)) @ omega
+            assert_batch_independent(zs, omega)
+        lam_min = np.linalg.eigvalsh(omega)[0]
+        for z in zs[:3]:
+            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, lam_min))
+            assert log_theta_many(z[None, :], omega)[0] == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("h", [3, 4])
     def test_batch_matches_single(self, h):
         import rtbm.theta as theta
