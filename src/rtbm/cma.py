@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SIGMA0 = 0.3
 SIGMA_STOP = 1e-12
 COND_STOP = 1e7
 STALL_TOL = 1e-10
@@ -36,12 +37,11 @@ class CmaResult:
     stop: str = "budget"   # why the run ended: budget, sigma, condition or stall
 
 
-def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
-             seed=0) -> CmaResult:
+def minimize(objective, dim: int, *, x0=None, max_evals=50000, seed=0) -> CmaResult:
     """Minimize a total function on R^dim from ``x0`` (default the origin).
 
-    Stops as the module docstring says.  Returns the best evaluated point,
-    never the distribution mean.
+    The initial step size is SIGMA0.  Stops as the module docstring says.
+    Returns the best evaluated point, never the distribution mean.
     """
     if dim <= 0:
         raise ValueError("dim must be positive")
@@ -61,7 +61,7 @@ def minimize(objective, dim: int, *, x0=None, sigma0=0.3, max_evals=50000,
     chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
 
     mean = np.zeros(dim) if x0 is None else np.array(x0, dtype=float)
-    sigma = float(sigma0)
+    sigma = SIGMA0
     cov = np.eye(dim)
     p_sigma = np.zeros(dim)
     p_c = np.zeros(dim)

@@ -171,6 +171,6 @@ def fit_density(data, config: FitConfig) -> FitResult:
     report = validate(params)
     if not report.valid:
         raise FitError(f"best fit failed validation: {report}")
-    nll = negative_log_likelihood(params, data)
-    return FitResult(params=params, nll=nll, trace=best.trace,
+    # the objective's value at x_best: results do not depend on the kernel cache
+    return FitResult(params=params, nll=best.f_best, trace=best.trace,
                      evals=total_evals)

@@ -69,17 +69,16 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   prefix with k_1 innermost, so the table is read from its last level.  A
   row then takes K1 + M exponentials instead of one per point: about 14
   instead of 31 in the n_h = 2 fit, and 68 instead of 273 in the n_h = 3
-  fit.  Since |nhat - c| <= 1/2 per coordinate, |g_j| <= 1/2 sum_l
-  |Omega_jl|; the form is used only where these bounds times max |k_j|
-  (for j >= 2 over the table's prefixes, some of which may hold no
-  offset), summed over j, are at most 600, so every factor and term stays
-  below e^600 and a partial product that underflows belongs to a term
-  below e^-100 of a sum that is at least its k = 0 term, 1; and only where the
-  table holds at most two entries per offset, which a thin, tilted
-  ellipsoid fails, and at most 2^15 values of k_1 or prefixes, which a
-  long ellipsoid fails.  Far from the origin, rounding can carry a row's g
-  past those bounds; a row whose own |g_j| max |k_j|, summed over j in
-  index order, passes 600 is summed directly.  The rows lie along the
+  fit.  The tables are used where they fit: at most two entries per
+  offset, which a thin, tilted ellipsoid fails, and at most 2^15 values of
+  k_1 or prefixes, which a long ellipsoid fails.  A row is summed from
+  them only where its own |g_j| max |k_j| (for j >= 2 over the table's
+  prefixes, some of which may hold no offset), summed over j in index
+  order, is at most 600, so every factor and term stays below e^600 and a
+  partial product that underflows belongs to a term below e^-100 of a sum
+  that is at least its k = 0 term, 1.  Other rows are summed directly:
+  |g_j| reaches 1/2 sum_l |Omega_jl| where nhat - c is 1/2, and far from
+  the origin rounding carries g further.  The rows lie along the
   contiguous axis: U is (K1, rows) and V (M, rows).  A block of rows takes
   sum_a A_am U_a in one einsum and sum_m of its products with V_m in one
   reduction, both over the leading axis in index order, without BLAS
@@ -338,7 +337,7 @@ class _Separable(NamedTuple):
     reach: np.ndarray      # (h, 1) max |k_1|, then max |k_j| over the prefixes
 
 
-def _separable(cols, quad, omega, parent, prefixes):
+def _separable(cols, quad, parent, prefixes):
     """The :class:`_Separable` tables of the offsets ``cols`` (h, P), or None.
 
     ``quad`` holds k^T Omega k / 2, and ``parent`` and ``prefixes`` group
@@ -350,14 +349,13 @@ def _separable(cols, quad, omega, parent, prefixes):
     range of k_1 come from one maximum.  A prefix in that range may hold no
     offset (at h >= 3, say the end of one k_3 row of a tilted ellipsoid)
     and reach past every offset's |k_j|, yet its V_m is formed all the
-    same, so max |k_j| for j >= 2 is taken over the table's prefixes.  None
-    where some factor could pass e^600 for g within its bounds
-    |g_j| <= 1/2 sum_l |Omega_jl|, and where the table would hold more than
-    2P entries (a thin, tilted ellipsoid fills little of its bounding box),
-    or more than the kept-point cap
-    leaves beside the P offsets, or more than ``_TABLE_BLOCK // 2`` (2^15)
-    values of k_1 or prefixes, which would not fit a row of the work array
-    even for a block of the two rows every block holds at least.
+    same, so max |k_j| for j >= 2 is taken over the table's prefixes, for
+    the per-row factor test of :func:`_separable_log_sums`.  None where the
+    table would not fit: more than 2P entries (a thin, tilted ellipsoid
+    fills little of its bounding box), more than the kept-point cap leaves
+    beside the P offsets, or more than ``_TABLE_BLOCK // 2`` (2^15) values
+    of k_1 or prefixes, which would not fit a row of the work array even
+    for a block of the two rows every block holds at least.
     """
     points, first = cols.shape[1], parent[0]
     k1 = cols[0].max()
@@ -367,8 +365,6 @@ def _separable(cols, quad, omega, parent, prefixes):
         return None
     prefixes = prefixes[first:first + shape[1]]
     reach = np.concatenate(([k1], np.abs(prefixes).max(axis=0)))
-    if 0.5 * np.abs(omega).sum(axis=1) @ reach > _LOG_FACTOR_CAP:
-        return None
     weights = np.zeros(shape)
     weights[(cols[0] + k1).astype(np.intp), parent - first] = np.exp(-quad)
     # a copy: a view would keep the enumeration's whole level in the kernel cache
@@ -411,10 +407,10 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     median 7 x 61 for 273 offsets, about 1000 rows a block.
 
     A row whose sum over j of |g_j| max |k_j|, taken in index order, passes
-    600 is summed by :func:`_log_sums` instead: far from the origin the
-    rounded maximizer and z - Omega c carry rounding errors that can take g
-    past the bounds the tables were admitted on.  The test reads only the
-    row's own g.
+    600 is summed by :func:`_log_sums` instead, whatever its kernel: |g_j|
+    reaches 1/2 sum_l |Omega_jl| halfway between lattice points, and far
+    from the origin rounding carries g further.  This test, which reads
+    only the row's own g, alone decides whether a row's factors are safe.
     """
     far = ~(_coords_inner(np.abs(g), tables.reach) <= _LOG_FACTOR_CAP)
     if far.any():
@@ -660,7 +656,7 @@ class _Kernel:
             quad = 0.5 * np.einsum("kh,hl,kl->k", offsets, self.omega, offsets)
             cols = np.ascontiguousarray(offsets.T, dtype=float)
             if self.lattice is Lattice.FULL and h > 1:
-                tables = _separable(cols, quad, self.omega, parent, prefixes)
+                tables = _separable(cols, quad, parent, prefixes)
             kept = (cols, quad, tables)
         if not self.used:
             self.used = True
@@ -723,10 +719,13 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         not cheaper); this is checked before the points are allocated, and
         the sum is never silently truncated.
     ValueError
-        If ``eps`` is out of range or an argument is not finite.
+        If ``eps`` is out of range, an argument is not finite, omega is not
+        square, or ``zs`` is not (B, h) for omega's size h.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 2 or zs.ndim != 2 or not zs.shape[1] == omega.shape[0] == omega.shape[1]:
+        raise ValueError(f"zs {zs.shape} and omega {omega.shape} are not (B, h) and (h, h)")
     nb = zs.shape[0]
     lattice = Lattice(lattice)
     eps = check_eps(eps)

@@ -111,14 +111,14 @@ class TestEncodeDecode:
 class TestMinimize:
     def test_sphere(self):
         res = minimize(lambda x: float(x @ x), 10, x0=0.5 * np.ones(10),
-                       sigma0=0.3, max_evals=10000, seed=1)
+                       max_evals=10000, seed=1)
         assert res.f_best <= 1e-10
         assert res.evals <= 10000
 
     def test_rosenbrock(self):
         def rosen(x):
             return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-        res = minimize(rosen, 2, x0=np.zeros(2), sigma0=0.3, max_evals=20000,
+        res = minimize(rosen, 2, x0=np.zeros(2), max_evals=20000,
                        seed=2)
         assert res.f_best <= 1e-6
 

@@ -31,6 +31,36 @@ def assert_batch_independent(zs, omega, lattice=Lattice.FULL):
     np.testing.assert_array_equal(batch[::-1], log_theta_many(zs[::-1], omega, lattice=lattice))
 
 
+def assert_far_rows_sum_directly(omega, zs, monkeypatch):
+    """A separable kernel whose rows fall on both sides of the per-row factor test.
+
+    Under ``np.errstate(raise)`` every row is summed without a float error
+    and the batch is batch-independent; the rows whose own sum over j of
+    |g_j| max |k_j| passes 600 equal the direct sum bit for bit, and every
+    row matches ``log_theta_reference``.
+    """
+    import rtbm.theta as theta
+
+    kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+    tables = kernel.shared_points()[2]
+    assert kernel.dual is None and tables is not None
+    # each row's g, formed as log_theta_many forms it, and the per-row test
+    z = np.ascontiguousarray(zs.T)
+    g = z - theta._coords_dot(np.rint(theta._coords_dot(z, kernel.omega_inv)), kernel.omega)
+    far = ~(theta._coords_inner(np.abs(g), tables.reach) <= theta._LOG_FACTOR_CAP)
+    assert 0 < far.sum() < far.size
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = log_theta_many(zs, omega)
+        assert_batch_independent(zs, omega)
+    lam_min = np.linalg.eigvalsh(omega)[0]
+    for z, value in zip(zs, got):
+        ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, lam_min))
+        assert value == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+    theta._KERNELS.clear()
+    monkeypatch.setattr(theta, "_separable", lambda *args: None)
+    np.testing.assert_array_equal(got[far], log_theta_many(zs[far], omega))
+
+
 def assert_threads_repeat_their_sums(cases):
     """Threads, one per (omega, zs) case and all at once, each repeat its own sums."""
     import sys
@@ -190,6 +220,19 @@ class TestErrors:
         indefinite[0, -1] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
             try_cholesky(indefinite)
+
+    @pytest.mark.parametrize("zs, omega", [
+        (np.ones((3, 1)), 3.0 * np.eye(2)),
+        (np.ones((3, 3)), 3.0 * np.eye(2)),
+        (np.ones((2, 2)), np.eye(1)),
+        (np.ones((2, 2)), np.ones((2, 3))),
+        (np.ones((2, 2)), np.ones(2)),
+        (np.ones((2, 2, 2)), np.eye(2)),
+    ], ids=["narrow-rows", "wide-rows", "rows-past-1x1", "non-square", "vector-omega",
+            "3d-rows"])
+    def test_mismatched_shapes_rejected(self, zs, omega):
+        with pytest.raises(ValueError, match=r"are not \(B, h\) and \(h, h\)"):
+            log_theta_many(zs, omega)
 
     def test_largest_eps_accepted(self):
         loose = log_theta_many(np.zeros((1, 1)), np.eye(1), eps=1e-3)[0]
@@ -603,7 +646,7 @@ class TestSeparableSums:
         (rotated([3.0, 20.0], 0.6), True),             # 11 x 9 table, 55 points
         (400.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), True),
         (rotated([0.5, 30.0]), False),                 # 25 x 25 table, 139 points
-        (600.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), False),  # past the overflow gate
+        (600.0 * np.array([[1.0, 0.3], [0.3, 1.0]]), True),  # some rows' factors pass e^600
         (spd_with_eigenvalues(np.random.default_rng(12), [0.03, 1e3]), False),  # thin
     ], ids=["small", "long-axis", "rotated", "gate-400", "rotated-thin",
             "gate-600", "thin-rotated"])
@@ -694,24 +737,16 @@ class TestSeparableSums:
     def test_past_the_overflow_gate_sums_directly(self, monkeypatch):
         import rtbm.theta as theta
 
-        # |g_j| max |k_j| reaches 780 summed over j, above the gate of 600
+        # |g_j| max |k_j| reaches 780 summed over j where the maximizer lies
+        # halfway between lattice points, past the per-row test's 600.  The
+        # kernel takes tables all the same; only the rows past 600 sum directly.
         omega = 600.0 * np.array([[1.0, 0.3], [0.3, 1.0]])
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
-        cols = kernel.shared_points()[0]
-        assert kernel.dual is None
-        assert 0.5 * np.abs(omega).sum(axis=1) @ np.abs(cols).max(axis=1) \
-            > theta._LOG_FACTOR_CAP
-
-        def no_separable(*args):
-            raise AssertionError("summed in the separable form")
-
-        monkeypatch.setattr(theta, "_separable_log_sums", no_separable)
+        tables = self.tables(omega)
+        assert tables is not None
+        assert 0.5 * np.abs(omega).sum(axis=1) @ tables.reach[:, 0] > theta._LOG_FACTOR_CAP
         rng = np.random.default_rng(9)
-        zs = rng.uniform(-30, 30, (20, 2)) @ omega
-        got = log_theta_many(zs, omega)
-        for z, value in zip(zs, got):
-            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 420.0))
-            assert value == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+        zs = rng.uniform(-30, 30, (40, 2)) @ omega
+        assert_far_rows_sum_directly(omega, zs, monkeypatch)
 
     def test_far_rows_past_their_bounds_sum_directly(self, monkeypatch):
         import rtbm.theta as theta
@@ -841,9 +876,9 @@ class TestSeparableSumsAnyH:
 
     @pytest.mark.parametrize("h, omega, separable", [
         (3, equicorrelated(3, 100.0, 0.3), True),      # factors up to e^480
-        (3, equicorrelated(3, 150.0, 0.3), False),     # e^720, past the overflow gate
+        (3, equicorrelated(3, 150.0, 0.3), True),      # e^720: such rows sum directly
         (4, equicorrelated(4, 100.0, 0.1), True),      # e^520
-        (4, equicorrelated(4, 150.0, 0.1), False),     # e^780
+        (4, equicorrelated(4, 150.0, 0.1), True),      # e^780
         (3, None, True),
         (3, thin_along_diagonal(3), False),            # 15 x 91 table for 417 offsets
         (4, None, True),
@@ -864,6 +899,21 @@ class TestSeparableSumsAnyH:
             got = log_theta_many(z[None, :], omega)[0]
             ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, lam_min))
             assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    @pytest.mark.parametrize("h, omega", [
+        (3, equicorrelated(3, 150.0, 0.3)),
+        (4, equicorrelated(4, 150.0, 0.1)),
+    ], ids=["h3", "h4"])
+    def test_rows_past_the_factor_test_sum_directly(self, h, omega, monkeypatch):
+        # factors up to e^720 and e^780 where the maximizer lies halfway
+        # between lattice points: the kernels take tables, and the rows
+        # whose own factors pass e^600 (every fourth row here, 0.49 off a
+        # lattice point along each coordinate) sum directly
+        rng = np.random.default_rng(60 + h)
+        frac = rng.uniform(-0.5, 0.5, (40, h))
+        frac[::4] = rng.choice([-0.49, 0.49], (10, 1))
+        zs = (rng.integers(-3, 4, (40, h)) + frac) @ omega
+        assert_far_rows_sum_directly(omega, zs, monkeypatch)
 
     @pytest.mark.parametrize("eigs, separable", [
         ([1e-6, 50.0, 50.0], True),     # 30709 values of k_1, under 2^15
@@ -888,9 +938,10 @@ class TestSeparableSumsAnyH:
     def test_empty_prefixes_bound_the_factors(self):
         import rtbm.theta as theta
 
-        # A tilted matrix near the overflow gate (566 of 600) whose table holds
-        # prefixes with no offset and |k_2| = 3, past every offset's |k_2| = 2;
-        # their factors V_m are formed all the same.
+        # A tilted matrix whose factors stay under e^600 (566) for every g
+        # within its bounds, and whose table holds prefixes with no offset and
+        # |k_2| = 3, past every offset's |k_2| = 2; their factors V_m are
+        # formed all the same.
         omega = random_spd(np.random.default_rng([3, 129]), 3, 20.0, 200.0)
         cols, quad, tables = theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()
         assert tables is not None
