@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.  Every
 setting comes from its flag.  Every theta sum is certified to the package's
 fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
 NaN or infinite values in the columns used, column indices outside a CSV,
-model files with a missing or ill-typed field, non-finite ``--on`` values or
-Student-t parameters, and requests too large to allocate are rejected as
-data errors.
+model files with a missing or ill-typed field, non-finite ``--grid`` bounds,
+``--on`` values or Student-t parameters, and requests too large to allocate
+are rejected as data errors.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ def _parse_grid(spec):
         lo, hi, nodes = float(pieces[0]), float(pieces[1]), int(pieces[2])
         if nodes < 2 or not lo < hi:
             raise ValueError(f"bad grid component {part!r}: need lo < hi, nodes >= 2")
+        if not np.isfinite(hi - lo):    # an infinite bound, or a span past the range
+            raise ValueError(f"bad grid component {part!r}: lo, hi and hi - lo "
+                             f"must be finite")
         axes.append(np.linspace(lo, hi, nodes))
     return axes
 
@@ -101,9 +104,7 @@ def _parse_on(spec):
         idx, val = part.split("=", 1)
         indices.append(int(idx))
         values.append(float(val))
-        if not np.isfinite(values[-1]):
-            raise ValueError(f"conditioning value at index {indices[-1]} is not finite")
-    return indices, np.array(values)
+    return indices, values
 
 
 def _parse_cols(spec):
@@ -262,11 +263,11 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--nh", required=True, type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-evals", type=int, default=50000)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--restarts", type=int, default=FitConfig.restarts)
+    p.add_argument("--max-evals", type=int, default=FitConfig.max_evals)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
-                   default=Lattice.FULL.value)
+                   default=FitConfig.lattice.value)
     p.add_argument("--trace", help="trace CSV path (default <out>.trace.csv)")
     p.add_argument("--meta", help="metadata JSON path (default <out>.meta.json)")
     p.set_defaults(func=_cmd_fit)

@@ -37,14 +37,16 @@ class CmaResult:
     stop: str = "budget"   # why the run ended: budget, sigma, condition or stall
 
 
-def minimize(objective, dim: int, *, x0=None, max_evals=50000, seed=0) -> CmaResult:
-    """Minimize a total function on R^dim from ``x0`` (default the origin).
+def minimize(objective, x0, *, max_evals: int, seed) -> CmaResult:
+    """Minimize a total function on R^dim from the nonempty vector ``x0``.
 
     The initial step size is SIGMA0.  Stops as the module docstring says.
     Returns the best evaluated point, never the distribution mean.
     """
-    if dim <= 0:
-        raise ValueError("dim must be positive")
+    mean = np.array(x0, dtype=float)
+    if mean.ndim != 1 or mean.size == 0:
+        raise ValueError(f"x0 must be a nonempty vector, got shape {mean.shape}")
+    dim = mean.size
     rng = np.random.default_rng(seed)
     lam = 4 + int(3 * math.log(dim))
     mu = lam // 2
@@ -60,7 +62,6 @@ def minimize(objective, dim: int, *, x0=None, max_evals=50000, seed=0) -> CmaRes
                2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff))
     chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
 
-    mean = np.zeros(dim) if x0 is None else np.array(x0, dtype=float)
     sigma = SIGMA0
     cov = np.eye(dim)
     p_sigma = np.zeros(dim)

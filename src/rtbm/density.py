@@ -93,15 +93,15 @@ def log_pdf(params: RtbmParams, v) -> float:
 def log_marginal(params: RtbmParams, m: int, d) -> float:
     """Closed-form log P(d): the leading m coordinates integrated out.
 
-    ``d`` holds the trailing n_v - m coordinates.  Requires 0 < m < n_v;
-    an empty free block is not a marginalization.  The theta ratio is the
-    normalizer of the child :func:`condition_on` builds over the parent's.
+    ``d`` holds the trailing n_v - m coordinates, checked as the request
+    ``(range(m, n_v), d)``; 0 < m < n_v.  The theta ratio is the normalizer
+    of the child :func:`condition_on` builds over the parent's.
     """
     _check_valid(params)
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
-    child = _child(params, np.arange(m), np.arange(m, params.n_v), d)
-    d = np.asarray(d, dtype=float).reshape(params.n_v - m)
+    fixed, d, free = free_coordinates(range(m, params.n_v), d, params.n_v)
+    child = _child(params, free, fixed, d)
     # A far d overflows d^T T d and the child's normalizer together: P(d) = 0.
     with np.errstate(over="ignore", invalid="ignore"):
         log_p = (0.5 * _logdet_from_chol(params.chol_t)
@@ -129,11 +129,10 @@ def _check_valid(params: RtbmParams):
 
 
 def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
-    """Child RTBM over coordinates ``free`` given the values ``d`` at ``fixed``.
+    """Child RTBM over coordinates ``free`` given the float vector ``d`` at ``fixed``.
 
     The blocks of T, W and bv are taken from the parent's arrays by index.
     """
-    d = np.asarray(d, dtype=float).reshape(len(fixed))
     t, w = params.t, params.w
     return RtbmParams(
         t=t[np.ix_(free, free)], q=params.q, w=w[free],
@@ -142,16 +141,24 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
         lattice=params.lattice)
 
 
-def free_coordinates(indices, n) -> list:
-    """Coordinates of 0..n-1 left free by conditioning on ``indices``, checked."""
+def free_coordinates(indices, values, n) -> tuple[list, np.ndarray, list]:
+    """Int indices, float values and free coordinates of 0..n-1 of a checked request.
+
+    Raises a ValueError naming a non-finite value, bad indices or no free coordinate.
+    """
+    indices = [int(i) for i in indices]
+    values = np.asarray(values, dtype=float).reshape(len(indices))
+    if not np.isfinite(values).all():
+        bad = indices[np.flatnonzero(~np.isfinite(values))[0]]
+        raise ValueError(f"conditioning value at index {bad} is not finite")
     if len(set(indices)) != len(indices):
-        raise ValueError("conditioned indices must be distinct")
+        raise ValueError(f"conditioned indices must be distinct, got {indices}")
     if not all(0 <= i < n for i in indices):
-        raise ValueError(f"conditioned indices must be in [0, {n})")
+        raise ValueError(f"conditioned indices must be in [0, {n}), got {indices}")
     free = [i for i in range(n) if i not in indices]
     if not free:
         raise ValueError("cannot condition on every coordinate")
-    return free
+    return indices, values, free
 
 
 def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]:
@@ -160,11 +167,9 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     The child keeps Q and the lattice, and is reparameterized as T -> T_yy,
     W -> W_y, bv -> bv_y + T_dy^T d, bh -> bh + W_d^T d; its density is the
     parent's conditional P(y|d).  Returns the child and the free indices in
-    their original order, which is the child's.  An invalid parent raises
-    RtbmError.
+    their original order, which is the child's.  A bad request raises
+    ValueError (:func:`free_coordinates`), an invalid parent RtbmError.
     """
-    indices = [int(i) for i in indices]
-    values = np.asarray(values, dtype=float).reshape(len(indices))
-    free = free_coordinates(indices, params.n_v)
+    indices, values, free = free_coordinates(indices, values, params.n_v)
     _check_valid(params)
     return _child(params, free, indices, values), free

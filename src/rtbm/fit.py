@@ -115,8 +115,9 @@ def negative_log_likelihood(params: RtbmParams, data) -> float:
     return float(-lp.sum())
 
 
-def make_objective(data, n_v, n_h, lattice):
-    """NLL over the encoding; +inf where the decoded model is invalid."""
+def make_objective(data, n_h, lattice):
+    """NLL over the encoding, n_v the data's width; +inf where the model is invalid."""
+    n_v = np.atleast_2d(data).shape[1]
     def objective(x):
         try:
             params = decode(x, n_v, n_h, lattice)
@@ -142,10 +143,8 @@ def fit_density(data, config: FitConfig) -> FitResult:
                        f"row(s), first at index {bad[0]}")
     n_v = data.shape[1]
     n_h = config.n_h
-    dim = free_parameter_count(n_v, n_h)
 
-    objective = make_objective(data, n_v, n_h, config.lattice)
-    bh_slice = slice(dim - n_h, dim)
+    objective = make_objective(data, n_h, config.lattice)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best = None
@@ -154,10 +153,9 @@ def fit_density(data, config: FitConfig) -> FitResult:
     for run_seed in seeds:
         init_ss, cma_ss = run_seed.spawn(2)
         rng = np.random.default_rng(init_ss)
-        x0 = rng.normal(0.0, 0.5, dim)
-        x0[bh_slice] += rng.normal(0.0, 2.0, n_h)  # break hidden-unit symmetry
-        res = cma.minimize(objective, dim, x0=x0, max_evals=config.max_evals,
-                           seed=cma_ss)
+        x0 = rng.normal(0.0, 0.5, free_parameter_count(n_v, n_h))
+        x0[-n_h:] += rng.normal(0.0, 2.0, n_h)  # bh: break hidden-unit symmetry
+        res = cma.minimize(objective, x0, max_evals=config.max_evals, seed=cma_ss)
         total_evals += res.evals
         diagnostics.append(f"f_best={res.f_best:.6g} evals={res.evals} stop={res.stop}")
         if math.isfinite(res.f_best) and (best is None or res.f_best < best.f_best):

@@ -75,7 +75,8 @@ def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
 def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTParams:
     """Conditional t of the free coordinates given ``values`` at ``indices``.
 
-    The free coordinates keep their order.  With Sigma split into the
+    The request is checked by :func:`rtbm.density.free_coordinates`, and the
+    free coordinates keep their order.  With Sigma split into the
     conditioned block 1 (p1 indices, values x1) and the free block 2, and d1
     the Mahalanobis distance of x1,
 
@@ -83,10 +84,8 @@ def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTPara
         scale = (nu + d1) / (nu + p1) * (Sigma22 - Sigma21 Sigma11^-1 Sigma12)
         df    = nu + p1
     """
-    indices = [int(i) for i in indices]
+    indices, x1, free = free_coordinates(indices, values, tp.p)
     p1 = len(indices)
-    x1 = np.asarray(values, dtype=float).reshape(p1)
-    free = free_coordinates(indices, tp.p)
     s11 = tp.sigma[np.ix_(indices, indices)]
     s12 = tp.sigma[np.ix_(indices, free)]
     s22 = tp.sigma[np.ix_(free, free)]

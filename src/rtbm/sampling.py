@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+from .density import free_coordinates
 from .errors import InsufficientSamplesError
 from .model import RtbmParams, _cho_solve
 from .theta import DEFAULT_EPS, log_theta_many
@@ -140,22 +141,20 @@ def empirical_conditional(samples, cond_indices, cond_values,
                           window=0.05, bins=None) -> Histogram:
     """Windowed-slice estimate of a conditional density.
 
-    Keeps rows with |sample[idx] - value| <= window for every conditioned
-    index, then histograms the remaining coordinate(s).  Requires at least
-    100 surviving rows.
+    Checks the request with :func:`rtbm.density.free_coordinates`, keeps
+    rows with |sample[idx] - value| <= window at each conditioned index, and
+    histograms the one or two free coordinates.  Needs 100 surviving rows.
     """
     samples = np.asarray(samples, dtype=float)
-    cond_indices = [int(i) for i in cond_indices]
-    cond_values = np.asarray(cond_values, dtype=float).reshape(len(cond_indices))
+    fixed, values, free = free_coordinates(cond_indices, cond_values, samples.shape[1])
     if window <= 0:
         raise ValueError("window must be positive")
     mask = np.ones(samples.shape[0], dtype=bool)
-    for i, val in zip(cond_indices, cond_values):
+    for i, val in zip(fixed, values):
         mask &= np.abs(samples[:, i] - val) <= window
     kept = samples[mask]
     if kept.shape[0] < 100:
         raise InsufficientSamplesError(
             f"insufficient conditioned sample: {kept.shape[0]} rows inside "
             f"the window (need at least 100)")
-    free = [i for i in range(samples.shape[1]) if i not in cond_indices]
     return make_histogram(kept[:, free], bins=bins)

@@ -227,14 +227,14 @@ def test_criterion_08_mixture_equivalence(fixtures):
 
 def test_criterion_09_cma_es_sanity():
     sphere = lambda x: float(x @ x)
-    res_a = minimize(sphere, 10, x0=0.5 * np.ones(10),
+    res_a = minimize(sphere, 0.5 * np.ones(10),
                      max_evals=10000, seed=1)
-    res_b = minimize(sphere, 10, x0=0.5 * np.ones(10),
+    res_b = minimize(sphere, 0.5 * np.ones(10),
                      max_evals=10000, seed=1)
 
     def rosen(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-    res_r = minimize(rosen, 2, x0=np.zeros(2), max_evals=20000,
+    res_r = minimize(rosen, np.zeros(2), max_evals=20000,
                      seed=2)
     ok = (res_a.f_best <= 1e-10 and res_a.evals <= 10000
           and res_r.f_best <= 1e-6 and res_r.evals <= 20000

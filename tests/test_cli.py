@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import TFIT
-from rtbm.cli import conditional_mse, run_command
+from rtbm.cli import build_parser, conditional_mse, run_command
 from rtbm.density import condition_on, log_pdf_many
+from rtbm.fit import FitConfig
 from rtbm.model import RtbmParams, load_model, save_model, validate
+from rtbm.theta import Lattice
 
 
 @pytest.fixture
@@ -176,6 +178,28 @@ class TestDensityCommand:
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-1:1:5", "--out",
                             str(tmp_path / "x.csv")]) == 1
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("command", ["density", "student conditional"])
+    @pytest.mark.parametrize("component", ["0:inf:3", "-inf:0:3", "-1e308:1e308:3"])
+    def test_non_finite_bounds_are_named(self, model_path, tmp_path, capsys,
+                                         command, component):
+        # -1e308:1e308 has finite bounds, but hi - lo overflows
+        out = tmp_path / "d.csv"
+        argv = {"density": ["density", "--model", str(model_path),
+                            f"--grid={component},0:1:2"],
+                "student conditional": ["student", "conditional", "--mu", "0,0",
+                                        "--sigma", "2,-1,-1,4", "--nu", "6",
+                                        "--on", "0=1", f"--grid={component}"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(argv + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad grid component {component!r}: lo, hi and hi - lo "
+            f"must be finite\n")
+        assert not out.exists()
 
 
 class TestConditionalCommand:
@@ -387,6 +411,14 @@ class TestFitCommand:
         assert sorted(meta["config"]) == ["lattice", "max_evals", "n_h", "restarts",
                                           "seed"]
         assert math.isfinite(meta["nll"])
+
+    def test_defaults_are_the_fit_config_defaults(self):
+        args = build_parser().parse_args(["fit", "--data", "d.csv", "--nh", "2",
+                                          "--out", "m.json"])
+        config = FitConfig(n_h=2)
+        assert (args.seed, args.restarts, args.max_evals) == (
+            config.seed, config.restarts, config.max_evals)
+        assert Lattice(args.lattice) is config.lattice
 
     @pytest.mark.parametrize("flag", [["--population", "8"], ["--sigma0", "0.5"],
                                       ["--standardize"], ["--theta-eps", "1e-6"]])

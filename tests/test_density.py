@@ -209,6 +209,17 @@ class TestLogMarginal:
             assert log_marginal(p, 1, [1e200]) == -math.inf
             assert math.isfinite(log_marginal(p, 1, [1.0]))
 
+    def test_non_finite_value_is_named_without_warning(self):
+        # with T = I the conditioned block enters the child's bv through a
+        # zero matrix product, where inf * 0 would warn
+        p = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[0.5], [0.5]], bv=[0.0, 0.0],
+                       bh=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^conditioning value at index 1 is not finite$"):
+                log_marginal(p, 1, [math.inf])
+
     def test_rejects_empty_free_block(self, tfit_params):
         with pytest.raises(ValueError):
             log_marginal(tfit_params, 2, [])
@@ -277,6 +288,13 @@ class TestCondition:
             for name in ("t", "q", "w", "bv", "bh"):
                 np.testing.assert_array_equal(getattr(child, name), getattr(expected, name))
             assert child.lattice is expected.lattice
+
+    def test_non_finite_value_is_named_without_warning(self, tfit_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^conditioning value at index 0 is not finite$"):
+                condition_on(tfit_params, [0], [math.nan])
 
     def test_m_bounds(self, tfit_params):
         with pytest.raises(ValueError, match="every coordinate"):

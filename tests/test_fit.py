@@ -110,7 +110,7 @@ class TestEncodeDecode:
 
 class TestMinimize:
     def test_sphere(self):
-        res = minimize(lambda x: float(x @ x), 10, x0=0.5 * np.ones(10),
+        res = minimize(lambda x: float(x @ x), 0.5 * np.ones(10),
                        max_evals=10000, seed=1)
         assert res.f_best <= 1e-10
         assert res.evals <= 10000
@@ -118,18 +118,18 @@ class TestMinimize:
     def test_rosenbrock(self):
         def rosen(x):
             return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-        res = minimize(rosen, 2, x0=np.zeros(2), max_evals=20000,
+        res = minimize(rosen, np.zeros(2), max_evals=20000,
                        seed=2)
         assert res.f_best <= 1e-6
 
     def test_seed_reproducibility(self):
-        runs = [minimize(lambda x: float(x @ x), 5, x0=np.ones(5),
+        runs = [minimize(lambda x: float(x @ x), np.ones(5),
                          max_evals=2000, seed=9) for _ in range(2)]
         assert runs[0].trace == runs[1].trace
         assert np.array_equal(runs[0].x_best, runs[1].x_best)
 
     def test_trace_monotone(self):
-        res = minimize(lambda x: float(x @ x), 5, x0=np.ones(5),
+        res = minimize(lambda x: float(x @ x), np.ones(5),
                        max_evals=2000, seed=3)
         best = [f for _, f in res.trace]
         assert all(b <= a for a, b in zip(best, best[1:]))
@@ -137,21 +137,21 @@ class TestMinimize:
     def test_handles_infinite_objective(self):
         def spiky(x):
             return math.inf if x[0] > 0 else float(x @ x)
-        res = minimize(spiky, 3, x0=-np.ones(3), max_evals=3000, seed=4)
+        res = minimize(spiky, -np.ones(3), max_evals=3000, seed=4)
         assert math.isfinite(res.f_best)
 
     def test_dim_guard(self):
         with pytest.raises(ValueError):
-            minimize(lambda x: 0.0, 0)
+            minimize(lambda x: 0.0, np.zeros(0), max_evals=10, seed=0)
 
     def test_stop_reason_budget(self):
-        res = minimize(lambda x: float(x @ x), 4, x0=np.ones(4), max_evals=40, seed=5)
+        res = minimize(lambda x: float(x @ x), np.ones(4), max_evals=40, seed=5)
         assert res.stop == "budget"
         assert res.evals >= 40
 
     def test_stop_reason_stall_on_constant_objective(self):
         # the first generation improves on +inf; none does after it
-        res = minimize(lambda x: 1.0, 3, max_evals=100000, seed=6)
+        res = minimize(lambda x: 1.0, np.zeros(3), max_evals=100000, seed=6)
         lam = 4 + int(3 * math.log(3))
         stall_gens = math.ceil(rtbm.cma.STALL_EVALS_PER_DIM * 3 / lam)
         assert res.stop == "stall"
@@ -161,7 +161,7 @@ class TestMinimize:
     def test_stop_reason_stall_on_infinite_objective(self):
         # +inf never improves on the starting +inf, so the run stops after
         # stall_gens generations
-        res = minimize(lambda x: math.inf, 3, max_evals=100000, seed=7)
+        res = minimize(lambda x: math.inf, np.zeros(3), max_evals=100000, seed=7)
         lam = 4 + int(3 * math.log(3))
         stall_gens = math.ceil(rtbm.cma.STALL_EVALS_PER_DIM * 3 / lam)
         assert res.stop == "stall"
@@ -183,7 +183,7 @@ class TestObjective:
     def test_infeasible_candidate_scores_inf_without_wide_sum(self, monkeypatch):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((100, 2))
-        objective = make_objective(data, 2, 2, "full")
+        objective = make_objective(data, 2, "full")
         # T = Q = I and W = 3 I: the Schur matrix I - W^T W = -8 I
         x = np.zeros(14)
         x[6:10] = [3.0, 0.0, 0.0, 3.0]
@@ -193,13 +193,13 @@ class TestObjective:
         assert rows == [1]          # the normalizer's batch-1 sum only
 
     def test_overflowing_candidate_scores_inf(self):
-        objective = make_objective(np.zeros((5, 1)), 1, 1, "full")
+        objective = make_objective(np.zeros((5, 1)), 1, "full")
         assert objective(np.array([400.0, 0.0, 0.0, 0.0, 0.0])) == math.inf
 
     def test_feasible_candidate_scores_its_nll(self, monkeypatch):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((100, 2))
-        objective = make_objective(data, 2, 2, "full")
+        objective = make_objective(data, 2, "full")
         x = rng.normal(0.0, 0.3, 14)
         rows = self._count_wide_sums(monkeypatch)
         value = objective(x)

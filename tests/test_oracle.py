@@ -81,6 +81,11 @@ class TestStudentConditional:
         with pytest.raises(ValueError, match="every coordinate"):
             student_conditional(T_BENCH, [1, 0], [0.0, 0.0])
 
+    def test_non_finite_value_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^conditioning value at index 0 is not finite$"):
+            student_conditional(T_BENCH, [0], [math.nan])
+
     @pytest.mark.parametrize("indices", [[2], [1], [2, 0], [0, 2]])
     def test_any_index_set_is_joint_over_marginal(self, indices):
         # log p(x) - log p(x_indices), with the marginal t built from the

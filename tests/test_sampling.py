@@ -173,6 +173,16 @@ class TestEmpiricalConditional:
         with pytest.raises(InsufficientSamplesError, match="insufficient"):
             empirical_conditional(s, [0], [-2.0], window=1e-5)
 
+    @pytest.mark.parametrize("indices, message", [
+        ([-1], r"must be in \[0, 2\), got \[-1\]"),
+        ([5], r"must be in \[0, 2\), got \[5\]"),
+        ([0, 0], r"must be distinct, got \[0, 0\]"),
+        ([0, 1], "cannot condition on every coordinate")])
+    def test_bad_indices_are_named(self, indices, message):
+        samples = np.random.default_rng(3).standard_normal((500, 2))
+        with pytest.raises(ValueError, match=message):
+            empirical_conditional(samples, indices, [0.0] * len(indices), window=5.0)
+
     def test_window_positivity_guard(self):
         with pytest.raises(ValueError):
             empirical_conditional(np.zeros((200, 2)), [0], [0.0], window=0.0)
