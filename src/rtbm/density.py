@@ -22,6 +22,8 @@ log P(v) = log P(y|d) + log P(d) holds exactly with it.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import RtbmError
@@ -141,13 +143,26 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
         lattice=params.lattice)
 
 
+def _index(i) -> int:
+    """``i`` as an int; a float or other non-integer is a ValueError, not truncated."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"conditioned index {i!r} is not an integer") from None
+
+
 def free_coordinates(indices, values, n) -> tuple[list, np.ndarray, list]:
     """Int indices, float values and free coordinates of 0..n-1 of a checked request.
 
-    Raises a ValueError naming a non-finite value, bad indices or no free coordinate.
+    Raises a ValueError naming an index that is not an integer (numpy integers
+    are), a value count that differs from the index count, a non-finite value,
+    bad indices or no free coordinate.
     """
-    indices = [int(i) for i in indices]
-    values = np.asarray(values, dtype=float).reshape(len(indices))
+    indices = [_index(i) for i in indices]
+    values = np.asarray(values, dtype=float)
+    if values.size != len(indices):
+        raise ValueError(f"{values.size} conditioning values for {len(indices)} indices")
+    values = values.reshape(len(indices))
     if not np.isfinite(values).all():
         bad = indices[np.flatnonzero(~np.isfinite(values))[0]]
         raise ValueError(f"conditioning value at index {bad} is not finite")

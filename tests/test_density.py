@@ -302,6 +302,18 @@ class TestCondition:
         with pytest.raises(ValueError, match=r"must be in \[0, 2\)"):
             condition_on(tfit_params, [0, 5], [1.0, 2.0])
 
+    def test_float_index_is_named_not_truncated(self, tfit_params):
+        with pytest.raises(ValueError, match=r"^conditioned index 0\.7 is not an integer$"):
+            condition_on(tfit_params, [0.7], [1.0])
+        # numpy integers are indices
+        child, free = condition_on(tfit_params, np.array([0]), [1.0])
+        assert free == [1]
+        np.testing.assert_array_equal(child.t, condition_on(tfit_params, [0], [1.0])[0].t)
+
+    def test_value_count_mismatch_names_both_counts(self, tfit_params):
+        with pytest.raises(ValueError, match=r"^2 conditioning values for 1 indices$"):
+            condition_on(tfit_params, [0], [1.0, 2.0])
+
 
 class TestProductRule:
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])

@@ -1002,3 +1002,109 @@ class TestSeparableSumsAnyH:
             assert theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[2] is not None
             cases.append((omega, zs))
         assert_threads_repeat_their_sums(cases)
+
+
+class TestDualCosine:
+    """The dual sums take cos(2 pi x) from the tangent of pi x."""
+
+    @staticmethod
+    def cos_log_sums(nhat, cols, weights):
+        phase = nhat.T @ cols
+        return np.log((weights * np.cos(2.0 * np.pi * (phase - np.rint(phase)))).sum(axis=1))
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_matches_the_cosine_on_exact_and_dense_phases(self, h):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng(190 + h)
+        omega = random_spd(rng, h, 0.05, 2.0)
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        assert kernel.dual is not None
+        cols, weights = kernel.shared_points()
+        # each coordinate of nhat at +-1/2, +-1/4 and 0, the others at 0, so
+        # the phases k.nhat are multiples of 1/4 and reduce to those values
+        special = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        rows = [np.eye(h)[j] * x for j in range(h) for x in special]
+        dense = np.linspace(-1.0, 1.0, 4001)
+        rows += [np.full(h, x) for x in dense]
+        rows += list(rng.uniform(-3.0, 3.0, (2000, h)))
+        nhat = np.ascontiguousarray(np.array(rows).T)
+        with np.errstate(all="raise"):
+            got = theta._dual_log_sums(nhat, cols, weights)
+        np.testing.assert_allclose(got, self.cos_log_sums(nhat, cols, weights),
+                                   rtol=0, atol=1e-15)
+
+    def test_half_phase_is_exactly_minus_one(self):
+        import rtbm.theta as theta
+
+        cols, weights = np.array([[0.0, 1.0]]), np.array([1.0, 0.375])
+        nhat = np.array([[-0.5, 0.5, -1.5, 2.5]])
+        with np.errstate(all="raise"):
+            got = theta._dual_log_sums(nhat, cols, weights)
+        np.testing.assert_array_equal(got, np.log(1.0 - 0.375))
+
+
+class TestEnumeration:
+    """The Fincke-Pohst enumeration's points and its |L^T (n - c)|^2."""
+
+    @staticmethod
+    def kernel(h, dual):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng(30 + h + 10 * dual)
+        omega = random_spd(rng, h, 0.05, 2.0) if dual else random_spd(rng, h, 20.0, 60.0)
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        assert (kernel.dual is not None) == dual
+        return kernel
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_squared_norm_matches_the_quadratic_form(self, h, dual):
+        import rtbm.theta as theta
+
+        kernel = self.kernel(h, dual)
+        form = kernel.dual if dual else kernel
+        _, points, sq, _, _ = theta._ellipsoid_points(form.chol, np.zeros((1, h)),
+                                                      np.array([form.radius]))
+        assert points.shape[0] == h and points.dtype == float
+        np.testing.assert_allclose(0.5 * sq, 0.5 * np.einsum("hk,hl,lk->k", points, form.omega,
+                                                             points), rtol=1e-14)
+        # the kept offsets: k^T Omega k / 2 in the primal form, the weights'
+        # exp(-k^T Omega' k / 2) in the dual
+        kept = kernel.shared_points()
+        quad = np.einsum("hk,hl,lk->k", kept[0], form.omega, kept[0])
+        if dual:
+            first = kept[0][(kept[0] != 0).argmax(axis=0), np.arange(kept[0].shape[1])]
+            np.testing.assert_allclose(kept[1], np.where(first > 0, 2.0, 1.0) * np.exp(-0.5 * quad),
+                                       rtol=1e-13)
+        else:
+            np.testing.assert_allclose(kept[1], 0.5 * quad, rtol=1e-14)
+
+    @pytest.mark.parametrize("orthant", [False, True], ids=["full", "orthant"])
+    def test_squared_norm_about_each_centre(self, orthant):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng(17)
+        omega = random_spd(rng, 3, 2.0, 10.0)
+        chol = np.linalg.cholesky(omega)
+        centres = rng.uniform(-2.0, 4.0, (5, 3))
+        owner, points, sq, _, _ = theta._ellipsoid_points(chol, centres, np.full(5, 3.0),
+                                                          orthant)
+        u = points - centres.T[:, owner]
+        np.testing.assert_allclose(sq, np.einsum("hk,hl,lk->k", u, omega, u), rtol=1e-14)
+        assert (sq <= 9.0 * (1.0 + 1e-12)).all()
+        assert (points == np.rint(points)).all() and (not orthant or (points >= 0).all())
+
+    def test_collected_and_sampled_points_are_int64(self, tfit_params):
+        import rtbm.theta as theta
+        from rtbm.sampling import hidden_distribution
+
+        omega = np.array([[3.0, 0.5], [0.5, 2.0]])
+        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        _, points, _ = theta._own_terms(np.array([[0.3, -0.2]]), omega, kernel.chol,
+                                        np.array([[0.1, 0.0]]), np.array([4.0]),
+                                        np.array([[0.0, 0.0]]), False)
+        assert points.dtype == np.int64 and points.shape[1] == 2
+        _, collected, _ = log_theta_many(np.array([[0.3, -0.2]]), omega, collect_terms=True)
+        assert collected.dtype == np.int64
+        assert hidden_distribution(tfit_params).points.dtype == np.int64
