@@ -111,6 +111,13 @@ def _parse_cols(spec):
     return [int(c) for c in spec.split(",")]
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer, else a usage error naming the flag."""
+    if not re.fullmatch(r"[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_vector(spec):
     return np.array([float(x) for x in spec.split(",")])
 
@@ -130,21 +137,14 @@ def _load_valid_model(path):
     return params
 
 
-def _eval_points(args, width, what="model"):
+def _eval_points(args):
     if args.grid and args.points_csv:
         raise ValueError("give either --grid or --points-csv, not both")
     if args.grid:
-        axes = _parse_grid(args.grid)
-        if len(axes) != width:
-            raise ValueError(f"grid has {len(axes)} dimensions, {what} needs {width}")
-        return _grid_points(axes)
+        return _grid_points(_parse_grid(args.grid))
     if args.points_csv:
         cols = _parse_cols(args.points_cols) if args.points_cols else None
-        pts = _read_csv(args.points_csv, cols)
-        if pts.shape[1] != width:
-            raise ValueError(
-                f"points have width {pts.shape[1]}, {what} needs {width}")
-        return pts
+        return _read_csv(args.points_csv, cols)
     raise ValueError("one of --grid or --points-csv is required")
 
 
@@ -181,7 +181,7 @@ def _cmd_fit(args):
 
 def _cmd_density(args):
     params = _load_valid_model(args.model)
-    pts = _eval_points(args, params.n_v)
+    pts = _eval_points(args)
     try:
         logp = log_pdf_many(params, pts)
     except RtbmError as exc:
@@ -231,7 +231,7 @@ def _cmd_student_sample(args):
 
 def _cmd_student_conditional(args):
     ct = student_conditional(_student_params(args), *_parse_on(args.on))
-    pts = _eval_points(args, ct.loc.size, what="conditional")
+    pts = _eval_points(args)
     logp = np.atleast_1d(conditional_logpdf(ct, pts))
     _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
     return 0
@@ -263,7 +263,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--nh", required=True, type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--seed", type=_seed, default=FitConfig.seed)
     p.add_argument("--restarts", type=int, default=FitConfig.restarts)
     p.add_argument("--max-evals", type=int, default=FitConfig.max_evals)
     p.add_argument("--lattice", choices=[l.value for l in Lattice],
@@ -287,7 +287,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw seeded samples")
     p.add_argument("--model", required=True)
     p.add_argument("--count", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--meta", help="optional run metadata JSON path")
     p.set_defaults(func=_cmd_sample)
@@ -304,7 +304,7 @@ def build_parser():
     ps.add_argument("--sigma", required=True, help="row-major entries")
     ps.add_argument("--nu", required=True, type=float)
     ps.add_argument("--count", required=True, type=int)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=_cmd_student_sample)
     pc = ssub.add_parser("conditional",

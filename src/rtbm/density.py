@@ -50,11 +50,9 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     """Visible-sector log-density at each row of ``vs`` (shape (B, n_v)).
 
     A row's value does not depend on its batch: it equals :func:`log_pdf`
-    of that point, bit for bit.
+    of that point, bit for bit.  Points are checked first (:func:`as_points`).
     """
-    vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    if vs.shape[1] != params.n_v:
-        raise ValueError(f"points have width {vs.shape[1]}, expected {params.n_v}")
+    vs = as_points(vs, params.n_v)
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
     log_norm = log_normalizer(params)
@@ -88,8 +86,10 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
 
 
 def log_pdf(params: RtbmParams, v) -> float:
-    """Visible-sector log-density at a single point."""
-    return float(log_pdf_many(params, np.asarray(v, dtype=float)[None, :])[0])
+    """Visible-sector log-density at a single point, a vector of n_v values."""
+    if np.ndim(v) != 1:
+        raise ValueError(f"a point must be a vector, got shape {np.shape(v)}")
+    return float(log_pdf_many(params, v)[0])
 
 
 def log_marginal(params: RtbmParams, m: int, d) -> float:
@@ -143,12 +143,12 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
         lattice=params.lattice)
 
 
-def _index(i) -> int:
-    """``i`` as an int; a float or other non-integer is a ValueError, not truncated."""
+def _index(i, name="conditioned index") -> int:
+    """``i`` as an int; a float or other non-integer is a ValueError naming ``name``."""
     try:
         return operator.index(i)
     except TypeError:
-        raise ValueError(f"conditioned index {i!r} is not an integer") from None
+        raise ValueError(f"{name} {i!r} is not an integer") from None
 
 
 def free_coordinates(indices, values, n) -> tuple[list, np.ndarray, list]:
@@ -174,6 +174,24 @@ def free_coordinates(indices, values, n) -> tuple[list, np.ndarray, list]:
     if not free:
         raise ValueError("cannot condition on every coordinate")
     return indices, values, free
+
+
+def as_points(vs, width=None) -> np.ndarray:
+    """``vs`` as a float (B, width) array of finite points; a vector is one point.
+
+    ``width=None`` takes the array's own width.  A ValueError names any other
+    shape, both widths, or the count of rows with NaN or infinite values."""
+    vs = np.asarray(vs, dtype=float)
+    if vs.ndim not in (1, 2):
+        raise ValueError(f"points must be a vector or rows, got shape {vs.shape}")
+    vs = np.atleast_2d(vs)
+    if width is not None and vs.shape[1] != width:
+        raise ValueError(f"points have width {vs.shape[1]}, expected {width}")
+    if not np.isfinite(vs).all():
+        bad = np.flatnonzero(~np.isfinite(vs).all(axis=1))
+        raise ValueError(f"points have NaN or infinite values in {bad.size} row(s), "
+                         f"first at index {bad[0]}")
+    return vs
 
 
 def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cma
-from .density import log_pdf_many
+from .density import _index, as_points, log_pdf_many
 from .errors import FitError, RtbmError
 from .model import RtbmParams, _finite, validate
 from .theta import Lattice
@@ -37,8 +37,12 @@ class FitConfig:
     lattice: Lattice = Lattice.FULL
 
     def __post_init__(self):
-        if self.n_h < 1 or self.restarts < 1 or self.max_evals < 1:
-            raise ValueError("n_h, restarts and max_evals must be positive")
+        for name in ("n_h", "restarts", "max_evals", "seed"):
+            value = _index(getattr(self, name), name)
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -92,20 +96,13 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
 def negative_log_likelihood(params: RtbmParams, data) -> float:
     """Summed negative log-density over the rows of ``data``.
 
-    Malformed data (wrong width, no rows, NaN or infinite values) raises
-    ValueError.  A model whose density cannot be evaluated (an RtbmError
-    such as a theta truncation failure) or is non-finite at some row scores
-    +inf, a penalty value rather than an exception, so that optimizers see a
-    total function of the model.
+    No rows, or malformed points (checked once, by ``log_pdf_many``), raise
+    ValueError.  A model whose density cannot be evaluated (an RtbmError such
+    as a theta truncation failure) or is non-finite at some row scores +inf, a
+    penalty value rather than an exception: optimizers see a total function.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != params.n_v:
-        raise ValueError(
-            f"data width {data.shape[1]} does not match n_v={params.n_v}")
-    if data.shape[0] == 0:
+    if np.size(data) == 0:
         raise ValueError("data must be nonempty")
-    if not np.isfinite(data).all():
-        raise ValueError("data must be finite")
     try:
         lp = log_pdf_many(params, data)
     except RtbmError:
@@ -134,13 +131,12 @@ def fit_density(data, config: FitConfig) -> FitResult:
     encodings and returns the best run that found a finite likelihood.
     Fully deterministic for a fixed ``config.seed``.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    try:
+        data = as_points(data)
+    except ValueError as exc:
+        raise FitError(f"training data: {exc}") from None
     if data.shape[0] == 0:
         raise FitError("no training data")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise FitError(f"training data has NaN or infinite values in {bad.size} "
-                       f"row(s), first at index {bad[0]}")
     n_v = data.shape[1]
     n_h = config.n_h
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .density import free_coordinates
+from .density import as_points, free_coordinates
 from .model import spd_cholesky
 
 
@@ -55,12 +55,9 @@ class ConditionalTParams:
 
 
 def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
-    """Log density of the multivariate Student-t at x (vector or rows)."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != tp.p:
-        raise ValueError(f"points have width {x.shape[1]}, expected {tp.p}")
+    """Student-t log density at x, a vector or rows checked by ``as_points``."""
+    squeeze = np.ndim(x) == 1
+    x = as_points(x, tp.p)
     chol = spd_cholesky(tp.sigma, "sigma")
     dev = la.solve_triangular(chol, (x - tp.mu).T, lower=True).T
     maha = np.square(dev).sum(axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .density import free_coordinates
+from .density import _index, as_points, free_coordinates
 from .errors import InsufficientSamplesError
 from .model import RtbmParams, _cho_solve
 from .theta import DEFAULT_EPS, log_theta_many
@@ -62,7 +62,7 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
     Gaussian component through the inverse transpose Cholesky factor of T
     (T itself is factored; T^-1 is never formed).
     """
-    if count < 1:
+    if _index(count, "count") < 1:
         raise ValueError("count must be >= 1")
     hidden = hidden_distribution(params)
     weights = np.exp(hidden.log_weights)
@@ -120,9 +120,11 @@ def make_histogram(samples, bins=None) -> Histogram:
 
     ``None`` means 60 bins per axis over the central 99% sample range.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.ndim != 2 or samples.shape[1] not in (1, 2):
+    samples = as_points(samples)
+    if samples.shape[1] not in (1, 2):
         raise ValueError("histograms support 1 or 2 dimensions")
+    if samples.shape[0] == 0:
+        raise ValueError("no samples to histogram")
     ndim = samples.shape[1]
     if bins is None or np.ndim(bins) == 0:
         bins = [bins] * ndim
@@ -145,7 +147,7 @@ def empirical_conditional(samples, cond_indices, cond_values,
     rows with |sample[idx] - value| <= window at each conditioned index, and
     histograms the one or two free coordinates.  Needs 100 surviving rows.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = as_points(samples)
     fixed, values, free = free_coordinates(cond_indices, cond_values, samples.shape[1])
     if window <= 0:
         raise ValueError("window must be positive")

@@ -296,7 +296,10 @@ def _coords_dot(rows, m):
     BLAS rounds a row differently depending on how many rows share the
     product (gemv for one row, blocked gemm kernels for more), which would
     make a lattice sum depend on its batch; this order depends on nothing
-    but h.  It is also the order of :func:`_coords_dot_rows`, bit for bit.
+    but h.  For a C-ordered ``m`` of many columns it is also the order of
+    :func:`_coords_dot_rows`, bit for bit.  It stays a loop because einsum
+    sums a lone row in another order when ``m`` has one column (W with one
+    hidden unit) or is Fortran-ordered (``chol_t`` from LAPACK).
     """
     out = m[0][:, None] * rows[0]
     for j in range(1, rows.shape[0]):

@@ -45,6 +45,18 @@ class TestExitCodes:
         assert run_command(["not-a-command"]) == 2
         assert run_command(["density", "--model"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "d.csv", "--nh", "1"],
+        ["sample", "--model", "m.json", "--count", "5"],
+        ["student", "sample", "--mu", "0", "--sigma", "1", "--nu", "6", "--count", "5"]],
+        ids=["fit", "sample", "student-sample"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_command(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert ("argument --seed: expected a non-negative integer, got '-1'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_is_1(self, tmp_path, capsys):
         code = run_command(["density", "--model", str(tmp_path / "nope.json"),
                             "--grid", "-1:1:5", "--out",
@@ -178,6 +190,27 @@ class TestDensityCommand:
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-1:1:5", "--out",
                             str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("command", ["density", "student conditional"])
+    def test_width_mismatch_names_both_widths(self, model_path, tmp_path, capsys,
+                                              command):
+        # two columns for a 2-D model's one-coordinate child, or for the
+        # one-coordinate conditional t
+        child = tmp_path / "child.json"
+        save_model(condition_on(load_model(model_path), [0], [-2.0])[0], child)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.5\n0.1,0.2\n")
+        out = tmp_path / "d.csv"
+        argv = {"density": ["density", "--model", str(child)],
+                "student conditional": ["student", "conditional", "--mu", "0,0",
+                                        "--sigma", "2,-1,-1,4", "--nu", "6",
+                                        "--on", "0=-2"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(argv + ["--points-csv", str(pts), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: points have width 2, expected 1\n"
+        assert not out.exists()
 
 
 class TestGridBounds:

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_valid_params
 from references import log_theta_reference, quadrature_marginal
-from rtbm.density import condition_on, log_marginal, log_pdf, log_pdf_many
-from rtbm.errors import RtbmError
+from rtbm.density import as_points, condition_on, log_marginal, log_pdf, log_pdf_many
+from rtbm.errors import FitError, InsufficientSamplesError, RtbmError
+from rtbm.fit import FitConfig, fit_density, negative_log_likelihood
 from rtbm.model import RtbmParams, validate
+from rtbm.oracle import StudentTParams, student_logpdf
+from rtbm.sampling import empirical_conditional, make_histogram
 from rtbm.theta import Lattice
 
 
@@ -418,3 +421,61 @@ class TestPreparedModel:
         with pytest.raises(NotPositiveDefiniteError):
             log_pdf_many(p, [[0.0]])
         assert validate(p).violations == before
+
+
+TP = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
+ROWS = np.random.default_rng(20).standard_normal((300, 2))
+NAN_ROW_300 = np.vstack([ROWS, [[math.nan, 0.0]]])
+SHAPE_3D = r"^points must be a vector or rows, got shape \(2, 2, 2\)$"
+
+
+def nan_rows(count, first):
+    return rf"^points have NaN or infinite values in {count} row\(s\), first at index {first}$"
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda p: log_pdf_many(p, np.zeros((2, 2, 2))), ValueError, SHAPE_3D,
+                     id="log_pdf_many-3d"),
+        pytest.param(lambda p: negative_log_likelihood(p, np.zeros((2, 2, 2))), ValueError,
+                     SHAPE_3D, id="negative_log_likelihood-3d"),
+        pytest.param(lambda p: log_pdf(p, [[0.0, 1.0], [1.0, 2.0]]), ValueError,
+                     r"^a point must be a vector, got shape \(2, 2\)$",
+                     id="log_pdf-rows"),
+        pytest.param(lambda p: log_pdf(p, 0.0), ValueError,
+                     r"^a point must be a vector, got shape \(\)$", id="log_pdf-scalar"),
+        pytest.param(lambda p: log_pdf_many(p, [[math.nan, 0.0]]), ValueError,
+                     nan_rows(1, 0), id="log_pdf_many-nan"),
+        pytest.param(lambda p: student_logpdf(TP, np.zeros((2, 2, 2))), ValueError, SHAPE_3D,
+                     id="student_logpdf-3d"),
+        pytest.param(lambda p: student_logpdf(TP, [math.nan, 0.0]), ValueError,
+                     nan_rows(1, 0), id="student_logpdf-nan"),
+        pytest.param(lambda p: fit_density(np.random.default_rng(0).normal(size=(50, 2, 2)),
+                                           FitConfig(n_h=1, restarts=1, max_evals=8)),
+                     FitError, r"^training data: points must be a vector or rows, "
+                     r"got shape \(50, 2, 2\)$", id="fit_density-3d"),
+        # a vector is one point: here one 300-wide sample
+        pytest.param(lambda p: empirical_conditional(np.zeros(300), [0], [0.0]),
+                     InsufficientSamplesError, "^insufficient conditioned sample: 1 rows",
+                     id="empirical_conditional-vector"),
+        pytest.param(lambda p: empirical_conditional(NAN_ROW_300, [0], [0.0]), ValueError,
+                     nan_rows(1, 300), id="empirical_conditional-nan"),
+        pytest.param(lambda p: make_histogram(NAN_ROW_300), ValueError, nan_rows(1, 300),
+                     id="make_histogram-nan"),
+        pytest.param(lambda p: make_histogram(np.zeros((0, 1))), ValueError,
+                     "^no samples to histogram$", id="make_histogram-empty"),
+    ])
+    def test_malformed_points_are_named(self, call, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                call(RtbmParams(**TFIT))
+
+    def test_rows_and_a_vector(self):
+        rows = as_points([[1, 2], [3, 4]])
+        assert rows.dtype == float and rows.shape == (2, 2)
+        np.testing.assert_array_equal(as_points([1.5, -2.0], 2), [[1.5, -2.0]])
+        with pytest.raises(ValueError, match=r"^points have width 2, expected 3$"):
+            as_points(rows, 3)
+        with pytest.raises(ValueError, match=nan_rows(2, 1)):
+            as_points([[0.0, 1.0], [math.inf, 0.0], [0.0, -math.nan]])

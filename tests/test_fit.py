@@ -68,12 +68,43 @@ class TestNegativeLogLikelihood:
         with pytest.raises(ValueError, match="width"):
             negative_log_likelihood(tfit_params, np.zeros((5, 3)))
 
+    def test_nan_data_raises_before_an_overflowing_normalizer(self):
+        # the child's normalizer is +inf, which alone would score +inf
+        p = RtbmParams(t=np.eye(2), q=[[1.0]], w=[[0.5], [0.5]], bv=[0.0, 0.0],
+                       bh=[0.0])
+        child, _ = rtbm.density.condition_on(p, [1], [1e200])
+        assert negative_log_likelihood(child, [[0.0]]) == math.inf
+        with pytest.raises(ValueError, match=r"NaN or infinite values in 1 row\(s\)"):
+            negative_log_likelihood(child, [[0.0], [math.nan]])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_data_raises(self, tfit_params, bad):
         data = np.zeros((4, 2))
         data[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             negative_log_likelihood(tfit_params, data)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("settings, message", [
+        ({"n_h": 1.5}, "^n_h 1.5 is not an integer$"),
+        ({"restarts": 1.5}, "^restarts 1.5 is not an integer$"),
+        ({"max_evals": 20.5}, "^max_evals 20.5 is not an integer$"),
+        ({"seed": 1.5}, "^seed 1.5 is not an integer$"),
+        ({"n_h": 0}, "^n_h must be at least 1, got 0$"),
+        ({"restarts": 0}, "^restarts must be at least 1, got 0$"),
+        ({"max_evals": -3}, "^max_evals must be at least 1, got -3$"),
+        ({"seed": -1}, "^seed must be at least 0, got -1$"),
+    ], ids=["n_h-float", "restarts-float", "max_evals-float", "seed-float",
+            "n_h-zero", "restarts-zero", "max_evals-negative", "seed-negative"])
+    def test_bad_setting_is_named(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**{"n_h": 1, **settings})
+
+    def test_numpy_integers_become_ints(self):
+        config = FitConfig(n_h=np.int64(2), restarts=np.int32(3), seed=np.uint8(4))
+        assert (config.n_h, config.restarts, config.seed) == (2, 3, 4)
+        assert type(config.n_h) is int and type(config.seed) is int
 
 
 class TestEncodeDecode:

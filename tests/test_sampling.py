@@ -123,6 +123,12 @@ class TestSampleVisible:
         with pytest.raises(ValueError):
             sample_visible(tfit_params, 0, seed=1)
 
+    def test_count_is_an_integer(self, tfit_params):
+        with pytest.raises(ValueError, match=r"^count 2\.5 is not an integer$"):
+            sample_visible(tfit_params, 2.5, 1)
+        np.testing.assert_array_equal(sample_visible(tfit_params, np.int64(3), 1),
+                                      sample_visible(tfit_params, 3, 1))
+
 
 class TestHistogram:
     def test_density_normalizes(self, tfit_params):

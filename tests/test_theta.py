@@ -262,14 +262,24 @@ class TestEllipsoidKernel:
     def test_coordinate_products_sum_in_one_order(self, h):
         import rtbm.theta as theta
 
-        # the set-up's loop and the blocks' einsum round every entry alike,
-        # for a lone row, a few and many, so either can feed the other
+        # The loop rounds a row alike alone (a contiguous (h, 1) array, as
+        # log_pdf passes it) and in a batch of a few or many, whatever the
+        # layout of m.  The blocks' einsum matches it for the C-ordered,
+        # many-column offsets it is given, but a lone row's einsum rounds
+        # otherwise when m has one column (W with one hidden unit) or is
+        # Fortran-ordered (chol_t from LAPACK), so _coords_dot stays a loop.
         rng = np.random.default_rng(h)
-        m = rng.normal(size=(h, h + 2))
-        for b in (1, 7, 5000):
-            rows = 50.0 * rng.normal(size=(h, b))
-            np.testing.assert_array_equal(theta._coords_dot(rows, m),
-                                          theta._coords_dot_rows(rows, m).T)
+        many = rng.normal(size=(h, h + 2))
+        for m in (many, many[:, :1].copy(), np.asfortranarray(many)):
+            for b in (1, 7, 5000):
+                rows = 50.0 * rng.normal(size=(h, b))
+                batch = theta._coords_dot(rows, m)
+                for j in range(min(b, 7)):
+                    lone = np.ascontiguousarray(rows[:, j:j + 1])
+                    np.testing.assert_array_equal(batch[:, j:j + 1],
+                                                  theta._coords_dot(lone, m))
+                if m is many:
+                    np.testing.assert_array_equal(batch, theta._coords_dot_rows(rows, m).T)
 
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     @pytest.mark.parametrize("eigs", [
