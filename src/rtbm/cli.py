@@ -14,14 +14,17 @@ setting comes from its flag.  Every theta sum is certified to the package's
 fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
 NaN or infinite values in the columns used, column indices outside a CSV,
 model files with a missing or ill-typed field, non-finite ``--grid`` bounds,
-``--on`` values or Student-t parameters, and requests too large to allocate
-are rejected as data errors.
+a ``--grid`` whose dimension count is not the width of the model or of the
+conditional or whose nodes multiply past ``GRID_POINT_CAP``, ``--on``
+values or Student-t parameters, and requests too large to allocate are
+rejected as data errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -39,6 +42,10 @@ from .oracle import (StudentTParams, conditional_logpdf, sample_student,
 from .sampling import RNG_NAME, sample_visible
 from .theta import Lattice
 
+GRID_POINT_CAP = 1 << 22    # most points a --grid may mesh: 4,194,304
+CSV_BLOCK_ROWS = 1 << 14    # rows formatted into one string per write
+
+
 def conditional_mse(reference, candidate) -> float:
     """Mean squared difference of two aligned density-value arrays."""
     reference = np.asarray(reference, dtype=float).ravel()
@@ -49,8 +56,21 @@ def conditional_mse(reference, candidate) -> float:
 
 
 def _write_csv(path, rows):
+    """Write ``rows`` as ``np.savetxt(fmt="%.17g", delimiter=",")`` would, byte for byte.
+
+    Each block of ``CSV_BLOCK_ROWS`` rows is one ``%`` of the row format,
+    repeated per row, against the block's values as Python floats (whose
+    ``%.17g`` is the one savetxt applies to each numpy float), so the
+    formatting takes one call per block and the memory one block's string.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    write_atomic(path, lambda fh: np.savetxt(fh, rows, delimiter=",", fmt="%.17g"))
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+
+    def write(fh):
+        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    write_atomic(path, write)
 
 
 def _read_csv(path, cols=None):
@@ -74,8 +94,8 @@ def _read_csv(path, cols=None):
 
 
 def _parse_grid(spec):
-    """Parse 'lo:hi:nodes[,lo:hi:nodes...]' into per-dimension axes."""
-    axes = []
+    """Parse 'lo:hi:nodes[,lo:hi:nodes...]' into one (lo, hi, nodes) per dimension."""
+    parts = []
     for part in spec.split(","):
         pieces = part.split(":")
         if len(pieces) != 3:
@@ -86,12 +106,24 @@ def _parse_grid(spec):
         if not np.isfinite(hi - lo):    # an infinite bound, or a span past the range
             raise ValueError(f"bad grid component {part!r}: lo, hi and hi - lo "
                              f"must be finite")
-        axes.append(np.linspace(lo, hi, nodes))
-    return axes
+        parts.append((lo, hi, nodes))
+    return parts
 
 
-def _grid_points(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _grid_points(spec, width):
+    """The (points, width) rows of a ``--grid`` over ``width`` coordinates.
+
+    Its dimension count and its number of points are checked against
+    ``width`` and ``GRID_POINT_CAP`` before anything is meshed, so a bad
+    request fails naming the flag without allocating its rows.
+    """
+    parts = _parse_grid(spec)
+    if len(parts) != width:
+        raise ValueError(f"--grid has {len(parts)} dimension(s), expected {width}")
+    count = math.prod(nodes for _, _, nodes in parts)
+    if count > GRID_POINT_CAP:
+        raise ValueError(f"--grid has {count} points, above the cap of {GRID_POINT_CAP}")
+    mesh = np.meshgrid(*(np.linspace(*part) for part in parts), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -137,11 +169,12 @@ def _load_valid_model(path):
     return params
 
 
-def _eval_points(args):
+def _eval_points(args, width):
+    """The evaluation points of ``--grid`` or ``--points-csv`` for ``width`` coordinates."""
     if args.grid and args.points_csv:
         raise ValueError("give either --grid or --points-csv, not both")
     if args.grid:
-        return _grid_points(_parse_grid(args.grid))
+        return _grid_points(args.grid, width)
     if args.points_csv:
         cols = _parse_cols(args.points_cols) if args.points_cols else None
         return _read_csv(args.points_csv, cols)
@@ -181,7 +214,7 @@ def _cmd_fit(args):
 
 def _cmd_density(args):
     params = _load_valid_model(args.model)
-    pts = _eval_points(args)
+    pts = _eval_points(args, params.n_v)
     try:
         logp = log_pdf_many(params, pts)
     except RtbmError as exc:
@@ -231,7 +264,7 @@ def _cmd_student_sample(args):
 
 def _cmd_student_conditional(args):
     ct = student_conditional(_student_params(args), *_parse_on(args.on))
-    pts = _eval_points(args)
+    pts = _eval_points(args, ct.loc.size)
     logp = np.atleast_1d(conditional_logpdf(ct, pts))
     _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
     return 0

@@ -22,6 +22,7 @@ log P(v) = log P(y|d) + log P(d) holds exactly with it.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -149,6 +150,20 @@ def _index(i, name="conditioned index") -> int:
         return operator.index(i)
     except TypeError:
         raise ValueError(f"{name} {i!r} is not an integer") from None
+
+
+def _draw_request(count, seed) -> int:
+    """``count`` as an int of at least 1, with ``seed`` checked; ValueErrors name either.
+
+    ``seed`` is anything ``np.random.default_rng`` takes; a negative integer is
+    refused here rather than by numpy, whose message names neither argument.
+    """
+    count = _index(count, "count")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed {seed} is negative; it must be a non-negative integer")
+    return count
 
 
 def free_coordinates(indices, values, n) -> tuple[list, np.ndarray, list]:

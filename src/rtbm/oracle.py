@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .density import as_points, free_coordinates
+from .density import _draw_request, as_points, free_coordinates
 from .model import spd_cholesky
 
 
@@ -106,10 +106,11 @@ def sample_student(tp: StudentTParams, count: int, seed) -> np.ndarray:
     """Draw ``count`` rows via the Gaussian scale-mixture construction.
 
     x = mu + L z * sqrt(nu / chi2_nu), with L the Cholesky factor of the
-    scale matrix; deterministic for a fixed seed.
+    scale matrix; deterministic for a fixed seed.  A ``count`` that is not
+    an integer of at least 1, or a negative integer ``seed``, is a
+    ValueError that names it, as in :func:`rtbm.sampling.sample_visible`.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _draw_request(count, seed)
     rng = np.random.default_rng(seed)
     chol = spd_cholesky(tp.sigma, "sigma")
     z = rng.standard_normal((count, tp.p))

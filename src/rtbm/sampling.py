@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .density import _index, as_points, free_coordinates
+from .density import _draw_request, as_points, free_coordinates
 from .errors import InsufficientSamplesError
 from .model import RtbmParams, _cho_solve
 from .theta import DEFAULT_EPS, log_theta_many
@@ -60,10 +60,11 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
 
     Hidden states by inverse CDF over the truncated weights, then the
     Gaussian component through the inverse transpose Cholesky factor of T
-    (T itself is factored; T^-1 is never formed).
+    (T itself is factored; T^-1 is never formed).  A ``count`` that is not
+    an integer of at least 1, or a negative integer ``seed``, is a
+    ValueError that names it.
     """
-    if _index(count, "count") < 1:
-        raise ValueError("count must be >= 1")
+    count = _draw_request(count, seed)
     hidden = hidden_distribution(params)
     weights = np.exp(hidden.log_weights)
     cdf = np.cumsum(weights)

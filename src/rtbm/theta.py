@@ -116,6 +116,19 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   the same order, so results never depend on the cache.  It enumerates
   the offsets as coordinate rows and takes each offset's k^T Omega k (of
   Omega' in the dual form) from the enumeration's sum of squared steps.
+  A fit brings two fresh matrices per candidate, Q and its Schur matrix,
+  and what a fresh kernel costs is numpy's overhead per call on arrays of
+  one to a few hundred elements, so it is prepared with few calls: Omega,
+  symmetrized here and checked finite by the caller, and the exactly
+  symmetric Omega' go to LAPACK ``dpotrf`` without a second check; each
+  form's radius and point bound are one call each on floats; and the
+  enumeration about the origin takes its outermost coordinate in Python
+  floats and each further one in about two dozen calls.  Over the
+  captured matrices of the two seeded benchmark fits (a shared 2-vCPU
+  x86-64 host, each matrix's best of seven passes), construction and
+  first enumeration take 108 us at h = 3 and 77 us at h = 2, about two
+  thirds of the 155 and 113 us they took with a second check and a
+  gather per quantity.
   The per-row work - the maximizer Omega^-1 z, its rounding c,
   g = z - Omega c and the term at c - reads each coordinate of the batch
   as one contiguous row of B values and sums over the coordinates in index
@@ -151,6 +164,9 @@ _BLOCK = 1 << 14         # elements of a direct or dual sum's (rows x points) bl
 _TABLE_BLOCK = 1 << 16   # elements of each row of a separable sum's kept work array
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _LOG_FACTOR_CAP = 600.0  # largest exponent of a factor of a separable sum
+_LOG_2 = float(np.log(2.0))
+_LOG_2PI = float(np.log(2.0 * np.pi))
+_DUAL_SCALE = 4.0 * np.pi ** 2    # Omega' = 4 pi^2 Omega^-1
 
 # Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
 _KERNELS = OrderedDict()
@@ -173,6 +189,12 @@ def check_eps(eps) -> float:
     return eps
 
 
+@functools.cache
+def _log_gamma(h):
+    """log Gamma(h/2 + 1), the constant of :func:`_certified_radius` for dimension h."""
+    return float(gammaln(0.5 * h + 1.0))
+
+
 def _certified_radius(pivots, log_rel):
     """Radius R whose outside holds lattice mass below exp(log_rel) e^f_peak.
 
@@ -184,21 +206,28 @@ def _certified_radius(pivots, log_rel):
     r >= R0 the count is at most C r^h with C = prod_i (2 / L_ii + 1 / R0),
     so summing e^{-r^2/2} against it bounds the mass beyond R >= R0 by
     C 2^{h/2} Gamma(h/2 + 1, R^2/2), which is inverted in closed form; R0 is
-    the Gaussian radius sqrt(-2 log_rel).  Vectorized over ``log_rel``.
+    the Gaussian radius sqrt(-2 log_rel).
+
+    ``log_rel`` is a float (a kernel's radius) or an array (the radii of
+    rows that sum their own ellipsoid), and so is R: one formula for both.
+    Its transcendental functions are numpy's either way, as numpy's own
+    float64 log and exp can differ from the C library's in the last bit;
+    only the maxima and minima of a float are Python's, which pick the value
+    numpy's would (the first of two equal ones) at a tenth of the cost.
     """
+    maximum, minimum = (np.maximum, np.minimum) if isinstance(log_rel, np.ndarray) else (max, min)
     h = pivots.size
     a = 0.5 * h + 1.0
-    r0 = np.sqrt(np.maximum(-2.0 * log_rel, 1.0))
-    log_count = np.log(2.0 / pivots + 1.0 / r0[..., None]).sum(axis=-1)
+    r0 = np.sqrt(-2.0 * log_rel)      # above 3.7, as every log_rel is at most log 1e-3
+    log_count = np.add.reduce(np.log(2.0 / pivots + (1.0 / r0)[..., None]), axis=-1)
     # the extra factor 2 absorbs the rounding of the inverse
-    log_y = np.minimum(log_rel - log_count - 0.5 * h * np.log(2.0) - gammaln(a)
-                       - np.log(2.0), 0.0)
+    log_y = minimum(log_rel - log_count - 0.5 * h * _LOG_2 - _log_gamma(h) - _LOG_2, 0.0)
     # Below the representable range, Gamma(a, x + d) <= e^{-d (1 - (a-1)/x)}
     # Gamma(a, x) (a >= 1) moves the inverse on by the missing log-mass.
-    log_floor = np.maximum(log_y, _LOG_TINY)
+    log_floor = maximum(log_y, _LOG_TINY)
     x = gammainccinv(a, np.exp(log_floor))
-    x = x + (log_floor - log_y) / (1.0 - (a - 1.0) / np.maximum(x, a))
-    return np.maximum(np.sqrt(2.0 * x), r0)
+    x = x + (log_floor - log_y) / (1.0 - (a - 1.0) / maximum(x, a))
+    return maximum(np.sqrt(2.0 * x), r0)
 
 
 def _ellipsoid_points(chol, centres, radii, orthant=False):
@@ -218,60 +247,94 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
     they are formed; and, from the last level, the index of each point's
     prefix (n_2, ..., n_h) among the (h - 1, M) float coordinate rows
     ``prefixes``, also ascending, so the points come grouped by prefix with
-    n_1 ascending within each group.  A prefix may hold no point.  Each level
-    gathers the previous level's rows into its new (h - i, P_i) array with
-    one ``np.take``.
+    n_1 ascending within each group.  A prefix may hold no point.
+
+    Each level's points are the columns of one (h + 3, P_i) array: the
+    remaining squared radius, the sum of squared steps, a row for m_i and
+    then the steps, and one row per coordinate.  The next level writes each
+    prefix's m_i, and its first n_i into the row of n_i, and one ``repeat``
+    copies each prefix's column once per point of its interval, so a level
+    costs about two dozen numpy calls, whatever its size.  A single centre,
+    like the origin of a kernel's shared offsets, takes its outermost level
+    in Python floats, broadcasts its coordinates instead of gathering them
+    per point, and needs ``parent`` only from its last level.
     """
     m, h = centres.shape
-    centres = centres.T
-    owner = np.arange(m)
-    pts = np.zeros((0, m))
-    sq = np.zeros(m)
+    cen = centres.T
     # the slack keeps rounding from dropping a point on the boundary
-    rem = np.square(radii) * (1.0 + 1e-12)
-    for i in range(h - 1, -1, -1):
-        prefixes = pts
+    slack = 1.0 + 1e-12
+    if m == 1:
+        owner, radius = None, float(radii[0])
+        lii, mid, rem = float(chol[-1, -1]), float(cen[-1, 0]), radius * radius * slack
+        half = math.sqrt(max(rem, 0.0)) / lii
+        lo, end = math.ceil(mid - half), math.floor(mid + half) + 1
+        if orthant:
+            lo = max(lo, 0)
+            end = max(end, lo)
+        level = np.empty((h + 3, end - lo))
+        level[-1] = np.arange(lo, end)
+        step = np.subtract(level[-1], mid, out=level[2])
+        step *= lii
+        step *= step
+        np.subtract(rem, step, out=level[0])
+        level[1] = step
+        top = h - 2
+    else:
+        owner = np.arange(m)
+        level = np.empty((h + 3, m))
+        level[0], level[1] = np.square(radii) * slack, 0.0
+        top = h - 1
+    prefixes = level[4:]
+    for i in range(top, -1, -1):
+        prev, prefixes = level, level[i + 4:]
         lii = chol[i, i]
-        cen = centres[i:, owner]
-        mid = cen[0]
+        own = cen[i:] if owner is None else cen[i:, owner]
+        mid = prev[2]
+        mid[:] = own[0]
         for j in range(1, h - i):
-            mid = mid - (pts[j - 1] - cen[j]) * (chol[i + j, i] / lii)
-        half = np.sqrt(np.maximum(rem, 0.0)) / lii
+            mid -= (prefixes[j - 1] - own[j]) * (chol[i + j, i] / lii)
+        half = np.sqrt(np.maximum(prev[0], 0.0)) / lii
         lo = np.ceil(mid - half)
         end = np.floor(mid + half) + 1.0    # at least lo, as half >= 0
         if orthant:
             lo = np.maximum(lo, 0.0)
             end = np.maximum(end, lo)
         counts = (end - lo).astype(np.int64)
-        total = int(counts.sum())
-        parent = np.repeat(np.arange(counts.size), counts)
+        ends = counts.cumsum()
         # n_i runs from lo up within each prefix's run of points
-        start = lo - (np.cumsum(counts) - counts)
-        pts = np.empty((h - i, total))
-        ni = pts[0]
-        np.add(start[parent], np.arange(total), out=ni)
-        # parent indexes the previous level, so "clip" never clips; it spares the
-        # buffered copy that the default mode makes of an out= array
-        np.take(prefixes, parent, axis=1, out=pts[1:], mode="clip")
-        step = lii * (ni - mid[parent])
+        np.subtract(lo, ends - counts, out=prev[i + 3])
+        level = prev.repeat(counts, axis=1)
+        ni = level[i + 3]
+        ni += np.arange(ni.size)
+        step = np.subtract(ni, level[2], out=level[2])
+        step *= lii
         step *= step
-        rem = rem[parent] - step
-        sq = sq[parent] + step
-        owner = owner[parent]
-    return owner, pts, sq, parent, prefixes
+        if i:
+            level[0] -= step
+        level[1] += step
+        if owner is not None or i == 0:
+            parent = np.arange(counts.size).repeat(counts)
+            if owner is not None:
+                owner = owner[parent]
+    if owner is None:
+        owner = np.zeros(level.shape[1], dtype=np.intp)
+        if top < 0:         # one coordinate: every point's prefix is the empty one
+            parent = owner
+    return owner, level[3:], level[1], parent, prefixes
 
 
 def _point_bounds(pivots, radii, spans):
     """Upper bounds on the points :func:`_ellipsoid_points` finds per centre.
 
     Given its prefix, n_i ranges over an interval of length at most
-    2r / L_ii, and over the ellipsoid's extent ``spans[:, i]`` along n_i
+    2r / L_ii, and over the ellipsoid's extent ``spans[..., i]`` along n_i
     (which its orthant cut can shorten), so each coordinate level multiplies
     the count by at most the smaller of the two plus one.  The factor
-    1 + 1e-12 matches the enumeration's boundary slack.
+    1 + 1e-12 matches the enumeration's boundary slack.  ``radii`` is a
+    float (a kernel's bound, ``spans`` then (h,)) or an array of them.
     """
-    reach = 2.0 * radii[:, None] / pivots
-    return np.prod(np.minimum(reach, spans) * (1.0 + 1e-12) + 1.0, axis=1)
+    reach = np.divide.outer(2.0 * radii, pivots)
+    return np.multiply.reduce(np.minimum(reach, spans) * (1.0 + 1e-12) + 1.0, axis=-1)
 
 
 def _orthant_ascent(zs, omega, start):
@@ -388,14 +451,14 @@ def _separable(cols, quad, parent, prefixes):
     for a block of the two rows every block holds at least.
     """
     points, first = cols.shape[1], parent[0]
-    k1 = cols[0].max()
+    k1 = np.maximum.reduce(cols[0])
     shape = (2 * int(k1) + 1, int(parent[-1] - first) + 1)
     if (shape[0] * shape[1] > min(2 * points, _WORK_CAP - points)
             or max(shape) > _TABLE_BLOCK // 2):
         return None
     # a copy: a view would keep the enumeration's whole level in the kernel cache
     prefixes = prefixes[:, first:first + shape[1]].copy()
-    reach = np.concatenate(([k1], np.abs(prefixes).max(axis=1)))
+    reach = np.concatenate(([k1], np.maximum.reduce(np.abs(prefixes), axis=1)))
     weights = np.zeros(shape)
     weights[(cols[0] + k1).astype(np.intp), parent - first] = np.exp(-quad)
     return _Separable(np.arange(-k1, k1 + 1)[:, None], prefixes[:, :, None],
@@ -518,7 +581,21 @@ def _segment_log_sums(owner, terms, count):
 
 def sym(a):
     """Average a square matrix with its transpose, halving first so it cannot overflow."""
-    return 0.5 * a + 0.5 * a.T
+    half = 0.5 * a      # whose transpose is 0.5 * a.T, bit for bit
+    return half + half.T
+
+
+def _factor(s):
+    """:func:`try_cholesky` of a matrix ``s`` already exactly symmetric and finite.
+
+    LAPACK directly: scipy's la.cholesky wrapper costs about 8x the factorization.
+    """
+    chol, info = dpotrf(s, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info > 0:
+        return None, float(la.eigvalsh(s)[0])
+    return chol, None
 
 
 def try_cholesky(a):
@@ -528,25 +605,24 @@ def try_cholesky(a):
     deterministic regardless of sub-tolerance asymmetry in the input.
     """
     s = sym(np.asarray(a, dtype=float))
-    # LAPACK directly: scipy's la.cholesky wrapper costs about 8x the factorization
     if not np.isfinite(s).all():
         raise ValueError("array must not contain infs or NaNs")
-    chol, info = dpotrf(s, lower=1, clean=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if info > 0:
-        return None, float(la.eigvalsh(s)[0])
-    return chol, None
+    return _factor(s)
 
 
-def spd_cholesky(a, name):
-    """Lower Cholesky factor of a symmetrized matrix; loud failure."""
-    chol, lam = try_cholesky(a)
+def _require(factored, name):
+    """The factor of a :func:`try_cholesky` result; NotPositiveDefiniteError if none."""
+    chol, lam = factored
     if chol is None:
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (min eigenvalue ~ {lam:.6g})",
             min_eigenvalue=lam)
     return chol
+
+
+def spd_cholesky(a, name):
+    """Lower Cholesky factor of a symmetrized matrix; loud failure."""
+    return _require(try_cholesky(a), name)
 
 
 def _cholesky_inverse(chol):
@@ -561,6 +637,14 @@ def _cholesky_inverse(chol):
     inv = lower + lower.T
     inv.flat[::inv.shape[0] + 1] = lower.flat[::inv.shape[0] + 1]
     return inv
+
+
+@functools.cache
+def _first_sign_weights(h):
+    """(3^(h-1), ..., 3, 1), whose dot product with the signs of k has the sign of k's first
+    nonzero entry: each weight exceeds the sum of those after it, and the sum,
+    an integer below 3^h, is exact in any order of summation."""
+    return 3.0 ** np.arange(h - 1, -1, -1)
 
 
 @functools.cache
@@ -604,23 +688,25 @@ def _dual_form(omega, omega_inv, eps, primal_bound):
     most 1/2, so that the cosine sum is at least 1/2 and the relative error
     at most eps, and when its point bound is below the primal's and the cap.
     """
-    dual = (4.0 * np.pi ** 2) * omega_inv
-    # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is factored
-    if not np.isfinite(dual).all() or _off_origin_bound(dual.diagonal()) > 0.5:
+    # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is formed or factored
+    if _off_origin_bound(_DUAL_SCALE * omega_inv.diagonal()) > 0.5:
         return None
-    chol, _ = try_cholesky(dual)
+    dual = _DUAL_SCALE * omega_inv
+    if not np.isfinite(dual).all():
+        return None
+    chol, _ = _factor(dual)     # exactly symmetric, as Omega^-1 is
     if chol is None:
         return None
     pivots = chol.diagonal()
     if _off_origin_bound(pivots ** 2) > 0.5:
         return None
-    radius = _certified_radius(pivots, np.log(eps) - np.log(2.0))
+    radius = _certified_radius(pivots, np.log(eps) - _LOG_2)
     spans = 2.0 * radius * np.sqrt(omega.diagonal()) / (2.0 * np.pi)
-    bound = _point_bounds(pivots, np.array([radius]), spans[None, :])[0]
+    bound = _point_bounds(pivots, radius, spans)
     if bound >= min(primal_bound, _WORK_CAP):
         return None
     # det Omega' = (2 pi)^{2h} / det Omega
-    log_scale = np.log(pivots).sum() - 0.5 * pivots.size * np.log(2.0 * np.pi)
+    log_scale = np.add.reduce(np.log(pivots)) - 0.5 * pivots.size * _LOG_2PI
     return _Dual(dual, chol, radius, log_scale)
 
 
@@ -673,7 +759,7 @@ class _Kernel:
 
     def __init__(self, omega, lattice, eps):
         self.omega = omega
-        self.chol = spd_cholesky(omega, "omega")
+        self.chol = _require(_factor(omega), "omega")     # omega is symmetrized and finite
         self.omega_inv = _cholesky_inverse(self.chol)
         self.pivots = self.chol.diagonal()
         # Every row's sum is at least its term at the rounded maximizer, which
@@ -681,13 +767,12 @@ class _Kernel:
         # it; enumerating |L^T k| <= R + rho_half about the centre therefore
         # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
         signs = _corner_signs(omega.shape[0])
-        rho_half = 0.5 * np.sqrt(np.einsum("ch,hl,cl->c", signs, omega, signs).max())
+        rho_half = 0.5 * np.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", signs, omega, signs)))
         self.log_eps = np.log(eps)
         self.radius = _certified_radius(self.pivots, self.log_eps - 0.5 * rho_half ** 2) \
             + rho_half
         self.widths = np.sqrt(self.omega_inv.diagonal())
-        self.bound = _point_bounds(self.pivots, np.array([self.radius]),
-                                   2.0 * self.radius * self.widths[None, :])[0]
+        self.bound = _point_bounds(self.pivots, self.radius, 2.0 * self.radius * self.widths)
         self.dual = None
         if lattice is Lattice.FULL:
             self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
@@ -705,25 +790,28 @@ class _Kernel:
         h = self.omega.shape[0]
         form = self if self.dual is None else self.dual
         # about the origin the enumeration's |L^T k|^2 is k^T Omega k (of Omega' in the dual)
-        _, cols, quad, parent, prefixes = _ellipsoid_points(form.chol, np.zeros((1, h)),
-                                                            np.array([form.radius]))
-        quad *= 0.5
+        _, cols, sq, parent, prefixes = _ellipsoid_points(form.chol, np.zeros((1, h)),
+                                                          np.array([form.radius]))
         tables = None
         if self.dual is not None:
             # k = 0 and, of each pair +-k, the one whose first nonzero entry is positive
-            first = cols[(cols != 0).argmax(axis=0), np.arange(cols.shape[1])]
+            first = _first_sign_weights(h) @ np.sign(cols)
             keep = first >= 0
             # compress keeps the rows C-contiguous (cols[:, keep] would not), and
             # with them each block's (rows x points) product, which is summed per row
             kept = (cols.compress(keep, axis=1),
-                    np.where(first[keep] > 0, 2.0, 1.0) * np.exp(-quad[keep]))
+                    (np.where(first > 0, 2.0, 1.0) * np.exp(sq * -0.5)).compress(keep))
         else:
+            quad = sq
+            quad *= 0.5
             if self.lattice is Lattice.FULL and h > 1:
                 tables = _separable(cols, quad, parent, prefixes)
             kept = (cols, quad, tables)
         if not self.used:
             self.used = True
             return kept
+        if self.dual is None:       # views: copies keep only their rows of the last level
+            kept = (cols.copy(), quad.copy(), tables)
         for a in (*kept[:2], *(tables or ())):
             a.setflags(write=False)
         self.kept = kept

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TFIT
+import rtbm.cli as cli
 from rtbm.cli import build_parser, conditional_mse, run_command
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.fit import FitConfig
@@ -213,6 +214,22 @@ class TestDensityCommand:
         assert not out.exists()
 
 
+class TestCsvOutput:
+    """The CSV writer's bytes are np.savetxt's with fmt="%.17g"."""
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[np.inf, -np.inf, np.nan], [-0.0, 5e-324, 1.0 / 3.0]]),
+        np.array([[2.5e-308, -1.7976931348623157e308, 0.1, -7.0]]),
+        np.array([[1.0], [-0.0], [np.nan], [2.2250738585072014e-308]]),
+        np.arange(2 * (cli.CSV_BLOCK_ROWS + 3), dtype=float).reshape(-1, 2) / 7.0 - 5.0,
+    ], ids=["special-values", "one-row", "one-column", "past-one-block"])
+    def test_bytes_match_savetxt(self, tmp_path, rows):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli._write_csv(ours, rows)
+        np.savetxt(theirs, rows, delimiter=",", fmt="%.17g")
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
 class TestGridBounds:
     @pytest.mark.parametrize("command", ["density", "student conditional"])
     @pytest.mark.parametrize("component", ["0:inf:3", "-inf:0:3", "-1e308:1e308:3"])
@@ -232,6 +249,43 @@ class TestGridBounds:
         assert capsys.readouterr().err == (
             f"error: bad grid component {component!r}: lo, hi and hi - lo "
             f"must be finite\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["density", "student conditional"])
+    def test_grid_is_checked_before_it_is_meshed(self, model_path, tmp_path, capsys,
+                                                 command):
+        import tracemalloc
+
+        # two dimensions of 10^4 nodes for one coordinate: 10^8 two-coordinate
+        # rows (1.6 GB) if meshed
+        child = tmp_path / "child.json"
+        save_model(condition_on(load_model(model_path), [0], [-2.0])[0], child)
+        out = tmp_path / "d.csv"
+        argv = {"density": ["density", "--model", str(child)],
+                "student conditional": ["student", "conditional", "--mu", "0,0",
+                                        "--sigma", "2,-1,-1,4", "--nu", "6",
+                                        "--on", "0=-2"]}[command]
+        tracemalloc.start()
+        try:
+            code = run_command(argv + ["--grid", "-1:1:10000,-1:1:10000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: --grid has 2 dimension(s), expected 1\n"
+        assert peak < 16 * 2**20
+        assert not out.exists()
+
+    def test_grid_past_the_point_cap_is_named(self, model_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        nodes = math.isqrt(cli.GRID_POINT_CAP) + 1
+        code = run_command(["density", "--model", str(model_path), "--out", str(out),
+                            "--grid", f"-1:1:{nodes},-1:1:{nodes}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid has {nodes * nodes} points, above the cap of "
+            f"{cli.GRID_POINT_CAP}\n")
         assert not out.exists()
 
 

@@ -154,3 +154,14 @@ class TestSampleStudent:
     def test_count_guard(self):
         with pytest.raises(ValueError):
             sample_student(T_BENCH, 0, seed=1)
+
+    def test_count_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^count 2\.5 is not an integer$"):
+            sample_student(T_BENCH, 2.5, 1)
+        np.testing.assert_array_equal(sample_student(T_BENCH, np.int64(3), 1),
+                                      sample_student(T_BENCH, 3, 1))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=r"^seed -?\d+ is negative"):
+            sample_student(T_BENCH, 3, seed)

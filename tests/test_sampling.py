@@ -129,6 +129,11 @@ class TestSampleVisible:
         np.testing.assert_array_equal(sample_visible(tfit_params, np.int64(3), 1),
                                       sample_visible(tfit_params, 3, 1))
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_is_named(self, tfit_params, seed):
+        with pytest.raises(ValueError, match=r"^seed -?\d+ is negative"):
+            sample_visible(tfit_params, 3, seed)
+
 
 class TestHistogram:
     def test_density_normalizes(self, tfit_params):

@@ -1118,3 +1118,86 @@ class TestEnumeration:
         _, collected, _ = log_theta_many(np.array([[0.3, -0.2]]), omega, collect_terms=True)
         assert collected.dtype == np.int64
         assert hidden_distribution(tfit_params).points.dtype == np.int64
+
+
+# eigenvalue ranges of scripts/output_digests.py: dual, mixed and primal sums
+DIGEST_SCALES = {"small": (0.05, 2.0), "mid": (0.5, 20.0), "stiff": (5.0, 200.0)}
+
+
+def box_offsets(omega, radius):
+    """Integer k with k^T Omega k <= radius^2 (1 + 1e-12), by brute force over a box.
+
+    The box is the ellipsoid's extent radius sqrt((Omega^-1)_ii) along each
+    axis, padded by one.  Returns the offsets as float coordinate rows, in the
+    enumeration's order (by k_h, then k_{h-1}, ..., then k_1, each
+    ascending), and their k^T Omega k, each a sum of h^2 products; asserts
+    that no point of the box lies so near the boundary that rounding could
+    decide it.
+    """
+    reach = np.ceil(radius * np.sqrt(np.diag(np.linalg.inv(omega)))).astype(int) + 1
+    axes = [np.arange(-r, r + 1.0) for r in reach]
+    box = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+    quad = np.einsum("hk,hl,lk->k", box, omega, box)
+    limit = radius ** 2 * (1.0 + 1e-12)
+    assert not (np.abs(quad - limit) <= 1e-9 * limit).any()
+    inside = quad <= limit
+    box, quad = box[:, inside], quad[inside]
+    order = np.lexsort(box)     # the last row is the primary key
+    return box[:, order], quad[order]
+
+
+class TestFreshKernels:
+    """A cache miss's offsets and k^T Omega k / 2 against a brute-force reference."""
+
+    @staticmethod
+    def fresh(h, scale, lattice):
+        import rtbm.theta as theta
+
+        rng = np.random.default_rng([h, list(DIGEST_SCALES).index(scale)])
+        omega = random_spd(rng, h, *DIGEST_SCALES[scale])
+        theta._KERNELS.clear()
+        return theta._kernel(omega, lattice, 1e-12)
+
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    @pytest.mark.parametrize("scale", list(DIGEST_SCALES))
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_offsets_match_a_box_enumeration(self, h, scale, lattice):
+        import rtbm.theta as theta
+
+        kernel = self.fresh(h, scale, lattice)
+        kept = kernel.shared_points()
+        if kernel.dual is None:
+            cols, quad, _ = kept
+            ref_cols, ref_quad = box_offsets(kernel.omega, kernel.radius)
+            np.testing.assert_array_equal(cols, ref_cols)
+            np.testing.assert_array_max_ulp(quad, 0.5 * ref_quad, maxulp=8)
+            return
+        # k = 0 and, of each pair +-k, the one whose first nonzero entry is
+        # positive, in the enumeration's order, weighted exp(-k^T Omega' k / 2)
+        # and doubled off the origin
+        dual = kernel.dual
+        ref_cols, ref_quad = box_offsets(dual.omega, dual.radius)
+        nonzero = ref_cols != 0
+        first = np.where(nonzero.any(axis=0),
+                         ref_cols[nonzero.argmax(axis=0), np.arange(ref_cols.shape[1])], 0.0)
+        keep = first >= 0
+        cols, weights = kept
+        np.testing.assert_array_equal(cols, ref_cols[:, keep])
+        np.testing.assert_allclose(
+            weights, np.where(first[keep] > 0, 2.0, 1.0) * np.exp(-0.5 * ref_quad[keep]),
+            rtol=1e-13, atol=0)
+        # the dual's k^T Omega' k / 2 as its kernel enumerates them
+        _, points, sq, _, _ = theta._ellipsoid_points(dual.chol, np.zeros((1, h)),
+                                                      np.array([dual.radius]))
+        np.testing.assert_array_equal(points, ref_cols)
+        np.testing.assert_array_max_ulp(0.5 * sq, 0.5 * ref_quad, maxulp=8)
+
+    def test_every_form_occurs(self):
+        forms = set()
+        for h in range(1, 5):
+            for scale in DIGEST_SCALES:
+                for lattice in Lattice:
+                    kernel = self.fresh(h, scale, lattice)
+                    tables = None if kernel.dual else kernel.shared_points()[2]
+                    forms.add("dual" if kernel.dual else "separable" if tables else "direct")
+        assert forms == {"dual", "separable", "direct"}
