@@ -15,9 +15,10 @@ fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
 NaN or infinite values in the columns used, column indices outside a CSV,
 model files with a missing or ill-typed field, non-finite ``--grid`` bounds,
 a ``--grid`` whose dimension count is not the width of the model or of the
-conditional or whose nodes multiply past ``GRID_POINT_CAP``, ``--on``
-values or Student-t parameters, and requests too large to allocate are
-rejected as data errors.
+conditional or whose nodes multiply past ``GRID_POINT_CAP``, a ``--count``
+whose draws hold more than ``DRAW_VALUE_CAP`` values, ``--on`` values or
+Student-t parameters, and requests too large to allocate are rejected as
+data errors.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .sampling import RNG_NAME, sample_visible
 from .theta import Lattice
 
 GRID_POINT_CAP = 1 << 22    # most points a --grid may mesh: 4,194,304
+DRAW_VALUE_CAP = 1 << 24    # most values (--count x width) a sample command may draw
 CSV_BLOCK_ROWS = 1 << 14    # rows formatted into one string per write
 
 
@@ -125,6 +127,18 @@ def _grid_points(spec, width):
         raise ValueError(f"--grid has {count} points, above the cap of {GRID_POINT_CAP}")
     mesh = np.meshgrid(*(np.linspace(*part) for part in parts), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _draw_count(count, width):
+    """``--count`` checked against ``DRAW_VALUE_CAP`` before anything is drawn.
+
+    A draw of ``width`` coordinates holds ``width`` values, and all of them
+    are drawn at once, so the cap bounds the memory of the draws.
+    """
+    if count * width > DRAW_VALUE_CAP:
+        raise ValueError(f"--count {count} draws {count * width} values, "
+                         f"above the cap of {DRAW_VALUE_CAP}")
+    return count
 
 
 def _parse_on(spec):
@@ -234,7 +248,7 @@ def _cmd_conditional(args):
 
 def _cmd_sample(args):
     params = _load_valid_model(args.model)
-    samples = sample_visible(params, args.count, args.seed)
+    samples = sample_visible(params, _draw_count(args.count, params.n_v), args.seed)
     _write_csv(args.out, samples)
     if args.meta:
         write_json(args.meta, {
@@ -258,7 +272,7 @@ def _student_params(args):
 
 def _cmd_student_sample(args):
     tp = _student_params(args)
-    _write_csv(args.out, sample_student(tp, args.count, args.seed))
+    _write_csv(args.out, sample_student(tp, _draw_count(args.count, tp.p), args.seed))
     return 0
 
 

@@ -131,8 +131,9 @@ class RtbmParams:
 
     @cached_property
     def memo(self) -> dict:
-        """Values ``density`` derives from this model and keeps on it: the log
-        normalizer and the validation report."""
+        """Values derived from this model and kept on it: ``density``'s log
+        normalizer and validation report, and ``sampling``'s draw table (the
+        inverse-CDF cdf and the K component means), each built on first use."""
         return {}
 
 

@@ -345,14 +345,62 @@ class TestSampleCommand:
                             "50", "--out", str(b)]) == 0
         np.testing.assert_array_equal(read_csv(a), read_csv(b))
 
-    def test_unallocatable_count_is_1(self, model_path, tmp_path, capsys):
-        # 1e15 draws need petabytes, so the first allocation fails on any host
+    def test_unallocatable_count_is_1(self, model_path, tmp_path, capsys,
+                                      monkeypatch):
+        # with the cap out of the way, 1e15 draws need petabytes, so the
+        # first allocation fails on any host
+        monkeypatch.setattr(cli, "DRAW_VALUE_CAP", 1 << 62)
         out = tmp_path / "s.csv"
         code = run_command(["sample", "--model", str(model_path), "--count",
                             "1000000000000000", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _sample_argv(command, model_path):
+    """The argv of a two-coordinate sample command, before --count and --out."""
+    return {"sample": ["sample", "--model", str(model_path)],
+            "student sample": ["student", "sample", "--mu", "0,0",
+                               "--sigma", "2,-1,-1,4", "--nu", "6"]}[command]
+
+
+class TestDrawBound:
+    @pytest.mark.parametrize("command", ["sample", "student sample"])
+    def test_count_is_checked_before_anything_is_drawn(self, model_path, tmp_path,
+                                                       capsys, command):
+        import tracemalloc
+
+        # 10^15 two-coordinate draws: 16 PB of values if drawn
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            code = run_command(_sample_argv(command, model_path)
+                               + ["--count", "1000000000000000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --count 1000000000000000 draws 2000000000000000 values, "
+            f"above the cap of {cli.DRAW_VALUE_CAP}\n")
+        assert peak < 16 * 2**20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "student sample"])
+    def test_cap_bounds_count_times_width(self, model_path, tmp_path, capsys,
+                                          monkeypatch, command):
+        # two coordinates per draw: 5 draws fill a cap of 10 values, 6 pass it
+        monkeypatch.setattr(cli, "DRAW_VALUE_CAP", 10)
+        out = tmp_path / "s.csv"
+        argv = _sample_argv(command, model_path)
+        assert run_command(argv + ["--count", "5", "--out", str(out)]) == 0
+        assert read_csv(out).shape == (5, 2)
+        out.unlink()
+        assert run_command(argv + ["--count", "6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --count 6 draws 12 values, above the cap of 10\n")
         assert not out.exists()
 
 

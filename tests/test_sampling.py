@@ -8,8 +8,8 @@ from references import quadrature_marginal
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
 from rtbm.model import RtbmParams
-from rtbm.sampling import (empirical_conditional, hidden_distribution,
-                           make_histogram, sample_visible)
+from rtbm.sampling import (MAX_COUNTED_STATES, _state_index, empirical_conditional,
+                           hidden_distribution, make_histogram, sample_visible)
 from rtbm.theta import Lattice
 
 
@@ -119,6 +119,33 @@ class TestSampleVisible:
                 expected = means + la.solve_triangular(p.chol_t.T, noise.T, lower=False).T
                 np.testing.assert_array_equal(sample_visible(p, 5000, seed), expected)
 
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    def test_kept_table_never_changes_a_draw(self, lattice, tfit_params,
+                                             constructed_2d_params, constructed_3d_params):
+        # a model that has drawn before, and whose draws were written to,
+        # draws what a fresh equal model draws
+        for fixture in (tfit_params, constructed_2d_params, constructed_3d_params):
+            fields = dict(t=fixture.t, q=fixture.q, w=fixture.w, bv=fixture.bv,
+                          bh=fixture.bh, lattice=lattice)
+            used = RtbmParams(**fields)
+            sample_visible(used, 1000, 99)[:] = np.nan
+            for seed in (0, 1, 7):
+                np.testing.assert_array_equal(sample_visible(used, 5000, seed),
+                                              sample_visible(RtbmParams(**fields), 5000, seed))
+
+    def test_child_builds_its_own_table(self, constructed_3d_params):
+        p = RtbmParams(t=constructed_3d_params.t, q=constructed_3d_params.q,
+                       w=constructed_3d_params.w, bv=constructed_3d_params.bv,
+                       bh=constructed_3d_params.bh)
+        sample_visible(p, 1000, 3)
+        child, _ = condition_on(p, [2], [0.3])
+        assert "draw_table" not in child.memo
+        fresh = RtbmParams(t=child.t, q=child.q, w=child.w, bv=child.bv, bh=child.bh)
+        np.testing.assert_array_equal(sample_visible(child, 5000, 4),
+                                      sample_visible(fresh, 5000, 4))
+        assert child.memo["draw_table"][1].shape == (
+            hidden_distribution(child).points.shape[0], 2)
+
     def test_count_guard(self, tfit_params):
         with pytest.raises(ValueError):
             sample_visible(tfit_params, 0, seed=1)
@@ -133,6 +160,27 @@ class TestSampleVisible:
     def test_negative_seed_is_named(self, tfit_params, seed):
         with pytest.raises(ValueError, match=r"^seed -?\d+ is negative"):
             sample_visible(tfit_params, 3, seed)
+
+
+class TestStateIndex:
+    @pytest.mark.parametrize("k", [1, 2, 7, MAX_COUNTED_STATES, MAX_COUNTED_STATES + 1, 527])
+    @pytest.mark.parametrize("total", [1.0, 1.0 - 1e-3])
+    def test_matches_searchsorted(self, k, total):
+        # zero weights tie cdf entries (the first ones too); a total below 1
+        # leaves the last entry raised to 1, as the sampler's table does
+        rng = np.random.default_rng(k)
+        weights = rng.random(k)
+        weights[: k // 8] = 0.0
+        weights[k // 2::5] = 0.0
+        weights[-1] = 1.0
+        cdf = np.cumsum(weights * (total / weights.sum()))
+        cdf[-1] = max(cdf[-1], 1.0)
+        below = cdf[cdf < 1.0]
+        u = np.concatenate([rng.random(4000), [0.0, np.nextafter(1.0, 0.0), total],
+                            below, np.nextafter(below, 0.0), np.nextafter(below, 1.0)])
+        idx = _state_index(cdf, u)
+        np.testing.assert_array_equal(idx, np.searchsorted(cdf, u, side="right"))
+        assert (idx.dtype == np.uint8) == (k <= MAX_COUNTED_STATES)
 
 
 class TestHistogram:
