@@ -24,6 +24,7 @@ data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -367,10 +368,15 @@ def build_parser():
     return parser
 
 
+# built on the first invocation and reused: parse_args returns a new
+# namespace each time and changes nothing in the parser
+_shared_parser = functools.cache(build_parser)
+
+
 def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

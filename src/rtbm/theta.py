@@ -586,16 +586,26 @@ def sym(a):
 
 
 def _factor(s):
-    """:func:`try_cholesky` of a matrix ``s`` already exactly symmetric and finite.
+    """Lower Cholesky factor of a matrix ``s`` already exactly symmetric and
+    finite, or None if it is not positive definite.
 
     LAPACK directly: scipy's la.cholesky wrapper costs about 8x the factorization.
     """
     chol, info = dpotrf(s, lower=1, clean=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if info > 0:
-        return None, float(la.eigvalsh(s)[0])
-    return chol, None
+    return chol if info == 0 else None
+
+
+def _min_eigenvalue(s):
+    return float(la.eigvalsh(s)[0])
+
+
+def _symmetrized(a):
+    s = sym(np.asarray(a, dtype=float))
+    if not np.isfinite(s).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return s
 
 
 def try_cholesky(a):
@@ -604,25 +614,27 @@ def try_cholesky(a):
     The matrix is symmetrized first so downstream factorizations are
     deterministic regardless of sub-tolerance asymmetry in the input.
     """
-    s = sym(np.asarray(a, dtype=float))
-    if not np.isfinite(s).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _factor(s)
+    s = _symmetrized(a)
+    chol = _factor(s)
+    return (chol, None) if chol is not None else (None, _min_eigenvalue(s))
 
 
-def _require(factored, name):
-    """The factor of a :func:`try_cholesky` result; NotPositiveDefiniteError if none."""
-    chol, lam = factored
+def _require(s, name):
+    """:func:`_factor` of ``s``; NotPositiveDefiniteError naming ``name`` if none.
+
+    The error's eigenvalue is computed only if it is read: a fit's objective
+    scores the candidate +inf and never does.
+    """
+    chol = _factor(s)
     if chol is None:
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (min eigenvalue ~ {lam:.6g})",
-            min_eigenvalue=lam)
+        raise NotPositiveDefiniteError(f"{name} is not positive definite",
+                                       min_eigenvalue=functools.partial(_min_eigenvalue, s))
     return chol
 
 
 def spd_cholesky(a, name):
     """Lower Cholesky factor of a symmetrized matrix; loud failure."""
-    return _require(try_cholesky(a), name)
+    return _require(_symmetrized(a), name)
 
 
 def _cholesky_inverse(chol):
@@ -694,7 +706,7 @@ def _dual_form(omega, omega_inv, eps, primal_bound):
     dual = _DUAL_SCALE * omega_inv
     if not np.isfinite(dual).all():
         return None
-    chol, _ = _factor(dual)     # exactly symmetric, as Omega^-1 is
+    chol = _factor(dual)     # exactly symmetric, as Omega^-1 is
     if chol is None:
         return None
     pivots = chol.diagonal()
@@ -759,7 +771,7 @@ class _Kernel:
 
     def __init__(self, omega, lattice, eps):
         self.omega = omega
-        self.chol = _require(_factor(omega), "omega")     # omega is symmetrized and finite
+        self.chol = _require(omega, "omega")     # omega is symmetrized and finite
         self.omega_inv = _cholesky_inverse(self.chol)
         self.pivots = self.chol.diagonal()
         # Every row's sum is at least its term at the rounded maximizer, which

@@ -555,6 +555,21 @@ class TestFitCommand:
             config.seed, config.restarts, config.max_evals)
         assert Lattice(args.lattice) is config.lattice
 
+    def test_defaults_do_not_leak_between_invocations(self, tmp_path):
+        # run_command parses with one parser for the whole process
+        data_path = tmp_path / "data.csv"
+        np.savetxt(data_path, np.random.default_rng(2).standard_normal((50, 1)),
+                   delimiter=",")
+        seeds = []
+        for extra in (["--seed", "5"], []):
+            out = tmp_path / f"fit{len(seeds)}.json"
+            assert run_command(["fit", "--data", str(data_path), "--nh", "1",
+                                "--restarts", "1", "--max-evals", "8",
+                                "--out", str(out), *extra]) == 0
+            meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+            seeds.append(meta["config"]["seed"])
+        assert seeds == [5, FitConfig.seed]
+
     @pytest.mark.parametrize("flag", [["--population", "8"], ["--sigma0", "0.5"],
                                       ["--standardize"], ["--theta-eps", "1e-6"]])
     def test_fixed_tuning_flags_are_usage_errors(self, tmp_path, capsys, flag):

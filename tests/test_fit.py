@@ -7,6 +7,7 @@ import pytest
 import rtbm.cma
 import rtbm.density
 import rtbm.fit
+import rtbm.theta
 from rtbm.cma import minimize
 from rtbm.errors import FitError, NotPositiveDefiniteError
 from rtbm.fit import (FitConfig, decode, fit_density, free_parameter_count,
@@ -222,6 +223,28 @@ class TestObjective:
         rows = self._count_wide_sums(monkeypatch)
         assert objective(x) == math.inf
         assert rows == [1]          # the normalizer's batch-1 sum only
+
+    def test_infeasible_candidate_computes_no_eigenvalue(self, monkeypatch):
+        # the error the Schur matrix raises is discarded, so its eigenvalue,
+        # quoted only in its message, is never computed
+        data = np.random.default_rng(11).standard_normal((100, 2))
+        objective = make_objective(data, 2, "full")
+        x = np.zeros(14)
+        x[6:10] = [3.0, 0.0, 0.0, 3.0]      # the Schur matrix I - W^T W = -8 I
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        real = rtbm.theta.la.eigvalsh
+        monkeypatch.setattr(rtbm.theta.la, "eigvalsh", counting)
+        assert objective(x) == math.inf
+        assert calls == []
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            rtbm.theta.log_theta_many(np.zeros((1, 2)), -8.0 * np.eye(2))
+        assert str(err.value) == "omega is not positive definite (min eigenvalue ~ -8)"
+        assert err.value.min_eigenvalue == -8.0
+        assert len(calls) == 1
 
     def test_overflowing_candidate_scores_inf(self):
         objective = make_objective(np.zeros((5, 1)), 1, "full")
