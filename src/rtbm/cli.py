@@ -11,21 +11,22 @@ student      generate Student-t samples / evaluate analytic conditionals
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.  Every
 setting comes from its flag.  Every theta sum is certified to the package's
-fixed relative tolerance, 1e-12.  Data and point CSVs with no rows or with
-NaN or infinite values in the columns used, column indices outside a CSV,
-model files with a missing or ill-typed field, non-finite ``--grid`` bounds,
-a ``--grid`` whose dimension count is not the width of the model or of the
-conditional or whose nodes multiply past ``GRID_POINT_CAP``, a ``--count``
-whose draws hold more than ``DRAW_VALUE_CAP`` values, ``--on`` values or
-Student-t parameters, and requests too large to allocate are rejected as
-data errors.
+fixed relative tolerance, 1e-12.  Data and point CSVs with no rows, with
+cells that are not numbers or with NaN or infinite values in the columns
+used, column indices outside a CSV, model files that are not UTF-8 JSON or
+have a missing or ill-typed field, flag items that do not parse, non-finite
+``--grid`` bounds, a ``--grid`` whose dimension count is not the width of the
+model or of the conditional or whose nodes multiply past ``GRID_POINT_CAP``,
+a ``--count`` whose draws hold more than ``DRAW_VALUE_CAP`` values, ``--on``
+values or Student-t parameters, and requests too large to allocate are
+rejected as data errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
 import math
 import re
 import sys
@@ -76,10 +77,18 @@ def _write_csv(path, rows):
     write_atomic(path, write)
 
 
+def _write_density_csv(path, pts, logp):
+    """The density CSV: one row per point, its coordinates, density and log-density."""
+    _write_csv(path, np.column_stack([pts, np.exp(logp), logp]))
+
+
 def _read_csv(path, cols=None):
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:       # a cell that is not a number, among others
+        raise RtbmError(f"{path}: {exc}") from None
     if data.shape[0] == 0:
         raise RtbmError(f"{path}: no data rows")
     if cols is not None:
@@ -96,21 +105,37 @@ def _read_csv(path, cols=None):
     return data
 
 
-def _parse_grid(spec):
-    """Parse 'lo:hi:nodes[,lo:hi:nodes...]' into one (lo, hi, nodes) per dimension."""
-    parts = []
-    for part in spec.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"bad grid component {part!r}, want lo:hi:nodes")
-        lo, hi, nodes = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if nodes < 2 or not lo < hi:
-            raise ValueError(f"bad grid component {part!r}: need lo < hi, nodes >= 2")
-        if not np.isfinite(hi - lo):    # an infinite bound, or a span past the range
-            raise ValueError(f"bad grid component {part!r}: lo, hi and hi - lo "
-                             f"must be finite")
-        parts.append((lo, hi, nodes))
-    return parts
+def _comma_items(spec, parse, what):
+    """``parse`` of each comma-separated item of ``spec``; the ValueError of
+    an item it rejects is re-raised as "``what`` '<item>': <reason>"."""
+    values = []
+    for item in spec.split(","):
+        try:
+            values.append(parse(item))
+        except ValueError as exc:
+            raise ValueError(f"{what} {item!r}: {exc}") from None
+    return values
+
+
+def _number(kind, text):
+    """``kind(text)`` for ``kind`` int or float; a ValueError saying which it is not."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError("not an integer" if kind is int else "not a number") from None
+
+
+def _grid_component(part):
+    """(lo, hi, nodes) of one 'lo:hi:nodes' component of a ``--grid``."""
+    pieces = part.split(":")
+    if len(pieces) != 3:
+        raise ValueError("want lo:hi:nodes")
+    lo, hi, nodes = _number(float, pieces[0]), _number(float, pieces[1]), _number(int, pieces[2])
+    if nodes < 2 or not lo < hi:
+        raise ValueError("need lo < hi, nodes >= 2")
+    if not np.isfinite(hi - lo):    # an infinite bound, or a span past the range
+        raise ValueError("lo, hi and hi - lo must be finite")
+    return lo, hi, nodes
 
 
 def _grid_points(spec, width):
@@ -120,7 +145,7 @@ def _grid_points(spec, width):
     ``width`` and ``GRID_POINT_CAP`` before anything is meshed, so a bad
     request fails naming the flag without allocating its rows.
     """
-    parts = _parse_grid(spec)
+    parts = _comma_items(spec, _grid_component, "bad grid component")
     if len(parts) != width:
         raise ValueError(f"--grid has {len(parts)} dimension(s), expected {width}")
     count = math.prod(nodes for _, _, nodes in parts)
@@ -142,20 +167,18 @@ def _draw_count(count, width):
     return count
 
 
+def _on_component(part):
+    """(index, value) of one 'idx=value' component of an ``--on``."""
+    if "=" not in part:
+        raise ValueError("want idx=value")
+    idx, val = part.split("=", 1)
+    return _number(int, idx), _number(float, val)
+
+
 def _parse_on(spec):
     """Parse 'idx=value[,idx=value...]' into (indices, values)."""
-    indices, values = [], []
-    for part in spec.split(","):
-        if "=" not in part:
-            raise ValueError(f"bad conditioning component {part!r}, want idx=value")
-        idx, val = part.split("=", 1)
-        indices.append(int(idx))
-        values.append(float(val))
-    return indices, values
-
-
-def _parse_cols(spec):
-    return [int(c) for c in spec.split(",")]
+    pairs = _comma_items(spec, _on_component, "bad conditioning component")
+    return [idx for idx, _ in pairs], [val for _, val in pairs]
 
 
 def _seed(text):
@@ -163,17 +186,6 @@ def _seed(text):
     if not re.fullmatch(r"[0-9]+", text.strip()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
-
-
-def _parse_vector(spec):
-    return np.array([float(x) for x in spec.split(",")])
-
-
-def _parse_matrix(spec, n):
-    vals = _parse_vector(spec)
-    if vals.size != n * n:
-        raise ValueError(f"expected {n * n} row-major entries, got {vals.size}")
-    return vals.reshape(n, n)
 
 
 def _load_valid_model(path):
@@ -191,7 +203,8 @@ def _eval_points(args, width):
     if args.grid:
         return _grid_points(args.grid, width)
     if args.points_csv:
-        cols = _parse_cols(args.points_cols) if args.points_cols else None
+        cols = (_comma_items(args.points_cols, functools.partial(_number, int),
+                             "bad --points-cols item") if args.points_cols else None)
         return _read_csv(args.points_csv, cols)
     raise ValueError("one of --grid or --points-csv is required")
 
@@ -200,7 +213,7 @@ def _cmd_fit(args):
     data = _read_csv(args.data)
     config = FitConfig(
         n_h=args.nh, restarts=args.restarts, max_evals=args.max_evals,
-        seed=args.seed, lattice=Lattice(args.lattice))
+        seed=args.seed, lattice=args.lattice)
     start = time.time()
     result = fit_density(data, config)
     wall = time.time() - start
@@ -216,11 +229,7 @@ def _cmd_fit(args):
         "evals": result.evals,
         "wall_time_s": wall,
         "rng": RNG_NAME,
-        "config": {
-            "n_h": config.n_h, "restarts": config.restarts,
-            "max_evals": config.max_evals, "seed": config.seed,
-            "lattice": config.lattice.value,
-        },
+        "config": dataclasses.asdict(config),
     })
     print(f"nll {result.nll:.6f}")
     print(f"model {args.out}")
@@ -234,7 +243,7 @@ def _cmd_density(args):
         logp = log_pdf_many(params, pts)
     except RtbmError as exc:
         raise RtbmError(f"model {args.model}: {exc}") from exc
-    _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
+    _write_density_csv(args.out, pts, logp)
     return 0
 
 
@@ -266,9 +275,13 @@ def _cmd_mse(args):
 
 
 def _student_params(args):
-    mu = _parse_vector(args.mu)
-    sigma = _parse_matrix(args.sigma, mu.size)
-    return StudentTParams(mu=mu, sigma=sigma, nu=args.nu)
+    number = functools.partial(_number, float)
+    mu = np.array(_comma_items(args.mu, number, "bad --mu item"))
+    sigma = np.array(_comma_items(args.sigma, number, "bad --sigma item"))
+    if sigma.size != mu.size ** 2:
+        raise ValueError(f"--sigma: expected {mu.size ** 2} row-major entries, "
+                         f"got {sigma.size}")
+    return StudentTParams(mu=mu, sigma=sigma.reshape(mu.size, mu.size), nu=args.nu)
 
 
 def _cmd_student_sample(args):
@@ -280,9 +293,14 @@ def _cmd_student_sample(args):
 def _cmd_student_conditional(args):
     ct = student_conditional(_student_params(args), *_parse_on(args.on))
     pts = _eval_points(args, ct.loc.size)
-    logp = np.atleast_1d(conditional_logpdf(ct, pts))
-    _write_csv(args.out, np.column_stack([pts, np.exp(logp), logp]))
+    _write_density_csv(args.out, pts, conditional_logpdf(ct, pts))
     return 0
+
+
+def _add_student_flags(p):
+    p.add_argument("--mu", required=True)
+    p.add_argument("--sigma", required=True, help="row-major entries")
+    p.add_argument("--nu", required=True, type=float)
 
 
 def _add_eval_point_flags(p):
@@ -348,18 +366,14 @@ def build_parser():
     p = sub.add_parser("student", help="Student-t reference utilities")
     ssub = p.add_subparsers(dest="action", required=True)
     ps = ssub.add_parser("sample", help="draw Student-t samples")
-    ps.add_argument("--mu", required=True)
-    ps.add_argument("--sigma", required=True, help="row-major entries")
-    ps.add_argument("--nu", required=True, type=float)
+    _add_student_flags(ps)
     ps.add_argument("--count", required=True, type=int)
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=_cmd_student_sample)
     pc = ssub.add_parser("conditional",
                          help="evaluate the analytic conditional density")
-    pc.add_argument("--mu", required=True)
-    pc.add_argument("--sigma", required=True, help="row-major entries")
-    pc.add_argument("--nu", required=True, type=float)
+    _add_student_flags(pc)
     pc.add_argument("--on", required=True, metavar="IDX=VAL[,IDX=VAL...]")
     pc.add_argument("--out", required=True)
     _add_eval_point_flags(pc)
@@ -381,8 +395,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RtbmError, ValueError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (RtbmError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import RtbmError
 from .model import RtbmParams, validate
-from .theta import DEFAULT_EPS, _coords_dot, _coords_inner, log_theta_many
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .theta import _LOG_2PI, DEFAULT_EPS, _coords_dot, _coords_inner, log_theta_many
 
 
 def _logdet_from_chol(chol):
@@ -101,6 +99,7 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
     of the child :func:`condition_on` builds over the parent's.
     """
     _check_valid(params)
+    m = _index(m, "m")
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
     fixed, d, free = free_coordinates(range(m, params.n_v), d, params.n_v)

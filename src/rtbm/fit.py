@@ -43,6 +43,12 @@ class FitConfig:
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, value)
+        try:
+            lattice = Lattice(self.lattice)
+        except ValueError:
+            raise ValueError(f"lattice must be one of {', '.join(l.value for l in Lattice)}, "
+                             f"got {self.lattice!r}") from None
+        object.__setattr__(self, "lattice", lattice)
 
 
 @dataclass(frozen=True)

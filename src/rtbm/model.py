@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .theta import Lattice, spd_cholesky, try_cholesky
+from .theta import Lattice, spd_cholesky
 
 SYMMETRY_ATOL = 1e-10
 SCHUR = "Q - W^T T^-1 W"
@@ -158,13 +158,23 @@ class ValidationReport:
         return "; ".join(v.message for v in self.violations)
 
 
+def _failed_eigenvalue(factor):
+    """None if ``factor()`` factors its matrix, else that matrix's smallest eigenvalue."""
+    try:
+        factor()
+    except NotPositiveDefiniteError as exc:
+        return exc.min_eigenvalue
+    return None
+
+
 def validate(params: RtbmParams) -> ValidationReport:
     """Check symmetry and the three positive-definiteness conditions.
 
-    Every failed rule is reported; nothing is thrown.  The Schur condition
-    on Q - W^T T^{-1} W can only be evaluated once T factors, so it is
-    skipped (with T already reported invalid) otherwise.  A Schur matrix
-    or normalizer argument that overflows violates the Schur condition.
+    Every failed rule is reported; nothing is thrown.  T, Q and the Schur
+    matrix Q - W^T T^{-1} W are factored by :func:`spd_cholesky`; the Schur
+    condition can only be evaluated once T factors, so it is skipped (with
+    T already reported invalid) otherwise.  A Schur matrix or normalizer
+    argument that overflows violates the Schur condition.
     """
     bad = []
     for name, a in (("T", params.t), ("Q", params.q)):
@@ -173,18 +183,16 @@ def validate(params: RtbmParams) -> ValidationReport:
             bad.append(Violation(f"{name.lower()}-asymmetric",
                                  f"{name} asymmetry {asym:.3g} exceeds {SYMMETRY_ATOL}",
                                  asym))
-    lam_t = lam_s = None
-    try:
-        params.chol_t                           # factors T or raises
-    except NotPositiveDefiniteError as exc:
-        lam_t = exc.min_eigenvalue
-    else:
+    lam_s = None
+    lam_t = _failed_eigenvalue(lambda: params.chol_t)
+    if lam_t is None:
         try:
-            lam_s = try_cholesky(params.schur)[1]
+            schur = params.schur                # raises if it overflows
+            lam_s = _failed_eigenvalue(lambda: spd_cholesky(schur, SCHUR))
             params.z_schur                      # raises if it overflows
         except NotPositiveDefiniteError as exc:  # either of them overflowed
             bad.append(Violation("schur-not-positive-definite", str(exc)))
-    lam_q = try_cholesky(params.q)[1]
+    lam_q = _failed_eigenvalue(lambda: spd_cholesky(params.q, "Q"))
     for rule, name, lam in (("t", "T", lam_t), ("q", "Q", lam_q),
                             ("schur", SCHUR, lam_s)):
         if lam is not None:
@@ -260,9 +268,8 @@ def save_model(params: RtbmParams, path):
 
 def load_model(path) -> RtbmParams:
     """Read a model file; a malformed one raises RtbmError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        return from_dict(doc)
-    except ValueError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except ValueError as exc:       # JSON and UTF-8 decoding errors among them
         raise RtbmError(f"model {path}: {exc}") from None

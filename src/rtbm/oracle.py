@@ -14,7 +14,8 @@ import scipy.linalg as la
 from scipy.special import gammaln
 
 from .density import _draw_request, as_points, free_coordinates
-from .model import spd_cholesky
+from .model import SYMMETRY_ATOL
+from .theta import spd_cholesky, sym
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class StudentTParams:
         for name, value in (("mu", mu), ("sigma", sigma)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        if np.abs(sigma - sigma.T).max() > 1e-10:
+        if np.abs(sigma - sigma.T).max() > SYMMETRY_ATOL:
             raise ValueError("sigma must be symmetric")
         if not (np.isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"nu must be finite and positive, got {self.nu}")
@@ -93,7 +94,7 @@ def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTPara
     loc = tp.mu[free] + s12.T @ solve_dev
     schur = s22 - s12.T @ la.cho_solve((chol11, True), s12)
     scale = (tp.nu + d1) / (tp.nu + p1) * schur
-    return ConditionalTParams(loc=loc, scale=0.5 * (scale + scale.T), df=tp.nu + p1)
+    return ConditionalTParams(loc=loc, scale=sym(scale), df=tp.nu + p1)
 
 
 def conditional_logpdf(ct: ConditionalTParams, x2) -> np.ndarray | float:

@@ -126,9 +126,7 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   floats and each further one in about two dozen calls.  Over the
   captured matrices of the two seeded benchmark fits (a shared 2-vCPU
   x86-64 host, each matrix's best of seven passes), construction and
-  first enumeration take 108 us at h = 3 and 77 us at h = 2, about two
-  thirds of the 155 and 113 us they took with a second check and a
-  gather per quantity.
+  first enumeration take 108 us at h = 3 and 77 us at h = 2.
   The per-row work - the maximizer Omega^-1 z, its rounding c,
   g = z - Omega c and the term at c - reads each coordinate of the batch
   as one contiguous row of B values and sums over the coordinates in index
@@ -601,24 +599,6 @@ def _min_eigenvalue(s):
     return float(la.eigvalsh(s)[0])
 
 
-def _symmetrized(a):
-    s = sym(np.asarray(a, dtype=float))
-    if not np.isfinite(s).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return s
-
-
-def try_cholesky(a):
-    """(lower factor, None) on success, (None, min eigenvalue) on failure.
-
-    The matrix is symmetrized first so downstream factorizations are
-    deterministic regardless of sub-tolerance asymmetry in the input.
-    """
-    s = _symmetrized(a)
-    chol = _factor(s)
-    return (chol, None) if chol is not None else (None, _min_eigenvalue(s))
-
-
 def _require(s, name):
     """:func:`_factor` of ``s``; NotPositiveDefiniteError naming ``name`` if none.
 
@@ -633,15 +613,23 @@ def _require(s, name):
 
 
 def spd_cholesky(a, name):
-    """Lower Cholesky factor of a symmetrized matrix; loud failure."""
-    return _require(_symmetrized(a), name)
+    """Lower Cholesky factor of ``a`` symmetrized by :func:`sym`, the one way
+    to factor a matrix outside the theta kernel.
+
+    A non-finite ``a`` is a ValueError; one that is not positive definite
+    is :func:`_require`'s NotPositiveDefiniteError naming ``name``.
+    """
+    s = sym(np.asarray(a, dtype=float))
+    if not np.isfinite(s).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _require(s, name)
 
 
 def _cholesky_inverse(chol):
     """Omega^-1 from the lower Cholesky factor of Omega (LAPACK ``dpotri``).
 
     ``dpotri`` writes the inverse's lower triangle over a copy of the factor
-    and leaves its upper triangle, zero in the factors :func:`try_cholesky`
+    and leaves its upper triangle, zero in the factors :func:`_factor`
     returns, so adding the transpose mirrors the lower triangle and doubles
     only the diagonal, which is then put back.
     """
@@ -948,7 +936,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         raise ThetaTruncationError(
             f"{int(failed.sum())} of {nb} lattice sums not converged: eps={eps:g} "
             f"needs up to {bounds.max():.4g} lattice points, above the work cap "
-            f"of {_WORK_CAP} (min eigenvalue {np.linalg.eigvalsh(omega)[0]:.6g})")
+            f"of {_WORK_CAP} (min eigenvalue {_min_eigenvalue(omega):.6g})")
     if collect_terms:
         owner, points, terms = _own_terms(zs, omega, chol, nhat_own, reach, best, orthant)
         return _segment_log_sums(owner, terms, 1), points, terms

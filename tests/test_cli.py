@@ -614,12 +614,75 @@ class TestMalformedModelFile:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"0.1,0.2\n0.3,0.4\n", "Extra data: line 1 column 4 (char 3)"),
+        (b'{"nv": \xff}', "'utf-8' codec can't decode byte 0xff in position 7"),
+    ], ids=["csv", "not-utf-8"])
+    def test_unparsable_file_is_named(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        out = tmp_path / "d.csv"
+        code = run_command(["density", "--model", str(path), "--grid", "-1:1:3,-1:1:3",
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: model {path}: {reason}")
+        assert not out.exists()
+
     def test_load_model_raises_rtbm_error(self, tmp_path):
         from rtbm.errors import RtbmError
         path = tmp_path / "bad.json"
         path.write_text('{"nv": 2, "nh": 1}')
         with pytest.raises(RtbmError, match="missing field 'T'"):
             load_model(path)
+
+
+class TestMalformedInputsAreNamed:
+    @pytest.mark.parametrize("command", ["density", "fit", "mse-ref", "mse-cand"])
+    def test_non_numeric_csv_cell(self, model_path, tmp_path, capsys, command):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0.1,0.2\n0.3,0.4\n")
+        bad.write_text("0.1,0.2\n0.3,x\n")
+        out = tmp_path / "out.csv"
+        argv = {"density": ["density", "--model", str(model_path), "--points-csv", str(bad),
+                            "--out", str(out)],
+                "fit": ["fit", "--data", str(bad), "--nh", "1", "--out", str(out)],
+                "mse-ref": ["mse", "--ref", str(bad), "--cand", str(good)],
+                "mse-cand": ["mse", "--ref", str(good), "--cand", str(bad)]}[command]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        # the rest of the message is numpy's
+        assert err.startswith(f"error: {bad}: ") and "'x'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["density", "--points-csv", "{pts}", "--points-cols", "a"],
+         "bad --points-cols item 'a': not an integer"),
+        (["density", "--points-csv", "{pts}", "--points-cols", "0,"],
+         "bad --points-cols item '': not an integer"),
+        (["conditional", "--on", "x=1"], "bad conditioning component 'x=1': not an integer"),
+        (["conditional", "--on", "0=a"], "bad conditioning component '0=a': not a number"),
+        (["conditional", "--on", "0:-2"], "bad conditioning component '0:-2': want idx=value"),
+        (["density", "--grid", "a:1:3,0:1:3"], "bad grid component 'a:1:3': not a number"),
+        (["density", "--grid", "-1:1:2.5"], "bad grid component '-1:1:2.5': not an integer"),
+        (["density", "--grid", "-1:1"], "bad grid component '-1:1': want lo:hi:nodes"),
+        (["student", "sample", "--mu", "0,a", "--sigma", "2,-1,-1,4", "--nu", "6",
+          "--count", "5"], "bad --mu item 'a': not a number"),
+        (["student", "sample", "--mu", "0,0", "--sigma", "2,-1,b,4", "--nu", "6",
+          "--count", "5"], "bad --sigma item 'b': not a number"),
+        (["student", "sample", "--mu", "0,0", "--sigma", "2,-1,-1", "--nu", "6",
+          "--count", "5"], "--sigma: expected 4 row-major entries, got 3"),
+    ], ids=["points-cols", "points-cols-empty", "on-index", "on-value", "on-syntax",
+            "grid-bound", "grid-nodes", "grid-syntax", "mu", "sigma", "sigma-count"])
+    def test_bad_flag_item(self, model_path, tmp_path, capsys, flags, message):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.1,0.2\n0.3,0.4\n")
+        out = tmp_path / "out.csv"
+        argv = [flag.format(pts=pts) for flag in flags]
+        if argv[0] != "student":
+            argv[1:1] = ["--model", str(model_path)]
+        assert run_command(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestIndicesOutOfRange:

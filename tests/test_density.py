@@ -223,6 +223,10 @@ class TestLogMarginal:
                                match="^conditioning value at index 1 is not finite$"):
                 log_marginal(p, 1, [math.inf])
 
+    def test_non_integer_m_is_named(self, tfit_params):
+        with pytest.raises(ValueError, match="^m 1.0 is not an integer$"):
+            log_marginal(tfit_params, 1.0, [0.5])
+
     def test_rejects_empty_free_block(self, tfit_params):
         with pytest.raises(ValueError):
             log_marginal(tfit_params, 2, [])

@@ -107,6 +107,13 @@ class TestFitConfig:
         assert (config.n_h, config.restarts, config.seed) == (2, 3, 4)
         assert type(config.n_h) is int and type(config.seed) is int
 
+    def test_lattice_is_converted_and_checked(self):
+        assert FitConfig(n_h=1, lattice="nonneg").lattice is Lattice.NONNEG
+        # refused on construction, not by the first objective call of a fit
+        with pytest.raises(ValueError, match="^lattice must be one of full, nonneg, "
+                                             "got 'bogus'$"):
+            FitConfig(n_h=1, lattice="bogus")
+
 
 class TestEncodeDecode:
     def test_vector_length(self):

@@ -10,6 +10,12 @@ from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
 from rtbm.theta import Lattice
 
 
+# CONSTRUCTED_2D_BAD_Q with the sign of its bad diagonal entry flipped: Q is
+# positive definite, but its Schur matrix with CONSTRUCTED_2D's T and W is not
+CORRECTED_2D_Q = np.array(CONSTRUCTED_2D_BAD_Q)
+CORRECTED_2D_Q[3, 3] = 5.54
+
+
 class TestValidate:
     def test_tfit_fixture_is_valid(self, tfit_params):
         report = validate(tfit_params)
@@ -71,6 +77,54 @@ class TestValidate:
                        bh=[0.0, 0.0])
         report = validate(p)
         assert [v.rule for v in report.violations] == ["schur-not-positive-definite"]
+
+    @pytest.mark.parametrize("params, text, pairs", [
+        (dict(t=[[1.0, 2.0], [2.0, 1.0]], q=[[1.0]], w=[[0.1], [0.2]], bv=[0.0, 0.0],
+              bh=[0.0]),
+         "T not positive definite (min eigenvalue ~ -1)",
+         [("t-not-positive-definite", -1.0)]),
+        (dict(CONSTRUCTED_2D, q=CONSTRUCTED_2D_BAD_Q),
+         "Q not positive definite (min eigenvalue ~ -7.70574); "
+         "Q - W^T T^-1 W not positive definite (min eigenvalue ~ -11.8198)",
+         [("q-not-positive-definite", -7.7057356055186235),
+          ("schur-not-positive-definite", -11.819846464855653)]),
+        (dict(CONSTRUCTED_2D, q=CORRECTED_2D_Q),
+         "Q - W^T T^-1 W not positive definite (min eigenvalue ~ -1.58918)",
+         [("schur-not-positive-definite", -1.5891824549029048)]),
+        (dict(t=[[1.0, 1e-6], [0.0, 1.0]], q=[[1.0]], w=[[0.0], [0.0]], bv=[0.0, 0.0],
+              bh=[0.0]),
+         "T asymmetry 1e-06 exceeds 1e-10",
+         [("t-asymmetric", 1e-6)]),
+        (dict(t=[[1.0]], q=[[1.0]], w=[[1e200]], bv=[0.0], bh=[0.0]),
+         "Q - W^T T^-1 W is not finite (overflow)",
+         [("schur-not-positive-definite", None)]),
+        (dict(t=[[1e-200]], q=[[1.0]], w=[[1e-110]], bv=[1e200], bh=[0.0]),
+         "bh - W^T T^-1 bv (the theta argument over Q - W^T T^-1 W) is not finite "
+         "(overflow)",
+         [("schur-not-positive-definite", None)]),
+        # the Schur matrix is 1 - 100 and its argument overflows: both are reported
+        (dict(t=[[1e-200]], q=[[1.0]], w=[[1e-99]], bv=[1e200], bh=[0.0]),
+         "bh - W^T T^-1 bv (the theta argument over Q - W^T T^-1 W) is not finite "
+         "(overflow); Q - W^T T^-1 W not positive definite (min eigenvalue ~ -99)",
+         [("schur-not-positive-definite", None), ("schur-not-positive-definite", -99.0)]),
+        (dict(t=[[1.0, 1e-6], [0.0, -2.0]], q=[[-3.0, 0.0], [1e-5, 1.0]],
+              w=np.zeros((2, 2)), bv=[0.0, 0.0], bh=[0.0, 0.0]),
+         "T asymmetry 1e-06 exceeds 1e-10; Q asymmetry 1e-05 exceeds 1e-10; "
+         "T not positive definite (min eigenvalue ~ -2); "
+         "Q not positive definite (min eigenvalue ~ -3)",
+         [("t-asymmetric", 1e-6), ("q-asymmetric", 1e-5),
+          ("t-not-positive-definite", -2.0000000000000835),
+          ("q-not-positive-definite", -3.0000000000062497)]),
+    ], ids=["indefinite-t", "indefinite-q", "indefinite-schur", "asymmetric-t",
+            "overflowing-schur", "overflowing-schur-argument",
+            "indefinite-schur-overflowing-argument", "every-rule-but-schur"])
+    def test_report_text_rules_and_values(self, params, text, pairs):
+        report = validate(RtbmParams(**params))
+        assert str(report) == text
+        assert [v.rule for v in report.violations] == [rule for rule, _ in pairs]
+        for violation, (_, value) in zip(report.violations, pairs):
+            expected = None if value is None else pytest.approx(value, rel=1e-12)
+            assert violation.value == expected
 
     def test_asymmetry_reported(self):
         t = np.array([[1.0, 1e-6], [0.0, 1.0]])

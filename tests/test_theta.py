@@ -206,20 +206,20 @@ class TestErrors:
     def test_cholesky_matches_scipy_and_fails_as_it_did(self, h):
         import scipy.linalg as la
 
-        from rtbm.theta import sym, try_cholesky
+        from rtbm.theta import spd_cholesky, sym
 
         rng = np.random.default_rng(80 + h)
         for _ in range(20):
             a = random_spd(rng, h, 1e-3, 1e3) + 1e-9 * rng.standard_normal((h, h))
-            chol, lam = try_cholesky(a)
-            assert lam is None
+            chol = spd_cholesky(a, "A")
             np.testing.assert_array_equal(chol, la.cholesky(sym(a), lower=True))
         indefinite = random_spd(rng, h, -2.0, -1.0)
-        chol, lam = try_cholesky(indefinite)
-        assert chol is None and lam == np.linalg.eigvalsh(indefinite)[0]
+        with pytest.raises(NotPositiveDefiniteError, match="A is not positive definite") as exc:
+            spd_cholesky(indefinite, "A")
+        assert exc.value.min_eigenvalue == np.linalg.eigvalsh(indefinite)[0]
         indefinite[0, -1] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            try_cholesky(indefinite)
+            spd_cholesky(indefinite, "A")
 
     @pytest.mark.parametrize("zs, omega", [
         (np.ones((3, 1)), 3.0 * np.eye(2)),
