@@ -88,7 +88,10 @@ def _read_csv(path, cols=None):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:       # a cell that is not a number, among others
-        raise RtbmError(f"{path}: {exc}") from None
+        # numpy counts this message's rows from 0; the NaN check below counts from 1
+        message = re.sub(r"at row (\d+), column",
+                         lambda m: f"at row {int(m[1]) + 1}, column", str(exc))
+        raise RtbmError(f"{path}: {message}") from None
     if data.shape[0] == 0:
         raise RtbmError(f"{path}: no data rows")
     if cols is not None:
@@ -190,7 +193,8 @@ def _seed(text):
 
 def _load_valid_model(path):
     params = load_model(path)
-    report = validate(params)
+    # kept where condition_on looks for it, so a model is validated once
+    report = params.memo["report"] = validate(params)
     if not report.valid:
         raise RtbmError(f"model {path} is invalid: {report}")
     return params

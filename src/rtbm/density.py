@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import RtbmError
 from .model import RtbmParams, validate
-from .theta import _LOG_2PI, DEFAULT_EPS, _coords_dot, _coords_inner, log_theta_many
+from .theta import _LOG_2PI, _coords_dot, _coords_inner, log_theta_many
 
 
 def _logdet_from_chol(chol):
@@ -41,7 +41,7 @@ def log_normalizer(params: RtbmParams) -> float:
     memo = params.memo
     if "log_normalizer" not in memo:
         memo["log_normalizer"] = log_theta_many(
-            params.z_schur[None, :], params.schur, params.lattice, DEFAULT_EPS)[0]
+            params.z_schur[None, :], params.schur, params.lattice)[0]
     return memo["log_normalizer"]
 
 
@@ -76,7 +76,7 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
         half_quad = _coords_inner(sq, sq)
         half_quad *= 0.5
     half_quad[np.isnan(half_quad)] = np.inf
-    log_num = log_theta_many(z_num.T, params.q, params.lattice, DEFAULT_EPS)
+    log_num = log_theta_many(z_num.T, params.q, params.lattice)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     log_num = np.where(np.isinf(half_quad), 0.0, log_num)

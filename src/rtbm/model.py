@@ -132,8 +132,9 @@ class RtbmParams:
     @cached_property
     def memo(self) -> dict:
         """Values derived from this model and kept on it: ``density``'s log
-        normalizer and validation report, and ``sampling``'s draw table (the
-        inverse-CDF cdf and the K component means), each built on first use."""
+        normalizer, the validation report (made by ``density`` or by the CLI
+        that loaded the model), and ``sampling``'s draw table (the inverse-CDF
+        cdf and the K component means), each built on first use."""
         return {}
 
 

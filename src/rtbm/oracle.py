@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .density import _draw_request, as_points, free_coordinates
-from .model import SYMMETRY_ATOL
+from .density import _draw_request, _logdet_from_chol, as_points, free_coordinates
+from .model import SYMMETRY_ATOL, _cho_solve
 from .theta import spd_cholesky, sym
 
 
@@ -62,7 +62,7 @@ def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
     chol = spd_cholesky(tp.sigma, "sigma")
     dev = la.solve_triangular(chol, (x - tp.mu).T, lower=True).T
     maha = np.square(dev).sum(axis=1)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    logdet = _logdet_from_chol(chol)
     half = 0.5 * (tp.nu + tp.p)
     out = (gammaln(half) - gammaln(0.5 * tp.nu)
            - 0.5 * tp.p * np.log(tp.nu * np.pi) - 0.5 * logdet
@@ -89,10 +89,10 @@ def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTPara
     s22 = tp.sigma[np.ix_(free, free)]
     chol11 = spd_cholesky(s11, "sigma11")
     dev = x1 - tp.mu[indices]
-    solve_dev = la.cho_solve((chol11, True), dev)
+    solve_dev = _cho_solve(chol11, dev)
     d1 = float(dev @ solve_dev)
     loc = tp.mu[free] + s12.T @ solve_dev
-    schur = s22 - s12.T @ la.cho_solve((chol11, True), s12)
+    schur = s22 - s12.T @ _cho_solve(chol11, s12)
     scale = (tp.nu + d1) / (tp.nu + p1) * schur
     return ConditionalTParams(loc=loc, scale=sym(scale), df=tp.nu + p1)
 

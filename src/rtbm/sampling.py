@@ -6,9 +6,9 @@ exp(-n^T (Q - W^T T^-1 W) n / 2 + (bh - W^T T^-1 bv)^T n), mean
 T^-1 (W n - bv) and covariance T^-1.  The hidden states are the lattice
 points of the normalizer argument's own certified ellipsoid, which the
 theta kernel enumerates about its maximizer (``collect_terms``); their
-omitted mass is below the package's relative tolerance
-``theta.DEFAULT_EPS`` (1e-12), so sampling is inverse-CDF over a finite
-categorical plus one Gaussian draw.
+omitted mass is below the relative tolerance 1e-12 of every theta sum,
+so sampling is inverse-CDF over a finite categorical plus one Gaussian
+draw.
 
 The draw table (the inverse-CDF ``cdf`` and the K component means) is built
 on a model's first draw and kept in ``params.memo``, so repeated draws from
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .density import _draw_request, as_points, free_coordinates
+from .density import _draw_request, _index, as_points, free_coordinates
 from .errors import InsufficientSamplesError
 from .model import RtbmParams, _cho_solve
-from .theta import DEFAULT_EPS, log_theta_many
+from .theta import log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
 MAX_COUNTED_STATES = 32     # most hidden states whose index is counted (in a uint8), not searched
@@ -56,8 +56,7 @@ class HiddenDistribution:
 def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
     """Hidden-state probabilities over the normalizer argument's own certified ellipsoid."""
     total, points, terms = log_theta_many(
-        params.z_schur[None, :], params.schur, params.lattice, DEFAULT_EPS,
-        collect_terms=True)
+        params.z_schur[None, :], params.schur, params.lattice, collect_terms=True)
     log_w = terms - total[0]
     order = np.lexsort(points.T[::-1])  # deterministic point order
     points = points[order]
@@ -156,7 +155,9 @@ def _resolve_edges(data_column, spec):
         if edges.ndim != 1 or edges.shape[0] < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("explicit edges must be strictly increasing")
         return edges
-    nbins = 60 if spec is None else int(spec)
+    nbins = 60 if spec is None else _index(spec, "bins")
+    if nbins < 1:
+        raise ValueError(f"bins must be at least 1, got {nbins}")
     lo, hi = np.percentile(data_column, [0.5, 99.5])
     if hi <= lo:
         raise ValueError("degenerate bin range")
@@ -166,7 +167,9 @@ def _resolve_edges(data_column, spec):
 def make_histogram(samples, bins=None) -> Histogram:
     """Histogram 1D or 2D samples; bins = per-dim count, edges, or None.
 
-    ``None`` means 60 bins per axis over the central 99% sample range.
+    ``None`` means 60 bins per axis over the central 99% sample range.  A
+    count that is not an integer of at least 1, or a per-dim list whose
+    length is not the dimension count, is a ValueError naming ``bins``.
     """
     samples = as_points(samples)
     if samples.shape[1] not in (1, 2):
@@ -176,6 +179,8 @@ def make_histogram(samples, bins=None) -> Histogram:
     ndim = samples.shape[1]
     if bins is None or np.ndim(bins) == 0:
         bins = [bins] * ndim
+    if len(bins) != ndim:
+        raise ValueError(f"bins has {len(bins)} item(s) for {ndim} dimension(s)")
     edges = tuple(_resolve_edges(samples[:, i], bins[i]) for i in range(ndim))
     counts, _ = np.histogramdd(samples, bins=edges)
     inside = counts.sum()
@@ -194,11 +199,12 @@ def empirical_conditional(samples, cond_indices, cond_values,
     Checks the request with :func:`rtbm.density.free_coordinates`, keeps
     rows with |sample[idx] - value| <= window at each conditioned index, and
     histograms the one or two free coordinates.  Needs 100 surviving rows.
+    A ``window`` that is not positive and finite is a ValueError naming it.
     """
     samples = as_points(samples)
     fixed, values, free = free_coordinates(cond_indices, cond_values, samples.shape[1])
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not (window > 0 and np.isfinite(window)):
+        raise ValueError(f"window must be positive and finite, got {window}")
     mask = np.ones(samples.shape[0], dtype=bool)
     for i, val in zip(fixed, values):
         mask &= np.abs(samples[:, i] - val) <= window

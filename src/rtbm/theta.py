@@ -19,11 +19,11 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   1417-1442, whose packing count ((2r + rho) / rho)^h with rho = min L_ii
   this count never exceeds).  Every sum is at least its term at the
   rounded maximizer, so solving that bound for R certifies the relative
-  tolerance ``eps``.
+  tolerance ``EPS``.
 * Ellipsoid.  The offsets k from each row's rounded maximizer with
   k^T Omega k <= (R + rho_half)^2, rho_half bounding |L^T u| over the
   rounding errors u, contain every row's own ellipsoid.  They depend only
-  on (Omega, eps), are enumerated once by the Fincke-Pohst recursion over
+  on Omega, are enumerated once by the Fincke-Pohst recursion over
   the Cholesky factor (Fincke and Pohst, "Improved methods for calculating
   vectors of short length in a lattice", Math. Comp. 44 (1985) 463-471),
   and every row is evaluated against them in blocked products.  On the
@@ -47,11 +47,11 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   and Klein, "Efficient computation of multidimensional theta functions",
   J. Geom. Phys. 141 (2019), arXiv:1701.07486, also take.  The dual
   weights are the primal terms of Omega' at z = 0, so the bound above,
-  with tolerance eps / 2 and no rounding, certifies their omitted mass,
+  with tolerance EPS / 2 and no rounding, certifies their omitted mass,
   and their points do not depend on z.  The cosine sum is at least 1 - s,
   s the off-origin weight, which a product of 1-D theta values over the
   pivots of Omega' bounds; the dual form is used only when that bound is
-  at most 1/2, so its relative error stays at most eps, and only when its
+  at most 1/2, so its relative error stays at most EPS, and only when its
   point bound is below the primal's and the cap.  The choice is made once
   per kernel, before anything is enumerated; small matrices, whose primal
   ellipsoid is large, take the dual.  Per row the sum is z.nhat / 2 plus
@@ -102,12 +102,12 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   from the candidate's wide numerator kernel, whose tables save about
   0.8 ms.  The dual form, the orthant lattice and the collected row keep
   their sums.
-* Prepared kernels.  What depends only on Omega, the lattice and eps - the
+* Prepared kernels.  What depends only on Omega and the lattice - the
   Cholesky factor, Omega^-1 (from the factor, by LAPACK ``dpotri``), the
   radius, the shared point bound, the one form its rows take (dual, or
   primal with separable tables where they apply) and, from that form's
   second use on, its offsets and tables - is kept in one module-level LRU
-  keyed by Omega's exact bytes and shape, the lattice and eps; the kernel
+  keyed by Omega's exact bytes and shape and the lattice; the kernel
   sums (Omega + Omega^T) / 2.  It holds at most 32 kernels and at most
   2^21 kept offsets and table entries in total.  Conditioning changes only
   the theta arguments, so every conditional of one model sums over the
@@ -135,7 +135,7 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   (rows x points) blocks of about 2^14 elements (one row at least) from
   these rows.
 
-The tolerance must be finite with 0 < eps <= 1e-3 (:func:`check_eps`).
+Every sum is certified to the one relative tolerance ``EPS`` (1e-12).
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ from scipy.special import gammainccinv, gammaln
 
 from .errors import NotPositiveDefiniteError, ThetaTruncationError
 
-DEFAULT_EPS = 1e-12
-MAX_EPS = 1e-3
+EPS = 1e-12              # relative truncation tolerance of every sum
 _WORK_CAP = 1 << 21      # most lattice points enumerated at once, and kept at once
 _KERNEL_CAP = 32         # most prepared kernels kept at once
 _BLOCK = 1 << 14         # elements of a direct or dual sum's (rows x points) block, reused
@@ -166,7 +165,7 @@ _LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _DUAL_SCALE = 4.0 * np.pi ** 2    # Omega' = 4 pi^2 Omega^-1
 
-# Prepared kernels by (Omega bytes, shape, lattice, eps), least recently used first.
+# Prepared kernels by (Omega bytes, shape, lattice), least recently used first.
 _KERNELS = OrderedDict()
 _KERNELS_LOCK = threading.Lock()
 _TABLE_WORK = threading.local()   # each thread's work array for separable sums
@@ -177,14 +176,6 @@ class Lattice(str, Enum):
 
     FULL = "full"      # all integer vectors
     NONNEG = "nonneg"  # vectors with nonnegative integer entries
-
-
-def check_eps(eps) -> float:
-    """``eps`` as a float; ValueError unless 0 < eps <= 1e-3 (NaN fails too)."""
-    eps = float(eps)
-    if not 0.0 < eps <= MAX_EPS:
-        raise ValueError(f"eps must lie in (0, {MAX_EPS:g}], got {eps}")
-    return eps
 
 
 @functools.cache
@@ -216,7 +207,7 @@ def _certified_radius(pivots, log_rel):
     maximum, minimum = (np.maximum, np.minimum) if isinstance(log_rel, np.ndarray) else (max, min)
     h = pivots.size
     a = 0.5 * h + 1.0
-    r0 = np.sqrt(-2.0 * log_rel)      # above 3.7, as every log_rel is at most log 1e-3
+    r0 = np.sqrt(-2.0 * log_rel)      # above 7.4, as every log_rel is at most log EPS
     log_count = np.add.reduce(np.log(2.0 / pivots + (1.0 / r0)[..., None]), axis=-1)
     # the extra factor 2 absorbs the rounding of the inverse
     log_y = minimum(log_rel - log_count - 0.5 * h * _LOG_2 - _log_gamma(h) - _LOG_2, 0.0)
@@ -679,14 +670,14 @@ def _off_origin_bound(lengths_sq):
     return bound - 1.0
 
 
-def _dual_form(omega, omega_inv, eps, primal_bound):
+def _dual_form(omega, omega_inv, primal_bound):
     """The :class:`_Dual` of a full-lattice sum, or None where it is not used.
 
     The dual weights exp(-k^T Omega' k / 2) are the primal terms of Omega'
     at z = 0, so :func:`_certified_radius` bounds their omitted mass by
-    eps / 2.  The dual is used only when :func:`_off_origin_bound` is at
+    EPS / 2.  The dual is used only when :func:`_off_origin_bound` is at
     most 1/2, so that the cosine sum is at least 1/2 and the relative error
-    at most eps, and when its point bound is below the primal's and the cap.
+    at most EPS, and when its point bound is below the primal's and the cap.
     """
     # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is formed or factored
     if _off_origin_bound(_DUAL_SCALE * omega_inv.diagonal()) > 0.5:
@@ -700,7 +691,7 @@ def _dual_form(omega, omega_inv, eps, primal_bound):
     pivots = chol.diagonal()
     if _off_origin_bound(pivots ** 2) > 0.5:
         return None
-    radius = _certified_radius(pivots, np.log(eps) - _LOG_2)
+    radius = _certified_radius(pivots, np.log(EPS) - _LOG_2)
     spans = 2.0 * radius * np.sqrt(omega.diagonal()) / (2.0 * np.pi)
     bound = _point_bounds(pivots, radius, spans)
     if bound >= min(primal_bound, _WORK_CAP):
@@ -744,7 +735,7 @@ def _dual_log_sums(nhat, cols, weights):
 
 
 class _Kernel:
-    """What a sum needs that depends only on Omega, the lattice and eps.
+    """What a sum needs that depends only on Omega and the lattice.
 
     Holds the Cholesky factor, Omega^-1, the certified radius of the shared
     ellipsoid and the bound on its point count, and the one form its rows
@@ -757,7 +748,7 @@ class _Kernel:
     Raises NotPositiveDefiniteError if Omega is not positive definite.
     """
 
-    def __init__(self, omega, lattice, eps):
+    def __init__(self, omega, lattice):
         self.omega = omega
         self.chol = _require(omega, "omega")     # omega is symmetrized and finite
         self.omega_inv = _cholesky_inverse(self.chol)
@@ -768,14 +759,13 @@ class _Kernel:
         # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
         signs = _corner_signs(omega.shape[0])
         rho_half = 0.5 * np.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", signs, omega, signs)))
-        self.log_eps = np.log(eps)
-        self.radius = _certified_radius(self.pivots, self.log_eps - 0.5 * rho_half ** 2) \
+        self.radius = _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) \
             + rho_half
         self.widths = np.sqrt(self.omega_inv.diagonal())
         self.bound = _point_bounds(self.pivots, self.radius, 2.0 * self.radius * self.widths)
         self.dual = None
         if lattice is Lattice.FULL:
-            self.dual = _dual_form(omega, self.omega_inv, eps, self.bound)
+            self.dual = _dual_form(omega, self.omega_inv, self.bound)
         self.lattice = lattice
         self.kept = None
         self.used = False
@@ -822,9 +812,9 @@ class _Kernel:
         return kept
 
 
-def _kernel(omega, lattice, eps):
-    """The prepared kernel for (Omega, lattice, eps), from the cache or new."""
-    key = (omega.tobytes(), omega.shape, lattice, eps)
+def _kernel(omega, lattice):
+    """The prepared kernel for (Omega, lattice), from the cache or new."""
+    key = (omega.tobytes(), omega.shape, lattice)
     with _KERNELS_LOCK:
         kernel = _KERNELS.get(key)
         if kernel is not None:
@@ -832,7 +822,7 @@ def _kernel(omega, lattice, eps):
             return kernel
     omega = sym(omega)          # keyed by the caller's bytes, summed symmetrized
     omega.setflags(write=False)
-    kernel = _Kernel(omega, lattice, eps)
+    kernel = _Kernel(omega, lattice)
     with _KERNELS_LOCK:
         _KERNELS[key] = kernel
         if len(_KERNELS) > _KERNEL_CAP:
@@ -840,8 +830,7 @@ def _kernel(omega, lattice, eps):
     return kernel
 
 
-def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
-                   collect_terms=False):
+def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
     """Evaluate log tilde-theta for a batch of arguments sharing one Omega.
 
     Parameters
@@ -850,28 +839,27 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     omega : (h, h) matrix whose symmetric part (Omega + Omega^T) / 2, the
         matrix that is summed, is positive definite.
     lattice : which lattice to sum over.
-    eps : relative truncation tolerance, 0 < eps <= 1e-3.
     collect_terms : if True (batch size 1 only), also return the lattice
         points of the row's own certified ellipsoid and their log-terms, for
         mixture-weight extraction.
 
     Returns
     -------
-    (B,) array of log-sums, or ``(logsum, points, logterms)`` when
-    ``collect_terms`` is set.
+    (B,) array of log-sums, each to the relative tolerance ``EPS``, or
+    ``(logsum, points, logterms)`` when ``collect_terms`` is set.
 
     Raises
     ------
     NotPositiveDefiniteError
         If the symmetric part of omega is not positive definite.
     ThetaTruncationError
-        If certifying ``eps`` needs more lattice points than the work cap
+        If certifying ``EPS`` needs more lattice points than the work cap
         in the form used (the primal one when the dual is not certified or
         not cheaper); this is checked before the points are allocated, and
         the sum is never silently truncated.
     ValueError
-        If ``eps`` is out of range, an argument is not finite, omega is not
-        square, or ``zs`` is not (B, h) for omega's size h.
+        If an argument is not finite, omega is not square, or ``zs`` is not
+        (B, h) for omega's size h.
     """
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     omega = np.asarray(omega, dtype=float)
@@ -879,12 +867,11 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
         raise ValueError(f"zs {zs.shape} and omega {omega.shape} are not (B, h) and (h, h)")
     nb = zs.shape[0]
     lattice = Lattice(lattice)
-    eps = check_eps(eps)
     if collect_terms and nb != 1:
         raise ValueError("collect_terms requires a single argument vector")
     if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
         raise ValueError("theta arguments must be finite")
-    kernel = _kernel(omega, lattice, eps)
+    kernel = _kernel(omega, lattice)
     omega, chol = kernel.omega, kernel.chol
 
     # The set-up reads each coordinate as one contiguous row of B values and
@@ -925,7 +912,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
             best = _orthant_ascent(zs_own, omega, np.maximum(best, 0.0))
         u = nhat_own - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
-        reach = np.maximum(_certified_radius(kernel.pivots, kernel.log_eps - 0.5 * dist ** 2),
+        reach = np.maximum(_certified_radius(kernel.pivots, np.log(EPS) - 0.5 * dist ** 2),
                            dist)        # radius of each row's own points
         upper = nhat_own + reach[:, None] * kernel.widths
         lower = np.maximum(nhat_own - reach[:, None] * kernel.widths,
@@ -934,7 +921,7 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, eps=DEFAULT_EPS,
     failed = bounds > _WORK_CAP
     if failed.any():
         raise ThetaTruncationError(
-            f"{int(failed.sum())} of {nb} lattice sums not converged: eps={eps:g} "
+            f"{int(failed.sum())} of {nb} lattice sums not converged: eps={EPS:g} "
             f"needs up to {bounds.max():.4g} lattice points, above the work cap "
             f"of {_WORK_CAP} (min eigenvalue {_min_eigenvalue(omega):.6g})")
     if collect_terms:

@@ -319,6 +319,21 @@ class TestConditionalCommand:
                             "--on", "0:-2", "--out",
                             str(tmp_path / "c.json")]) == 1
 
+    def test_model_is_validated_once(self, model_path, tmp_path, monkeypatch):
+        import rtbm.density
+        reports = []
+
+        def counted(params):
+            reports.append(params)
+            return validate(params)
+
+        # the command checks the model it loads, condition_on the parent it conditions
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(rtbm.density, "validate", counted)
+        assert run_command(["conditional", "--model", str(model_path),
+                            "--on", "0=-2", "--out", str(tmp_path / "c.json")]) == 0
+        assert len(reports) == 1
+
 
 class TestSampleCommand:
     def test_seeded_and_deterministic(self, model_path, tmp_path):
@@ -500,6 +515,19 @@ class TestNonFiniteData:
         assert code == 1
         err = capsys.readouterr().err
         assert str(pts) in err and "row 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["x", "nan"])
+    def test_bad_cell_names_its_row_from_one(self, model_path, tmp_path, capsys, cell):
+        # a cell that is not a number and a NaN are reported by different
+        # checks, which count rows alike
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0.0,0.5\n0.1,{cell}\n")
+        out = tmp_path / "d.csv"
+        assert run_command(["density", "--model", str(model_path),
+                            "--points-csv", str(pts), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(pts) in err and "row 2" in err and "row 1" not in err
         assert not out.exists()
 
     def test_unused_column_is_not_checked(self, model_path, tmp_path):

@@ -205,6 +205,22 @@ class TestHistogram:
         np.testing.assert_array_equal(hist.edges[0], edges)
         assert (hist.density * np.diff(edges)).sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bins, message", [
+        (2.5, "bins 2.5 is not an integer"),
+        (0, "bins must be at least 1, got 0"),
+        (-3, "bins must be at least 1, got -3"),
+        (float("nan"), "bins nan is not an integer"),
+        ([4, 0], "bins must be at least 1, got 0"),
+        ([4], r"bins has 1 item\(s\) for 2 dimension\(s\)"),
+        ([4, 5, 6], r"bins has 3 item\(s\) for 2 dimension\(s\)")])
+    def test_bad_bin_count_is_named(self, bins, message):
+        s = np.random.default_rng(0).standard_normal((1000, 2))
+        with pytest.raises(ValueError, match=message):
+            make_histogram(s, bins=bins)
+        with pytest.raises(ValueError, match=message):
+            empirical_conditional(np.column_stack([s, s[:, :1]]), [2], [0.0],
+                                  window=1.0, bins=bins)
+
 
 class TestEmpiricalConditional:
     def test_independent_coordinates(self):
@@ -245,3 +261,8 @@ class TestEmpiricalConditional:
     def test_window_positivity_guard(self):
         with pytest.raises(ValueError):
             empirical_conditional(np.zeros((200, 2)), [0], [0.0], window=0.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_window_is_named(self, window):
+        with pytest.raises(ValueError, match=f"window must be positive and finite, got {window}"):
+            empirical_conditional(np.zeros((200, 2)), [0], [0.0], window=window)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -16,6 +17,21 @@ def direct_1d_sum(omega, z, lattice, radius):
     lo = 0 if lattice is Lattice.NONNEG else -radius
     return math.log(math.fsum(
         math.exp(-0.5 * omega * n * n + z * n) for n in range(lo, radius + 1)))
+
+
+@contextlib.contextmanager
+def tolerance(eps):
+    """Certify every sum to ``eps`` instead of ``theta.EPS``, on freshly prepared kernels."""
+    import rtbm.theta as theta
+
+    saved = theta.EPS
+    theta._KERNELS.clear()
+    theta.EPS = eps
+    try:
+        yield
+    finally:
+        theta.EPS = saved
+        theta._KERNELS.clear()
 
 
 def over_three_blocks(step):
@@ -41,7 +57,7 @@ def assert_far_rows_sum_directly(omega, zs, monkeypatch):
     """
     import rtbm.theta as theta
 
-    kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+    kernel = theta._kernel(omega, Lattice.FULL)
     tables = kernel.shared_points()[2]
     assert kernel.dual is None and tables is not None
     # each row's g, formed as log_theta_many forms it, and the per-row test
@@ -168,8 +184,10 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         omega = random_spd(rng, 2)
         z = rng.uniform(-5, 5, 2)
-        loose = log_theta_many(z[None, :], omega, eps=1e-5)[0]
-        tight = log_theta_many(z[None, :], omega, eps=1e-13)[0]
+        with tolerance(1e-5):
+            loose = log_theta_many(z[None, :], omega)[0]
+        with tolerance(1e-13):
+            tight = log_theta_many(z[None, :], omega)[0]
         assert abs(loose - tight) <= 1e-5 + 1e-13
 
     @settings(max_examples=40, deadline=None)
@@ -196,11 +214,6 @@ class TestErrors:
         omega = np.diag([1e-6, 1e-6, 1e4])
         with pytest.raises(ThetaTruncationError, match="not converged.*work cap"):
             log_theta_many(np.array([[4e-6, 0.0, 0.0]]), omega)
-
-    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 5.0, 2e-3, math.inf])
-    def test_out_of_range_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match=r"eps must lie in \(0, 0.001\]"):
-            log_theta_many(np.zeros((1, 2)), np.eye(2), eps=eps)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_cholesky_matches_scipy_and_fails_as_it_did(self, h):
@@ -235,7 +248,8 @@ class TestErrors:
             log_theta_many(zs, omega)
 
     def test_largest_eps_accepted(self):
-        loose = log_theta_many(np.zeros((1, 1)), np.eye(1), eps=1e-3)[0]
+        with tolerance(1e-3):
+            loose = log_theta_many(np.zeros((1, 1)), np.eye(1))[0]
         assert loose == pytest.approx(direct_1d_sum(1.0, 0.0, Lattice.FULL, 12), abs=1e-3)
 
 
@@ -337,7 +351,7 @@ class TestEllipsoidKernel:
             # hold over three entries per offset, so they are refused
             omega = thin_along_diagonal(h)
         # the direct sum, over more than three of its blocks of rows
-        kernel = theta._kernel(omega, lattice, 1e-12)
+        kernel = theta._kernel(omega, lattice)
         assert kernel.dual is None and kernel.shared_points()[2] is None
         rows = over_three_blocks(theta._BLOCK // kernel.shared_points()[0].shape[1])
         # on the orthant lattice some maximizers lie just outside it
@@ -390,18 +404,16 @@ class TestKernelCache:
         zs = targets @ omega
         calls = []
         for lattice in (Lattice.FULL, Lattice.NONNEG):
-            for eps in (1e-3, 1e-12):
-                calls.append(lambda lattice=lattice, eps=eps: log_theta_many(
-                    zs, omega, lattice=lattice, eps=eps))
-                calls += [lambda z=z, lattice=lattice, eps=eps: log_theta_many(
-                    z[None, :], omega, lattice=lattice, eps=eps, collect_terms=True)
-                    for z in zs[:4]]
+            calls.append(lambda lattice=lattice: log_theta_many(zs, omega, lattice=lattice))
+            calls += [lambda z=z, lattice=lattice: log_theta_many(
+                z[None, :], omega, lattice=lattice, collect_terms=True)
+                for z in zs[:4]]
         cold = []
         for call in calls:
             theta._KERNELS.clear()
             cold.append(call())
         warm = [call() for call in calls]
-        assert self.held()[0] == 4
+        assert self.held()[0] == 2
         np.testing.assert_equal(warm, cold)
 
     def test_cache_is_bounded(self):
@@ -458,7 +470,7 @@ class TestKernelCache:
         omega, z = np.array(omega), np.array(z)
         part = theta.sym(omega)
         got = log_theta_many(z[None, :], omega, lattice=lattice)[0]
-        kernel = theta._kernel(omega, lattice, 1e-12)
+        kernel = theta._kernel(omega, lattice)
         assert (kernel.dual is not None) == (dual and lattice is Lattice.FULL)
         np.testing.assert_array_equal(kernel.omega, part)
         assert got == log_theta_many(z[None, :], part, lattice=lattice)[0]
@@ -513,9 +525,9 @@ class TestDualSums:
     """Small matrices are summed over the dual lattice of Poisson summation."""
 
     @staticmethod
-    def is_dual(omega, lattice=Lattice.FULL, eps=1e-12):
+    def is_dual(omega, lattice=Lattice.FULL):
         import rtbm.theta as theta
-        return theta._kernel(np.asarray(omega, dtype=float), lattice, eps).dual is not None
+        return theta._kernel(np.asarray(omega, dtype=float), lattice).dual is not None
 
     @pytest.mark.parametrize("scales", [
         [1e-4] * 3, [0.05] * 4, [1e-6] * 3, [1e-5] * 3, [2.5e-4] * 2,
@@ -563,12 +575,13 @@ class TestDualSums:
         # near 1/2, and at nhat_2 = 1/2 the odd terms cancel against the origin
         switch = off_origin_switch([4.0 * np.pi ** 2 / 0.01])
         omega = np.diag([0.01, switch * (1.0 + side * 1e-6)])
-        assert self.is_dual(omega, eps=eps) == (side < 0)
-        for nhat in ([0.0, 0.5], [3.3, 0.5], [-12.7, 0.25]):
-            z = omega @ np.array(nhat)
-            got = log_theta_many(z[None, :], omega, eps=eps)[0]
-            ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 0.01))
-            assert abs(got - ref) <= eps * max(1.0, abs(ref))
+        with tolerance(eps):
+            assert self.is_dual(omega) == (side < 0)
+            for nhat in ([0.0, 0.5], [3.3, 0.5], [-12.7, 0.25]):
+                z = omega @ np.array(nhat)
+                got = log_theta_many(z[None, :], omega)[0]
+                ref = log_theta_reference(z, omega, radius=reference_radius(z, omega, 0.01))
+                assert abs(got - ref) <= eps * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("omega, dual", [(6.0, True), (10.0, False)])
     def test_dual_only_where_it_holds_fewer_points(self, omega, dual):
@@ -587,7 +600,7 @@ class TestDualSums:
         assert self.is_dual(omega)
         # more than three of the dual sum's blocks of rows
         rows = over_three_blocks(
-            theta._BLOCK // theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[0].shape[1])
+            theta._BLOCK // theta._kernel(omega, Lattice.FULL).shared_points()[0].shape[1])
         zs = rng.uniform(-40, 40, (rows, h)) @ omega + rng.uniform(-1, 1, (rows, h))
         assert_batch_independent(zs, omega)
 
@@ -648,7 +661,7 @@ class TestSeparableSums:
     @staticmethod
     def tables(omega, lattice=Lattice.FULL):
         import rtbm.theta as theta
-        return theta._kernel(np.asarray(omega, dtype=float), lattice, 1e-12).shared_points()[2]
+        return theta._kernel(np.asarray(omega, dtype=float), lattice).shared_points()[2]
 
     @pytest.mark.parametrize("omega, separable", [
         ([[19.0, 4.0], [4.0, 17.0]], True),
@@ -720,7 +733,7 @@ class TestSeparableSums:
         # 3 of the other: every other gate passes, but no block of two rows
         # fits the work array, so the tables are not built.
         omega = np.diag(eigs)
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         cols = kernel.shared_points()[0]
         assert kernel.dual is None
         assert np.ptp(cols, axis=1).max() + 1 > theta._TABLE_BLOCK // 2
@@ -785,7 +798,7 @@ class TestSeparableSums:
         assert self.tables(omega) is not None
         assert self.tables(omega, Lattice.NONNEG) is None
         separated = log_theta_many(z[None, :], omega)[0]
-        assert theta._kernel(omega, Lattice.FULL, 1e-12).kept[0].shape[1] == 23
+        assert theta._kernel(omega, Lattice.FULL).kept[0].shape[1] == 23
 
         def no_separable(*args):
             raise AssertionError("summed in the separable form")
@@ -809,7 +822,7 @@ class TestSeparableSums:
         import rtbm.theta as theta
 
         omega, z = np.array(omega), np.array(z)
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         assert form == ("dual" if kernel.dual is not None else "separable")
         if form == "separable":
             assert self.tables(omega) is not None
@@ -899,7 +912,7 @@ class TestSeparableSumsAnyH:
         import rtbm.theta as theta
 
         omega = self.separable(h) if omega is None else omega
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         assert kernel.dual is None
         assert (kernel.shared_points()[2] is not None) == separable
         rng = np.random.default_rng(32 + h)
@@ -933,7 +946,7 @@ class TestSeparableSumsAnyH:
         import rtbm.theta as theta
 
         omega = np.diag(eigs)
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         assert kernel.dual is None
         tables = kernel.shared_points()[2]
         assert (tables is not None) == separable
@@ -953,7 +966,7 @@ class TestSeparableSumsAnyH:
         # |k_2| = 3, past every offset's |k_2| = 2; their factors V_m are
         # formed all the same.
         omega = random_spd(np.random.default_rng([3, 129]), 3, 20.0, 200.0)
-        cols, quad, tables = theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()
+        cols, quad, tables = theta._kernel(omega, Lattice.FULL).shared_points()
         assert tables is not None
         np.testing.assert_array_equal(cols.max(axis=1), [1, 2, 2])
         np.testing.assert_array_equal(tables.reach[:, 0], [1, 3, 2])
@@ -984,7 +997,7 @@ class TestSeparableSumsAnyH:
         # block mixes many maximizers, and five rows past the far-row gate
         # mixed in, which leave the batch before it is cut into blocks.
         omega = self.separable(h)
-        tables = theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[2]
+        tables = theta._kernel(omega, Lattice.FULL).shared_points()[2]
         step = theta._TABLE_BLOCK // max(tables.weights.shape)
         rng = np.random.default_rng(80 + h)
         rows = over_three_blocks(step)
@@ -1009,7 +1022,7 @@ class TestSeparableSumsAnyH:
         for k in range(4):
             omega = (1.0 + 0.05 * k) * self.separable(3)
             zs = rng.uniform(-3, 3, (3000, 3)) @ omega
-            assert theta._kernel(omega, Lattice.FULL, 1e-12).shared_points()[2] is not None
+            assert theta._kernel(omega, Lattice.FULL).shared_points()[2] is not None
             cases.append((omega, zs))
         assert_threads_repeat_their_sums(cases)
 
@@ -1028,7 +1041,7 @@ class TestDualCosine:
 
         rng = np.random.default_rng(190 + h)
         omega = random_spd(rng, h, 0.05, 2.0)
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         assert kernel.dual is not None
         cols, weights = kernel.shared_points()
         # each coordinate of nhat at +-1/2, +-1/4 and 0, the others at 0, so
@@ -1063,7 +1076,7 @@ class TestEnumeration:
 
         rng = np.random.default_rng(30 + h + 10 * dual)
         omega = random_spd(rng, h, 0.05, 2.0) if dual else random_spd(rng, h, 20.0, 60.0)
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         assert (kernel.dual is not None) == dual
         return kernel
 
@@ -1110,7 +1123,7 @@ class TestEnumeration:
         from rtbm.sampling import hidden_distribution
 
         omega = np.array([[3.0, 0.5], [0.5, 2.0]])
-        kernel = theta._kernel(omega, Lattice.FULL, 1e-12)
+        kernel = theta._kernel(omega, Lattice.FULL)
         _, points, _ = theta._own_terms(np.array([[0.3, -0.2]]), omega, kernel.chol,
                                         np.array([[0.1, 0.0]]), np.array([4.0]),
                                         np.array([[0.0, 0.0]]), False)
@@ -1156,7 +1169,7 @@ class TestFreshKernels:
         rng = np.random.default_rng([h, list(DIGEST_SCALES).index(scale)])
         omega = random_spd(rng, h, *DIGEST_SCALES[scale])
         theta._KERNELS.clear()
-        return theta._kernel(omega, lattice, 1e-12)
+        return theta._kernel(omega, lattice)
 
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     @pytest.mark.parametrize("scale", list(DIGEST_SCALES))
