@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import re
 import sys
@@ -82,15 +83,27 @@ def _write_density_csv(path, pts, logp):
     _write_csv(path, np.column_stack([pts, np.exp(logp), logp]))
 
 
+def _line_of_row(path, row):
+    """The line of ``path``, from 1, of its data row ``row``, from 1.
+
+    ``np.loadtxt`` counts as rows the lines that are not empty and do not
+    start with ``#``; its errors and the NaN check count data rows.
+    """
+    with open(path, encoding="latin-1") as fh:     # any bytes, the same line ends
+        lines = (i for i, line in enumerate(fh, 1) if line[:1] not in ("\n", "#"))
+        return next(itertools.islice(lines, row - 1, None), row)
+
+
 def _read_csv(path, cols=None):
+    """The rows of a headerless CSV; an error names the file and the line, from 1, of a row."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:       # a cell that is not a number, among others
-        # numpy counts this message's rows from 0; the NaN check below counts from 1
-        message = re.sub(r"at row (\d+), column",
-                         lambda m: f"at row {int(m[1]) + 1}, column", str(exc))
+        # numpy counts a bad cell's data row from 0, a changed column count's from 1
+        message = re.sub(r"at row (\d+)(, column)?", lambda m: (
+            f"at row {_line_of_row(path, int(m[1]) + bool(m[2]))}{m[2] or ''}"), str(exc))
         raise RtbmError(f"{path}: {message}") from None
     if data.shape[0] == 0:
         raise RtbmError(f"{path}: no data rows")
@@ -104,7 +117,7 @@ def _read_csv(path, cols=None):
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise RtbmError(f"{path}: {bad.size} row(s) with NaN or infinite values, "
-                        f"first at row {bad[0] + 1}")
+                        f"first at row {_line_of_row(path, bad[0] + 1)}")
     return data
 
 
@@ -193,8 +206,7 @@ def _seed(text):
 
 def _load_valid_model(path):
     params = load_model(path)
-    # kept where condition_on looks for it, so a model is validated once
-    report = params.memo["report"] = validate(params)
+    report = validate(params)
     if not report.valid:
         raise RtbmError(f"model {path} is invalid: {report}")
     return params

@@ -123,9 +123,7 @@ def _check_valid(params: RtbmParams):
     parent's), so children are not checked; one that fails numerically
     raises NotPositiveDefiniteError when it is first factored.
     """
-    if "report" not in params.memo:
-        params.memo["report"] = validate(params)
-    report = params.memo["report"]
+    report = params.memo.get("report") or validate(params)
     if not report.valid:
         raise RtbmError(f"cannot condition an invalid model: {report}")
 

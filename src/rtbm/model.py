@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .theta import Lattice, spd_cholesky
+from .theta import Lattice, _kernel, spd_cholesky
 
 SYMMETRY_ATOL = 1e-10
 SCHUR = "Q - W^T T^-1 W"
@@ -132,9 +132,9 @@ class RtbmParams:
     @cached_property
     def memo(self) -> dict:
         """Values derived from this model and kept on it: ``density``'s log
-        normalizer, the validation report (made by ``density`` or by the CLI
-        that loaded the model), and ``sampling``'s draw table (the inverse-CDF
-        cdf and the K component means), each built on first use."""
+        normalizer, the report of :func:`validate`, and ``sampling``'s draw
+        table (the inverse-CDF cdf and the K component means), each built on
+        first use."""
         return {}
 
 
@@ -169,13 +169,14 @@ def _failed_eigenvalue(factor):
 
 
 def validate(params: RtbmParams) -> ValidationReport:
-    """Check symmetry and the three positive-definiteness conditions.
+    """Report every failed rule of symmetry and the three positive-definiteness
+    conditions, and keep the report in ``params.memo``; nothing is thrown.
 
-    Every failed rule is reported; nothing is thrown.  T, Q and the Schur
-    matrix Q - W^T T^{-1} W are factored by :func:`spd_cholesky`; the Schur
-    condition can only be evaluated once T factors, so it is skipped (with
-    T already reported invalid) otherwise.  A Schur matrix or normalizer
-    argument that overflows violates the Schur condition.
+    T is factored by :func:`spd_cholesky`, Q and the Schur matrix
+    Q - W^T T^{-1} W by preparing the theta kernels every later sum over
+    them reuses (at n_h >= 21 with no shared ellipsoid).  The Schur
+    condition needs T to factor, and is skipped (T reported invalid) if it
+    does not; a Schur matrix or normalizer argument that overflows fails it.
     """
     bad = []
     for name, a in (("T", params.t), ("Q", params.q)):
@@ -189,18 +190,19 @@ def validate(params: RtbmParams) -> ValidationReport:
     if lam_t is None:
         try:
             schur = params.schur                # raises if it overflows
-            lam_s = _failed_eigenvalue(lambda: spd_cholesky(schur, SCHUR))
+            lam_s = _failed_eigenvalue(lambda: _kernel(schur, params.lattice))
             params.z_schur                      # raises if it overflows
         except NotPositiveDefiniteError as exc:  # either of them overflowed
             bad.append(Violation("schur-not-positive-definite", str(exc)))
-    lam_q = _failed_eigenvalue(lambda: spd_cholesky(params.q, "Q"))
+    lam_q = _failed_eigenvalue(lambda: _kernel(params.q, params.lattice))
     for rule, name, lam in (("t", "T", lam_t), ("q", "Q", lam_q),
                             ("schur", SCHUR, lam_s)):
         if lam is not None:
             bad.append(Violation(
                 f"{rule}-not-positive-definite",
                 f"{name} not positive definite (min eigenvalue ~ {lam:.6g})", lam))
-    return ValidationReport(tuple(bad))
+    report = params.memo["report"] = ValidationReport(tuple(bad))
+    return report
 
 
 def to_dict(params: RtbmParams) -> dict:

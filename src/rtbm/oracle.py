@@ -7,6 +7,7 @@ and seeded t sampling for training data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class StudentTParams:
                 raise ValueError(f"{name} contains non-finite entries")
         if np.abs(sigma - sigma.T).max() > SYMMETRY_ATOL:
             raise ValueError("sigma must be symmetric")
-        if not (np.isfinite(self.nu) and self.nu > 0):
+        if not (isinstance(self.nu, numbers.Real) and np.isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"nu must be finite and positive, got {self.nu}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)

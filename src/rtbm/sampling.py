@@ -28,6 +28,7 @@ are derived with ``SeedSequence.spawn``.  Results depend only on
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,11 +200,11 @@ def empirical_conditional(samples, cond_indices, cond_values,
     Checks the request with :func:`rtbm.density.free_coordinates`, keeps
     rows with |sample[idx] - value| <= window at each conditioned index, and
     histograms the one or two free coordinates.  Needs 100 surviving rows.
-    A ``window`` that is not positive and finite is a ValueError naming it.
+    A ``window`` that is not a positive finite number is a ValueError naming it.
     """
     samples = as_points(samples)
     fixed, values, free = free_coordinates(cond_indices, cond_values, samples.shape[1])
-    if not (window > 0 and np.isfinite(window)):
+    if not (isinstance(window, numbers.Real) and window > 0 and np.isfinite(window)):
         raise ValueError(f"window must be positive and finite, got {window}")
     mask = np.ones(samples.shape[0], dtype=bool)
     for i, val in zip(fixed, values):

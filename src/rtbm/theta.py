@@ -112,8 +112,14 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   2^21 kept offsets and table entries in total.  Conditioning changes only
   the theta arguments, so every conditional of one model sums over the
   same two or three matrices, bit for bit, and after the first query only
-  the per-row work remains.  A miss does what an uncached call does, in
-  the same order, so results never depend on the cache.  It enumerates
+  the per-row work remains.  ``model.validate`` checks Q and the Schur
+  matrix by preparing their kernels, so each is factored once per model.
+  rho_half is a maximum over the 2^h corners of the half-cube, taken in
+  blocks; at h >= 21, where 2^h reaches the work cap, no corner is formed,
+  the shared radius and bound are infinite, and only the dual form or a
+  row's own ellipsoid (an orthant row, the collected row) can sum.  A miss
+  does what an uncached call does, in the same order, so results never
+  depend on the cache.  It enumerates
   the offsets as coordinate rows and takes each offset's k^T Omega k (of
   Omega' in the dual form) from the enumeration's sum of squared steps.
   A fit brings two fresh matrices per candidate, Q and its Schur matrix,
@@ -605,7 +611,9 @@ def _require(s, name):
 
 def spd_cholesky(a, name):
     """Lower Cholesky factor of ``a`` symmetrized by :func:`sym`, the one way
-    to factor a matrix outside the theta kernel.
+    to factor a matrix outside the theta kernel, such as a model's T; its Q
+    and Schur matrix are factored by their kernels, which ``model.validate``
+    prepares for the sums to reuse (at h >= 21 with no shared ellipsoid).
 
     A non-finite ``a`` is a ValueError; one that is not positive definite
     is :func:`_require`'s NotPositiveDefiniteError naming ``name``.
@@ -638,12 +646,40 @@ def _first_sign_weights(h):
     return 3.0 ** np.arange(h - 1, -1, -1)
 
 
+def _corner_signs(h, start, stop):
+    """The (stop - start, h) signs of corners start, ..., stop - 1 of the cube
+    [-1, 1]^h, corner i taking -1 at each set bit of i."""
+    return 1.0 - 2.0 * ((np.arange(start, stop)[:, None] >> np.arange(h)) & 1)
+
+
 @functools.cache
-def _corner_signs(h):
-    """The (2^h, h) signs of the corners of the cube [-1, 1]^h, read-only."""
-    signs = 1.0 - 2.0 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)
+def _cube_signs(h):
+    """The signs of all 2^h corners, read-only; kept for h <= 16 only."""
+    signs = _corner_signs(h, 0, 2 ** h)
     signs.setflags(write=False)
     return signs
+
+
+def _rho_half(omega):
+    """rho_half = max |L^T u| over the corners u of the half-cube [-1/2, 1/2]^h,
+    half the square root of the largest c^T Omega c over the sign vectors c.
+
+    The forms are taken in blocks of 2^16 corners, at most 2^16 h signs at
+    once; at h <= 16 that is one block, the kept :func:`_cube_signs`.  Where
+    2^h reaches the work cap it is +inf, and so are the shared radius and
+    point bound, without a corner formed: each factor min(2r / L_ii, s_i) + 1
+    of :func:`_point_bounds` exceeds 2, as r > rho_half, 2 rho_half >=
+    sqrt(tr Omega) >= L_ii and 2 rho_half sqrt((Omega^-1)_ii) >= 1, so the
+    bound exceeds 2^h and the shared primal form would be refused anyway.
+    """
+    h = omega.shape[0]
+    if 2 ** h >= _WORK_CAP:
+        return math.inf
+    step = 1 << 16
+    blocks = ([_cube_signs(h)] if h <= 16 else
+              (_corner_signs(h, s, s + step) for s in range(0, 2 ** h, step)))
+    return 0.5 * np.sqrt(max(np.maximum.reduce(np.einsum("ch,hl,cl->c", c, omega, c))
+                             for c in blocks))
 
 
 class _Dual(NamedTuple):
@@ -754,11 +790,11 @@ class _Kernel:
         self.omega_inv = _cholesky_inverse(self.chol)
         self.pivots = self.chol.diagonal()
         # Every row's sum is at least its term at the rounded maximizer, which
-        # lies within rho_half = max over the half-cube corners of |L^T u| of
-        # it; enumerating |L^T k| <= R + rho_half about the centre therefore
-        # covers each row's own ellipsoid |L^T (n - nhat)| <= R.
-        signs = _corner_signs(omega.shape[0])
-        rho_half = 0.5 * np.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", signs, omega, signs)))
+        # lies within rho_half (:func:`_rho_half`) of it; enumerating
+        # |L^T k| <= R + rho_half about the centre therefore covers each row's
+        # own ellipsoid |L^T (n - nhat)| <= R.  An infinite rho_half makes the
+        # radius and the bound infinite.
+        rho_half = _rho_half(omega)
         self.radius = _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) \
             + rho_half
         self.widths = np.sqrt(self.omega_inv.diagonal())

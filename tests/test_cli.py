@@ -530,6 +530,19 @@ class TestNonFiniteData:
         assert str(pts) in err and "row 2" in err and "row 1" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["0.1,x", "0.1,nan", "0.1"],
+                             ids=["cell", "nan", "ragged"])
+    def test_bad_row_names_its_line(self, model_path, tmp_path, capsys, row):
+        # np.loadtxt skips the comment and the blank line, and counts this row as its 2nd
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"# c\n0.0,0.5\n\n{row}\n")
+        out = tmp_path / "d.csv"
+        assert run_command(["density", "--model", str(model_path),
+                            "--points-csv", str(pts), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(pts) in err and "row 4" in err and "row 2" not in err
+        assert not out.exists()
+
     def test_unused_column_is_not_checked(self, model_path, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0.0,0.5,nan\n0.1,0.2,nan\n")

@@ -270,6 +270,20 @@ class TestObjective:
 
 
 class TestFitDensity:
+    def test_fitted_model_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return validate(params)
+        monkeypatch.setattr(rtbm.fit, "validate", counted)
+        monkeypatch.setattr(rtbm.density, "validate", counted)
+        data = sample_student(StudentTParams(mu=[0.0, 0.0], sigma=np.eye(2), nu=6.0), 200, 1)
+        params = fit_density(data, FitConfig(n_h=1, restarts=1, max_evals=60, seed=11)).params
+        rtbm.density.condition_on(params, [0], [-2.0])
+        rtbm.density.log_marginal(params, 1, [0.5])
+        assert calls == [params]
+
     @pytest.mark.slow
     def test_recovers_1d_gaussian_entropy(self):
         rng = np.random.default_rng(5)

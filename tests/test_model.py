@@ -1,13 +1,18 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rtbm.theta
 from conftest import (CONSTRUCTED_2D, CONSTRUCTED_2D_BAD_Q,
                       CONSTRUCTED_3D, TFIT)
-from rtbm.density import condition_on, log_pdf_many
+from rtbm.density import condition_on, log_marginal, log_pdf_many
 from rtbm.errors import NotPositiveDefiniteError
 from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
                         validate)
-from rtbm.theta import Lattice
+from rtbm.sampling import sample_visible
+from rtbm.theta import Lattice, sym
 
 
 # CONSTRUCTED_2D_BAD_Q with the sign of its bad diagonal entry flipped: Q is
@@ -131,6 +136,44 @@ class TestValidate:
         p = RtbmParams(t=t, q=[[1.0]], w=[[0.0], [0.0]], bv=[0.0, 0.0], bh=[0.0])
         rules = [v.rule for v in validate(p).violations]
         assert "t-asymmetric" in rules
+
+
+class TestOneFactorization:
+    """validate factors T, Q and the Schur matrix, and no later sum or draw
+    of the model factors them again."""
+
+    @pytest.mark.parametrize("lattice", list(Lattice))
+    @pytest.mark.parametrize("fixture", [TFIT, CONSTRUCTED_2D, CONSTRUCTED_3D],
+                             ids=["tfit", "constructed_2d", "constructed_3d"])
+    def test_each_model_matrix_is_factored_once(self, fixture, lattice, monkeypatch):
+        factored = collections.Counter()
+        real = rtbm.theta._factor
+
+        def counted(s):
+            factored[s.shape, s.tobytes()] += 1
+            return real(s)
+        monkeypatch.setattr(rtbm.theta, "_factor", counted)
+        params = RtbmParams(**fixture, lattice=lattice)
+        assert validate(params).valid
+        rng = np.random.default_rng(4)
+        log_pdf_many(params, rng.standard_normal((50, params.n_v)))
+        log_marginal(params, 1, rng.standard_normal(params.n_v - 1))
+        sample_visible(params, 100, 0)
+        for a in (params.t, params.q, params.schur):
+            assert factored[a.shape, sym(a).tobytes()] == 1
+
+    def test_large_model_validates_in_bounded_memory(self):
+        # 2^40 corners of the hidden cube are never formed
+        n_h = 40
+        params = RtbmParams(t=np.eye(2), q=100.0 * np.eye(n_h), w=np.zeros((2, n_h)),
+                            bv=np.zeros(2), bh=np.zeros(n_h))
+        tracemalloc.start()
+        try:
+            assert validate(params).valid
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBlockSplit:

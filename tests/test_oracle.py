@@ -36,6 +36,11 @@ class TestStudentLogpdf:
         total = vals.sum() * (xs[1] - xs[0]) ** 2
         assert total == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("nu", [0.0, float("nan"), "a", None])
+    def test_bad_nu_is_named(self, nu):
+        with pytest.raises(ValueError, match=f"nu must be finite and positive, got {nu}"):
+            StudentTParams(mu=[0.0], sigma=[[1.0]], nu=nu)
+
     def test_not_pd_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
             student_logpdf(StudentTParams(mu=[0.0], sigma=[[-1.0]], nu=3.0), [0.0])

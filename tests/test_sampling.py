@@ -262,7 +262,7 @@ class TestEmpiricalConditional:
         with pytest.raises(ValueError):
             empirical_conditional(np.zeros((200, 2)), [0], [0.0], window=0.0)
 
-    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf"), "a", None])
     def test_bad_window_is_named(self, window):
         with pytest.raises(ValueError, match=f"window must be positive and finite, got {window}"):
             empirical_conditional(np.zeros((200, 2)), [0], [0.0], window=window)

@@ -369,20 +369,30 @@ class TestEllipsoidKernel:
                            match=r"up to [0-9.e+]+ lattice points, above the work cap"):
             log_theta_many(np.zeros((1, 3)), np.diag([1e-6, 1e-6, 1e4]))
 
-    def test_over_budget_point_set_raises_without_allocating(self):
-        import tracemalloc
-
+    @pytest.mark.parametrize("lattice", list(Lattice))
+    @pytest.mark.parametrize("omega", [
         # the ellipsoid holds up to 8e6 points, and the last axis leaves the
         # dual sum uncertified
-        omega = np.diag([0.05, 0.05, 0.05, 40.0])
+        np.diag([0.05, 0.05, 0.05, 40.0]),
+        # the hidden cube's 2^20 corners are taken in blocks, and its 2^40 not at all
+        100.0 * np.eye(20), 100.0 * np.eye(40)], ids=["h4", "h20", "h40"])
+    def test_over_budget_point_set_raises_without_allocating(self, omega, lattice):
+        import tracemalloc
+
         tracemalloc.start()
         try:
             with pytest.raises(ThetaTruncationError, match="work cap"):
-                log_theta_many(np.zeros((1, 4)), omega)
+                log_theta_many(np.zeros((1, omega.shape[0])), omega, lattice)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_dual_sum_past_the_primal_corners(self):
+        # at h = 40 only the dual form can sum; a diagonal sum is a product of 1-D ones
+        one = log_theta_many(np.zeros((1, 1)), [[0.01]])[0]
+        assert log_theta_many(np.zeros((1, 40)), 0.01 * np.eye(40))[0] == \
+            pytest.approx(40 * one, rel=1e-12)
 
 
 class TestKernelCache:
