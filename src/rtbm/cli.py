@@ -216,6 +216,8 @@ def _eval_points(args, width):
     """The evaluation points of ``--grid`` or ``--points-csv`` for ``width`` coordinates."""
     if args.grid and args.points_csv:
         raise ValueError("give either --grid or --points-csv, not both")
+    if args.points_cols is not None and not args.points_csv:
+        raise ValueError("--points-cols selects columns of --points-csv, which is not given")
     if args.grid:
         return _grid_points(args.grid, width)
     if args.points_csv:

@@ -174,7 +174,8 @@ def validate(params: RtbmParams) -> ValidationReport:
 
     T is factored by :func:`spd_cholesky`, Q and the Schur matrix
     Q - W^T T^{-1} W by preparing the theta kernels every later sum over
-    them reuses (at n_h >= 21 with no shared ellipsoid).  The Schur
+    them reuses (at n_h >= 21 with a shared point bound past the work cap,
+    so that no shared offset is enumerated).  The Schur
     condition needs T to factor, and is skipped (T reported invalid) if it
     does not; a Schur matrix or normalizer argument that overflows fails it.
     """

@@ -114,10 +114,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   same two or three matrices, bit for bit, and after the first query only
   the per-row work remains.  ``model.validate`` checks Q and the Schur
   matrix by preparing their kernels, so each is factored once per model.
-  rho_half is a maximum over the 2^h corners of the half-cube, taken in
-  blocks; at h >= 21, where 2^h reaches the work cap, no corner is formed,
-  the shared radius and bound are infinite, and only the dual form or a
-  row's own ellipsoid (an orthant row, the collected row) can sum.  A miss
+  rho_half is the maximum over the 2^h corners of the half-cube up to
+  h = 16 and an O(h^2) bound on it above; at h >= 21 the shared point
+  bound exceeds 2^h, past the work cap, and only the dual form or a row's
+  own ellipsoid (an orthant row, the collected row) can sum.  A miss
   does what an uncached call does, in the same order, so results never
   depend on the cache.  It enumerates
   the offsets as coordinate rows and takes each offset's k^T Omega k (of
@@ -613,7 +613,8 @@ def spd_cholesky(a, name):
     """Lower Cholesky factor of ``a`` symmetrized by :func:`sym`, the one way
     to factor a matrix outside the theta kernel, such as a model's T; its Q
     and Schur matrix are factored by their kernels, which ``model.validate``
-    prepares for the sums to reuse (at h >= 21 with no shared ellipsoid).
+    prepares for the sums to reuse (at h >= 21 with a shared point bound past
+    the work cap, so that no shared offset is enumerated).
 
     A non-finite ``a`` is a ValueError; one that is not positive definite
     is :func:`_require`'s NotPositiveDefiniteError naming ``name``.
@@ -646,40 +647,32 @@ def _first_sign_weights(h):
     return 3.0 ** np.arange(h - 1, -1, -1)
 
 
-def _corner_signs(h, start, stop):
-    """The (stop - start, h) signs of corners start, ..., stop - 1 of the cube
-    [-1, 1]^h, corner i taking -1 at each set bit of i."""
-    return 1.0 - 2.0 * ((np.arange(start, stop)[:, None] >> np.arange(h)) & 1)
-
-
 @functools.cache
 def _cube_signs(h):
-    """The signs of all 2^h corners, read-only; kept for h <= 16 only."""
-    signs = _corner_signs(h, 0, 2 ** h)
+    """The (2^h, h) signs of the corners of the cube [-1, 1]^h, corner i
+    taking -1 at each set bit of i; read-only, formed for h <= 16 only."""
+    signs = 1.0 - 2.0 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)
     signs.setflags(write=False)
     return signs
 
 
 def _rho_half(omega):
-    """rho_half = max |L^T u| over the corners u of the half-cube [-1/2, 1/2]^h,
-    half the square root of the largest c^T Omega c over the sign vectors c.
+    """rho_half, at least max |L^T u| over the corners u of the half-cube
+    [-1/2, 1/2]^h: half the square root of the largest c^T Omega c over the
+    sign vectors c.
 
-    The forms are taken in blocks of 2^16 corners, at most 2^16 h signs at
-    once; at h <= 16 that is one block, the kept :func:`_cube_signs`.  Where
-    2^h reaches the work cap it is +inf, and so are the shared radius and
-    point bound, without a corner formed: each factor min(2r / L_ii, s_i) + 1
-    of :func:`_point_bounds` exceeds 2, as r > rho_half, 2 rho_half >=
-    sqrt(tr Omega) >= L_ii and 2 rho_half sqrt((Omega^-1)_ii) >= 1, so the
-    bound exceeds 2^h and the shared primal form would be refused anyway.
+    At h <= 16 it is that maximum, over the kept :func:`_cube_signs`.  Above,
+    it is the O(h^2) bound 0.5 sqrt(sum_ij |Omega_ij|), which is at least the
+    maximum and equal to it for a diagonal Omega.  Either way each factor
+    min(2r / L_ii, s_i) + 1 of :func:`_point_bounds` exceeds 2, as r > rho_half,
+    2 rho_half >= sqrt(tr Omega) >= L_ii and 2 rho_half sqrt((Omega^-1)_ii) >= 1,
+    so the shared point bound exceeds 2^h, past the work cap from h = 21 on.
     """
     h = omega.shape[0]
-    if 2 ** h >= _WORK_CAP:
-        return math.inf
-    step = 1 << 16
-    blocks = ([_cube_signs(h)] if h <= 16 else
-              (_corner_signs(h, s, s + step) for s in range(0, 2 ** h, step)))
-    return 0.5 * np.sqrt(max(np.maximum.reduce(np.einsum("ch,hl,cl->c", c, omega, c))
-                             for c in blocks))
+    if h > 16:
+        return 0.5 * math.sqrt(np.abs(omega).sum())
+    c = _cube_signs(h)
+    return 0.5 * np.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", c, omega, c)))
 
 
 class _Dual(NamedTuple):
@@ -792,8 +785,7 @@ class _Kernel:
         # Every row's sum is at least its term at the rounded maximizer, which
         # lies within rho_half (:func:`_rho_half`) of it; enumerating
         # |L^T k| <= R + rho_half about the centre therefore covers each row's
-        # own ellipsoid |L^T (n - nhat)| <= R.  An infinite rho_half makes the
-        # radius and the bound infinite.
+        # own ellipsoid |L^T (n - nhat)| <= R.
         rho_half = _rho_half(omega)
         self.radius = _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) \
             + rho_half

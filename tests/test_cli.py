@@ -187,6 +187,20 @@ class TestDensityCommand:
         rows = read_csv(out)
         np.testing.assert_allclose(rows[:, :2], data[:, 1:], rtol=0)
 
+    @pytest.mark.parametrize("command", ["density", "student conditional"])
+    @pytest.mark.parametrize("points", [["--grid", "-1:1:3,-1:1:3"], []])
+    def test_points_cols_without_points_csv_is_named(self, model_path, tmp_path, capsys,
+                                                     command, points):
+        out = tmp_path / "d.csv"
+        source = (["--model", str(model_path)] if command == "density" else
+                  ["--mu", "0,0,0", "--sigma", "1,0,0,0,1,0,0,0,1", "--nu", "6",
+                   "--on", "0=1"])
+        assert run_command([*command.split(), *source, *points,
+                            "--points-cols", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--points-cols" in err and "--points-csv" in err
+        assert not out.exists()
+
     def test_grid_dimension_mismatch(self, model_path, tmp_path, capsys):
         assert run_command(["density", "--model", str(model_path),
                             "--grid", "-1:1:5", "--out",
