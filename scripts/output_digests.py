@@ -14,12 +14,21 @@ bit, on this battery:
   h = 1..4, on both lattices and at three scales;
 * ``log_theta_many`` on 200-row and 1-row batches of one random SPD matrix
   at h = 3 and one at h = 4 whose full-lattice sums take the separable
-  tables (a 7 x 49 and a 7 x 255 table).
+  tables (a 7 x 49 and a 7 x 255 table);
+* the kept child of a model's last conditioning request, on fresh models
+  of each fixture and lattice: ``log_marginal`` right after
+  ``condition_on`` of the same request, and a repeated ``condition_on``
+  whose child has drawn before (its ``log_pdf_many`` and
+  ``sample_visible``).  Each such item has a twin computed on a fresh
+  child (``TWINS``).
 
 Each line reads ``<item> <sha256>``.  To compare two checkouts value by
 value where their digests differ, import :func:`battery` from this file
 in each.  The exp and log of different CPUs and numpy builds can differ in
-the last bit, so compare digests only between runs on one machine.
+the last bit, so compare digests only between runs on one machine.  A kept
+child must give what a fresh one gives on any machine, so the script exits
+with status 1, naming the item, when an item's digest differs from its
+twin's.
 
 Run from the repository root:
 
@@ -47,6 +56,10 @@ FIXTURES = {"tfit": TFIT, "constructed_2d": CONSTRUCTED_2D, "constructed_3d": CO
 SCALES = {"small": (0.05, 2.0), "mid": (0.5, 20.0), "stiff": (5.0, 200.0)}
 # eigenvalue range of the h = 3 and h = 4 matrices summed in the separable form
 SEPARABLE_SCALE = (5.0, 20.0)
+# items of a kept child -> their twins of a fresh child, by the item's first part
+TWINS = {"log_marginal_after_condition_on": "log_marginal",
+         "condition_on_repeated": "condition_on",
+         "sample_visible_child_repeated": "sample_visible_child"}
 
 
 def battery():
@@ -59,9 +72,12 @@ def battery():
             child, _ = condition_on(params, [params.n_v - 1], [0.3])
             yield (f"condition_on/{name}/{lattice.value}",
                    log_pdf_many(child, rows[:, :-1]))
+            yield (f"sample_visible_child/{name}/{lattice.value}",
+                   sample_visible(child, 20000, seed=5))
             values = np.linspace(-3.0, 3.0, 30)
             yield (f"log_marginal/{name}/{lattice.value}",
                    np.array([log_marginal(params, params.n_v - 1, [d]) for d in values]))
+            yield from _kept_children(name, fixture, lattice, rows, values)
     for n_v in (8, 12):
         for lattice in Lattice:
             rng = np.random.default_rng(n_v)
@@ -88,11 +104,38 @@ def battery():
         yield f"log_theta_many/separable_h{h}/1", log_theta_many(zs[:1], omega)
 
 
+def _kept_children(name, fixture, lattice, rows, values):
+    """The items of ``TWINS`` for one fixture and lattice, each on a fresh model."""
+    params = RtbmParams(**fixture, lattice=lattice)
+    m = params.n_v - 1
+    marginals = []
+    for d in values:
+        condition_on(params, [m], [d])
+        marginals.append(log_marginal(params, m, [d]))
+    yield f"log_marginal_after_condition_on/{name}/{lattice.value}", np.array(marginals)
+    params = RtbmParams(**fixture, lattice=lattice)
+    sample_visible(condition_on(params, [m], [0.3])[0], 1000, seed=6)
+    child, _ = condition_on(params, [m], [0.3])
+    yield f"condition_on_repeated/{name}/{lattice.value}", log_pdf_many(child, rows[:, :-1])
+    yield (f"sample_visible_child_repeated/{name}/{lattice.value}",
+           sample_visible(child, 20000, seed=5))
+
+
 def main():
+    digests = {}
     for item, values in battery():
         values = np.ascontiguousarray(values, dtype=float)
-        print(item, hashlib.sha256(values.tobytes()).hexdigest())
+        digests[item] = hashlib.sha256(values.tobytes()).hexdigest()
+        print(item, digests[item])
+    differ = []
+    for item, digest in digests.items():
+        kind, _, rest = item.partition("/")
+        if kind in TWINS and digest != digests[f"{TWINS[kind]}/{rest}"]:
+            differ.append(item)
+    for item in differ:
+        print(f"{item} differs from its twin of a fresh child", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

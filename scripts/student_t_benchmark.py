@@ -42,10 +42,10 @@ def main():
 
     config = FitConfig(n_h=args.nh, restarts=args.restarts,
                        max_evals=args.max_evals, seed=args.fit_seed)
-    start = time.time()
+    start = time.perf_counter()
     result = fit_density(data, config)
     print(f"fit: nll={result.nll:.2f} ({result.nll / args.samples:.4f}/point), "
-          f"{result.evals} evaluations, {time.time() - start:.0f}s")
+          f"{result.evals} evaluations, {time.perf_counter() - start:.0f}s")
     print(f"T  = {np.round(result.params.t, 4).tolist()}")
     print(f"Q  = {np.round(result.params.q, 4).tolist()}")
     print(f"W  = {np.round(result.params.w, 4).tolist()}")

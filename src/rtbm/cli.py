@@ -232,9 +232,9 @@ def _cmd_fit(args):
     config = FitConfig(
         n_h=args.nh, restarts=args.restarts, max_evals=args.max_evals,
         seed=args.seed, lattice=args.lattice)
-    start = time.time()
+    start = time.perf_counter()
     result = fit_density(data, config)
-    wall = time.time() - start
+    wall = time.perf_counter() - start
     save_model(result.params, args.out)
     trace_path = args.trace or args.out + ".trace.csv"
     _write_csv(trace_path, [(e, f) for e, f in result.trace])

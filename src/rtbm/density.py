@@ -96,7 +96,10 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
 
     ``d`` holds the trailing n_v - m coordinates, checked as the request
     ``(range(m, n_v), d)``; 0 < m < n_v.  The theta ratio is the normalizer
-    of the child :func:`condition_on` builds over the parent's.
+    of the child :func:`condition_on` builds over the parent's.  It is the
+    parent's kept child when the last conditioning request was the same,
+    so ``condition_on`` and ``log_marginal`` of one request build one child
+    and sum its normalizer once.
     """
     _check_valid(params)
     m = _index(m, "m")
@@ -132,13 +135,23 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     """Child RTBM over coordinates ``free`` given the float vector ``d`` at ``fixed``.
 
     The blocks of T, W and bv are taken from the parent's arrays by index.
+    The child of the parent's last request is kept in its memo, keyed by the
+    indices in their order and the bytes of ``d``, so a repeated request
+    returns the same child, with its factor of T_yy and its kept normalizer
+    and draw table; a different request replaces it.
     """
+    key = (tuple(fixed), d.tobytes())
+    kept = params.memo.get("child")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     t, w = params.t, params.w
-    return RtbmParams(
+    child = RtbmParams(
         t=t[np.ix_(free, free)], q=params.q, w=w[free],
         bv=params.bv[free] + t[np.ix_(fixed, free)].T @ d,
         bh=params.bh + w[fixed].T @ d,
         lattice=params.lattice)
+    params.memo["child"] = (key, child)
+    return child
 
 
 def _index(i, name="conditioned index") -> int:
@@ -212,8 +225,12 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     The child keeps Q and the lattice, and is reparameterized as T -> T_yy,
     W -> W_y, bv -> bv_y + T_dy^T d, bh -> bh + W_d^T d; its density is the
     parent's conditional P(y|d).  Returns the child and the free indices in
-    their original order, which is the child's.  A bad request raises
-    ValueError (:func:`free_coordinates`), an invalid parent RtbmError.
+    their original order, which is the child's.  The parent keeps the child
+    of its last request: the same request again (the same indices in the
+    same order and the same value bytes), here or in :func:`log_marginal`,
+    returns that child, with its kept normalizer and draw table.  A bad
+    request raises ValueError (:func:`free_coordinates`), an invalid parent
+    RtbmError.
     """
     indices, values, free = free_coordinates(indices, values, params.n_v)
     _check_valid(params)

@@ -132,8 +132,10 @@ class RtbmParams:
     @cached_property
     def memo(self) -> dict:
         """Values derived from this model and kept on it: ``density``'s log
-        normalizer, the report of :func:`validate`, and ``sampling``'s draw
-        table (the inverse-CDF cdf and the K component means), each built on
+        normalizer and the child of its last conditioning request (with
+        that request's key), the report of :func:`validate`, and
+        ``sampling``'s draw table (the inverse-CDF cdf, the K component
+        means and, past 32 states, the bucket index of cdf), each built on
         first use."""
         return {}
 

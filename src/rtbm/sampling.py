@@ -10,15 +10,22 @@ omitted mass is below the relative tolerance 1e-12 of every theta sum,
 so sampling is inverse-CDF over a finite categorical plus one Gaussian
 draw.
 
-The draw table (the inverse-CDF ``cdf`` and the K component means) is built
-on a model's first draw and kept in ``params.memo``, so repeated draws from
-one model pay for the hidden states and the K mean solves once.  A draw's
-hidden state is the count of ``cdf`` entries <= its uniform, the integer
-``np.searchsorted(cdf, u, side="right")`` gives: up to
-``MAX_COUNTED_STATES`` (32) states it is counted by one comparison per
-state, past that found by the search.  For the seven states of a two-unit
-fit, 100k counts take about 0.14 ms against the search's 0.96 ms (2-vCPU
-x86-64, numpy 2.4.6).  The Gaussian part stays
+The draw table (the inverse-CDF ``cdf``, the K component means and, past
+``MAX_COUNTED_STATES`` states, a bucket index of ``cdf``) is built on a
+model's first draw and kept in ``params.memo``, so repeated draws from one
+model pay for the hidden states and the K mean solves once; a repeated
+conditioning request returns the parent's kept child (``density._child``),
+so its table is reused too.  A draw's hidden state is the count of ``cdf``
+entries <= its uniform, the integer ``np.searchsorted(cdf, u,
+side="right")`` gives: up to ``MAX_COUNTED_STATES`` (32) states it is
+counted by one comparison per state, past that read from the bucket index
+(:func:`_buckets`, the guide table of Chen and Asau, "On generating random
+variates from an empirical distribution", AIIE Trans. 6 (1974) 163-166),
+which searches only the draws whose bucket holds a ``cdf`` entry.  For the
+seven states of a two-unit fit, 100k counts take about 0.14 ms against the
+search's 0.96 ms; for the 527 states of a four-unit model, 100k draws read
+from 4096 buckets (under 1% searched) take about 1.4 ms against the
+search's 3.4 ms (2-vCPU x86-64, numpy 2.4.6).  The Gaussian part stays
 LAPACK's triangular solve, which draws depend on bit for bit.
 
 Randomness: numpy's PCG64 via ``default_rng(seed)``; per-run substreams
@@ -41,6 +48,7 @@ from .theta import log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
 MAX_COUNTED_STATES = 32     # most hidden states whose index is counted (in a uint8), not searched
+MAX_BUCKETS = 1 << 16       # most buckets of a draw table's index
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,10 @@ def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
     return HiddenDistribution(points=points, log_weights=log_w)
 
 
-def _draw_table(params: RtbmParams) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse-CDF ``cdf`` (K,) and the component means (K, n_v) of
-    ``params``, built on first use and kept in its memo."""
+def _draw_table(params: RtbmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The inverse-CDF ``cdf`` (K,), the component means (K, n_v) and, past
+    ``MAX_COUNTED_STATES`` states, the bucket index of ``cdf``
+    (:func:`_buckets`) of ``params``, built on first use and kept in its memo."""
     memo = params.memo
     if "draw_table" not in memo:
         hidden = hidden_distribution(params)
@@ -77,21 +86,45 @@ def _draw_table(params: RtbmParams) -> tuple[np.ndarray, np.ndarray]:
         cdf[-1] = max(cdf[-1], 1.0)
         # one mean per hidden state, gathered per draw
         means = _cho_solve(params.chol_t, (params.w @ hidden.points.T) - params.bv[:, None]).T
-        cdf.setflags(write=False)
-        means.setflags(write=False)
-        memo["draw_table"] = (cdf, means)
+        lo = _buckets(cdf)
+        for a in (cdf, means, lo):
+            if a is not None:
+                a.setflags(write=False)
+        memo["draw_table"] = (cdf, means, lo)
     return memo["draw_table"]
 
 
-def _state_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The count of entries of the non-decreasing ``cdf`` that are <= each ``u``.
+def _buckets(cdf: np.ndarray) -> np.ndarray | None:
+    """The guide table of ``cdf`` (Chen and Asau 1974), or None for at most
+    ``MAX_COUNTED_STATES`` entries, whose states are counted.
 
-    This is ``np.searchsorted(cdf, u, side="right")``, which a longer ``cdf``
-    uses; up to ``MAX_COUNTED_STATES`` entries the count is summed in a uint8
-    from one comparison per entry.
+    ``lo[g]`` is the count of entries <= g / G for g = 0..G + 1: the lower
+    edges of the G buckets [g / G, (g + 1) / G) of [0, 1), and of one more,
+    so that u = 1 falls in a bucket too.  G is 4K rounded up to a power of
+    two, at most ``MAX_BUCKETS``, so that g / G and a draw's u * G are exact.
     """
-    if cdf.shape[0] > MAX_COUNTED_STATES:
-        return np.searchsorted(cdf, u, side="right")
+    if cdf.shape[0] <= MAX_COUNTED_STATES:
+        return None
+    n_buckets = min(1 << (4 * cdf.shape[0] - 1).bit_length(), MAX_BUCKETS)
+    return np.searchsorted(cdf, np.arange(n_buckets + 2) / n_buckets, side="right")
+
+
+def _state_index(cdf: np.ndarray, u: np.ndarray, lo: np.ndarray | None) -> np.ndarray:
+    """The count of entries of the non-decreasing ``cdf`` that are <= each ``u``
+    in [0, 1], given the bucket index ``lo = _buckets(cdf)``.
+
+    This is ``np.searchsorted(cdf, u, side="right")``.  Without an index
+    (up to ``MAX_COUNTED_STATES`` entries) the count is summed in a uint8
+    from one comparison per entry.  With one, it is the count at the lower
+    edge g / G <= u of u's bucket, unless an entry lies in the bucket
+    (``lo[g] != lo[g + 1]``); only those ``u`` are searched.
+    """
+    if lo is not None:
+        bucket = (u * (lo.shape[0] - 2)).astype(np.intp)
+        idx = lo[bucket]
+        split = np.flatnonzero(idx != lo[1:][bucket])
+        idx[split] = np.searchsorted(cdf, u[split], side="right")
+        return idx
     idx = np.zeros(u.shape[0], dtype=np.uint8)
     at_or_past = np.empty(u.shape[0], dtype=bool)
     for c in cdf.tolist():
@@ -109,9 +142,10 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
     component means are kept on the model (``_draw_table``), so only a
     model's first draw builds them.  Each hidden state is the exact count of
     cdf entries <= its uniform: by comparisons for at most
-    ``MAX_COUNTED_STATES`` states, else by ``np.searchsorted``; the integer is
-    the same.  The means are gathered per draw and added in place to the
-    solve of the fresh noise, which overwrites the noise; IEEE addition
+    ``MAX_COUNTED_STATES`` states, else from the table's bucket index and
+    ``np.searchsorted`` (:func:`_state_index`); the integer is the same.  The
+    means are gathered per draw and added in place to the solve of the
+    fresh noise, which overwrites the noise; IEEE addition
     commutes, so each draw is bit for bit ``means[idx] + solve``.  The solve
     stays LAPACK's: a per-coordinate back-substitution in numpy is cheaper,
     but rounds differently and would move seeded draws.  A ``count`` that is
@@ -119,9 +153,9 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
     ValueError that names it.
     """
     count = _draw_request(count, seed)
-    cdf, means = _draw_table(params)
+    cdf, means, lo = _draw_table(params)
     rng = np.random.default_rng(seed)
-    idx = _state_index(cdf, rng.random(count))
+    idx = _state_index(cdf, rng.random(count), lo)
     noise = rng.standard_normal((count, params.n_v))
     # chol_t is checked finite once per model, and fresh normal draws are finite
     draws = la.solve_triangular(params.chol_t.T, noise.T, lower=False,

@@ -681,6 +681,7 @@ class _Dual(NamedTuple):
     omega: np.ndarray    # Omega' = 4 pi^2 Omega^-1
     chol: np.ndarray     # its lower Cholesky factor L'
     radius: float        # certified radius of the dual offsets
+    bound: float         # bound on their point count, below the work cap
     log_scale: float     # log of (2 pi)^{h/2} det(Omega)^{-1/2}
 
 
@@ -699,14 +700,15 @@ def _off_origin_bound(lengths_sq):
     return bound - 1.0
 
 
-def _dual_form(omega, omega_inv, primal_bound):
-    """The :class:`_Dual` of a full-lattice sum, or None where it is not used.
+def _dual_form(omega, omega_inv):
+    """The :class:`_Dual` of a full-lattice sum, or None where it cannot be used.
 
     The dual weights exp(-k^T Omega' k / 2) are the primal terms of Omega'
     at z = 0, so :func:`_certified_radius` bounds their omitted mass by
-    EPS / 2.  The dual is used only when :func:`_off_origin_bound` is at
+    EPS / 2.  The dual can be used only when :func:`_off_origin_bound` is at
     most 1/2, so that the cosine sum is at least 1/2 and the relative error
-    at most EPS, and when its point bound is below the primal's and the cap.
+    at most EPS, and when its point bound is below the cap; the kernel
+    compares that bound with the primal's.
     """
     # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is formed or factored
     if _off_origin_bound(_DUAL_SCALE * omega_inv.diagonal()) > 0.5:
@@ -723,11 +725,11 @@ def _dual_form(omega, omega_inv, primal_bound):
     radius = _certified_radius(pivots, np.log(EPS) - _LOG_2)
     spans = 2.0 * radius * np.sqrt(omega.diagonal()) / (2.0 * np.pi)
     bound = _point_bounds(pivots, radius, spans)
-    if bound >= min(primal_bound, _WORK_CAP):
+    if bound >= _WORK_CAP:
         return None
     # det Omega' = (2 pi)^{2h} / det Omega
     log_scale = np.add.reduce(np.log(pivots)) - 0.5 * pivots.size * _LOG_2PI
-    return _Dual(dual, chol, radius, log_scale)
+    return _Dual(dual, chol, radius, bound, log_scale)
 
 
 def _dual_log_sums(nhat, cols, weights):
@@ -767,13 +769,16 @@ class _Kernel:
     """What a sum needs that depends only on Omega and the lattice.
 
     Holds the Cholesky factor, Omega^-1, the certified radius of the shared
-    ellipsoid and the bound on its point count, and the one form its rows
-    are summed in: on the full lattice the dual (:func:`_dual_form`) where
-    it is cheaper, and otherwise the primal, with separable tables
-    (:func:`_separable`) where they apply.  The form's offsets
-    (:meth:`shared_points`) are kept, read-only, from their second use on:
-    a matrix summed once, like each candidate of a fit, holds no points,
-    and its arrays are freed as an uncached call's would be.
+    primal ellipsoid and the bound on its point count (computed when first
+    read), and the one form its rows are summed in: on the full lattice the
+    dual (:func:`_dual_form`) where it is cheaper, and otherwise the
+    primal, with separable tables (:func:`_separable`) where they apply.
+    A dual kernel whose bound is below a lower bound on the primal's never
+    computes the primal radius and bound unless a collected row reads them.
+    The form's offsets (:meth:`shared_points`) are kept, read-only, from
+    their second use on: a matrix summed once, like each candidate of a
+    fit, holds no points, and its arrays are freed as an uncached call's
+    would be.
     Raises NotPositiveDefiniteError if Omega is not positive definite.
     """
 
@@ -782,22 +787,43 @@ class _Kernel:
         self.chol = _require(omega, "omega")     # omega is symmetrized and finite
         self.omega_inv = _cholesky_inverse(self.chol)
         self.pivots = self.chol.diagonal()
-        # Every row's sum is at least its term at the rounded maximizer, which
-        # lies within rho_half (:func:`_rho_half`) of it; enumerating
-        # |L^T k| <= R + rho_half about the centre therefore covers each row's
-        # own ellipsoid |L^T (n - nhat)| <= R.
-        rho_half = _rho_half(omega)
-        self.radius = _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) \
-            + rho_half
         self.widths = np.sqrt(self.omega_inv.diagonal())
-        self.bound = _point_bounds(self.pivots, self.radius, 2.0 * self.radius * self.widths)
         self.dual = None
         if lattice is Lattice.FULL:
-            self.dual = _dual_form(omega, self.omega_inv, self.bound)
+            dual = _dual_form(omega, self.omega_inv)
+            # The primal bound rises with rho_half, which is at least
+            # sqrt(tr Omega) / 2 (the mean of c^T Omega c over the sign vectors
+            # c is tr Omega), and the radius is at least sqrt(-2 log_rel) +
+            # rho_half; a dual bound below the primal bound there (rho_half
+            # shaved by 1e-9 against rounding) is below the primal's, which is
+            # then not computed.
+            if dual is not None:
+                rho = 0.5 * (1.0 - 1e-9) * math.sqrt(np.add.reduce(self.omega.diagonal()))
+                floor = math.sqrt(-2.0 * (np.log(EPS) - 0.5 * rho ** 2)) + rho
+                if (dual.bound < _point_bounds(self.pivots, floor, 2.0 * floor * self.widths)
+                        or dual.bound < self.bound):
+                    self.dual = dual
         self.lattice = lattice
         self.kept = None
         self.used = False
         self.points = 0     # offsets and separable weights kept
+
+    @functools.cached_property
+    def radius(self):
+        """Radius R + rho_half of the shared primal offsets.
+
+        Every row's sum is at least its term at the rounded maximizer, which
+        lies within rho_half (:func:`_rho_half`) of it; enumerating
+        |L^T k| <= R + rho_half about the centre therefore covers each row's
+        own ellipsoid |L^T (n - nhat)| <= R.
+        """
+        rho_half = _rho_half(self.omega)
+        return _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) + rho_half
+
+    @functools.cached_property
+    def bound(self):
+        """Bound on the count of the shared primal offsets."""
+        return _point_bounds(self.pivots, self.radius, 2.0 * self.radius * self.widths)
 
     def shared_points(self):
         """The offsets k column-wise: with their weights in the dual form, or

@@ -625,6 +625,27 @@ class TestFitCommand:
             seeds.append(meta["config"]["seed"])
         assert seeds == [5, FitConfig.seed]
 
+    def test_wall_time_does_not_follow_the_clock(self, tmp_path, monkeypatch):
+        # the wall clock is set back an hour while the fit runs
+        import time
+        data_path = tmp_path / "data.csv"
+        np.savetxt(data_path, np.random.default_rng(2).standard_normal((50, 1)),
+                   delimiter=",")
+        clock, shift, fit = time.time, [0.0], cli.fit_density
+
+        def fit_while_the_clock_is_set_back(*args):
+            result = fit(*args)
+            shift[0] = 3600.0
+            return result
+
+        monkeypatch.setattr(time, "time", lambda: clock() - shift[0])
+        monkeypatch.setattr(cli, "fit_density", fit_while_the_clock_is_set_back)
+        out = tmp_path / "fit.json"
+        assert run_command(["fit", "--data", str(data_path), "--nh", "1", "--restarts", "1",
+                            "--max-evals", "8", "--out", str(out)]) == 0
+        meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        assert meta["wall_time_s"] >= 0
+
     @pytest.mark.parametrize("flag", [["--population", "8"], ["--sigma0", "0.5"],
                                       ["--standardize"], ["--theta-eps", "1e-6"]])
     def test_fixed_tuning_flags_are_usage_errors(self, tmp_path, capsys, flag):

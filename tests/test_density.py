@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_valid_params
@@ -13,7 +13,7 @@ from rtbm.errors import FitError, InsufficientSamplesError, RtbmError
 from rtbm.fit import FitConfig, fit_density, negative_log_likelihood
 from rtbm.model import RtbmParams, validate
 from rtbm.oracle import StudentTParams, student_logpdf
-from rtbm.sampling import empirical_conditional, make_histogram
+from rtbm.sampling import empirical_conditional, make_histogram, sample_visible
 from rtbm.theta import Lattice
 
 
@@ -345,6 +345,19 @@ class TestProductRule:
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
+# the models, requests and values the kept-child test interleaves
+KEPT_MODELS = {f"{name}/{lattice.value}": (fields, lattice)
+               for name, fields in (("tfit", TFIT), ("constructed_2d", CONSTRUCTED_2D),
+                                    ("constructed_3d", CONSTRUCTED_3D))
+               for lattice in Lattice}
+KEPT_REQUESTS = {2: [[1], [0]], 3: [[1, 2], [2, 1], [2], [0]]}
+KEPT_VALUES = [0.3, 0.0, -0.0, 1.5]
+
+
+def assert_same_bits(got, expected):
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 class TestPreparedModel:
     """T is factored and the normalizer summed once per model instance."""
 
@@ -379,8 +392,63 @@ class TestPreparedModel:
         log_marginal(tfit_params, 1, [0.4])
         log_marginal(tfit_params, 1, [0.4])
         log_pdf(tfit_params, [0.1, 0.4])
-        # one normalizer of the parent, one of each child, one numerator
-        assert calls["theta"] == 4
+        # one normalizer of the parent, one of the child the two calls share,
+        # one numerator
+        assert calls["theta"] == 3
+
+    def test_one_request_builds_one_child(self, tfit_params, monkeypatch):
+        import rtbm.density
+        log_pdf(tfit_params, [0.1, 0.4])        # the parent's normalizer
+        calls = self.count_calls(monkeypatch)
+        built = []
+
+        def counted(**fields):
+            built.append(fields)
+            return RtbmParams(**fields)
+
+        monkeypatch.setattr(rtbm.density, "RtbmParams", counted)
+        child, _ = condition_on(tfit_params, [1], [0.4])
+        assert condition_on(tfit_params, [1], [0.4])[0] is child
+        first = log_marginal(tfit_params, 1, [0.4])
+        assert log_marginal(tfit_params, 1, np.array([0.4])) == first
+        # one child, and one theta call: its normalizer
+        assert len(built) == 1 and calls["theta"] == 1
+        assert condition_on(tfit_params, [1], [0.4])[0] is child
+        # a different request replaces the kept child
+        assert condition_on(tfit_params, [1], [0.5])[0] is not child
+        assert condition_on(tfit_params, [1], [0.4])[0] is not child
+        assert len(built) == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(KEPT_MODELS)), st.integers(0, 3),
+                              st.sampled_from(KEPT_VALUES), st.sampled_from(KEPT_VALUES),
+                              st.booleans()), min_size=1, max_size=8))
+    @example([("constructed_3d/full", 0, 0.3, -0.0, False),
+              ("constructed_3d/full", 1, 0.3, -0.0, False),
+              ("constructed_3d/full", 0, 0.3, 0.0, True),
+              ("constructed_3d/full", 0, 0.3, -0.0, True),
+              ("tfit/nonneg", 0, -0.0, 0.0, True), ("tfit/nonneg", 0, 0.0, 0.0, False),
+              ("tfit/nonneg", 0, 1.5, 0.0, True)])
+    def test_kept_child_is_a_fresh_child(self, requests):
+        # requests interleaved on used models give, bit for bit, what fresh
+        # models give: the same child density, marginal and draws
+        used = {key: RtbmParams(**fields, lattice=lattice)
+                for key, (fields, lattice) in KEPT_MODELS.items()}
+        for key, which, a, b, marginal in requests:
+            fields, lattice = KEPT_MODELS[key]
+            params = used[key]
+            indices = KEPT_REQUESTS[params.n_v][which % len(KEPT_REQUESTS[params.n_v])]
+            values = [a, b][:len(indices)]
+            fresh = RtbmParams(**fields, lattice=lattice)
+            m = params.n_v - len(indices)
+            if marginal and indices == list(range(m, params.n_v)):
+                assert_same_bits(log_marginal(params, m, values), log_marginal(fresh, m, values))
+                continue
+            child, free = condition_on(params, indices, values)
+            expected, _ = condition_on(fresh, indices, values)
+            ys = np.random.default_rng(len(free)).normal(0.0, 2.0, (16, len(free)))
+            assert_same_bits(log_pdf_many(child, ys), log_pdf_many(expected, ys))
+            assert_same_bits(sample_visible(child, 500, 3), sample_visible(expected, 500, 3))
 
     def test_conditioning_validates_the_parent_once(self, tfit_params, monkeypatch):
         import rtbm.density

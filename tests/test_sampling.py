@@ -8,8 +8,9 @@ from references import quadrature_marginal
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
 from rtbm.model import RtbmParams
-from rtbm.sampling import (MAX_COUNTED_STATES, _state_index, empirical_conditional,
-                           hidden_distribution, make_histogram, sample_visible)
+from rtbm.sampling import (MAX_BUCKETS, MAX_COUNTED_STATES, _buckets, _state_index,
+                           empirical_conditional, hidden_distribution, make_histogram,
+                           sample_visible)
 from rtbm.theta import Lattice
 
 
@@ -178,9 +179,29 @@ class TestStateIndex:
         below = cdf[cdf < 1.0]
         u = np.concatenate([rng.random(4000), [0.0, np.nextafter(1.0, 0.0), total],
                             below, np.nextafter(below, 0.0), np.nextafter(below, 1.0)])
-        idx = _state_index(cdf, u)
+        idx = _state_index(cdf, u, _buckets(cdf))
         np.testing.assert_array_equal(idx, np.searchsorted(cdf, u, side="right"))
         assert (idx.dtype == np.uint8) == (k <= MAX_COUNTED_STATES)
+
+    @pytest.mark.parametrize("k, n_buckets", [(33, 256), (527, 4096), (4097, 1 << 15),
+                                              (16385, MAX_BUCKETS)])
+    def test_bucket_edges_match_searchsorted(self, k, n_buckets):
+        # entries on bucket edges, between them and tied; u at every edge and
+        # entry and just below each
+        rng = np.random.default_rng(k)
+        weights = rng.random(k) ** 4
+        weights[k // 3::7] = 0.0
+        cdf = np.cumsum(weights / weights.sum())
+        cdf[::5] = np.floor(cdf[::5] * n_buckets) / n_buckets
+        cdf = np.maximum.accumulate(cdf)
+        cdf[-1] = max(cdf[-1], 1.0)
+        lo = _buckets(cdf)
+        assert lo.shape == (n_buckets + 2,)
+        edges = np.arange(n_buckets) / n_buckets
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), cdf[cdf < 1.0],
+                            np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        np.testing.assert_array_equal(_state_index(cdf, u, lo),
+                                      np.searchsorted(cdf, u, side="right"))
 
 
 class TestHistogram:
