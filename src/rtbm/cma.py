@@ -7,8 +7,8 @@ objective may return +inf for infeasible candidates.  Deterministic for a
 fixed seed: a single PCG64 stream, drawn in the calling process.
 
 The lambda candidates of a generation are all scored before any is ranked,
-so :func:`rtbm.pool.scorer` scores them on several processes, with the same
-result for any number.
+so :func:`rtbm.pool.scorer` scores them on several processes, each claiming
+the next unscored one, with the same result for any number and any split.
 
 A run stops on the first of: the evaluation budget (``"budget"``); the
 step size below SIGMA_STOP (``"sigma"``); the covariance condition (ratio

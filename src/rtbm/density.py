@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import RtbmError
 from .model import RtbmParams, validate
-from .theta import _LOG_2PI, _coords_dot, _coords_inner, log_theta_many
+from .theta import _LOG_2PI, _coords_dot, _coords_inner, _log_theta_rows
+from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
 
 
 def _logdet_from_chol(chol):
@@ -37,11 +38,12 @@ def _logdet_from_chol(chol):
 
 
 def log_normalizer(params: RtbmParams) -> float:
-    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model."""
+    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model; both
+    passed ``model._finite``, so ``log_theta_many``'s checks are skipped."""
     memo = params.memo
     if "log_normalizer" not in memo:
-        memo["log_normalizer"] = log_theta_many(
-            params.z_schur[None, :], params.schur, params.lattice)[0]
+        memo["log_normalizer"] = _log_theta_rows(
+            params.z_schur[:, None], params.schur, params.lattice)[0]
     return memo["log_normalizer"]
 
 
@@ -50,6 +52,7 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
 
     A row's value does not depend on its batch: it equals :func:`log_pdf`
     of that point, bit for bit.  Points are checked first (:func:`as_points`).
+    Its theta arguments are checked here and summed as formed, unchecked.
     """
     vs = as_points(vs, params.n_v)
     # The batch-1 normalizer goes first: when the Schur matrix is not
@@ -76,7 +79,7 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
         half_quad = _coords_inner(sq, sq)
         half_quad *= 0.5
     half_quad[np.isnan(half_quad)] = np.inf
-    log_num = log_theta_many(z_num.T, params.q, params.lattice)
+    log_num = _log_theta_rows(z_num, params.q, params.lattice)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     log_num = np.where(np.isinf(half_quad), 0.0, log_num)

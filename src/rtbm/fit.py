@@ -119,8 +119,10 @@ def negative_log_likelihood(params: RtbmParams, data) -> float:
 
 
 def make_objective(data, n_h, lattice):
-    """NLL over the encoding, n_v the data's width; +inf where the model is invalid."""
-    n_v = np.atleast_2d(data).shape[1]
+    """NLL over the encoding, n_v the data's width; +inf where the model is invalid.
+    The data are checked once, and laid out as ``log_pdf_many`` reads them."""
+    data = np.ascontiguousarray(as_points(data).T).T
+    n_v = data.shape[1]
     def objective(x):
         try:
             params = decode(x, n_v, n_h, lattice)

@@ -1,14 +1,14 @@
 """Scoring batches of items on one process per CPU.
 
-The caller and ``n - 1`` workers, forked once by :func:`scorer`, take the
-items ``i::n`` for i = 0 .. n - 1 of each batch, and their values are
-gathered back in item order, so every result is the same for any ``n``.
-Each worker talks to the caller over one ``multiprocessing.connection``
-pipe and is bound to a CPU other than the caller's: left free, a worker
-woken through its pipe may be placed on the busy caller's CPU (the wake-up
-says that the writer is about to sleep, and the caller is not) and kept
-there for the whole run, which on a 2-vCPU host made a fit slower than in
-one process.
+The caller and ``n - 1`` workers, forked once by :func:`scorer`, claim the
+items of each batch one at a time from one claim pipe, and their values
+are gathered back by index, so every result is the same for any ``n`` and
+any share each process takes.  Each worker talks to the caller over one
+``multiprocessing.connection`` pipe and is bound to a CPU other than the
+caller's: left free, a worker woken through its pipe may be placed on the
+busy caller's CPU (the wake-up says that the writer is about to sleep, and
+the caller is not) and kept there for the whole run, which on a 2-vCPU
+host made a fit slower than in one process.
 """
 
 from __future__ import annotations
@@ -36,15 +36,27 @@ def _process_count(most):
     return min(len(os.sched_getaffinity(0)), most)
 
 
-def _serve(func, conn, index, count):
-    """A worker's loop: score items ``index::count`` of each batch received on
-    ``conn`` and send back their values, or the error they raised (a
-    RuntimeError naming its type and message if it does not pickle), until
-    the caller's end closes (EOFError)."""
+def _claims(fd, count):
+    """The indices below ``count`` read as 4-byte tickets from the claim pipe
+    ``fd``, up to the first that is not or the pipe's end, which comes only
+    after the caller has closed its connections or died."""
+    while len(ticket := os.read(fd, 4)) == 4:
+        index = int.from_bytes(ticket, sys.byteorder)
+        if index >= count:
+            return
+        yield index
+
+
+def _serve(func, conn, claims):
+    """A worker's loop: score the items it claims from the pipe ``claims`` of
+    each batch received on ``conn`` and send back their (index, value) pairs,
+    or the error one raised (a RuntimeError naming its type and message if
+    it does not pickle), until the caller's end closes (EOFError, or an
+    OSError on sending)."""
     while True:
         items = conn.recv()
         try:
-            conn.send((True, [float(func(x)) for x in items[index::count]]))
+            conn.send((True, [(i, float(func(items[i]))) for i in _claims(claims, len(items))]))
         except Exception as exc:
             try:
                 conn.send((False, exc))
@@ -67,14 +79,15 @@ def _worker_cpus(count):
     return [cpus[k % len(cpus)] if cpus else None for k in range(count)]
 
 
-def _fork_worker(func, index, count, cpu, workers):
-    """Fork the worker of items ``index::count``, bound to ``cpu`` unless it
-    is None; (pid, connection) for the caller, ``workers`` being those forked
-    before it.
+def _fork_worker(func, claims, cpu, workers):
+    """Fork a worker claiming items from the pipe ``claims`` (read, write),
+    bound to ``cpu`` unless it is None; (pid, connection) for the caller,
+    ``workers`` being those forked before it.
 
-    The worker closes its siblings' connections, so each closes with the
-    caller, and leaves through ``os._exit`` however its loop ends: when the
-    caller's end closes (the caller finished or died), on an error, or on
+    The worker closes the claim pipe's write end and its siblings'
+    connections, so both its pipes close with the caller, and leaves through
+    ``os._exit`` however its loop ends: when the caller's end of either
+    pipe closes (the caller finished or died), on an error, or on
     KeyboardInterrupt.  So it runs no atexit handler, prints no traceback
     and flushes no stream inherited from the caller.
     """
@@ -90,10 +103,11 @@ def _fork_worker(func, index, count, cpu, workers):
             if cpu is not None:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, {cpu})
+            os.close(claims[1])
             conn.close()
             for _, sibling in workers:
                 sibling.close()
-            _serve(func, child, index, count)
+            _serve(func, child, claims[0])
         finally:
             os._exit(0)
     child.close()
@@ -107,37 +121,47 @@ def scorer(func, most):
 
     Forks the workers once, each bound to a CPU of its own (see
     ``_worker_cpus``), after flushing the standard streams; on the way out,
-    normal or not, closes their connections and reaps them.  An error raised
-    in a worker's share is raised in the caller.
+    normal or not, closes their connections and the claim pipe and reaps
+    them.  An error raised in a worker is raised in the caller, and like
+    one raised in the caller it ends the scorer's use.
     """
     count = _process_count(most)
     workers = []
+    claims = os.pipe() if count > 1 else None
     try:
         if count > 1:
             sys.stdout.flush()
             sys.stderr.flush()
-        for index, cpu in enumerate(_worker_cpus(count - 1), 1):
-            workers.append(_fork_worker(func, index, count, cpu, workers))
+        for cpu in _worker_cpus(count - 1):
+            workers.append(_fork_worker(func, claims, cpu, workers))
 
         def score(items):
+            if not workers:
+                return np.array([float(func(x)) for x in items])
             for _, conn in workers:
                 conn.send(items)
+            # one ticket per item, then one past the last index per process
+            os.write(claims[1], np.arange(len(items) + count, dtype=np.uint32).tobytes())
             values = np.empty(len(items))
-            values[::count] = [float(func(x)) for x in items[::count]]
-            for index, (pid, conn) in enumerate(workers, 1):
+            for i in _claims(claims[0], len(items)):
+                values[i] = float(func(items[i]))
+            for pid, conn in workers:
                 try:
-                    ok, share = conn.recv()
+                    ok, scored = conn.recv()
                 except (EOFError, OSError):
                     raise RuntimeError(f"worker process {pid} exited "
                                        "without scoring its candidates") from None
                 if not ok:
-                    raise share
-                values[index::count] = share
+                    raise scored
+                for i, value in scored:
+                    values[i] = value
             return values
 
         yield score
     finally:
         for _, conn in workers:
             conn.close()
+        for fd in claims or ():
+            os.close(fd)
         for pid, _ in workers:
             os.waitpid(pid, 0)

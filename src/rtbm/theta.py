@@ -34,9 +34,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
 * Work cap.  Before anything is allocated, each row's point count is
   bounded by prod_i (min(2r / L_ii, s_i) + 1), s_i the extent of its
   ellipsoid (cut at zero on the orthant lattice) along n_i, and checked
-  against a fixed cap of 2^21 points.  A row over the cap, with no dual
-  form under it, raises ThetaTruncationError, so a sum is never silently
-  truncated and never allocates without bound.
+  against a fixed cap of 2^21 points, once for all the rows that share a
+  kernel's offsets.  A row over the cap, with no dual form under it,
+  raises ThetaTruncationError, so a sum is never silently truncated and
+  never allocates without bound.
 * Dual sums.  On the full lattice, Poisson summation gives the functional
   equation of theta (Mumford, "Tata Lectures on Theta I", 1983):
 
@@ -133,6 +134,8 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   captured matrices of the two seeded benchmark fits (a shared 2-vCPU
   x86-64 host, each matrix's best of seven passes), construction and
   first enumeration take 108 us at h = 3 and 77 us at h = 2.
+  ``log_theta_many`` checks its arguments and hands their coordinate rows
+  to ``_log_theta_rows``, which ``density`` calls on rows it has checked.
   The per-row work - the maximizer Omega^-1 z, its rounding c,
   g = z - Omega c and the term at c - reads each coordinate of the batch
   as one contiguous row of B values and sums over the coordinates in index
@@ -350,7 +353,8 @@ def _orthant_ascent(zs, omega, start):
 def _coords_dot(rows, m):
     """``m^T rows`` for coordinate rows (h, B): out[k] = sum_j m[j, k] rows[j].
 
-    The sum runs over j in index order, one (h', B) product per coordinate.
+    The sum runs over j in index order, one (h', B) product per coordinate,
+    each formed in one reused buffer and then added.
     BLAS rounds a row differently depending on how many rows share the
     product (gemv for one row, blocked gemm kernels for more), which would
     make a lattice sum depend on its batch; this order depends on nothing
@@ -360,8 +364,10 @@ def _coords_dot(rows, m):
     hidden unit) or is Fortran-ordered (``chol_t`` from LAPACK).
     """
     out = m[0][:, None] * rows[0]
+    prod = None
     for j in range(1, rows.shape[0]):
-        out += m[j][:, None] * rows[j]
+        prod = np.multiply(m[j][:, None], rows[j], out=prod)
+        out += prod
     return out
 
 
@@ -774,7 +780,8 @@ class _Kernel:
     dual (:func:`_dual_form`) where it is cheaper, and otherwise the
     primal, with separable tables (:func:`_separable`) where they apply.
     A dual kernel whose bound is below a lower bound on the primal's never
-    computes the primal radius and bound unless a collected row reads them.
+    computes the primal radius and bound: its collected row (which stays
+    primal) bounds its own ellipsoid, and reads neither.
     The form's offsets (:meth:`shared_points`) are kept, read-only, from
     their second use on: a matrix summed once, like each candidate of a
     fit, holds no points, and its arrays are freed as an uncached call's
@@ -919,21 +926,26 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or zs.ndim != 2 or not zs.shape[1] == omega.shape[0] == omega.shape[1]:
         raise ValueError(f"zs {zs.shape} and omega {omega.shape} are not (B, h) and (h, h)")
-    nb = zs.shape[0]
     lattice = Lattice(lattice)
-    if collect_terms and nb != 1:
+    if collect_terms and zs.shape[0] != 1:
         raise ValueError("collect_terms requires a single argument vector")
     if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
         raise ValueError("theta arguments must be finite")
+    return _log_theta_rows(np.ascontiguousarray(zs.T), omega, lattice, collect_terms)
+
+
+def _log_theta_rows(z, omega, lattice, collect_terms=False):
+    """:func:`log_theta_many` of the C-contiguous coordinate rows ``z`` (h, B),
+    unchecked: ``z`` and ``omega`` (h, h) finite, ``lattice`` a Lattice."""
     kernel = _kernel(omega, lattice)
     omega, chol = kernel.omega, kernel.chol
+    nb = z.shape[1]
 
     # The set-up reads each coordinate as one contiguous row of B values and
     # sums over the coordinates in index order (_coords_dot, _coords_inner),
     # one length-B operation per coordinate.  No BLAS and no reduction over
     # the short axis, whose order depends on the batch or the CPU's vector
     # width, so a row's sum does not depend on the other rows of its batch.
-    z = np.ascontiguousarray(zs.T)
     dual = kernel.dual is not None and not collect_terms  # its bound is under the cap
     # A far argument, or the Omega^-1 of a nearly singular Omega, can overflow
     # here; the bounds below reject such a matrix, and the callers judge the rows.
@@ -950,18 +962,17 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
     if dual:
         return kernel.dual.log_scale + half_dot + _dual_log_sums(nhat, *kernel.shared_points())
     orthant = lattice is Lattice.NONNEG
-    own = np.full(nb, collect_terms)
-    if orthant:
-        own |= (centre < 0).any(axis=0)
+    # The collected row and, on the orthant, a row whose rounded maximizer
+    # lies outside it (own: a flag per row, or one for all) sum their own
+    # ellipsoid, certified by their term at the rounded maximizer or at an
+    # orthant point found by coordinate ascent.  The other rows share the
+    # kernel's offsets and its one bound, read only if there is such a row.
+    own = (centre < 0).any(axis=0) | collect_terms if orthant else collect_terms
     rows = np.flatnonzero(own)
-
-    bounds = np.full(nb, kernel.bound)
+    bounds = kernel.bound if rows.size < nb else 0.0
     if rows.size:
-        # The collected row and, on the orthant, a row whose rounded maximizer
-        # lies outside it sum their own ellipsoid, certified by their term at
-        # the rounded maximizer or at an orthant point found by coordinate ascent.
         # (rows, h) copies in row order, the layout _ellipsoid_points enumerates in
-        zs_own, nhat_own, best = zs[rows], nhat[:, rows].T.copy(), centre[:, rows].T.copy()
+        zs_own, nhat_own, best = (a[:, rows].T.copy() for a in (z, nhat, centre))
         if orthant:
             best = _orthant_ascent(zs_own, omega, np.maximum(best, 0.0))
         u = nhat_own - best
@@ -971,15 +982,16 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
         upper = nhat_own + reach[:, None] * kernel.widths
         lower = np.maximum(nhat_own - reach[:, None] * kernel.widths,
                            0.0 if orthant else -np.inf)
+        bounds = np.full(nb, bounds)
         bounds[rows] = _point_bounds(kernel.pivots, reach, upper - lower)
-    failed = bounds > _WORK_CAP
+    failed = bounds > _WORK_CAP     # an array, or one flag for every row
     if failed.any():
         raise ThetaTruncationError(
-            f"{int(failed.sum())} of {nb} lattice sums not converged: eps={EPS:g} "
-            f"needs up to {bounds.max():.4g} lattice points, above the work cap "
+            f"{int(failed.sum()) if failed.ndim else nb} of {nb} lattice sums not converged: "
+            f"eps={EPS:g} needs up to {bounds.max():.4g} lattice points, above the work cap "
             f"of {_WORK_CAP} (min eigenvalue {_min_eigenvalue(omega):.6g})")
     if collect_terms:
-        owner, points, terms = _own_terms(zs, omega, chol, nhat_own, reach, best, orthant)
+        owner, points, terms = _own_terms(zs_own, omega, chol, nhat_own, reach, best, orthant)
         return _segment_log_sums(owner, terms, 1), points, terms
 
     result = np.empty(nb)

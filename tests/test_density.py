@@ -374,8 +374,8 @@ class TestPreparedModel:
 
         monkeypatch.setattr(rtbm.model, "spd_cholesky",
                             counted("cholesky", rtbm.model.spd_cholesky))
-        monkeypatch.setattr(rtbm.density, "log_theta_many",
-                            counted("theta", rtbm.density.log_theta_many))
+        monkeypatch.setattr(rtbm.density, "_log_theta_rows",
+                            counted("theta", rtbm.density._log_theta_rows))
         return calls
 
     def test_second_call_factors_nothing(self, tfit_params, monkeypatch):

@@ -211,12 +211,12 @@ class TestMinimize:
 class TestObjective:
     def _count_wide_sums(self, monkeypatch):
         rows = []
-        inner = rtbm.density.log_theta_many
+        inner = rtbm.density._log_theta_rows
 
-        def counting(zs, *args, **kwargs):
-            rows.append(len(zs))
-            return inner(zs, *args, **kwargs)
-        monkeypatch.setattr(rtbm.density, "log_theta_many", counting)
+        def counting(z, *args, **kwargs):
+            rows.append(z.shape[1])     # coordinate rows (h, B)
+            return inner(z, *args, **kwargs)
+        monkeypatch.setattr(rtbm.density, "_log_theta_rows", counting)
         return rows
 
     def test_infeasible_candidate_scores_inf_without_wide_sum(self, monkeypatch):

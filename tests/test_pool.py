@@ -1,6 +1,7 @@
 """The process pool that scores a fit's candidates: every CPU used, errors
 carried back to the caller, and no process left behind."""
 
+import collections
 import math
 import os
 import signal
@@ -32,6 +33,30 @@ def pids_in(path):
     return {int(line) for line in path.read_text().split()}
 
 
+def waiting_pids(objective, path, count):
+    """``objective``, logging the pid of each call to ``path``; each process's
+    first call waits until ``count`` processes have logged one.
+
+    Processes claim candidates on demand, so a fast one may take a whole
+    generation.  While a process waits, the others claim the rest, so in a
+    generation of at least ``count`` candidates every process scores one,
+    whatever the timing.
+    """
+    waited = []         # each forked worker keeps its own copy
+    def logged(x):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        if not waited:
+            deadline = time.monotonic() + 60
+            while len(pids_in(path)) < count:
+                if time.monotonic() > deadline:
+                    raise AssertionError(f"fewer than {count} processes scored in 60 s")
+                time.sleep(0.001)
+            waited.append(True)
+        return objective(x)
+    return logged
+
+
 def assert_reaped(pid):
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
@@ -56,8 +81,9 @@ class TestPool:
                 f.write(f"{os.getpid()} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
             return spiky(x)
         lam = 4 + int(3 * math.log(6))
-        assert rtbm.pool._process_count(lam) == min(HOST_CPUS, lam)
-        run_spiky(logging_cpus, max_evals=100)
+        count = rtbm.pool._process_count(lam)
+        assert count == min(HOST_CPUS, lam)
+        run_spiky(waiting_pids(logging_cpus, tmp_path / "pids", count), max_evals=100)
         cpus = dict(line.split(" ", 1) for line in log.read_text().splitlines())
         caller = str(os.getpid())
         assert caller in cpus
@@ -79,12 +105,12 @@ class TestPool:
             return spiky(x)
         log = tmp_path / "pids"
         with pytest.raises(ValueError, match="^no value in the worker's share$") as err:
-            run_spiky(logging_pids(failing, log))
+            run_spiky(waiting_pids(failing, log, 2))
         assert type(err.value) is ValueError
         (worker,) = pids_in(log) - {caller}
         assert_reaped(worker)
 
-    def test_an_error_that_does_not_pickle_is_named(self, monkeypatch):
+    def test_an_error_that_does_not_pickle_is_named(self, monkeypatch, tmp_path):
         force_processes(monkeypatch, 2)
         caller = os.getpid()
 
@@ -96,7 +122,7 @@ class TestPool:
                 raise Unpicklable("local failure")
             return spiky(x)
         with pytest.raises(RuntimeError, match="^Unpicklable: local failure$"):
-            run_spiky(failing)
+            run_spiky(waiting_pids(failing, tmp_path / "pids", 2))
 
     def test_a_worker_that_dies_is_an_error(self, monkeypatch, tmp_path):
         force_processes(monkeypatch, 2)
@@ -108,7 +134,7 @@ class TestPool:
             return spiky(x)
         log = tmp_path / "pids"
         with pytest.raises(RuntimeError, match="exited without scoring its candidates"):
-            run_spiky(logging_pids(dying, log))
+            run_spiky(waiting_pids(dying, log, 2))
         (worker,) = pids_in(log) - {caller}
         assert_reaped(worker)
 
@@ -121,12 +147,44 @@ class TestPool:
                 raise KeyError("caller")
             return spiky(x)
         log = tmp_path / "pids"
+        # the caller raises on its first candidate, once both workers have
+        # taken one of theirs
         with pytest.raises(KeyError):
-            run_spiky(logging_pids(failing, log))
+            run_spiky(waiting_pids(failing, log, 3))
         workers = pids_in(log) - {caller}
         assert len(workers) == 2
         for pid in workers:
             assert_reaped(pid)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("slow", ["caller", "workers"])
+    def test_a_skewed_split_changes_nothing(self, monkeypatch, tmp_path, count, slow):
+        # a slow caller leaves the workers most candidates, and slow workers
+        # leave them to the caller; either way each candidate of each
+        # generation is scored once, and the run is the serial one
+        def logging_candidates(path, sleep_in=None):
+            def logged(x):
+                with open(path, "a") as f:
+                    f.write(f"{os.getpid()} {x.tobytes().hex()}\n")
+                if sleep_in is not None and (os.getpid() == caller) == (sleep_in == "caller"):
+                    time.sleep(0.001)
+                return spiky(x)
+            return logged
+
+        def scored(path):
+            return [line.split() for line in path.read_text().splitlines()]
+        caller = os.getpid()
+        force_processes(monkeypatch, 1)
+        serial = run_spiky(logging_candidates(tmp_path / "serial"), max_evals=300)
+        monkeypatch.undo()
+        force_processes(monkeypatch, count)
+        split = run_spiky(logging_candidates(tmp_path / "split", slow), max_evals=300)
+        assert_same_run(split, serial)
+        candidates = [x for _, x in scored(tmp_path / "serial")]
+        assert len(candidates) == serial.evals == len(set(candidates))
+        shares = scored(tmp_path / "split")
+        assert collections.Counter(x for _, x in shares) == collections.Counter(candidates)
+        assert len({pid for pid, _ in shares}) <= count
 
     def test_nothing_is_forked_while_another_thread_runs(self, monkeypatch, tmp_path):
         force_processes(monkeypatch, 1)

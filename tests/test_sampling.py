@@ -3,14 +3,14 @@ import pytest
 import scipy.linalg as la
 from scipy.special import logsumexp
 
-from conftest import random_valid_params
+from conftest import CONSTRUCTED_3D, random_valid_params
 from references import quadrature_marginal
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
-from rtbm.model import RtbmParams
-from rtbm.sampling import (MAX_BUCKETS, MAX_COUNTED_STATES, _buckets, _state_index,
-                           empirical_conditional, hidden_distribution, make_histogram,
-                           sample_visible)
+from rtbm.model import RtbmParams, validate
+from rtbm.sampling import (MAX_BUCKETS, MAX_COUNTED_STATES, _buckets, _draw_table,
+                           _state_index, empirical_conditional, hidden_distribution,
+                           make_histogram, sample_visible)
 from rtbm.theta import Lattice
 
 
@@ -57,6 +57,26 @@ class TestHiddenDistribution:
         vs = sample_visible(p, 100, seed=14)
         rel = np.expm1(mixture_logpdf(p, vs) - log_pdf_many(p, vs))
         assert np.abs(rel).max() <= 1e-9
+
+    def test_dual_kernel_collects_without_its_primal_bound(self):
+        import rtbm.theta as theta
+        p = RtbmParams(**CONSTRUCTED_3D)
+        assert validate(p).valid
+        kernel = theta._kernel(p.schur, p.lattice)
+        assert kernel.dual is not None
+        hd = hidden_distribution(p)
+        table = _draw_table(p)
+        # the collected row bounds its own ellipsoid: the primal radius and
+        # bound, which no row of a dual kernel uses, are never computed
+        assert "radius" not in vars(kernel) and "bound" not in vars(kernel)
+        kernel.bound
+        fresh = RtbmParams(**CONSTRUCTED_3D)
+        again = hidden_distribution(fresh)
+        assert theta._kernel(fresh.schur, fresh.lattice) is kernel
+        assert hd.points.tobytes() == again.points.tobytes()
+        assert hd.log_weights.tobytes() == again.log_weights.tobytes()
+        for a, b in zip(table, _draw_table(fresh)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_nonneg_points_stay_in_orthant(self):
         rng = np.random.default_rng(3)

@@ -271,23 +271,35 @@ def reference_radius(z, omega, lam_min):
     return int(np.ceil(nhat + np.sqrt(2.0 * 40.0 / lam_min))) + 1
 
 
+def coords_dot_reference(rows, m):
+    """``_coords_dot`` as a loop that makes a fresh product per coordinate."""
+    out = m[0][:, None] * rows[0]
+    for j in range(1, rows.shape[0]):
+        out += m[j][:, None] * rows[j]
+    return out
+
+
 class TestEllipsoidKernel:
-    @pytest.mark.parametrize("h", range(1, 7))
+    @pytest.mark.parametrize("h", [*range(1, 7), 8, 12])
     def test_coordinate_products_sum_in_one_order(self, h):
         import rtbm.theta as theta
 
         # The loop rounds a row alike alone (a contiguous (h, 1) array, as
         # log_pdf passes it) and in a batch of a few or many, whatever the
-        # layout of m.  The blocks' einsum matches it for the C-ordered,
-        # many-column offsets it is given, but a lone row's einsum rounds
-        # otherwise when m has one column (W with one hidden unit) or is
-        # Fortran-ordered (chol_t from LAPACK), so _coords_dot stays a loop.
+        # layout of m, and as a fresh product per coordinate would.  The
+        # blocks' einsum matches it for the C-ordered, many-column offsets it
+        # is given, but a lone row's einsum rounds otherwise when m has one
+        # column (W with one hidden unit) or is Fortran-ordered (chol_t from
+        # LAPACK), so _coords_dot stays a loop.
         rng = np.random.default_rng(h)
         many = rng.normal(size=(h, h + 2))
         for m in (many, many[:, :1].copy(), np.asfortranarray(many)):
             for b in (1, 7, 5000):
                 rows = 50.0 * rng.normal(size=(h, b))
                 batch = theta._coords_dot(rows, m)
+                reference = coords_dot_reference(rows, m)
+                assert batch.shape == reference.shape
+                assert batch.tobytes() == reference.tobytes()
                 for j in range(min(b, 7)):
                     lone = np.ascontiguousarray(rows[:, j:j + 1])
                     np.testing.assert_array_equal(batch[:, j:j + 1],
