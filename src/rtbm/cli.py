@@ -36,7 +36,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pool
 from .density import condition_on, log_pdf_many
 from .errors import RtbmError
 from .fit import FitConfig, fit_density
@@ -48,7 +48,9 @@ from .theta import Lattice
 
 GRID_POINT_CAP = 1 << 22    # most points a --grid may mesh: 4,194,304
 DRAW_VALUE_CAP = 1 << 24    # most values (--count x width) a sample command may draw
-CSV_BLOCK_ROWS = 1 << 14    # rows formatted into one string per write
+CSV_BLOCK_ROWS = 1 << 14    # most rows of an output formatted in one block, in-process
+CSV_ITEM_ROWS = 1 << 12     # rows of each block of a longer output, made on the pool
+CSV_BATCH_ITEMS = 16        # blocks of a longer output made per batch, held as text at once
 
 
 def conditional_mse(reference, candidate) -> float:
@@ -60,27 +62,39 @@ def conditional_mse(reference, candidate) -> float:
     return float(np.mean((reference - candidate) ** 2))
 
 
-def _write_csv(path, rows):
+def _write_csv(path, rows, count=None):
     """Write ``rows`` as ``np.savetxt(fmt="%.17g", delimiter=",")`` would, byte for byte.
 
-    Each block of ``CSV_BLOCK_ROWS`` rows is one ``%`` of the row format,
-    repeated per row, against the block's values as Python floats (whose
-    ``%.17g`` is the one savetxt applies to each numpy float), so the
-    formatting takes one call per block and the memory one block's string.
+    ``rows`` is an array of rows, or a function giving the rows of a slice of
+    the output's ``count`` rows.  Each block of rows is one ``%`` of the row
+    format, repeated per row, against the block's values as Python floats
+    (whose ``%.17g`` is the one savetxt applies to each numpy float).  An
+    output of at most ``CSV_BLOCK_ROWS`` rows is one block, made in this
+    process.  A longer one is cut into blocks of ``CSV_ITEM_ROWS`` rows, which
+    :func:`rtbm.pool.scorer` makes and formats on one process per CPU,
+    ``CSV_BATCH_ITEMS`` at a time, so that only those are held as text.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    if not callable(rows):
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        count, rows = rows.shape[0], rows.__getitem__
+
+    def text(part):
+        block = rows(part)
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        return (line * block.shape[0]) % tuple(block.ravel().tolist())
 
     def write(fh):
-        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        step = CSV_ITEM_ROWS if count > CSV_BLOCK_ROWS else max(count, 1)
+        parts = [slice(i, i + step) for i in range(0, count, step)]
+        with pool.scorer(text, min(len(parts), CSV_BATCH_ITEMS)) as score:
+            for first in range(0, len(parts), CSV_BATCH_ITEMS):
+                fh.writelines(score(parts[first:first + CSV_BATCH_ITEMS]))
     write_atomic(path, write)
 
 
-def _write_density_csv(path, pts, logp):
-    """The density CSV: one row per point, its coordinates, density and log-density."""
-    _write_csv(path, np.column_stack([pts, np.exp(logp), logp]))
+def _density_rows(pts, logp):
+    """The density CSV's rows: each point's coordinates, density and log-density."""
+    return np.column_stack([pts, np.exp(logp), logp])
 
 
 def _line_of_row(path, row):
@@ -258,10 +272,14 @@ def _cmd_density(args):
     params = _load_valid_model(args.model)
     pts = _eval_points(args, params.n_v)
     try:
-        logp = log_pdf_many(params, pts)
+        _write_csv(args.out, lambda part: _density_rows(
+            pts[part], log_pdf_many(params, pts[part])), len(pts))
     except RtbmError as exc:
+        try:    # a block's error counts its block's points, not the input's
+            log_pdf_many(params, pts)
+        except RtbmError as whole:
+            exc = whole
         raise RtbmError(f"model {args.model}: {exc}") from exc
-    _write_density_csv(args.out, pts, logp)
     return 0
 
 
@@ -311,7 +329,7 @@ def _cmd_student_sample(args):
 def _cmd_student_conditional(args):
     ct = student_conditional(_student_params(args), *_parse_on(args.on))
     pts = _eval_points(args, ct.loc.size)
-    _write_density_csv(args.out, pts, conditional_logpdf(ct, pts))
+    _write_csv(args.out, _density_rows(pts, conditional_logpdf(ct, pts)))
     return 0
 
 

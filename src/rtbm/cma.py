@@ -92,7 +92,7 @@ def minimize(objective, x0, *, max_evals: int, seed) -> CmaResult:
             z = rng.standard_normal((lam, dim))
             y = (z * eig_sqrt) @ eig_vecs.T
             xs = mean + sigma * y
-            fs = score(xs)
+            fs = np.array(score(xs), dtype=float)
             evals += lam
 
             order = np.argsort(fs, kind="stable")

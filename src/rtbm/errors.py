@@ -11,7 +11,8 @@ class NotPositiveDefiniteError(RtbmError):
     Carries the smallest eigenvalue estimate when available, and then its
     message ends with it.  The estimate may be given as a function of no
     arguments, called once when ``min_eigenvalue`` or the message is first
-    read: a caller that discards the error pays for no eigenvalue.
+    read: a caller that discards the error pays for no eigenvalue.  It
+    pickles (say, from a worker process) with the estimate computed.
     """
 
     def __init__(self, message, min_eigenvalue=None):
@@ -28,6 +29,9 @@ class NotPositiveDefiniteError(RtbmError):
         lam = self.min_eigenvalue
         message = super().__str__()
         return message if lam is None else f"{message} (min eigenvalue ~ {lam:.6g})"
+
+    def __reduce__(self):
+        return type(self), (super().__str__(), self.min_eigenvalue)
 
 
 class ThetaTruncationError(RtbmError):

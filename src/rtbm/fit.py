@@ -22,7 +22,7 @@ import numpy as np
 from . import cma
 from .density import _index, as_points, log_pdf_many
 from .errors import FitError, RtbmError
-from .model import RtbmParams, _finite, validate
+from .model import RtbmParams, _check_finite, _finite, validate
 from .theta import Lattice
 
 
@@ -83,7 +83,9 @@ def _tril_to_matrix(vals, n, name):
 
 
 def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
-    """Unpack a free-parameter vector into a model with T, Q PD, or raise on overflow."""
+    """Unpack a free-parameter vector into a model with T, Q PD, or raise on overflow.
+
+    Each array is made, frozen and checked once, and the model keeps it as it is."""
     x = np.asarray(x, dtype=float)
     expected = free_parameter_count(n_v, n_h)
     if x.shape != (expected,):
@@ -93,10 +95,11 @@ def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     pos = 0
     t = _tril_to_matrix(x[pos:pos + nt], n_v, "T"); pos += nt
     q = _tril_to_matrix(x[pos:pos + nq], n_h, "Q"); pos += nq
-    w = x[pos:pos + n_v * n_h].reshape(n_v, n_h); pos += n_v * n_h
-    bv = x[pos:pos + n_v]; pos += n_v
-    bh = x[pos:]
-    return RtbmParams(t=t, q=q, w=w, bv=bv, bh=bh, lattice=lattice)
+    w = x[pos:pos + n_v * n_h].reshape(n_v, n_h).copy(); pos += n_v * n_h
+    bv = x[pos:pos + n_v].copy(); pos += n_v
+    bh = x[pos:].copy()
+    _check_finite(w=w, bv=bv, bh=bh)
+    return RtbmParams._of_private(lattice, t=t, q=q, w=w, bv=bv, bh=bh)
 
 
 def negative_log_likelihood(params: RtbmParams, data) -> float:

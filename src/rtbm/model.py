@@ -40,10 +40,18 @@ def _cho_solve(chol, b):
 
 
 def _finite(a, name):
-    """``a`` frozen; NotPositiveDefiniteError naming ``name`` if it overflowed."""
+    """``a`` (new) frozen in place; NotPositiveDefiniteError naming ``name`` if it overflowed."""
     if not np.isfinite(a).all():
         raise NotPositiveDefiniteError(f"{name} is not finite (overflow)")
-    return _freeze(a)
+    a.setflags(write=False)
+    return a
+
+
+def _check_finite(**arrays):
+    """ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -76,15 +84,23 @@ class RtbmParams:
         bh = _freeze(np.asarray(self.bh, dtype=float).reshape(n_h))
         if t.shape != (n_v, n_v) or q.shape != (n_h, n_h):
             raise ValueError("t and q must be square")
-        for name, a in (("t", t), ("q", q), ("w", w), ("bv", bv), ("bh", bh)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "bv", bv)
-        object.__setattr__(self, "bh", bh)
-        object.__setattr__(self, "lattice", Lattice(self.lattice))
+        _check_finite(t=t, q=q, w=w, bv=bv, bh=bh)
+        self._keep(self.lattice, t=t, q=q, w=w, bv=bv, bh=bh)
+
+    def _keep(self, lattice, **arrays):
+        """Keep ``arrays``, frozen, as the fields of these names."""
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "lattice", Lattice(lattice))
+
+    @classmethod
+    def _of_private(cls, lattice, **arrays):
+        """The model of new float arrays of its shapes that the caller has checked
+        as finite and that nothing else references: frozen in place, not copied."""
+        params = cls.__new__(cls)
+        params._keep(lattice, **arrays)
+        return params
 
     @property
     def n_v(self) -> int:

@@ -3,7 +3,9 @@
 The caller and ``n - 1`` workers, forked once by :func:`scorer`, claim the
 items of each batch one at a time from one claim pipe, and their values
 are gathered back by index, so every result is the same for any ``n`` and
-any share each process takes.  Each worker talks to the caller over one
+any share each process takes.  ``cma.minimize`` scores a generation's
+candidates on it, and ``cli._write_csv`` the row blocks of a long CSV
+output.  Each worker talks to the caller over one
 ``multiprocessing.connection`` pipe and is bound to a CPU other than the
 caller's: left free, a worker woken through its pipe may be placed on the
 busy caller's CPU (the wake-up says that the writer is about to sleep, and
@@ -56,7 +58,7 @@ def _serve(func, conn, claims):
     while True:
         items = conn.recv()
         try:
-            conn.send((True, [(i, float(func(items[i]))) for i in _claims(claims, len(items))]))
+            conn.send((True, [(i, func(items[i])) for i in _claims(claims, len(items))]))
         except Exception as exc:
             try:
                 conn.send((False, exc))
@@ -117,7 +119,8 @@ def _fork_worker(func, claims, cpu, workers):
 @contextlib.contextmanager
 def scorer(func, most):
     """A function that scores a batch of items by ``func`` on
-    ``_process_count(most)`` processes and returns their values in order.
+    ``_process_count(most)`` processes and returns the list of their values,
+    as ``func`` returns them (each must pickle), in order.
 
     Forks the workers once, each bound to a CPU of its own (see
     ``_worker_cpus``), after flushing the standard streams; on the way out,
@@ -137,14 +140,14 @@ def scorer(func, most):
 
         def score(items):
             if not workers:
-                return np.array([float(func(x)) for x in items])
+                return [func(x) for x in items]
             for _, conn in workers:
                 conn.send(items)
             # one ticket per item, then one past the last index per process
             os.write(claims[1], np.arange(len(items) + count, dtype=np.uint32).tobytes())
-            values = np.empty(len(items))
+            values = [None] * len(items)
             for i in _claims(claims[0], len(items)):
-                values[i] = float(func(items[i]))
+                values[i] = func(items[i])
             for pid, conn in workers:
                 try:
                     ok, scored = conn.recv()

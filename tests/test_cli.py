@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import pickle
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import TFIT
+from conftest import CONSTRUCTED_2D, TFIT
+from test_cma import force_processes
 import rtbm.cli as cli
+import rtbm.errors
 from rtbm.cli import build_parser, conditional_mse, run_command
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.fit import FitConfig
@@ -242,6 +247,140 @@ class TestCsvOutput:
         cli._write_csv(ours, rows)
         np.savetxt(theirs, rows, delimiter=",", fmt="%.17g")
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per ``os.fork`` call made from now on."""
+    forks, fork = [], os.fork
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+BLOCK = cli.CSV_BLOCK_ROWS
+
+
+class TestCsvOnThePool:
+    """An output longer than one block is made on every CPU, with the bytes
+    it has on one."""
+
+    @pytest.mark.parametrize("processes", [1, 3])
+    @pytest.mark.parametrize("count", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_bytes_match_savetxt(self, monkeypatch, tmp_path, processes, count):
+        force_processes(monkeypatch, processes)
+        forks = count_forks(monkeypatch)
+        rows = np.random.default_rng(count).standard_normal((count, 3)) * 10.0 ** np.arange(
+            -150, 150, 100)
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli._write_csv(ours, rows)
+        np.savetxt(theirs, rows, delimiter=",", fmt="%.17g")
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert len(forks) == (processes - 1 if count > BLOCK else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["student", "sample", "--mu", "0,0", "--sigma", "2,-1,-1,4", "--nu", "6",
+         "--count", "5000"],
+        ["student", "conditional", "--mu", "0,0", "--sigma", "2,-1,-1,4", "--nu", "6",
+         "--on", "0=1", "--grid", f"-5:5:{BLOCK}"],
+        ["density", "--grid", "-3:3:128,-3:3:128"],
+        ["sample", "--count", str(BLOCK)]],
+        ids=["student-sample", "student-conditional", "density", "sample"])
+    def test_one_block_forks_nothing(self, monkeypatch, model_path, tmp_path, argv):
+        forks = count_forks(monkeypatch)
+        if argv[0] != "student":
+            argv = argv[:1] + ["--model", str(model_path)] + argv[1:]
+        assert run_command(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+        assert read_csv(tmp_path / "o.csv").shape[0] <= BLOCK
+        assert forks == []
+
+    @pytest.mark.parametrize("model", [TFIT, CONSTRUCTED_2D], ids=["tfit", "constructed-2d"])
+    @pytest.mark.parametrize("command", [["density", "--grid", "-3:3:130,-3:3:131"],
+                                         ["sample", "--count", "40000", "--seed", "3"]],
+                             ids=["density", "sample"])
+    def test_same_bytes_on_one_process_and_on_several(self, monkeypatch, tmp_path,
+                                                      model, command):
+        path = tmp_path / "model.json"
+        save_model(RtbmParams(**model), path)
+        outputs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"{processes}.csv"
+            assert run_command(command[:1] + ["--model", str(path), "--out", str(out)]
+                               + command[1:]) == 0
+            outputs.append(out.read_bytes())
+        assert read_csv(tmp_path / "1.csv").shape[0] > BLOCK
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_overflow_names_the_whole_input(self, monkeypatch, tmp_path, capsys, processes):
+        # W^T v + bh overflows at the points 1e200, the first in the fifth block
+        big = RtbmParams(t=[[1.0]], q=[[1e301]], w=[[1e150]], bv=[0.0], bh=[0.0])
+        path = tmp_path / "big_q.json"
+        save_model(big, path)
+        pts = np.full((3 * BLOCK + 5, 1), 0.5)
+        pts[[4 * cli.CSV_ITEM_ROWS + 7, 3 * BLOCK, 3 * BLOCK + 4]] = 1e200
+        points = tmp_path / "points.csv"
+        np.savetxt(points, pts, delimiter=",")
+        force_processes(monkeypatch, processes)
+        out = tmp_path / "d.csv"
+        code = run_command(["density", "--model", str(path), "--points-csv", str(points),
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: model {path}: W^T v + bh is not finite (overflow) at 3 point(s), "
+            f"first at index {4 * cli.CSV_ITEM_ROWS + 7}\n")
+        assert set(tmp_path.iterdir()) == {path, points}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_truncation_counts_the_whole_input(self, monkeypatch, tmp_path, capsys,
+                                               processes):
+        # the normalizer's Schur matrix diag(1e-4, 1e-4, 1, 1) sums, but no form of
+        # Q = diag(1e-4, 1e-4, 1e4, 1e4) can be certified under the work cap
+        w = np.zeros((2, 4))
+        w[0, 2] = w[1, 3] = math.sqrt(1e4 - 1.0)
+        path = tmp_path / "wide_q.json"
+        save_model(RtbmParams(t=np.eye(2), q=np.diag([1e-4, 1e-4, 1e4, 1e4]), w=w,
+                              bv=[0.0, 0.0], bh=np.zeros(4)), path)
+        force_processes(monkeypatch, processes)
+        out = tmp_path / "d.csv"
+        code = run_command(["density", "--model", str(path), "--grid", "-1:1:129,-1:1:128",
+                            "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model {path}: 16512 of 16512 lattice sums not "
+                              "converged: eps=1e-12 needs up to ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [
+        rtbm.errors.RtbmError("a model error"),
+        rtbm.errors.ThetaTruncationError("3 of 5 lattice sums not converged"),
+        rtbm.errors.NotPositiveDefiniteError("T is not positive definite", lambda: -0.5),
+        rtbm.errors.InsufficientSamplesError("too few"),
+        rtbm.errors.FitError("no fit")], ids=lambda e: type(e).__name__)
+    def test_a_blocks_error_reaches_the_caller_as_itself(self, monkeypatch, tmp_path,
+                                                         error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        force_processes(monkeypatch, 2)
+        caller = os.getpid()
+        claimed = tmp_path / "claimed"
+
+        def rows(part):
+            if os.getpid() != caller:
+                claimed.touch()
+                raise error
+            deadline = time.monotonic() + 60    # until the worker has claimed a block
+            while not claimed.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return np.zeros((part.stop - part.start, 1))
+        out = tmp_path / "out" / "o.csv"
+        out.parent.mkdir()
+        with pytest.raises(type(error)) as raised:
+            cli._write_csv(out, rows, 2 * BLOCK)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert list(out.parent.iterdir()) == []
 
 
 class TestGridBounds:

@@ -95,6 +95,16 @@ class TestPool:
         for pid in cpus:
             assert_reaped(int(pid))
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_values_come_back_as_they_are_in_order(self, monkeypatch, count):
+        force_processes(monkeypatch, count)
+
+        def described(i):
+            return f"item {i}" if i % 2 else (i, -1.5 * i)
+        with rtbm.pool.scorer(described, 8) as score:
+            for batch in (range(10), range(3), range(17, 40)):
+                assert score(list(batch)) == [described(i) for i in batch]
+
     def test_a_worker_error_reaches_the_caller(self, monkeypatch, tmp_path):
         force_processes(monkeypatch, 2)
         caller = os.getpid()
