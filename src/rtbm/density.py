@@ -27,8 +27,8 @@ import operator
 
 import numpy as np
 
-from .errors import RtbmError
-from .model import RtbmParams, validate
+from .errors import NotPositiveDefiniteError, RtbmError
+from .model import SCHUR, RtbmParams, _check_finite, validate
 from .theta import _LOG_2PI, _coords_dot, _coords_inner, _log_theta_rows
 from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
 
@@ -42,8 +42,12 @@ def log_normalizer(params: RtbmParams) -> float:
     passed ``model._finite``, so ``log_theta_many``'s checks are skipped."""
     memo = params.memo
     if "log_normalizer" not in memo:
-        memo["log_normalizer"] = _log_theta_rows(
-            params.z_schur[:, None], params.schur, params.lattice)[0]
+        z, schur = params.z_schur[:, None], params.schur
+        try:
+            memo["log_normalizer"] = _log_theta_rows(z, schur, params.lattice)[0]
+        except NotPositiveDefiniteError as exc:     # the kernel names it "omega"
+            raise NotPositiveDefiniteError(f"{SCHUR} is not positive definite",
+                                           lambda e=exc: e.min_eigenvalue) from None
     return memo["log_normalizer"]
 
 
@@ -137,7 +141,8 @@ def _check_valid(params: RtbmParams):
 def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     """Child RTBM over coordinates ``free`` given the float vector ``d`` at ``fixed``.
 
-    The blocks of T, W and bv are taken from the parent's arrays by index.
+    The blocks of T, W and bv are taken from the parent's arrays by index, Q
+    is the parent's, and only the biases, which can overflow, are checked.
     The child of the parent's last request is kept in its memo, keyed by the
     indices in their order and the bytes of ``d``, so a repeated request
     returns the same child, with its factor of T_yy and its kept normalizer
@@ -148,11 +153,11 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     if kept is not None and kept[0] == key:
         return kept[1]
     t, w = params.t, params.w
-    child = RtbmParams(
-        t=t[np.ix_(free, free)], q=params.q, w=w[free],
-        bv=params.bv[free] + t[np.ix_(fixed, free)].T @ d,
-        bh=params.bh + w[fixed].T @ d,
-        lattice=params.lattice)
+    with np.errstate(over="ignore", invalid="ignore"):     # a far d: named below
+        bv, bh = params.bv[free] + t[np.ix_(fixed, free)].T @ d, params.bh + w[fixed].T @ d
+    _check_finite(bv=bv, bh=bh)
+    child = RtbmParams._of_private(params.lattice, t=t[np.ix_(free, free)], q=params.q,
+                                   w=w[free], bv=bv, bh=bh)
     params.memo["child"] = (key, child)
     return child
 

@@ -96,8 +96,9 @@ class RtbmParams:
 
     @classmethod
     def _of_private(cls, lattice, **arrays):
-        """The model of new float arrays of its shapes that the caller has checked
-        as finite and that nothing else references: frozen in place, not copied."""
+        """The model of float arrays of its shapes that the caller has checked as
+        finite, frozen in place, not copied: new ones that nothing else references,
+        or another model's frozen fields (a child shares its parent's Q)."""
         params = cls.__new__(cls)
         params._keep(lattice, **arrays)
         return params

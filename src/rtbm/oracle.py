@@ -1,8 +1,8 @@
 """Analytic Student-t references for the RTBM's densities and conditionals.
 
-Multivariate Student-t joint and conditional densities, the conditional
-taking the same ``(indices, values)`` as :func:`rtbm.density.condition_on`,
-and seeded t sampling for training data.
+Multivariate Student-t densities and seeded t sampling for training data.
+A conditional t, given the same ``(indices, values)`` as
+:func:`rtbm.density.condition_on`, is a :class:`StudentTParams` again.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import scipy.linalg as la
 from scipy.special import gammaln
 
 from .density import _draw_request, _logdet_from_chol, as_points, free_coordinates
-from .model import SYMMETRY_ATOL, _cho_solve
+from .model import SYMMETRY_ATOL, _check_finite, _cho_solve
 from .theta import spd_cholesky, sym
 
 
@@ -32,9 +32,7 @@ class StudentTParams:
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma shape incompatible with mu")
-        for name, value in (("mu", mu), ("sigma", sigma)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        _check_finite(mu=mu, sigma=sigma)
         if np.abs(sigma - sigma.T).max() > SYMMETRY_ATOL:
             raise ValueError("sigma must be symmetric")
         if not (isinstance(self.nu, numbers.Real) and np.isfinite(self.nu) and self.nu > 0):
@@ -45,15 +43,6 @@ class StudentTParams:
     @property
     def p(self) -> int:
         return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class ConditionalTParams:
-    """Parameters of a conditional Student-t: location, scale matrix, df."""
-
-    loc: np.ndarray
-    scale: np.ndarray
-    df: float
 
 
 def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
@@ -71,17 +60,18 @@ def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
     return float(out[0]) if squeeze else out
 
 
-def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTParams:
+def student_conditional(tp: StudentTParams, indices, values) -> StudentTParams:
     """Conditional t of the free coordinates given ``values`` at ``indices``.
 
     The request is checked by :func:`rtbm.density.free_coordinates`, and the
-    free coordinates keep their order.  With Sigma split into the
-    conditioned block 1 (p1 indices, values x1) and the free block 2, and d1
-    the Mahalanobis distance of x1,
+    free coordinates keep their order; a location or scale that overflows is
+    a ValueError naming it.  With Sigma split into the conditioned block 1
+    (p1 indices, values x1) and the free block 2, and d1 the Mahalanobis
+    distance of x1, the conditional t has
 
-        loc   = mu2 + Sigma21 Sigma11^-1 (x1 - mu1)
-        scale = (nu + d1) / (nu + p1) * (Sigma22 - Sigma21 Sigma11^-1 Sigma12)
-        df    = nu + p1
+        mu    = mu2 + Sigma21 Sigma11^-1 (x1 - mu1)
+        sigma = (nu + d1) / (nu + p1) * (Sigma22 - Sigma21 Sigma11^-1 Sigma12)
+        nu    = nu + p1
     """
     indices, x1, free = free_coordinates(indices, values, tp.p)
     p1 = len(indices)
@@ -89,19 +79,17 @@ def student_conditional(tp: StudentTParams, indices, values) -> ConditionalTPara
     s12 = tp.sigma[np.ix_(indices, free)]
     s22 = tp.sigma[np.ix_(free, free)]
     chol11 = spd_cholesky(s11, "sigma11")
-    dev = x1 - tp.mu[indices]
-    solve_dev = _cho_solve(chol11, dev)
-    d1 = float(dev @ solve_dev)
-    loc = tp.mu[free] + s12.T @ solve_dev
     schur = s22 - s12.T @ _cho_solve(chol11, s12)
-    scale = (tp.nu + d1) / (tp.nu + p1) * schur
-    return ConditionalTParams(loc=loc, scale=sym(scale), df=tp.nu + p1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a far x1: StudentTParams names it
+        dev = x1 - tp.mu[indices]
+        solve_dev = _cho_solve(chol11, dev)
+        d1 = float(dev @ solve_dev)
+        loc = tp.mu[free] + s12.T @ solve_dev
+        scale = sym((tp.nu + d1) / (tp.nu + p1) * schur)
+    return StudentTParams(mu=loc, sigma=scale, nu=tp.nu + p1)
 
 
-def conditional_logpdf(ct: ConditionalTParams, x2) -> np.ndarray | float:
-    """Log density of a conditional-t at x2 (vector or rows)."""
-    tp = StudentTParams(mu=ct.loc, sigma=ct.scale, nu=ct.df)
-    return student_logpdf(tp, x2)
+conditional_logpdf = student_logpdf     # the name the CLI and the scripts call
 
 
 def sample_student(tp: StudentTParams, count: int, seed) -> np.ndarray:

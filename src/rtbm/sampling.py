@@ -42,8 +42,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .density import _draw_request, _index, as_points, free_coordinates
-from .errors import InsufficientSamplesError
-from .model import RtbmParams, _cho_solve
+from .errors import InsufficientSamplesError, NotPositiveDefiniteError
+from .model import SCHUR, RtbmParams, _cho_solve
 from .theta import log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
@@ -64,8 +64,12 @@ class HiddenDistribution:
 
 def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
     """Hidden-state probabilities over the normalizer argument's own certified ellipsoid."""
-    total, points, terms = log_theta_many(
-        params.z_schur[None, :], params.schur, params.lattice, collect_terms=True)
+    z, schur = params.z_schur[None, :], params.schur
+    try:
+        total, points, terms = log_theta_many(z, schur, params.lattice, collect_terms=True)
+    except NotPositiveDefiniteError as exc:     # the kernel names it "omega"
+        raise NotPositiveDefiniteError(f"{SCHUR} is not positive definite",
+                                       lambda e=exc: e.min_eigenvalue) from None
     log_w = terms - total[0]
     order = np.lexsort(points.T[::-1])  # deterministic point order
     points = points[order]

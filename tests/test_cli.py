@@ -11,6 +11,7 @@ import pytest
 from conftest import CONSTRUCTED_2D, TFIT
 from test_cma import force_processes
 import rtbm.cli as cli
+import rtbm.density
 import rtbm.errors
 from rtbm.cli import build_parser, conditional_mse, run_command
 from rtbm.density import condition_on, log_pdf_many
@@ -312,6 +313,47 @@ class TestCsvOnThePool:
             outputs.append(out.read_bytes())
         assert read_csv(tmp_path / "1.csv").shape[0] > BLOCK
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--count", "40000"],
+        ["conditional", "--on", "0=-2", "--grid", "-10:10:40001"]], ids=["sample", "conditional"])
+    def test_student_same_bytes_on_one_process_and_on_several(self, monkeypatch, tmp_path,
+                                                              command):
+        outputs = []
+        for processes in (1, 2):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"{processes}.csv"
+            assert run_command(["student", command[0], "--mu", "0,0", "--sigma", "2,-1,-1,4",
+                                "--nu", "6", "--out", str(out)] + command[1:]) == 0
+            outputs.append(out.read_bytes())
+        assert read_csv(tmp_path / "1.csv").shape[0] > BLOCK
+        assert outputs[1] == outputs[0]
+
+    def test_density_sums_the_normalizer_once(self, monkeypatch, tmp_path):
+        # the model keeps its normalizer before the pool forks, so of the
+        # processes that make blocks only the caller sums it (one batch-1 sum)
+        path = tmp_path / "child.json"
+        save_model(condition_on(RtbmParams(**TFIT), [0], [-2.0])[0], path)
+        log = tmp_path / "sums.txt"
+        real = rtbm.density._log_theta_rows
+
+        def logged(z, *args, **kwargs):
+            with open(log, "a") as fh:      # appended to by every process
+                fh.write(f"{os.getpid()} {z.shape[1]}\n")
+            return real(z, *args, **kwargs)
+
+        monkeypatch.setattr(rtbm.density, "_log_theta_rows", logged)
+        outputs = []
+        for processes in (2, 1):
+            force_processes(monkeypatch, processes)
+            log.write_text("")
+            out = tmp_path / f"{processes}.csv"
+            assert run_command(["density", "--model", str(path), "--grid", "-10:10:40001",
+                                "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+            sums = [line.split() for line in log.read_text().splitlines()]
+            assert [pid for pid, batch in sums if batch == "1"] == [str(os.getpid())]
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_overflow_names_the_whole_input(self, monkeypatch, tmp_path, capsys, processes):
@@ -627,6 +669,10 @@ class TestNonFiniteParameters:
         (["student", "conditional", "--mu", "0,0", "--sigma", "2,-1,-1,4",
           "--nu", "6", "--on", "0=nan", "--grid", "-1:1:5"],
          "conditioning value at index 0 is not finite"),
+        # the conditional's scale overflows: it is refused when it is built
+        (["student", "conditional", "--mu", "0,0", "--sigma", "2,-1,-1,4",
+          "--nu", "6", "--on", "0=1e200", "--grid", "-1:1:5"],
+         "sigma contains non-finite entries"),
     ])
     def test_is_1_and_named(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from rtbm.errors import FitError, InsufficientSamplesError, RtbmError
 from rtbm.fit import FitConfig, fit_density, negative_log_likelihood
 from rtbm.model import RtbmParams, validate
 from rtbm.oracle import StudentTParams, student_logpdf
-from rtbm.sampling import empirical_conditional, make_histogram, sample_visible
+from rtbm.sampling import (empirical_conditional, hidden_distribution, make_histogram,
+                           sample_visible)
 from rtbm.theta import Lattice
 
 
@@ -401,12 +403,13 @@ class TestPreparedModel:
         log_pdf(tfit_params, [0.1, 0.4])        # the parent's normalizer
         calls = self.count_calls(monkeypatch)
         built = []
+        real = RtbmParams._of_private
 
-        def counted(**fields):
+        def counted(lattice, **fields):
             built.append(fields)
-            return RtbmParams(**fields)
+            return real(lattice, **fields)
 
-        monkeypatch.setattr(rtbm.density, "RtbmParams", counted)
+        monkeypatch.setattr(rtbm.density.RtbmParams, "_of_private", staticmethod(counted))
         child, _ = condition_on(tfit_params, [1], [0.4])
         assert condition_on(tfit_params, [1], [0.4])[0] is child
         first = log_marginal(tfit_params, 1, [0.4])
@@ -484,6 +487,28 @@ class TestPreparedModel:
                        bh=[0.0])
         with pytest.raises(RtbmError, match=r"invalid model: Q - W\^T T\^-1 W is not finite"):
             condition_on(p, [1], [0.5])
+
+    @pytest.mark.parametrize("call", [
+        lambda p: log_pdf_many(p, np.zeros((3, 2))), lambda p: log_pdf(p, [0.0, 0.0]),
+        lambda p: sample_visible(p, 5, 1), hidden_distribution],
+        ids=["log_pdf_many", "log_pdf", "sample_visible", "hidden_distribution"])
+    def test_schur_matrix_not_positive_definite_is_named(self, call):
+        from rtbm.errors import NotPositiveDefiniteError
+        # T = Q = I and W = 3 I: the Schur matrix I - W^T W = -8 I
+        p = RtbmParams(t=np.eye(2), q=np.eye(2), w=3.0 * np.eye(2), bv=np.zeros(2),
+                       bh=np.zeros(2))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            call(p)
+        assert str(err.value) == ("Q - W^T T^-1 W is not positive definite "
+                                  "(min eigenvalue ~ -8)")
+        assert pickle.loads(pickle.dumps(err.value)).min_eigenvalue == -8.0
+
+    def test_overflowing_child_bias_is_named(self):
+        # T_dy d = 1e300 * 1e10 overflows the child's bv; its T, W and Q are finite
+        p = RtbmParams(t=[[1e10, 1e10], [1e10, 2e10]], q=[[1.0]], w=[[0.0], [0.0]],
+                       bv=[0.0, 0.0], bh=[0.0])
+        with pytest.raises(ValueError, match="^bv contains non-finite entries$"):
+            condition_on(p, [1], [1e300])
 
     def test_invalid_t_still_reported_after_failed_density(self):
         from rtbm.errors import NotPositiveDefiniteError

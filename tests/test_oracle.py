@@ -49,16 +49,43 @@ class TestStudentLogpdf:
 class TestStudentConditional:
     def test_at_zero(self):
         ct = student_conditional(T_BENCH, [0], [0.0])
-        assert ct.loc == pytest.approx([0.0])
+        assert ct.mu == pytest.approx([0.0])
         # Sigma_22|1 = 4 - (-1)(1/2)(-1) = 3.5, scaled by 6/7
-        np.testing.assert_allclose(ct.scale, [[3.0]], atol=1e-12)
-        assert ct.df == pytest.approx(7.0)
+        np.testing.assert_allclose(ct.sigma, [[3.0]], atol=1e-12)
+        assert ct.nu == pytest.approx(7.0)
 
     def test_at_minus_two(self):
         ct = student_conditional(T_BENCH, [0], [-2.0])
-        assert ct.loc == pytest.approx([1.0])
-        np.testing.assert_allclose(ct.scale, [[4.0]], atol=1e-12)  # (6+2)/7 * 3.5
-        assert ct.df == pytest.approx(7.0)
+        assert ct.mu == pytest.approx([1.0])
+        np.testing.assert_allclose(ct.sigma, [[4.0]], atol=1e-12)  # (6+2)/7 * 3.5
+        assert ct.nu == pytest.approx(7.0)
+
+    def test_is_a_student_t(self):
+        assert isinstance(student_conditional(T_BENCH, [0], [-2.0]), StudentTParams)
+        assert conditional_logpdf is student_logpdf
+
+    def test_conditioned_twice_is_conditioned_once(self):
+        # a conditional t is conditioned again as any t: on x0, then on its
+        # first coordinate (x1), is the conditional on [0, 1] at once
+        tp = StudentTParams(mu=[0.5, -1.0, 2.0],
+                            sigma=[[2.0, 0.3, -0.6], [0.3, 1.5, 0.4],
+                                   [-0.6, 0.4, 3.0]], nu=4.5)
+        twice = student_conditional(student_conditional(tp, [0], [0.7]), [0], [-0.3])
+        once = student_conditional(tp, [0, 1], [0.7, -0.3])
+        np.testing.assert_allclose(twice.mu, once.mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(twice.sigma, once.sigma, rtol=0, atol=1e-12)
+        assert twice.nu == once.nu == 6.5
+
+    def test_density_and_draws_of_a_conditional(self):
+        # at x1 = -2 the conditional is a t with mu 1, sigma 4 and nu 7
+        ct = student_conditional(T_BENCH, [0], [-2.0])
+        peak = (math.lgamma(4.0) - math.lgamma(3.5) - 0.5 * math.log(7.0 * math.pi * 4.0))
+        assert student_logpdf(ct, [1.0]) == pytest.approx(peak, rel=1e-12)
+        draws = sample_student(ct, 100000, seed=31)
+        assert draws.shape == (100000, 1)
+        # Var[x2 | x1] = sigma nu / (nu - 2) = 3.5 (6 + x1^2 / 2) / 5 = 5.6
+        se = math.sqrt(ct.sigma[0, 0] * ct.nu / (ct.nu - 2.0) / 100000)
+        assert abs(draws.mean() - 1.0) <= 4 * se
 
     def test_conditional_normalizes(self):
         ct = student_conditional(T_BENCH, [0], [-2.0])
