@@ -9,7 +9,8 @@ bit, on this battery:
   both lattices;
 * ``log_pdf_many`` on random models with 8 and 12 visible and 2 hidden
   units (``random_valid_params``), on both lattices;
-* ``sample_visible(params, 20000, seed=5)`` on each fixture;
+* ``sample_visible(params, 20000, seed=5)`` on each fixture, and at
+  ``TAIL_COUNTS`` draws, whose last block of 2^14 draws is short;
 * ``log_theta_many`` on 200-row and 1-row batches of random SPD matrices at
   h = 1..4, on both lattices and at three scales;
 * ``log_theta_many`` on 200-row and 1-row batches of one random SPD matrix
@@ -56,6 +57,10 @@ FIXTURES = {"tfit": TFIT, "constructed_2d": CONSTRUCTED_2D, "constructed_3d": CO
 SCALES = {"small": (0.05, 2.0), "mid": (0.5, 20.0), "stiff": (5.0, 200.0)}
 # eigenvalue range of the h = 3 and h = 4 matrices summed in the separable form
 SEPARABLE_SCALE = (5.0, 20.0)
+# draw counts one and five past a whole number of blocks of 2^14 draws, the
+# block size of sample_visible; fixed here so that the battery is the same
+# in every checkout
+TAIL_COUNTS = ((1 << 14) + 1, 3 * (1 << 14) + 5)
 # items of a kept child -> their twins of a fresh child, by the item's first part
 TWINS = {"log_marginal_after_condition_on": "log_marginal",
          "condition_on_repeated": "condition_on",
@@ -86,6 +91,10 @@ def battery():
             yield f"log_pdf_many/wide_nv{n_v}/{lattice.value}", log_pdf_many(params, rows)
     for name, fixture in FIXTURES.items():
         yield f"sample_visible/{name}", sample_visible(RtbmParams(**fixture), 20000, seed=5)
+    for name, fixture in FIXTURES.items():
+        for count in TAIL_COUNTS:
+            yield (f"sample_visible/{name}/{count}",
+                   sample_visible(RtbmParams(**fixture), count, seed=5))
     for h in range(1, 5):
         for k, (scale, (lo, hi)) in enumerate(SCALES.items()):
             rng = np.random.default_rng([h, k])

@@ -50,8 +50,13 @@ def student_logpdf(tp: StudentTParams, x) -> np.ndarray | float:
     squeeze = np.ndim(x) == 1
     x = as_points(x, tp.p)
     chol = spd_cholesky(tp.sigma, "sigma")
-    dev = la.solve_triangular(chol, (x - tp.mu).T, lower=True).T
-    maha = np.square(dev).sum(axis=1)
+    # A far point's deviation or Mahalanobis term overflows to +inf, or to
+    # NaN where an overflowed deviation meets the factor's zeros; either way
+    # the point is infinitely far out and its log density is -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = la.solve_triangular(chol, (x - tp.mu).T, lower=True, check_finite=False).T
+        maha = np.square(dev).sum(axis=1)
+    maha[np.isnan(maha)] = np.inf
     logdet = _logdet_from_chol(chol)
     half = 0.5 * (tp.nu + tp.p)
     out = (gammaln(half) - gammaln(0.5 * tp.nu)

@@ -45,6 +45,21 @@ class TestStudentLogpdf:
         with pytest.raises(NotPositiveDefiniteError):
             student_logpdf(StudentTParams(mu=[0.0], sigma=[[-1.0]], nu=3.0), [0.0])
 
+    def test_far_point_has_density_zero(self):
+        # the Mahalanobis term of 1e200 overflows: density 0, with no warning
+        ct = student_conditional(T_BENCH, [0], [-2.0])
+        assert student_logpdf(ct, [1e200]) == -np.inf
+        got = student_logpdf(T_BENCH, [[1e200, 0.0], [0.0, -1e200], [0.5, 1.0]])
+        np.testing.assert_array_equal(got[:2], [-np.inf, -np.inf])
+        assert got[2] == student_logpdf(T_BENCH, [0.5, 1.0])
+
+    def test_overflowing_deviation_has_density_zero(self):
+        # x - mu overflows to +inf before the solve, which must not reject it
+        tp = StudentTParams(mu=[-1e308], sigma=[[1.0]], nu=3.0)
+        assert student_logpdf(tp, [1e308]) == -np.inf
+        np.testing.assert_array_equal(student_logpdf(tp, [[1e308], [-1e308]]),
+                                      [-np.inf, student_logpdf(tp, [-1e308])])
+
 
 class TestStudentConditional:
     def test_at_zero(self):

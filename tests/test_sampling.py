@@ -8,7 +8,7 @@ from references import quadrature_marginal
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.errors import InsufficientSamplesError
 from rtbm.model import RtbmParams, validate
-from rtbm.sampling import (MAX_BUCKETS, MAX_COUNTED_STATES, _buckets, _draw_table,
+from rtbm.sampling import (_BLOCK, MAX_BUCKETS, MAX_COUNTED_STATES, _buckets, _draw_table,
                            _state_index, empirical_conditional, hidden_distribution,
                            make_histogram, sample_visible)
 from rtbm.theta import Lattice
@@ -25,6 +25,19 @@ def mixture_logpdf(params, vs):
     quad = np.einsum("bki,ij,bkj->bk", dev, params.t, dev)
     comp = 0.5 * logdet - 0.5 * params.n_v * np.log(2 * np.pi) - 0.5 * quad
     return logsumexp(comp + hd.log_weights[None, :], axis=1)
+
+
+def per_draw_oracle(params, count, seed):
+    """``sample_visible``'s draws, with one searched state and one mean solve per draw."""
+    hd = hidden_distribution(params)
+    cdf = np.cumsum(np.exp(hd.log_weights))
+    cdf[-1] = max(cdf[-1], 1.0)
+    rng = np.random.default_rng(seed)
+    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    means = la.cho_solve((params.chol_t, True),
+                         params.w @ hd.points[idx].T - params.bv[:, None]).T
+    noise = rng.standard_normal((count, params.n_v))
+    return means + la.solve_triangular(params.chol_t.T, noise.T, lower=False).T
 
 
 class TestHiddenDistribution:
@@ -128,17 +141,38 @@ class TestSampleVisible:
         for fixture in (tfit_params, constructed_2d_params, constructed_3d_params):
             p = RtbmParams(t=fixture.t, q=fixture.q, w=fixture.w, bv=fixture.bv,
                            bh=fixture.bh - 1.0, lattice=lattice)
-            hd = hidden_distribution(p)
-            cdf = np.cumsum(np.exp(hd.log_weights))
-            cdf[-1] = max(cdf[-1], 1.0)
             for seed in range(3):
-                rng = np.random.default_rng(seed)
-                idx = np.searchsorted(cdf, rng.random(5000), side="right")
-                means = la.cho_solve((p.chol_t, True),
-                                     p.w @ hd.points[idx].T - p.bv[:, None]).T
-                noise = rng.standard_normal((5000, p.n_v))
-                expected = means + la.solve_triangular(p.chol_t.T, noise.T, lower=False).T
-                np.testing.assert_array_equal(sample_visible(p, 5000, seed), expected)
+                np.testing.assert_array_equal(sample_visible(p, 5000, seed),
+                                              per_draw_oracle(p, 5000, seed))
+
+    @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
+    def test_draws_at_the_block_edges(self, lattice, count, tfit_params,
+                                      constructed_2d_params, constructed_3d_params):
+        # uniforms, states and gathered means are made one block at a time;
+        # a short last block, or none, draws what one whole block would
+        for fixture in (tfit_params, constructed_2d_params, constructed_3d_params):
+            p = RtbmParams(t=fixture.t, q=fixture.q, w=fixture.w, bv=fixture.bv,
+                           bh=fixture.bh - 1.0, lattice=lattice)
+            np.testing.assert_array_equal(sample_visible(p, count, 4),
+                                          per_draw_oracle(p, count, 4))
+
+    @pytest.mark.parametrize("name", ["tfit", "constructed_2d", "constructed_3d"])
+    def test_large_draw_makes_no_call_sized_temporary(self, name, request):
+        # beside the returned draws, only the state index is as long as the
+        # call: the uniforms and gathered means take block-sized memory
+        import tracemalloc
+        p = request.getfixturevalue(f"{name}_params")
+        sample_visible(p, 10, 0)        # the draw table is kept
+        index_bytes = np.min_scalar_type(p.memo["draw_table"][0].shape[0] - 1).itemsize
+        count = 1 << 18
+        tracemalloc.start()
+        try:
+            draws = sample_visible(p, count, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws.nbytes + count * index_bytes + (1 << 20)
 
     @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
     def test_kept_table_never_changes_a_draw(self, lattice, tfit_params,
