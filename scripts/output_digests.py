@@ -21,7 +21,13 @@ bit, on this battery:
   ``condition_on`` of the same request, and a repeated ``condition_on``
   whose child has drawn before (its ``log_pdf_many`` and
   ``sample_visible``).  Each such item has a twin computed on a fresh
-  child (``TWINS``).
+  child (``TWINS``);
+* the child of a second value on a free set already conditioned on (its
+  ``log_pdf_many`` and ``sample_visible``), and CONSTRUCTED_3D conditioned
+  on ``[2, 1]`` after ``[1, 2]``, whose children share the parent's plan
+  of their free set (``density._plan``).  Each has a twin computed on a
+  fresh parent (``TWINS``); the second is new with it
+  (``condition_on_pair``).
 
 Each line reads ``<item> <sha256>``.  To compare two checkouts value by
 value where their digests differ, import :func:`battery` from this file
@@ -64,7 +70,10 @@ TAIL_COUNTS = ((1 << 14) + 1, 3 * (1 << 14) + 5)
 # items of a kept child -> their twins of a fresh child, by the item's first part
 TWINS = {"log_marginal_after_condition_on": "log_marginal",
          "condition_on_repeated": "condition_on",
-         "sample_visible_child_repeated": "sample_visible_child"}
+         "sample_visible_child_repeated": "sample_visible_child",
+         "condition_on_second_value": "condition_on",
+         "sample_visible_child_second_value": "sample_visible_child",
+         "condition_on_pair_after_swap": "condition_on_pair"}
 
 
 def battery():
@@ -83,6 +92,7 @@ def battery():
             yield (f"log_marginal/{name}/{lattice.value}",
                    np.array([log_marginal(params, params.n_v - 1, [d]) for d in values]))
             yield from _kept_children(name, fixture, lattice, rows, values)
+            yield from _planned_children(name, fixture, lattice, rows)
     for n_v in (8, 12):
         for lattice in Lattice:
             rng = np.random.default_rng(n_v)
@@ -128,6 +138,26 @@ def _kept_children(name, fixture, lattice, rows, values):
     yield f"condition_on_repeated/{name}/{lattice.value}", log_pdf_many(child, rows[:, :-1])
     yield (f"sample_visible_child_repeated/{name}/{lattice.value}",
            sample_visible(child, 20000, seed=5))
+
+
+def _planned_children(name, fixture, lattice, rows):
+    """The planned items of ``TWINS`` for one fixture and lattice, each on a
+    fresh model, with the fresh twin of the swapped pair on CONSTRUCTED_3D."""
+    params = RtbmParams(**fixture, lattice=lattice)
+    m = params.n_v - 1
+    condition_on(params, [m], [-1.1])
+    child, _ = condition_on(params, [m], [0.3])
+    yield f"condition_on_second_value/{name}/{lattice.value}", log_pdf_many(child, rows[:, :-1])
+    yield (f"sample_visible_child_second_value/{name}/{lattice.value}",
+           sample_visible(child, 20000, seed=5))
+    if name == "constructed_3d":
+        child, _ = condition_on(RtbmParams(**fixture, lattice=lattice), [2, 1], [-0.4, 0.3])
+        yield f"condition_on_pair/{name}/{lattice.value}", log_pdf_many(child, rows[:, :1])
+        params = RtbmParams(**fixture, lattice=lattice)
+        condition_on(params, [1, 2], [0.3, -0.4])
+        child, _ = condition_on(params, [2, 1], [-0.4, 0.3])
+        yield (f"condition_on_pair_after_swap/{name}/{lattice.value}",
+               log_pdf_many(child, rows[:, :1]))
 
 
 def main():

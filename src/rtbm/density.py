@@ -18,23 +18,61 @@ quintuple produced by :func:`condition_on`.  Note the marginal's exponent
 carries the factor 1/2 in (bv0 + T1^T d)^T T0^-1 (bv0 + T1^T d)/2: the
 Gaussian integral forces it, and the product-rule identity
 log P(v) = log P(y|d) + log P(d) holds exactly with it.
+
+Conditioning changes only the biases, so a query pays only for what
+depends on its values.  Each model keeps, in ``params.memo``:
+
+* per model: its normalizer and the constants 1/2 log det T,
+  1/2 log det T - n_v/2 log 2pi and 1/2 bv^T T^-1 bv;
+* per set of free coordinates y it has been conditioned to, a plan
+  (:func:`_plan`): T_yy, W_y, bv_y, the columns of T at y, the factor of
+  T_yy, T_yy^-1 W_y, the child's Schur matrix Q - W_y^T T_yy^-1 W_y and
+  1/2 log det T_yy, which every child over y shares;
+* the child of its last request (:func:`_child`).
+
+A child of the values d then forms bv' = bv_y + T_dy^T d and
+bh' = bh + W_d^T d, and on first use T_yy^-1 bv', the normalizer's
+argument bh' - W_y^T T_yy^-1 bv' and its normalizer.  Every kept value is
+computed by the expression, in the order, of a model that keeps nothing,
+so a result does not depend on what was kept.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .model import SCHUR, RtbmParams, _check_finite, validate
+from .model import (SCHUR, RtbmParams, _check_finite, _chol_t, _freeze, _schur, _tinv,
+                    validate)
 from .theta import _LOG_2PI, _coords_dot, _coords_inner, _log_theta_rows
 from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
 
 
 def _logdet_from_chol(chol):
     return 2.0 * float(np.log(np.diag(chol)).sum())
+
+
+def _kept(params: RtbmParams, name, compute):
+    """``params.memo[name]``, set to ``compute(params)`` on first use."""
+    memo = params.memo
+    if name not in memo:
+        memo[name] = compute(params)
+    return memo[name]
+
+
+def _half_logdet_t(params: RtbmParams) -> float:
+    """1/2 log det T, kept per model."""
+    return _kept(params, "half_logdet_t", lambda p: 0.5 * _logdet_from_chol(p.chol_t))
+
+
+def _half_bv_tinv_bv(params: RtbmParams) -> float:
+    """1/2 bv^T T^-1 bv, kept per model."""
+    return _kept(params, "half_bv_tinv_bv", lambda p: 0.5 * float(p.bv @ p.tinv_bv))
 
 
 def log_normalizer(params: RtbmParams) -> float:
@@ -62,7 +100,7 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
     log_norm = log_normalizer(params)
-    if not np.isfinite(log_norm):
+    if not math.isfinite(log_norm):
         raise RtbmError("the normalizer log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W) "
                         "overflows")
     # Coordinates as contiguous rows, summed in index order by theta's
@@ -71,24 +109,25 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         z_num = _coords_dot(v, params.w)
         z_num += params.bh[:, None]
-    if not np.isfinite(z_num).all():
-        bad = np.flatnonzero(~np.isfinite(z_num).all(axis=0))
-        raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
-                        f"first at index {bad[0]}")
-    # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to +inf,
-    # or to NaN where an overflowed u meets the factor's zeros; either way
-    # the point is infinitely far out and log P = -inf.
-    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(z_num).all():
+            bad = np.flatnonzero(~np.isfinite(z_num).all(axis=0))
+            raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
+                            f"first at index {bad[0]}")
+        # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to
+        # +inf, or to NaN where an overflowed u meets the factor's zeros; either
+        # way the point is infinitely far out and log P = -inf (fmin reads NaN
+        # as missing).
         sq = _coords_dot(v + params.tinv_bv[:, None], params.chol_t)
         half_quad = _coords_inner(sq, sq)
         half_quad *= 0.5
-    half_quad[np.isnan(half_quad)] = np.inf
+    np.fmin(half_quad, np.inf, out=half_quad)
     log_num = _log_theta_rows(z_num, params.q, params.lattice)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     log_num = np.where(np.isinf(half_quad), 0.0, log_num)
-    return (0.5 * _logdet_from_chol(params.chol_t) - 0.5 * params.n_v * _LOG_2PI
-            - half_quad + log_num - log_norm)
+    log_offset = _kept(params, "log_pdf_offset",
+                       lambda p: _half_logdet_t(p) - 0.5 * p.n_v * _LOG_2PI)
+    return log_offset - half_quad + log_num - log_norm
 
 
 def log_pdf(params: RtbmParams, v) -> float:
@@ -116,12 +155,12 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
     child = _child(params, free, fixed, d)
     # A far d overflows d^T T d and the child's normalizer together: P(d) = 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        log_p = (0.5 * _logdet_from_chol(params.chol_t)
+        log_p = (_half_logdet_t(params)
                  - 0.5 * (params.n_v - m) * _LOG_2PI
-                 - 0.5 * _logdet_from_chol(child.chol_t)
+                 - _half_logdet_t(child)
                  - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
-                 - 0.5 * float(params.bv @ params.tinv_bv)
-                 + 0.5 * float(child.bv @ child.tinv_bv)
+                 - _half_bv_tinv_bv(params)
+                 + _half_bv_tinv_bv(child)
                  + log_normalizer(child) - log_normalizer(params))
     return -np.inf if np.isnan(log_p) else log_p
 
@@ -130,34 +169,72 @@ def _check_valid(params: RtbmParams):
     """Raise RtbmError unless ``params`` validates; checked once per instance.
 
     The child of a valid parent is valid (its Schur matrix dominates the
-    parent's), so children are not checked; one that fails numerically
-    raises NotPositiveDefiniteError when it is first factored.
+    parent's), so children are not checked; a free set whose T_yy or Schur
+    matrix fails numerically raises NotPositiveDefiniteError when it is
+    planned.
     """
     report = params.memo.get("report") or validate(params)
     if not report.valid:
         raise RtbmError(f"cannot condition an invalid model: {report}")
 
 
+class _Plan(NamedTuple):
+    """What every child over one set of free coordinates y shares, whatever
+    the values d: frozen arrays that no child copies."""
+
+    t: np.ndarray           # T_yy
+    w: np.ndarray           # W_y
+    bv: np.ndarray          # bv_y
+    t_cols: np.ndarray      # T[:, y], whose rows at the request's indices are T_dy
+    derived: dict           # the child's chol_t, tinv_w (T_yy^-1 W_y) and schur
+    half_logdet_t: float    # 1/2 log det T_yy
+
+
+def _plan(params: RtbmParams, free) -> _Plan:
+    """The plan of the free coordinates ``free`` (ascending), kept per model.
+
+    T_yy is factored and the child's Schur matrix Q - W_y^T T_yy^-1 W_y
+    formed here, by the functions a model's own properties call, once per
+    parent and free set; NotPositiveDefiniteError if either fails.
+    """
+    plans = params.memo.setdefault("plans", {})
+    key = tuple(free)
+    plan = plans.get(key)
+    if plan is None:
+        t_cols = _freeze(params.t[:, free])
+        t, w = _freeze(t_cols[free]), _freeze(params.w[free])
+        chol_t = _chol_t(t)
+        tinv_w = _tinv(chol_t, w)
+        plan = plans[key] = _Plan(
+            t, w, _freeze(params.bv[free]), t_cols,
+            {"chol_t": chol_t, "tinv_w": tinv_w, "schur": _schur(params.q, w, tinv_w)},
+            0.5 * _logdet_from_chol(chol_t))
+    return plan
+
+
 def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     """Child RTBM over coordinates ``free`` given the float vector ``d`` at ``fixed``.
 
-    The blocks of T, W and bv are taken from the parent's arrays by index, Q
-    is the parent's, and only the biases, which can overflow, are checked.
+    Its T, W, Q and the arrays derived from them alone are the plan's
+    (:func:`_plan`) and the parent's; only the biases, which can overflow,
+    are formed and checked, and the child computes T_yy^-1 bv', its
+    normalizer's argument and its normalizer when they are first read.
     The child of the parent's last request is kept in its memo, keyed by the
     indices in their order and the bytes of ``d``, so a repeated request
-    returns the same child, with its factor of T_yy and its kept normalizer
-    and draw table; a different request replaces it.
+    returns the same child, with its kept normalizer and draw table; a
+    different request replaces it.
     """
     key = (tuple(fixed), d.tobytes())
     kept = params.memo.get("child")
     if kept is not None and kept[0] == key:
         return kept[1]
-    t, w = params.t, params.w
+    plan = _plan(params, free)
     with np.errstate(over="ignore", invalid="ignore"):     # a far d: named below
-        bv, bh = params.bv[free] + t[np.ix_(fixed, free)].T @ d, params.bh + w[fixed].T @ d
+        bv, bh = plan.bv + plan.t_cols[fixed].T @ d, params.bh + params.w[fixed].T @ d
     _check_finite(bv=bv, bh=bh)
-    child = RtbmParams._of_private(params.lattice, t=t[np.ix_(free, free)], q=params.q,
-                                   w=w[free], bv=bv, bh=bh)
+    child = RtbmParams._of_private(
+        params.lattice, derived={**plan.derived, "memo": {"half_logdet_t": plan.half_logdet_t}},
+        t=plan.t, q=params.q, w=plan.w, bv=bv, bh=bh)
     params.memo["child"] = (key, child)
     return child
 
@@ -233,12 +310,20 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     The child keeps Q and the lattice, and is reparameterized as T -> T_yy,
     W -> W_y, bv -> bv_y + T_dy^T d, bh -> bh + W_d^T d; its density is the
     parent's conditional P(y|d).  Returns the child and the free indices in
-    their original order, which is the child's.  The parent keeps the child
+    their original order, which is the child's.
+
+    What is kept: per parent, its validation report and constants; per set
+    of free coordinates, the plan (:func:`_plan`) whose T_yy, W_y, factor
+    of T_yy, T_yy^-1 W_y and Schur matrix every child over that set shares,
+    so repeated conditioning on one set of coordinates factors and forms
+    them once; per value, only the child's biases, then T_yy^-1 bv', its
+    normalizer's argument and normalizer.  The parent also keeps the child
     of its last request: the same request again (the same indices in the
     same order and the same value bytes), here or in :func:`log_marginal`,
     returns that child, with its kept normalizer and draw table.  A bad
     request raises ValueError (:func:`free_coordinates`), an invalid parent
-    RtbmError.
+    RtbmError, and a T_yy or Schur matrix that fails numerically, when its
+    free set is first planned, NotPositiveDefiniteError.
     """
     indices, values, free = free_coordinates(indices, values, params.n_v)
     _check_valid(params)

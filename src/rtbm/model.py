@@ -47,6 +47,24 @@ def _finite(a, name):
     return a
 
 
+def _chol_t(t):
+    """The lower Cholesky factor of T, frozen; NotPositiveDefiniteError if T is not PD."""
+    return _freeze(spd_cholesky(t, "T"))
+
+
+def _tinv(chol_t, b):
+    """T^-1 b, a new array frozen in place, from the lower Cholesky factor of T."""
+    x = _cho_solve(chol_t, b)
+    x.setflags(write=False)
+    return x
+
+
+def _schur(q, w, tinv_w):
+    """Q - W^T T^-1 W, frozen; NotPositiveDefiniteError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(q - w.T @ tinv_w, SCHUR)
+
+
 def _check_finite(**arrays):
     """ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
     for name, a in arrays.items():
@@ -95,12 +113,17 @@ class RtbmParams:
         object.__setattr__(self, "lattice", Lattice(lattice))
 
     @classmethod
-    def _of_private(cls, lattice, **arrays):
+    def _of_private(cls, lattice, derived=(), **arrays):
         """The model of float arrays of its shapes that the caller has checked as
         finite, frozen in place, not copied: new ones that nothing else references,
-        or another model's frozen fields (a child shares its parent's Q)."""
+        or another model's frozen fields (a child shares its parent's Q).
+
+        ``derived`` maps names of cached properties (``chol_t``, ``memo``, ...)
+        to values already computed from these same arrays, which the model
+        takes as its own instead of computing them."""
         params = cls.__new__(cls)
         params._keep(lattice, **arrays)
+        vars(params).update(derived)
         return params
 
     @property
@@ -114,17 +137,17 @@ class RtbmParams:
     @cached_property
     def chol_t(self) -> np.ndarray:
         """Lower Cholesky factor of T; NotPositiveDefiniteError if T is not PD."""
-        return _freeze(spd_cholesky(self.t, "T"))
+        return _chol_t(self.t)
 
     @cached_property
     def tinv_w(self) -> np.ndarray:
         """T^-1 W."""
-        return _freeze(_cho_solve(self.chol_t, self.w))
+        return _tinv(self.chol_t, self.w)
 
     @cached_property
     def tinv_bv(self) -> np.ndarray:
         """T^-1 bv."""
-        return _freeze(_cho_solve(self.chol_t, self.bv))
+        return _tinv(self.chol_t, self.bv)
 
     @cached_property
     def schur(self) -> np.ndarray:
@@ -133,8 +156,7 @@ class RtbmParams:
 
         NotPositiveDefiniteError if it overflows.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(self.q - self.w.T @ self.tinv_w, SCHUR)
+        return _schur(self.q, self.w, self.tinv_w)
 
     @cached_property
     def z_schur(self) -> np.ndarray:
@@ -148,12 +170,15 @@ class RtbmParams:
 
     @cached_property
     def memo(self) -> dict:
-        """Values derived from this model and kept on it: ``density``'s log
-        normalizer and the child of its last conditioning request (with
-        that request's key), the report of :func:`validate`, and
-        ``sampling``'s draw table (the inverse-CDF cdf, the K component
-        means and, past 32 states, the bucket index of cdf), each built on
-        first use."""
+        """Values derived from this model and kept on it, each built on first
+        use: ``density``'s log normalizer, its constants (1/2 log det T, the
+        log-density's 1/2 log det T - n_v/2 log 2pi and 1/2 bv^T T^-1 bv),
+        the plan of each set of free coordinates it has been conditioned to
+        (the arrays its children share) and the child of its last
+        conditioning request (with that request's key); the report of
+        :func:`validate`; and ``sampling``'s draw table (the inverse-CDF cdf,
+        the K component means and, past 32 states, the bucket index of
+        cdf)."""
         return {}
 
 

@@ -101,13 +101,23 @@ def sample_student(tp: StudentTParams, count: int, seed) -> np.ndarray:
     """Draw ``count`` rows via the Gaussian scale-mixture construction.
 
     x = mu + L z * sqrt(nu / chi2_nu), with L the Cholesky factor of the
-    scale matrix; deterministic for a fixed seed.  A ``count`` that is not
-    an integer of at least 1, or a negative integer ``seed``, is a
-    ValueError that names it, as in :func:`rtbm.sampling.sample_visible`.
+    scale matrix; deterministic for a fixed seed.  The scale is formed in
+    place in the chi-square draws, and the product scaled and shifted in
+    place, so that beside the output only the normals and the draws' scales
+    are as long as the call (IEEE addition commutes, so ``y += mu`` gives
+    the bytes of ``mu + y``).  A ``count`` that is not an integer of at
+    least 1, or a negative integer ``seed``, is a ValueError that names it,
+    as in :func:`rtbm.sampling.sample_visible`.
     """
     count = _draw_request(count, seed)
     rng = np.random.default_rng(seed)
     chol = spd_cholesky(tp.sigma, "sigma")
     z = rng.standard_normal((count, tp.p))
     u = rng.chisquare(tp.nu, count)
-    return tp.mu + (z @ chol.T) * np.sqrt(tp.nu / u)[:, None]
+    np.divide(tp.nu, u, out=u)
+    np.sqrt(u, out=u)
+    y = z @ chol.T
+    del z
+    y *= u[:, None]
+    y += tp.mu
+    return y

@@ -85,8 +85,12 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   partial product that underflows belongs to a term below e^-100 of a sum
   that is at least its k = 0 term, 1.  Other rows are summed directly:
   |g_j| reaches 1/2 sum_l |Omega_jl| where nhat - c is 1/2, and far from
-  the origin rounding carries g further.  The rows lie along the
-  contiguous axis: U is (K1, rows) and V (M, rows).  A block of rows takes
+  the origin rounding carries g further.  The rows are first tested once,
+  by the same sum over j with the largest |g_j| of the call's rows in
+  place of a row's: rounding is monotone, so where that one bound is at
+  most 600 so is every row's sum, the same rows are chosen, and no row is
+  tested on its own.  The rows lie along the contiguous axis: U is
+  (K1, rows) and V (M, rows).  A block of rows takes
   sum_a A_am U_a in one einsum and sum_m of its products with V_m in one
   reduction, both over the leading axis in index order, without BLAS
   (whose gemv for a single row rounds differently from its gemm).  numpy
@@ -503,15 +507,21 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     600 is summed by :func:`_log_sums` instead, whatever its kernel: |g_j|
     reaches 1/2 sum_l |Omega_jl| halfway between lattice points, and far
     from the origin rounding carries g further.  This test, which reads
-    only the row's own g, alone decides whether a row's factors are safe.
+    only the row's own g, alone decides whether a row's factors are safe;
+    it is skipped where the same sum over the rows' largest |g_j| is at
+    most 600, which bounds every row's.
     """
-    far = ~(_coords_inner(np.abs(g), tables.reach) <= _LOG_FACTOR_CAP)
-    if far.any():
-        out = np.empty(g.shape[1])
-        out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
-        near = ~far
-        out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
-        return out
+    abs_g = np.abs(g)
+    # every row passes where the rows' largest |g_j| pass, as rounding is monotone
+    top = abs_g.max(axis=1, keepdims=True, initial=0.0)
+    if not _coords_inner(top, tables.reach)[0] <= _LOG_FACTOR_CAP:
+        far = ~(_coords_inner(abs_g, tables.reach) <= _LOG_FACTOR_CAP)
+        if far.any():
+            out = np.empty(g.shape[1])
+            out[far] = _log_sums(g[:, far], f0[far], cols, quad, None)
+            near = ~far
+            out[near] = _separable_log_sums(g[:, near], f0[near], cols, quad, tables)
+            return out
     firsts, prefixes, weights, _ = tables
     (k1, m), nb = weights.shape, g.shape[1]
     step = _TABLE_BLOCK // max(k1, m)
@@ -936,7 +946,11 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
 
 def _log_theta_rows(z, omega, lattice, collect_terms=False):
     """:func:`log_theta_many` of the C-contiguous coordinate rows ``z`` (h, B),
-    unchecked: ``z`` and ``omega`` (h, h) finite, ``lattice`` a Lattice."""
+    unchecked: ``z`` and ``omega`` (h, h) finite, ``lattice`` a Lattice.
+
+    On the full lattice without ``collect_terms`` every row shares the
+    kernel's offsets and its one bound, so such a call goes from the set-up
+    straight to the shared sums, with no per-row bound or row selection."""
     kernel = _kernel(omega, lattice)
     omega, chol = kernel.omega, kernel.chol
     nb = z.shape[1]
@@ -962,6 +976,11 @@ def _log_theta_rows(z, omega, lattice, collect_terms=False):
     if dual:
         return kernel.dual.log_scale + half_dot + _dual_log_sums(nhat, *kernel.shared_points())
     orthant = lattice is Lattice.NONNEG
+    if not (orthant or collect_terms):
+        # every row shares the kernel's offsets and its one bound
+        if kernel.bound > _WORK_CAP:
+            _raise_truncation(nb, nb, kernel.bound, omega)
+        return _shared_log_sums(kernel, g, f0, None)
     # The collected row and, on the orthant, a row whose rounded maximizer
     # lies outside it (own: a flag per row, or one for all) sum their own
     # ellipsoid, certified by their term at the rounded maximizer or at an
@@ -986,10 +1005,7 @@ def _log_theta_rows(z, omega, lattice, collect_terms=False):
         bounds[rows] = _point_bounds(kernel.pivots, reach, upper - lower)
     failed = bounds > _WORK_CAP     # an array, or one flag for every row
     if failed.any():
-        raise ThetaTruncationError(
-            f"{int(failed.sum()) if failed.ndim else nb} of {nb} lattice sums not converged: "
-            f"eps={EPS:g} needs up to {bounds.max():.4g} lattice points, above the work cap "
-            f"of {_WORK_CAP} (min eigenvalue {_min_eigenvalue(omega):.6g})")
+        _raise_truncation(int(failed.sum()) if failed.ndim else nb, nb, bounds.max(), omega)
     if collect_terms:
         owner, points, terms = _own_terms(zs_own, omega, chol, nhat_own, reach, best, orthant)
         return _segment_log_sums(owner, terms, 1), points, terms
@@ -999,11 +1015,25 @@ def _log_theta_rows(z, omega, lattice, collect_terms=False):
         result[rows] = _orthant_log_sums(zs_own, omega, chol, nhat_own, reach, best,
                                          bounds[rows])
     if rows.size < nb:
-        cols, quad, tables = kernel.shared_points()
         shared = np.flatnonzero(~own) if rows.size else slice(None)
-        g, f0, centre = g[:, shared], f0[shared], centre[:, shared]
-        if tables is None:
-            result[shared] = _log_sums(g, f0, cols, quad, centre if orthant else None)
-        else:
-            result[shared] = _separable_log_sums(g, f0, cols, quad, tables)
+        result[shared] = _shared_log_sums(kernel, g[:, shared], f0[shared],
+                                          centre[:, shared] if orthant else None)
     return result
+
+
+def _shared_log_sums(kernel, g, f0, centre):
+    """The primal sums of rows over the kernel's shared offsets: separable where
+    it has tables (the full lattice), else direct, masked by the rows' lattice
+    ``centre`` on the orthant (None on the full lattice)."""
+    cols, quad, tables = kernel.shared_points()
+    if tables is None:
+        return _log_sums(g, f0, cols, quad, centre)
+    return _separable_log_sums(g, f0, cols, quad, tables)
+
+
+def _raise_truncation(failed, nb, bound, omega):
+    """ThetaTruncationError: ``failed`` of ``nb`` sums need up to ``bound`` points."""
+    raise ThetaTruncationError(
+        f"{failed} of {nb} lattice sums not converged: eps={EPS:g} needs up to "
+        f"{bound:.4g} lattice points, above the work cap of {_WORK_CAP} "
+        f"(min eigenvalue {_min_eigenvalue(omega):.6g})")

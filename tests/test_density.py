@@ -12,7 +12,7 @@ from references import log_theta_reference, quadrature_marginal
 from rtbm.density import as_points, condition_on, log_marginal, log_pdf, log_pdf_many
 from rtbm.errors import FitError, InsufficientSamplesError, RtbmError
 from rtbm.fit import FitConfig, fit_density, negative_log_likelihood
-from rtbm.model import RtbmParams, validate
+from rtbm.model import SCHUR, RtbmParams, validate
 from rtbm.oracle import StudentTParams, student_logpdf
 from rtbm.sampling import (empirical_conditional, hidden_distribution, make_histogram,
                            sample_visible)
@@ -452,6 +452,77 @@ class TestPreparedModel:
             ys = np.random.default_rng(len(free)).normal(0.0, 2.0, (16, len(free)))
             assert_same_bits(log_pdf_many(child, ys), log_pdf_many(expected, ys))
             assert_same_bits(sample_visible(child, 500, 3), sample_visible(expected, 500, 3))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(KEPT_MODELS)), st.integers(0, 3),
+                              st.sampled_from(KEPT_VALUES), st.sampled_from(KEPT_VALUES)),
+                    min_size=2, max_size=10))
+    @example([("constructed_3d/full", 0, 0.3, 1.5), ("constructed_3d/full", 1, 1.5, 0.3),
+              ("constructed_3d/full", 0, -0.0, 0.3), ("constructed_3d/nonneg", 1, 0.0, 1.5),
+              ("constructed_3d/nonneg", 0, 0.3, 0.0), ("tfit/nonneg", 0, 1.5, 0.0),
+              ("tfit/nonneg", 0, 0.3, 0.0)])
+    def test_planned_child_is_a_fresh_child(self, requests):
+        # children of used models, whose free sets are planned, interleaving
+        # values and both orders of a fixed pair, give bit for bit what the
+        # children of fresh models give, and what a model built from the
+        # child's own fields derives
+        used = {key: RtbmParams(**fields, lattice=lattice)
+                for key, (fields, lattice) in KEPT_MODELS.items()}
+        for key, which, a, b in requests:
+            fields, lattice = KEPT_MODELS[key]
+            params = used[key]
+            indices = KEPT_REQUESTS[params.n_v][which % len(KEPT_REQUESTS[params.n_v])]
+            values = [a, b][:len(indices)]
+            fresh = RtbmParams(**fields, lattice=lattice)
+            child, free = condition_on(params, indices, values)
+            expected, _ = condition_on(fresh, indices, values)
+            own = RtbmParams(t=child.t, q=child.q, w=child.w, bv=child.bv, bh=child.bh,
+                             lattice=lattice)
+            for name in ("t", "w", "bv", "bh", "chol_t", "tinv_w", "schur", "tinv_bv",
+                         "z_schur"):
+                assert_same_bits(getattr(child, name), getattr(expected, name))
+                assert_same_bits(getattr(child, name), getattr(own, name))
+            assert validate(child) == validate(expected) == validate(own)
+            assert validate(child).valid
+            ys = np.random.default_rng(len(free)).normal(0.0, 2.0, (16, len(free)))
+            assert_same_bits(log_pdf_many(child, ys), log_pdf_many(expected, ys))
+            assert_same_bits(log_pdf_many(child, ys), log_pdf_many(own, ys))
+            assert_same_bits(sample_visible(child, 500, 3), sample_visible(expected, 500, 3))
+            m = params.n_v - len(indices)
+            if indices == list(range(m, params.n_v)):
+                assert_same_bits(log_marginal(params, m, values), log_marginal(fresh, m, values))
+
+    def test_one_free_set_is_planned_once(self, monkeypatch):
+        # 24 values on one pattern: T_yy is factored, and the child's Schur
+        # matrix formed, once; every child shares the plan's arrays
+        import rtbm.model
+        params = RtbmParams(**CONSTRUCTED_3D)
+        log_pdf(params, [0.1, 0.2, 0.3])        # the parent's own factors
+        factored, formed = [], []
+        real_cholesky, real_finite = rtbm.model.spd_cholesky, rtbm.model._finite
+
+        def cholesky(a, name):
+            factored.append(name)
+            return real_cholesky(a, name)
+
+        def finite(a, name):
+            formed.append(name)
+            return real_finite(a, name)
+
+        monkeypatch.setattr(rtbm.model, "spd_cholesky", cholesky)
+        monkeypatch.setattr(rtbm.model, "_finite", finite)
+        ys = np.random.default_rng(3).normal(0.0, 1.0, (5, 2))
+        children = []
+        for x in np.linspace(-2.0, 2.0, 24):
+            child, _ = condition_on(params, [2], [x])
+            log_pdf_many(child, ys)
+            log_marginal(params, 2, [x])
+            sample_visible(child, 10, 0)
+            children.append(child)
+        assert factored == ["T"]
+        assert formed.count(SCHUR) == 1
+        for name in ("t", "w", "chol_t", "tinv_w", "schur"):
+            assert all(getattr(c, name) is getattr(children[0], name) for c in children)
 
     def test_conditioning_validates_the_parent_once(self, tfit_params, monkeypatch):
         import rtbm.density

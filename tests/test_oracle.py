@@ -9,8 +9,11 @@ from rtbm.density import log_marginal
 from rtbm.model import RtbmParams
 from rtbm.oracle import (StudentTParams, conditional_logpdf, sample_student,
                          student_conditional, student_logpdf)
+from rtbm.theta import spd_cholesky
 
 T_BENCH = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
+T_3D = StudentTParams(mu=[0.3, -1.0, 2.5],
+                      sigma=[[2.0, -1.0, 0.3], [-1.0, 4.0, 0.5], [0.3, 0.5, 1.5]], nu=3.5)
 
 
 class TestStudentLogpdf:
@@ -212,3 +215,27 @@ class TestSampleStudent:
     def test_negative_seed_is_named(self, seed):
         with pytest.raises(ValueError, match=r"^seed -?\d+ is negative"):
             sample_student(T_BENCH, 3, seed)
+
+    @pytest.mark.parametrize("tp", [T_BENCH, T_3D], ids=["p2", "p3"])
+    @pytest.mark.parametrize("count", [1, (1 << 14) + 1, 1 << 18])
+    def test_draws_are_the_scale_mixture_bit_for_bit(self, tp, count):
+        # the in-place scale and shift give the bytes of the whole-array formula
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((count, tp.p))
+        u = rng.chisquare(tp.nu, count)
+        chol = spd_cholesky(tp.sigma, "sigma")     # LAPACK's layout, as sample_student's
+        expected = tp.mu + (z @ chol.T) * np.sqrt(tp.nu / u)[:, None]
+        assert sample_student(tp, count, 8).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tp", [T_BENCH, T_3D], ids=["p2", "p3"])
+    def test_large_draw_makes_no_call_sized_temporary(self, tp):
+        # beside the output, only the normals and the scales are as long as the call
+        import tracemalloc
+        sample_student(tp, 10, 0)
+        tracemalloc.start()
+        try:
+            draws = sample_student(tp, 1 << 18, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * draws.nbytes
