@@ -27,7 +27,14 @@ bit, on this battery:
   on ``[2, 1]`` after ``[1, 2]``, whose children share the parent's plan
   of their free set (``density._plan``).  Each has a twin computed on a
   fresh parent (``TWINS``); the second is new with it
-  (``condition_on_pair``).
+  (``condition_on_pair``);
+* seeded fits (``FIT_ROWS`` Student-t rows, one restart of ``FIT_EVALS``
+  evaluations) at n_h = 1, 2 and 3 on both lattices: each item is the
+  fit's trace of (evaluations, best NLL) pairs, then its model's T, Q, W,
+  bv and bh and its NLL.  Every candidate of such a fit brings fresh
+  theta matrices, so these items check the kernels a fit prepares, which
+  the random SPD matrices above do not; a fit scores its candidates on
+  one process per CPU, and its items do not depend on how many.
 
 Each line reads ``<item> <sha256>``.  To compare two checkouts value by
 value where their digests differ, import :func:`battery` from this file
@@ -54,7 +61,9 @@ from conftest import (CONSTRUCTED_2D, CONSTRUCTED_3D, TFIT, random_spd,  # noqa:
                       random_valid_params)
 
 from rtbm.density import condition_on, log_marginal, log_pdf_many  # noqa: E402
+from rtbm.fit import FitConfig, fit_density  # noqa: E402
 from rtbm.model import RtbmParams  # noqa: E402
+from rtbm.oracle import StudentTParams, sample_student  # noqa: E402
 from rtbm.sampling import sample_visible  # noqa: E402
 from rtbm.theta import Lattice, log_theta_many  # noqa: E402
 
@@ -67,6 +76,9 @@ SEPARABLE_SCALE = (5.0, 20.0)
 # block size of sample_visible; fixed here so that the battery is the same
 # in every checkout
 TAIL_COUNTS = ((1 << 14) + 1, 3 * (1 << 14) + 5)
+# the seeded fits: rows of the README's Student-t, and one restart's budget
+FIT_ROWS, FIT_EVALS = 300, 150
+FIT_STUDENT = StudentTParams(mu=[0.0, 0.0], sigma=[[2.0, -1.0], [-1.0, 4.0]], nu=6.0)
 # items of a kept child -> their twins of a fresh child, by the item's first part
 TWINS = {"log_marginal_after_condition_on": "log_marginal",
          "condition_on_repeated": "condition_on",
@@ -121,6 +133,15 @@ def battery():
         zs = rng.uniform(-6.0, 6.0, (200, h)) @ omega + rng.uniform(-1.0, 1.0, (200, h))
         yield f"log_theta_many/separable_h{h}/200", log_theta_many(zs, omega)
         yield f"log_theta_many/separable_h{h}/1", log_theta_many(zs[:1], omega)
+    data = sample_student(FIT_STUDENT, FIT_ROWS, seed=1)
+    for n_h in (1, 2, 3):
+        for lattice in Lattice:
+            fitted = fit_density(data, FitConfig(n_h=n_h, restarts=1, max_evals=FIT_EVALS,
+                                                 seed=11, lattice=lattice))
+            p = fitted.params
+            yield (f"fit_density/nh{n_h}/{lattice.value}",
+                   np.concatenate([np.ravel(fitted.trace), p.t.ravel(), p.q.ravel(),
+                                   p.w.ravel(), p.bv, p.bh, [fitted.nll]]))
 
 
 def _kept_children(name, fixture, lattice, rows, values):

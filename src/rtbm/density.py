@@ -35,6 +35,12 @@ bh' = bh + W_d^T d, and on first use T_yy^-1 bv', the normalizer's
 argument bh' - W_y^T T_yy^-1 bv' and its normalizer.  Every kept value is
 computed by the expression, in the order, of a model that keeps nothing,
 so a result does not depend on what was kept.
+
+A far point or value overflows on the way to a density of zero, so each
+public function enters ``np.errstate(over="ignore", invalid="ignore")``
+once, and the private functions it calls (``_log_pdf_rows``,
+``_log_normalizer``, ``_child`` and theta's ``_log_theta_rows``) run under
+it; the results are judged where they are formed.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
 
 
 def _logdet_from_chol(chol):
-    return 2.0 * float(np.log(np.diag(chol)).sum())
+    return 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
 
 
 def _kept(params: RtbmParams, name, compute):
@@ -76,8 +82,15 @@ def _half_bv_tinv_bv(params: RtbmParams) -> float:
 
 
 def log_normalizer(params: RtbmParams) -> float:
-    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model; both
-    passed ``model._finite``, so ``log_theta_many``'s checks are skipped."""
+    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_normalizer(params)
+
+
+def _log_normalizer(params: RtbmParams) -> float:
+    """:func:`log_normalizer`, under the caller's ``np.errstate``: its theta
+    argument and matrix both passed ``model._finite``, so ``log_theta_many``'s
+    checks are skipped."""
     memo = params.memo
     if "log_normalizer" not in memo:
         z, schur = params.z_schur[:, None], params.schur
@@ -96,38 +109,49 @@ def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
     of that point, bit for bit.  Points are checked first (:func:`as_points`).
     Its theta arguments are checked here and summed as formed, unchecked.
     """
-    vs = as_points(vs, params.n_v)
+    v = np.ascontiguousarray(as_points(vs, params.n_v).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_pdf_rows(params, v)
+
+
+def _log_pdf_rows(params: RtbmParams, v) -> np.ndarray:
+    """:func:`log_pdf_many` of the checked points' coordinates as C-contiguous
+    rows ``v`` (n_v, B), under the caller's ``np.errstate(over="ignore",
+    invalid="ignore")``: a far point's terms overflow, and are judged here."""
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
-    log_norm = log_normalizer(params)
+    log_norm = _log_normalizer(params)
     if not math.isfinite(log_norm):
         raise RtbmError("the normalizer log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W) "
                         "overflows")
     # Coordinates as contiguous rows, summed in index order by theta's
     # helpers, so that a point's value does not depend on its batch.
-    v = np.ascontiguousarray(vs.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_num = _coords_dot(v, params.w)
-        z_num += params.bh[:, None]
-        if not np.isfinite(z_num).all():
-            bad = np.flatnonzero(~np.isfinite(z_num).all(axis=0))
-            raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
-                            f"first at index {bad[0]}")
-        # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to
-        # +inf, or to NaN where an overflowed u meets the factor's zeros; either
-        # way the point is infinitely far out and log P = -inf (fmin reads NaN
-        # as missing).
-        sq = _coords_dot(v + params.tinv_bv[:, None], params.chol_t)
-        half_quad = _coords_inner(sq, sq)
-        half_quad *= 0.5
+    z_num = _coords_dot(v, params.w)
+    z_num += params.bh[:, None]
+    # a non-finite entry makes the sum non-finite (and an overflowing sum is
+    # ignored here), so the entries are tested only where it is
+    if not math.isfinite(np.add.reduce(z_num, axis=None)) and not np.isfinite(z_num).all():
+        bad = np.flatnonzero(~np.isfinite(z_num).all(axis=0))
+        raise RtbmError(f"W^T v + bh is not finite (overflow) at {bad.size} point(s), "
+                        f"first at index {bad[0]}")
+    # u^T T u / 2 with u = v + T^-1 bv.  A far point's term overflows to
+    # +inf, or to NaN where an overflowed u meets the factor's zeros; either
+    # way the point is infinitely far out and log P = -inf (fmin reads NaN
+    # as missing).
+    sq = _coords_dot(v + params.tinv_bv[:, None], params.chol_t)
+    half_quad = _coords_inner(sq, sq)
+    half_quad *= 0.5
     np.fmin(half_quad, np.inf, out=half_quad)
     log_num = _log_theta_rows(z_num, params.q, params.lattice)
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
-    log_num = np.where(np.isinf(half_quad), 0.0, log_num)
-    log_offset = _kept(params, "log_pdf_offset",
-                       lambda p: _half_logdet_t(p) - 0.5 * p.n_v * _LOG_2PI)
-    return log_offset - half_quad + log_num - log_norm
+    np.copyto(log_num, 0.0, where=np.isinf(half_quad))
+    log_pdf = np.subtract(_kept(params, "log_pdf_offset",
+                                lambda p: _half_logdet_t(p) - 0.5 * p.n_v * _LOG_2PI),
+                          half_quad, out=half_quad)
+    log_pdf += log_num
+    log_pdf -= log_norm
+    return log_pdf
 
 
 def log_pdf(params: RtbmParams, v) -> float:
@@ -152,16 +176,16 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
     if not 0 < m < params.n_v:
         raise ValueError(f"m must be in (0, {params.n_v}), got {m}")
     fixed, d, free = free_coordinates(range(m, params.n_v), d, params.n_v)
-    child = _child(params, free, fixed, d)
     # A far d overflows d^T T d and the child's normalizer together: P(d) = 0.
     with np.errstate(over="ignore", invalid="ignore"):
+        child = _child(params, free, fixed, d)
         log_p = (_half_logdet_t(params)
                  - 0.5 * (params.n_v - m) * _LOG_2PI
                  - _half_logdet_t(child)
                  - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
                  - _half_bv_tinv_bv(params)
                  + _half_bv_tinv_bv(child)
-                 + log_normalizer(child) - log_normalizer(params))
+                 + _log_normalizer(child) - _log_normalizer(params))
     return -np.inf if np.isnan(log_p) else log_p
 
 
@@ -213,7 +237,8 @@ def _plan(params: RtbmParams, free) -> _Plan:
 
 
 def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
-    """Child RTBM over coordinates ``free`` given the float vector ``d`` at ``fixed``.
+    """Child RTBM over coordinates ``free`` given the float vector ``d`` at
+    ``fixed``, under the caller's ``np.errstate(over="ignore", invalid="ignore")``.
 
     Its T, W, Q and the arrays derived from them alone are the plan's
     (:func:`_plan`) and the parent's; only the biases, which can overflow,
@@ -229,8 +254,8 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     if kept is not None and kept[0] == key:
         return kept[1]
     plan = _plan(params, free)
-    with np.errstate(over="ignore", invalid="ignore"):     # a far d: named below
-        bv, bh = plan.bv + plan.t_cols[fixed].T @ d, params.bh + params.w[fixed].T @ d
+    # under the caller's np.errstate: a far d overflows here, and is named below
+    bv, bh = plan.bv + plan.t_cols[fixed].T @ d, params.bh + params.w[fixed].T @ d
     _check_finite(bv=bv, bh=bh)
     child = RtbmParams._of_private(
         params.lattice, derived={**plan.derived, "memo": {"half_logdet_t": plan.half_logdet_t}},
@@ -327,4 +352,5 @@ def condition_on(params: RtbmParams, indices, values) -> tuple[RtbmParams, list]
     """
     indices, values, free = free_coordinates(indices, values, params.n_v)
     _check_valid(params)
-    return _child(params, free, indices, values), free
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _child(params, free, indices, values), free

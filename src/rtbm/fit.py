@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cma
-from .density import _index, as_points, log_pdf_many
+from .density import _index, _log_pdf_rows, as_points
+from .density import log_pdf_many  # noqa: F401  the name bench/tracing.py wraps
 from .errors import FitError, RtbmError
 from .model import RtbmParams, _check_finite, _finite, validate
 from .theta import Lattice
@@ -64,74 +65,115 @@ def free_parameter_count(n_v: int, n_h: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _tril_indices(n):
-    """``np.tril_indices(n)``, made once per size rather than on every decode."""
-    rows, cols = np.tril_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+def _layout(n_v, n_h):
+    """Where :func:`decode` puts the factor entries of a free-parameter vector.
 
-
-def _tril_to_matrix(vals, n, name):
-    """L L^T, L lower triangular with exponentiated diagonal; finite or raises."""
-    fac = np.zeros((n, n))
-    fac[_tril_indices(n)] = vals
-    diag = np.diag_indices(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fac[diag] = np.exp(fac[diag])
-        return _finite(fac @ fac.T, name)
+    The factors L_T and L_Q lie flat one after the other, n_v^2 + n_h^2
+    entries.  Returns the flat positions of their lower triangles, in the
+    vector's order (``np.tril_indices``, T's first), the vector's indices of
+    the diagonal entries and their flat positions.
+    """
+    rows_t, cols_t = np.tril_indices(n_v)
+    rows_q, cols_q = np.tril_indices(n_h)
+    tril = np.concatenate((rows_t * n_v + cols_t, n_v * n_v + rows_q * n_h + cols_q))
+    diag = np.flatnonzero(np.concatenate((rows_t == cols_t, rows_q == cols_q)))
+    layout = tril, diag, tril[diag]
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 def decode(x, n_v: int, n_h: int, lattice=Lattice.FULL) -> RtbmParams:
     """Unpack a free-parameter vector into a model with T, Q PD, or raise on overflow.
 
     Each array is made, frozen and checked once, and the model keeps it as it is."""
+    x = _vector(x, n_v, n_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _decode(x, n_v, n_h, lattice)
+
+
+def _vector(x, n_v, n_h):
+    """``x`` as a float free-parameter vector for n_v, n_h; ValueError if its length is not."""
     x = np.asarray(x, dtype=float)
     expected = free_parameter_count(n_v, n_h)
     if x.shape != (expected,):
         raise ValueError(f"expected vector of length {expected}, got {x.shape}")
-    nt = n_v * (n_v + 1) // 2
-    nq = n_h * (n_h + 1) // 2
-    pos = 0
-    t = _tril_to_matrix(x[pos:pos + nt], n_v, "T"); pos += nt
-    q = _tril_to_matrix(x[pos:pos + nq], n_h, "Q"); pos += nq
-    w = x[pos:pos + n_v * n_h].reshape(n_v, n_h).copy(); pos += n_v * n_h
-    bv = x[pos:pos + n_v].copy(); pos += n_v
-    bh = x[pos:].copy()
-    _check_finite(w=w, bv=bv, bh=bh)
+    return x
+
+
+def _decode(x, n_v, n_h, lattice):
+    """:func:`decode` of a checked vector, under the caller's
+    ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Both factors are filled in one array and their diagonals exponentiated
+    in one call; T = L_T L_T^T and Q = L_Q L_Q^T are formed side by side in
+    another, followed by a copy of W, bv and bh, so that one check finds any
+    of them overflowing or not finite, and the model's fields are views of
+    that one array."""
+    tril, diag, flat_diag = _layout(n_v, n_h)
+    nt, nq, nw = n_v * n_v, n_h * n_h, n_v * n_h
+    factors = np.zeros(nt + nq)
+    factors[tril] = x[:tril.size]
+    factors[flat_diag] = np.exp(x[diag])
+    fac_t, fac_q = factors[:nt].reshape(n_v, n_v), factors[nt:].reshape(n_h, n_h)
+    fields = np.empty(nt + nq + x.size - tril.size)
+    t = np.matmul(fac_t, fac_t.T, out=fields[:nt].reshape(n_v, n_v))
+    q = np.matmul(fac_q, fac_q.T, out=fields[nt:nt + nq].reshape(n_h, n_h))
+    rest = fields[nt + nq:]
+    rest[:] = x[tril.size:]
+    w, bv, bh = rest[:nw].reshape(n_v, n_h), rest[nw:nw + n_v], rest[nw + n_v:]
+    if not np.isfinite(fields).all():
+        _finite(t, "T")         # raises, naming the first that is not finite
+        _finite(q, "Q")
+        _check_finite(w=w, bv=bv, bh=bh)
     return RtbmParams._of_private(lattice, t=t, q=q, w=w, bv=bv, bh=bh)
 
 
 def negative_log_likelihood(params: RtbmParams, data) -> float:
     """Summed negative log-density over the rows of ``data``.
 
-    No rows, or malformed points (checked once, by ``log_pdf_many``), raise
+    No rows, or malformed points (checked by ``as_points``), raise
     ValueError.  A model whose density cannot be evaluated (an RtbmError such
     as a theta truncation failure) or is non-finite at some row scores +inf, a
     penalty value rather than an exception: optimizers see a total function.
     """
     if np.size(data) == 0:
         raise ValueError("data must be nonempty")
+    v = np.ascontiguousarray(as_points(data, params.n_v).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _negative_log_likelihood(params, v)
+
+
+def _negative_log_likelihood(params: RtbmParams, v) -> float:
+    """:func:`negative_log_likelihood` of the checked points' coordinate rows
+    ``v``, under the caller's ``np.errstate(over="ignore", invalid="ignore")``.
+
+    A non-finite row makes the sum non-finite, so the rows are tested one
+    by one only where the sum is not finite."""
     try:
-        lp = log_pdf_many(params, data)
+        lp = _log_pdf_rows(params, v)
     except RtbmError:
         return math.inf
-    if not np.isfinite(lp).all():
+    total = float(np.add.reduce(lp))
+    if not math.isfinite(total) and not np.isfinite(lp).all():
         return math.inf
-    return float(-lp.sum())
+    return -total
 
 
 def make_objective(data, n_h, lattice):
     """NLL over the encoding, n_v the data's width; +inf where the model is invalid.
-    The data are checked once, and laid out as ``log_pdf_many`` reads them."""
-    data = np.ascontiguousarray(as_points(data).T).T
-    n_v = data.shape[1]
+    The data are checked once, and laid out as coordinate rows, as ``log_pdf_many``
+    reads them; each evaluation enters ``np.errstate`` once."""
+    v = np.ascontiguousarray(as_points(data).T)
+    n_v = v.shape[0]
     def objective(x):
-        try:
-            params = decode(x, n_v, n_h, lattice)
-        except RtbmError:           # T or Q overflowed
-            return math.inf
-        return negative_log_likelihood(params, data)
+        x = _vector(x, n_v, n_h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                params = _decode(x, n_v, n_h, lattice)
+            except RtbmError:           # T or Q overflowed
+                return math.inf
+            return _negative_log_likelihood(params, v)
     return objective
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,8 +47,11 @@ def _finite(a, name):
 
 
 def _chol_t(t):
-    """The lower Cholesky factor of T, frozen; NotPositiveDefiniteError if T is not PD."""
-    return _freeze(spd_cholesky(t, "T"))
+    """The lower Cholesky factor of T, a new array frozen in place;
+    NotPositiveDefiniteError if T is not PD."""
+    chol = spd_cholesky(t, "T")
+    chol.setflags(write=False)
+    return chol
 
 
 def _tinv(chol_t, b):
@@ -107,10 +109,9 @@ class RtbmParams:
 
     def _keep(self, lattice, **arrays):
         """Keep ``arrays``, frozen, as the fields of these names."""
-        for name, a in arrays.items():
+        for a in arrays.values():
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "lattice", Lattice(lattice))
+        vars(self).update(arrays, lattice=Lattice(lattice))
 
     @classmethod
     def _of_private(cls, lattice, derived=(), **arrays):
@@ -286,9 +287,18 @@ def write_atomic(path, write):
     """Create ``path`` through ``write(fh)`` on a temporary file, then rename it.
 
     Readers never see a partial file, and a failed write leaves no file.
+    The temporary file is created with mode 0o666 less the umask, the mode
+    ``open(path, "w")`` gives a new file (``tempfile.mkstemp`` would give
+    0o600 whatever the umask).
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)

@@ -132,14 +132,18 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   one to a few hundred elements, so it is prepared with few calls: Omega,
   symmetrized here and checked finite by the caller, and the exactly
   symmetric Omega' go to LAPACK ``dpotrf`` without a second check; each
-  form's radius and point bound are one call each on floats; and the
-  enumeration about the origin takes its outermost coordinate in Python
-  floats and each further one in about two dozen calls.  Over the
-  captured matrices of the two seeded benchmark fits (a shared 2-vCPU
-  x86-64 host, each matrix's best of seven passes), construction and
-  first enumeration take 108 us at h = 3 and 77 us at h = 2.
+  form's radius and point bound are formed in Python floats, but for
+  numpy's log, exp and sum over the pivots; and the enumeration about the
+  origin finds the intervals of its two outermost coordinates in Python
+  floats and each further coordinate's in about two dozen calls.  Over
+  the captured matrices of the two seeded benchmark fits (a shared 2-vCPU
+  x86-64 host, each matrix's best of seven passes, interleaved with the
+  previous code in one process), construction and first enumeration take
+  87 us at h = 3 and 65 us at h = 2, against 102 and 76 us when the
+  radius, the bounds and all but the outermost coordinate were numpy's.
   ``log_theta_many`` checks its arguments and hands their coordinate rows
-  to ``_log_theta_rows``, which ``density`` calls on rows it has checked.
+  to ``_log_theta_rows`` under one ``np.errstate``, as ``density`` does
+  with rows it has checked.
   The per-row work - the maximizer Omega^-1 z, its rounding c,
   g = z - Omega c and the term at c - reads each coordinate of the batch
   as one contiguous row of B values and sums over the coordinates in index
@@ -175,6 +179,7 @@ _TABLE_BLOCK = 1 << 16   # elements of each row of a separable sum's kept work a
 _LOG_TINY = -700.0       # log of a comfortably normal double
 _LOG_FACTOR_CAP = 600.0  # largest exponent of a factor of a separable sum
 _LOG_2 = float(np.log(2.0))
+_LOG_EPS = float(np.log(EPS))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _DUAL_SCALE = 4.0 * np.pi ** 2    # Omega' = 4 pi^2 Omega^-1
 
@@ -212,16 +217,23 @@ def _certified_radius(pivots, log_rel):
 
     ``log_rel`` is a float (a kernel's radius) or an array (the radii of
     rows that sum their own ellipsoid), and so is R: one formula for both.
-    Its transcendental functions are numpy's either way, as numpy's own
-    float64 log and exp can differ from the C library's in the last bit;
-    only the maxima and minima of a float are Python's, which pick the value
-    numpy's would (the first of two equal ones) at a tenth of the cost.
+    Its transcendental functions and its sum over the h logs are numpy's
+    either way, as numpy's own float64 log and exp can differ from the C
+    library's in the last bit, and its sum from a sequential one; a float's
+    other arithmetic, square roots, maxima and minima are Python's, which
+    round as numpy's do and pick the value numpy's would (the first of two
+    equal ones) at a tenth of the cost.
     """
-    maximum, minimum = (np.maximum, np.minimum) if isinstance(log_rel, np.ndarray) else (max, min)
+    rows = isinstance(log_rel, np.ndarray)
+    maximum, minimum, sqrt = (np.maximum, np.minimum, np.sqrt) if rows else (max, min, math.sqrt)
     h = pivots.size
     a = 0.5 * h + 1.0
-    r0 = np.sqrt(-2.0 * log_rel)      # above 7.4, as every log_rel is at most log EPS
-    log_count = np.add.reduce(np.log(2.0 / pivots + (1.0 / r0)[..., None]), axis=-1)
+    r0 = sqrt(-2.0 * log_rel)      # above 7.4, as every log_rel is at most log EPS
+    if rows:
+        log_count = np.add.reduce(np.log(2.0 / pivots + (1.0 / r0)[:, None]), axis=-1)
+    else:
+        inv_r0 = 1.0 / r0
+        log_count = float(np.add.reduce(np.log([2.0 / p + inv_r0 for p in pivots.tolist()])))
     # the extra factor 2 absorbs the rounding of the inverse
     log_y = minimum(log_rel - log_count - 0.5 * h * _LOG_2 - _log_gamma(h) - _LOG_2, 0.0)
     # Below the representable range, Gamma(a, x + d) <= e^{-d (1 - (a-1)/x)}
@@ -229,7 +241,7 @@ def _certified_radius(pivots, log_rel):
     log_floor = maximum(log_y, _LOG_TINY)
     x = gammainccinv(a, np.exp(log_floor))
     x = x + (log_floor - log_y) / (1.0 - (a - 1.0) / maximum(x, a))
-    return maximum(np.sqrt(2.0 * x), r0)
+    return maximum(sqrt(2.0 * x), r0)
 
 
 def _ellipsoid_points(chol, centres, radii, orthant=False):
@@ -242,70 +254,76 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
     zero when ``orthant`` is set.  The caller bounds the number of points
     with :func:`_point_bounds` first.
 
-    Returns ``(owner, points, sq, parent, prefixes)``: the index of each
+    Returns ``(owner, points, sq, counts, prefixes)``: the index of each
     point's centre, in ascending order; the points as float coordinate rows
     (h, P), the layout the sums read; |L^T (n - c)|^2, the squares of the
     steps L_ii (n_i - m_i) summed from the last coordinate to the first as
-    they are formed; and, from the last level, the index of each point's
-    prefix (n_2, ..., n_h) among the (h - 1, M) float coordinate rows
-    ``prefixes``, also ascending, so the points come grouped by prefix with
-    n_1 ascending within each group.  A prefix may hold no point.
+    they are formed; and, from the last level, the number of points of each
+    prefix (n_2, ..., n_h) of the (h - 1, M) float coordinate rows
+    ``prefixes``, so the points come grouped by prefix, in the prefixes'
+    order, with n_1 ascending within each group.  A prefix may hold no point.
 
     Each level's points are the columns of one (h + 3, P_i) array: the
     remaining squared radius, the sum of squared steps, a row for m_i and
-    then the steps, and one row per coordinate.  The next level writes each
-    prefix's m_i, and its first n_i into the row of n_i, and one ``repeat``
-    copies each prefix's column once per point of its interval, so a level
-    costs about two dozen numpy calls, whatever its size.  A single centre,
-    like the origin of a kernel's shared offsets, takes its outermost level
-    in Python floats, broadcasts its coordinates instead of gathering them
-    per point, and needs ``parent`` only from its last level.
+    then the steps, and one row per coordinate.  Each prefix's m_i, and its
+    first n_i, are written into its column, and one ``repeat`` copies each
+    prefix's column once per point of its interval, so a level costs about
+    two dozen numpy calls, whatever its size, or ten where its intervals
+    are already known.  A single centre, like the origin of a kernel's
+    shared offsets, finds the intervals of its two outermost levels - one
+    prefix, then one per value of n_{h-1} - in Python floats, whose +, -,
+    *, /, sqrt, ceil and floor round as numpy's do, so only the inner levels
+    pay numpy's cost per call; it broadcasts its coordinates instead of
+    gathering them per point, and has no owner to carry from level to level.
     """
     m, h = centres.shape
     cen = centres.T
+    factor = chol.tolist()      # its entries as floats, which divide as numpy's do
     # the slack keeps rounding from dropping a point on the boundary
     slack = 1.0 + 1e-12
+    counts = None
     if m == 1:
-        owner, radius = None, float(radii[0])
-        lii, mid, rem = float(chol[-1, -1]), float(cen[-1, 0]), radius * radius * slack
-        half = math.sqrt(max(rem, 0.0)) / lii
-        lo, end = math.ceil(mid - half), math.floor(mid + half) + 1
-        if orthant:
-            lo = max(lo, 0)
-            end = max(end, lo)
-        level = np.empty((h + 3, end - lo))
-        level[-1] = np.arange(lo, end)
-        step = np.subtract(level[-1], mid, out=level[2])
-        step *= lii
-        step *= step
-        np.subtract(rem, step, out=level[0])
-        level[1] = step
-        top = h - 2
+        c = centres[0].tolist()
+        # n_j - c_j is n_j where c_j is +0.0, as at the origin: no call
+        at_zero = [x == 0.0 and math.copysign(1.0, x) > 0.0 for x in c]
+        owner, level, counts, top = None, *_outer_intervals(factor, c, float(radii[0]), slack,
+                                                            orthant)
     else:
+        at_zero = [False] * h
         owner = np.arange(m)
         level = np.empty((h + 3, m))
         level[0], level[1] = np.square(radii) * slack, 0.0
         top = h - 1
-    prefixes = level[4:]
     for i in range(top, -1, -1):
-        prev, prefixes = level, level[i + 4:]
-        lii = chol[i, i]
-        own = cen[i:] if owner is None else cen[i:, owner]
-        mid = prev[2]
-        mid[:] = own[0]
-        for j in range(1, h - i):
-            mid -= (prefixes[j - 1] - own[j]) * (chol[i + j, i] / lii)
-        half = np.sqrt(np.maximum(prev[0], 0.0)) / lii
-        lo = np.ceil(mid - half)
-        end = np.floor(mid + half) + 1.0    # at least lo, as half >= 0
-        if orthant:
-            lo = np.maximum(lo, 0.0)
-            end = np.maximum(end, lo)
-        counts = (end - lo).astype(np.int64)
-        ends = counts.cumsum()
-        # n_i runs from lo up within each prefix's run of points
-        np.subtract(lo, ends - counts, out=prev[i + 3])
-        level = prev.repeat(counts, axis=1)
+        lii = factor[i][i]
+        if counts is None:
+            prefixes = level[i + 4:]
+            own = cen[i:] if owner is None else cen[i:, owner]
+            mid = level[2]
+            if i == h - 1:
+                mid[:] = own[0]
+            for j in range(1, h - i):
+                diff = prefixes[j - 1] if at_zero[i + j] else prefixes[j - 1] - own[j]
+                np.subtract(own[0] if j == 1 else mid, diff * (factor[i + j][i] / lii), out=mid)
+            half = np.maximum(level[0], 0.0)
+            np.sqrt(half, out=half)
+            half /= lii
+            lo = np.subtract(mid, half)
+            np.ceil(lo, out=lo)
+            end = np.add(mid, half, out=half)
+            np.floor(end, out=end)
+            end += 1.0      # at least lo, as half >= 0
+            if orthant:
+                np.maximum(lo, 0.0, out=lo)
+                np.maximum(end, lo, out=end)
+            end -= lo
+            counts = end.astype(np.int64)
+            starts = counts.cumsum()
+            starts -= counts
+            # n_i runs from lo up within each prefix's run of points
+            np.subtract(lo, starts, out=level[i + 3])
+        prefixes = level[i + 4:]
+        level = level.repeat(counts, axis=1)
         ni = level[i + 3]
         ni += np.arange(ni.size)
         step = np.subtract(ni, level[2], out=level[2])
@@ -314,15 +332,66 @@ def _ellipsoid_points(chol, centres, radii, orthant=False):
         if i:
             level[0] -= step
         level[1] += step
-        if owner is not None or i == 0:
-            parent = np.arange(counts.size).repeat(counts)
-            if owner is not None:
-                owner = owner[parent]
+        if owner is not None:
+            owner = owner[np.arange(len(counts)).repeat(counts)]
+        if i:
+            counts = None
     if owner is None:
         owner = np.zeros(level.shape[1], dtype=np.intp)
-        if top < 0:         # one coordinate: every point's prefix is the empty one
-            parent = owner
-    return owner, level[3:], level[1], parent, prefixes
+    return owner, level[3:], level[1], counts, prefixes
+
+
+def _outer_intervals(factor, c, radius, slack, orthant):
+    """The two outermost levels of :func:`_ellipsoid_points` about the one
+    centre ``c`` (a list of floats), in Python floats, over the Cholesky
+    factor's rows ``factor`` (lists of floats).
+
+    Returns the (h + 3, K) array of the prefixes of the level whose
+    intervals are found here - level h - 2, whose K prefixes are the values
+    of n_{h-1}, or at h = 1 the one empty prefix of level 0 - with each
+    prefix's remaining squared radius, sum of squared steps, m_i and first
+    n_i less its run's start; the K interval lengths; and that level's
+    index.  Each value is formed by the operations, in the order, of the
+    numpy levels.
+    """
+    h = len(c)
+    i, lii = h - 1, factor[-1][-1]
+    rem = radius * radius * slack
+    half = math.sqrt(max(rem, 0.0)) / lii
+    lo, end = math.ceil(c[i] - half), math.floor(c[i] + half) + 1
+    if orthant:
+        lo = max(lo, 0)
+        end = max(end, lo)
+    if i == 0:
+        level = np.empty((4, 1))
+        level[:, 0] = (rem, 0.0, c[0], lo)
+        return level, [end - lo], 0
+    rems, sqs, mids, firsts, outer, counts = [], [], [], [], [], []
+    i -= 1
+    l_i = factor[i][i]
+    ratio = factor[i + 1][i] / l_i
+    start = 0
+    for n in range(lo, end):
+        step = (n - c[i + 1]) * lii
+        step *= step
+        left = rem - step
+        mid = c[i] - (n - c[i + 1]) * ratio
+        half = math.sqrt(max(left, 0.0)) / l_i
+        a, b = math.ceil(mid - half), math.floor(mid + half) + 1
+        if orthant:
+            a = max(a, 0)
+            b = max(b, a)
+        rems.append(left)
+        sqs.append(step)
+        mids.append(mid)
+        firsts.append(a - start)
+        outer.append(n)
+        counts.append(b - a)
+        start += b - a
+    level = np.empty((h + 3, len(counts)))
+    level[0], level[1], level[2] = rems, sqs, mids
+    level[i + 3], level[i + 4] = firsts, outer
+    return level, counts, i
 
 
 def _point_bounds(pivots, radii, spans):
@@ -332,11 +401,22 @@ def _point_bounds(pivots, radii, spans):
     2r / L_ii, and over the ellipsoid's extent ``spans[..., i]`` along n_i
     (which its orthant cut can shorten), so each coordinate level multiplies
     the count by at most the smaller of the two plus one.  The factor
-    1 + 1e-12 matches the enumeration's boundary slack.  ``radii`` is a
-    float (a kernel's bound, ``spans`` then (h,)) or an array of them.
+    1 + 1e-12 matches the enumeration's boundary slack.  ``radii`` is an
+    array of rows' radii, or a float, a kernel's, whose bound is formed in
+    Python floats over the h ``spans`` (a list): their arithmetic rounds as
+    numpy's does, and numpy's product over the last axis is taken in index
+    order, as it is here.
     """
-    reach = np.divide.outer(2.0 * radii, pivots)
-    return np.multiply.reduce(np.minimum(reach, spans) * (1.0 + 1e-12) + 1.0, axis=-1)
+    if isinstance(radii, np.ndarray):
+        reach = np.divide.outer(2.0 * radii, pivots)
+        np.minimum(reach, spans, out=reach)
+        reach *= 1.0 + 1e-12
+        reach += 1.0
+        return np.multiply.reduce(reach, axis=-1)
+    bound = 1.0
+    for pivot, span in zip(pivots.tolist(), spans):
+        bound *= min(2.0 * radii / pivot, span) * (1.0 + 1e-12) + 1.0
+    return bound
 
 
 def _orthant_ascent(zs, omega, start):
@@ -354,8 +434,9 @@ def _orthant_ascent(zs, omega, start):
     return n
 
 
-def _coords_dot(rows, m):
-    """``m^T rows`` for coordinate rows (h, B): out[k] = sum_j m[j, k] rows[j].
+def _coords_dot(rows, m, out=None):
+    """``m^T rows`` for coordinate rows (h, B): out[k] = sum_j m[j, k] rows[j],
+    into ``out`` (h', B) if given.
 
     The sum runs over j in index order, one (h', B) product per coordinate,
     each formed in one reused buffer and then added.
@@ -367,10 +448,10 @@ def _coords_dot(rows, m):
     sums a lone row in another order when ``m`` has one column (W with one
     hidden unit) or is Fortran-ordered (``chol_t`` from LAPACK).
     """
-    out = m[0][:, None] * rows[0]
+    out = np.multiply.outer(m[0], rows[0], out=out)
     prod = None
     for j in range(1, rows.shape[0]):
-        prod = np.multiply(m[j][:, None], rows[j], out=prod)
+        prod = np.multiply.outer(m[j], rows[j], out=prod)
         out += prod
     return out
 
@@ -390,11 +471,15 @@ def _coords_inner(a, b):
     """sum_j a[j] b[j] for coordinate rows (h, B), over j in index order.
 
     ``np.einsum("hb,hb->b")`` would sum a lone row (B = 1) in the CPU's
-    vector-lane order instead.
+    vector-lane order instead.  The products are formed in one call and
+    added one coordinate at a time into a new array.
     """
-    out = a[0] * b[0]
-    for j in range(1, a.shape[0]):
-        out += a[j] * b[j]
+    prods = a * b
+    if len(prods) == 1:
+        return prods[0]
+    out = np.add(prods[0], prods[1])
+    for j in range(2, len(prods)):
+        out += prods[j]
     return out
 
 
@@ -434,15 +519,15 @@ class _Separable(NamedTuple):
     reach: np.ndarray      # (h, 1) max |k_1|, then max |k_j| over the prefixes
 
 
-def _separable(cols, quad, parent, prefixes):
+def _separable(cols, quad, counts, prefixes):
     """The :class:`_Separable` tables of the offsets ``cols`` (h, P), or None.
 
-    ``quad`` holds k^T Omega k / 2, and ``parent`` and the h - 1 coordinate
-    rows ``prefixes`` group the offsets by (k_2, ..., k_h) as
-    :func:`_ellipsoid_points` emits them;
+    ``quad`` holds k^T Omega k / 2, and the offsets' counts per prefix
+    ``counts`` and the h - 1 coordinate rows ``prefixes`` group the offsets
+    by (k_2, ..., k_h) as :func:`_ellipsoid_points` emits them;
     the groups from the first to the last that holds an offset are the
-    table's M prefixes (at h = 2, the values of k_2 from least to greatest),
-    read from ``parent`` with no search.  The enumeration about the origin
+    table's M prefixes (at h = 2, the values of k_2 from least to greatest).
+    The enumeration about the origin
     negates exactly, so the offsets hold -k with k, and max |k_1| and the
     range of k_1 come from one maximum.  A prefix in that range may hold no
     offset (at h >= 3, say the end of one k_3 row of a tilted ellipsoid)
@@ -455,19 +540,23 @@ def _separable(cols, quad, parent, prefixes):
     of k_1 or prefixes, which would not fit a row of the work array even
     for a block of the two rows every block holds at least.
     """
-    points, first = cols.shape[1], parent[0]
-    k1 = np.maximum.reduce(cols[0])
-    shape = (2 * int(k1) + 1, int(parent[-1] - first) + 1)
+    h, points = cols.shape
+    held = np.flatnonzero(counts)
+    first = int(held[0])
+    k1 = float(np.maximum.reduce(cols[0]))
+    shape = (2 * int(k1) + 1, int(held[-1]) - first + 1)
     if (shape[0] * shape[1] > min(2 * points, _WORK_CAP - points)
             or max(shape) > _TABLE_BLOCK // 2):
         return None
     # a copy: a view would keep the enumeration's whole level in the kernel cache
-    prefixes = prefixes[:, first:first + shape[1]].copy()
-    reach = np.concatenate(([k1], np.maximum.reduce(np.abs(prefixes), axis=1)))
+    prefixes = prefixes[:, first:first + shape[1], None].copy()
+    reach = np.empty((h, 1))
+    reach[0] = k1
+    np.maximum.reduce(np.abs(prefixes), axis=1, out=reach[1:])
     weights = np.zeros(shape)
-    weights[(cols[0] + k1).astype(np.intp), parent - first] = np.exp(-quad)
-    return _Separable(np.arange(-k1, k1 + 1)[:, None], prefixes[:, :, None],
-                      weights, reach[:, None])
+    weights[(cols[0] + k1).astype(np.intp),
+            np.arange(-first, len(counts) - first).repeat(counts)] = np.exp(-quad)
+    return _Separable(np.arange(-k1, k1 + 1)[:, None], prefixes, weights, reach)
 
 
 def _table_work():
@@ -508,13 +597,17 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     reaches 1/2 sum_l |Omega_jl| halfway between lattice points, and far
     from the origin rounding carries g further.  This test, which reads
     only the row's own g, alone decides whether a row's factors are safe;
-    it is skipped where the same sum over the rows' largest |g_j| is at
-    most 600, which bounds every row's.
+    it is skipped where the same sum over the rows' largest |g_j|, formed
+    in Python floats, is at most 600, which bounds every row's.
     """
     abs_g = np.abs(g)
     # every row passes where the rows' largest |g_j| pass, as rounding is monotone
-    top = abs_g.max(axis=1, keepdims=True, initial=0.0)
-    if not _coords_inner(top, tables.reach)[0] <= _LOG_FACTOR_CAP:
+    top = np.maximum.reduce(abs_g, axis=1, initial=0.0).tolist()
+    reach = tables.reach[:, 0].tolist()
+    bound = top[0] * reach[0]
+    for j in range(1, len(top)):
+        bound += top[j] * reach[j]
+    if not bound <= _LOG_FACTOR_CAP:
         far = ~(_coords_inner(abs_g, tables.reach) <= _LOG_FACTOR_CAP)
         if far.any():
             out = np.empty(g.shape[1])
@@ -531,13 +624,16 @@ def _separable_log_sums(g, f0, cols, quad, tables):
         blk = slice(s, s + step)
         rows = min(step, nb - s)
         n = max(rows, 2)     # a lone row is broadcast into two columns
-        u, v, acc = (work[i, :size * n].reshape(size, n) for i, size in enumerate((k1, m, m)))
+        # U then V in one stretch of the first two rows, so one call takes
+        # every exponential; the partial sums in the third
+        uv = work[:2].reshape(-1)[:(k1 + m) * n]
+        u, v = uv[:k1 * n].reshape(k1, n), uv[k1 * n:].reshape(m, n)
+        acc = work[2, :m * n].reshape(m, n)
         np.multiply(prefixes[0], g[1, blk], out=v)
         for j in range(1, prefixes.shape[0]):
             v += np.multiply(prefixes[j], g[j + 1, blk], out=acc)
-        np.exp(v, out=v)
         np.multiply(firsts, g[0, blk], out=u)
-        np.exp(u, out=u)
+        np.exp(uv, out=uv)
         np.einsum("an,am->mn", u, weights, out=acc)
         acc *= v
         total = np.add.reduce(acc, axis=0)
@@ -688,7 +784,7 @@ def _rho_half(omega):
     if h > 16:
         return 0.5 * math.sqrt(np.abs(omega).sum())
     c = _cube_signs(h)
-    return 0.5 * np.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", c, omega, c)))
+    return 0.5 * math.sqrt(np.maximum.reduce(np.einsum("ch,hl,cl->c", c, omega, c)))
 
 
 class _Dual(NamedTuple):
@@ -708,10 +804,10 @@ def _off_origin_bound(lengths_sq):
     theta sum, at most its unshifted value 1 + 2 sum_{n>=1} q_i^{n^2} <=
     1 + 2 q_i / (1 - q_i^3), q_i = exp(-L'_ii^2 / 2); s is at most the
     product of these, less one.  The bound falls as the ``lengths_sq``
-    L'_ii^2 grow.
+    L'_ii^2, a list of floats, grow.
     """
     bound = 1.0
-    for length_sq in lengths_sq.tolist():
+    for length_sq in lengths_sq:
         bound *= 1.0 + 2.0 * math.exp(-0.5 * length_sq) / -math.expm1(-1.5 * length_sq)
     return bound - 1.0
 
@@ -727,7 +823,7 @@ def _dual_form(omega, omega_inv):
     compares that bound with the primal's.
     """
     # L'_ii^2 <= Omega'_ii, so the diagonal rejects before anything is formed or factored
-    if _off_origin_bound(_DUAL_SCALE * omega_inv.diagonal()) > 0.5:
+    if _off_origin_bound([_DUAL_SCALE * d for d in omega_inv.diagonal().tolist()]) > 0.5:
         return None
     dual = _DUAL_SCALE * omega_inv
     if not np.isfinite(dual).all():
@@ -736,10 +832,10 @@ def _dual_form(omega, omega_inv):
     if chol is None:
         return None
     pivots = chol.diagonal()
-    if _off_origin_bound(pivots ** 2) > 0.5:
+    if _off_origin_bound([p * p for p in pivots.tolist()]) > 0.5:
         return None
-    radius = _certified_radius(pivots, np.log(EPS) - _LOG_2)
-    spans = 2.0 * radius * np.sqrt(omega.diagonal()) / (2.0 * np.pi)
+    radius = _certified_radius(pivots, _LOG_EPS - _LOG_2)
+    spans = [2.0 * radius * math.sqrt(d) / (2.0 * math.pi) for d in omega.diagonal().tolist()]
     bound = _point_bounds(pivots, radius, spans)
     if bound >= _WORK_CAP:
         return None
@@ -777,7 +873,7 @@ def _dual_log_sums(nhat, cols, weights):
         np.divide(2.0, phase, out=phase)
         phase -= 1.0
         phase *= weights
-        out[s:s + step] = np.log(phase.sum(axis=1))
+        np.log(np.add.reduce(phase, axis=1), out=out[blk])
     return out
 
 
@@ -804,7 +900,8 @@ class _Kernel:
         self.chol = _require(omega, "omega")     # omega is symmetrized and finite
         self.omega_inv = _cholesky_inverse(self.chol)
         self.pivots = self.chol.diagonal()
-        self.widths = np.sqrt(self.omega_inv.diagonal())
+        # sqrt((Omega^-1)_ii), the extent along n_i of the ellipsoid of radius 1
+        self.widths = [math.sqrt(d) for d in self.omega_inv.diagonal().tolist()]
         self.dual = None
         if lattice is Lattice.FULL:
             dual = _dual_form(omega, self.omega_inv)
@@ -816,8 +913,9 @@ class _Kernel:
             # then not computed.
             if dual is not None:
                 rho = 0.5 * (1.0 - 1e-9) * math.sqrt(np.add.reduce(self.omega.diagonal()))
-                floor = math.sqrt(-2.0 * (np.log(EPS) - 0.5 * rho ** 2)) + rho
-                if (dual.bound < _point_bounds(self.pivots, floor, 2.0 * floor * self.widths)
+                floor = math.sqrt(-2.0 * (_LOG_EPS - 0.5 * rho ** 2)) + rho
+                if (dual.bound < _point_bounds(self.pivots, floor,
+                                               [2.0 * floor * w for w in self.widths])
                         or dual.bound < self.bound):
                     self.dual = dual
         self.lattice = lattice
@@ -835,12 +933,12 @@ class _Kernel:
         own ellipsoid |L^T (n - nhat)| <= R.
         """
         rho_half = _rho_half(self.omega)
-        return _certified_radius(self.pivots, np.log(EPS) - 0.5 * rho_half ** 2) + rho_half
+        return _certified_radius(self.pivots, _LOG_EPS - 0.5 * rho_half ** 2) + rho_half
 
     @functools.cached_property
     def bound(self):
         """Bound on the count of the shared primal offsets."""
-        return _point_bounds(self.pivots, self.radius, 2.0 * self.radius * self.widths)
+        return _point_bounds(self.pivots, self.radius, [2.0 * self.radius * w for w in self.widths])
 
     def shared_points(self):
         """The offsets k column-wise: with their weights in the dual form, or
@@ -851,7 +949,7 @@ class _Kernel:
         h = self.omega.shape[0]
         form = self if self.dual is None else self.dual
         # about the origin the enumeration's |L^T k|^2 is k^T Omega k (of Omega' in the dual)
-        _, cols, sq, parent, prefixes = _ellipsoid_points(form.chol, np.zeros((1, h)),
+        _, cols, sq, counts, prefixes = _ellipsoid_points(form.chol, np.zeros((1, h)),
                                                           np.array([form.radius]))
         tables = None
         if self.dual is not None:
@@ -866,7 +964,7 @@ class _Kernel:
             quad = sq
             quad *= 0.5
             if self.lattice is Lattice.FULL and h > 1:
-                tables = _separable(cols, quad, parent, prefixes)
+                tables = _separable(cols, quad, counts, prefixes)
             kept = (cols, quad, tables)
         if not self.used:
             self.used = True
@@ -941,16 +1039,21 @@ def log_theta_many(zs, omega, lattice=Lattice.FULL, collect_terms=False):
         raise ValueError("collect_terms requires a single argument vector")
     if not (np.isfinite(zs).all() and np.isfinite(omega).all()):
         raise ValueError("theta arguments must be finite")
-    return _log_theta_rows(np.ascontiguousarray(zs.T), omega, lattice, collect_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_theta_rows(np.ascontiguousarray(zs.T), omega, lattice, collect_terms)
 
 
 def _log_theta_rows(z, omega, lattice, collect_terms=False):
     """:func:`log_theta_many` of the C-contiguous coordinate rows ``z`` (h, B),
     unchecked: ``z`` and ``omega`` (h, h) finite, ``lattice`` a Lattice.
 
-    On the full lattice without ``collect_terms`` every row shares the
-    kernel's offsets and its one bound, so such a call goes from the set-up
-    straight to the shared sums, with no per-row bound or row selection."""
+    Its callers run it under ``np.errstate(over="ignore", invalid="ignore")``,
+    entered once per public call: a far argument, or the Omega^-1 of a
+    nearly singular Omega, can overflow in the set-up; the bounds reject
+    such a matrix, and the callers judge the rows.  On the full lattice
+    without ``collect_terms`` every row shares the kernel's offsets and its
+    one bound, so such a call goes from the set-up straight to the shared
+    sums, with no per-row bound or row selection."""
     kernel = _kernel(omega, lattice)
     omega, chol = kernel.omega, kernel.chol
     nb = z.shape[1]
@@ -960,21 +1063,24 @@ def _log_theta_rows(z, omega, lattice, collect_terms=False):
     # one length-B operation per coordinate.  No BLAS and no reduction over
     # the short axis, whose order depends on the batch or the CPU's vector
     # width, so a row's sum does not depend on the other rows of its batch.
-    dual = kernel.dual is not None and not collect_terms  # its bound is under the cap
-    # A far argument, or the Omega^-1 of a nearly singular Omega, can overflow
-    # here; the bounds below reject such a matrix, and the callers judge the rows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        nhat = _coords_dot(z, kernel.omega_inv)         # continuous maximizer
-        if dual:
-            half_dot = 0.5 * _coords_inner(z, nhat)
-        else:
-            # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2
-            centre = np.rint(nhat)
-            c_omega = _coords_dot(centre, omega)
-            g = z - c_omega
-            f0 = -0.5 * _coords_inner(c_omega, centre) + _coords_inner(centre, z)
-    if dual:
-        return kernel.dual.log_scale + half_dot + _dual_log_sums(nhat, *kernel.shared_points())
+    nhat = _coords_dot(z, kernel.omega_inv)         # continuous maximizer
+    if kernel.dual is not None and not collect_terms:   # its bound is under the cap
+        return (kernel.dual.log_scale + 0.5 * _coords_inner(z, nhat)
+                + _dual_log_sums(nhat, *kernel.shared_points()))
+    # f(centre + k) = f0 + k.(z - Omega centre) - k^T Omega k / 2, with
+    # f0 = -centre.(Omega centre) / 2 + centre.z: Omega centre and z are
+    # formed side by side, so that one product and h - 1 sums over the
+    # coordinates, in index order, give both inner products
+    centre = np.rint(nhat)
+    pair = np.empty((2,) + z.shape)
+    c_omega = _coords_dot(centre, omega, out=pair[0])
+    g = z - c_omega
+    pair[1] = z
+    pair *= centre
+    inner = pair[:, 0]
+    for j in range(1, z.shape[0]):
+        inner += pair[:, j]
+    f0 = -0.5 * inner[0] + inner[1]
     orthant = lattice is Lattice.NONNEG
     if not (orthant or collect_terms):
         # every row shares the kernel's offsets and its one bound
@@ -996,16 +1102,16 @@ def _log_theta_rows(z, omega, lattice, collect_terms=False):
             best = _orthant_ascent(zs_own, omega, np.maximum(best, 0.0))
         u = nhat_own - best
         dist = np.sqrt(np.einsum("bh,hl,bl->b", u, omega, u))
-        reach = np.maximum(_certified_radius(kernel.pivots, np.log(EPS) - 0.5 * dist ** 2),
+        reach = np.maximum(_certified_radius(kernel.pivots, _LOG_EPS - 0.5 * dist ** 2),
                            dist)        # radius of each row's own points
         upper = nhat_own + reach[:, None] * kernel.widths
         lower = np.maximum(nhat_own - reach[:, None] * kernel.widths,
                            0.0 if orthant else -np.inf)
         bounds = np.full(nb, bounds)
         bounds[rows] = _point_bounds(kernel.pivots, reach, upper - lower)
-    failed = bounds > _WORK_CAP     # an array, or one flag for every row
+    failed = np.greater(bounds, _WORK_CAP)  # an array, or one flag for every row
     if failed.any():
-        _raise_truncation(int(failed.sum()) if failed.ndim else nb, nb, bounds.max(), omega)
+        _raise_truncation(int(failed.sum()) if failed.ndim else nb, nb, np.max(bounds), omega)
     if collect_terms:
         owner, points, terms = _own_terms(zs_own, omega, chol, nhat_own, reach, best, orthant)
         return _segment_log_sums(owner, terms, 1), points, terms

@@ -328,7 +328,8 @@ class TestFitDensity:
             fit_density(np.zeros((0, 2)), FitConfig(n_h=1))
 
     def test_no_finite_restart_is_a_plain_error(self, monkeypatch):
-        monkeypatch.setattr(rtbm.fit, "negative_log_likelihood",
+        # every candidate scores +inf: the NLL the objective calls
+        monkeypatch.setattr(rtbm.fit, "_negative_log_likelihood",
                             lambda *args: math.inf)
         data = np.random.default_rng(0).standard_normal((50, 1))
         with pytest.raises(FitError, match="no restart found a model whose "
@@ -336,7 +337,8 @@ class TestFitDensity:
             fit_density(data, FitConfig(n_h=1, restarts=2, max_evals=8))
 
     def test_error_names_why_each_restart_ended(self, monkeypatch):
-        monkeypatch.setattr(rtbm.fit, "negative_log_likelihood",
+        # every candidate scores +inf: the NLL the objective calls
+        monkeypatch.setattr(rtbm.fit, "_negative_log_likelihood",
                             lambda *args: math.inf)
         data = np.random.default_rng(0).standard_normal((50, 1))
         with pytest.raises(FitError) as caught:

@@ -1,4 +1,6 @@
 import collections
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,9 @@ from conftest import (CONSTRUCTED_2D, CONSTRUCTED_2D_BAD_Q,
                       CONSTRUCTED_3D, TFIT)
 from rtbm.density import condition_on, log_marginal, log_pdf_many
 from rtbm.errors import NotPositiveDefiniteError
+from rtbm.cli import _write_csv
 from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
-                        validate)
+                        validate, write_json)
 from rtbm.sampling import sample_visible
 from rtbm.theta import Lattice, sym
 
@@ -227,6 +230,25 @@ class TestSerialization:
         assert np.array_equal(loaded.t, p.t)
         assert np.array_equal(loaded.bv, p.bv)
         assert loaded.lattice is Lattice.NONNEG
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_files_take_the_mode_open_gives(self, umask, tmp_path):
+        # every output is created atomically; each must get 0o666 less the
+        # umask, as a file made by open(path, "w") does, and the umask stays
+        previous = os.umask(umask)
+        try:
+            save_model(RtbmParams(**TFIT), tmp_path / "model.json")
+            write_json(tmp_path / "meta.json", {"nll": 1.0})
+            _write_csv(tmp_path / "rows.csv", np.ones((3, 2)))
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert os.umask(umask) == umask
+        finally:
+            os.umask(previous)
+        for name in ("model.json", "meta.json", "rows.csv", "plain.txt"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "meta.json", "model.json", "plain.txt", "rows.csv"]
 
     def test_dict_shape_check(self):
         doc = to_dict(RtbmParams(**TFIT))

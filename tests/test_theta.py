@@ -1170,6 +1170,9 @@ def box_offsets(omega, radius):
     decide it.
     """
     reach = np.ceil(radius * np.sqrt(np.diag(np.linalg.inv(omega)))).astype(int) + 1
+    # past 2^22 points the box would take gigabytes (1e8 points for the h = 5
+    # small matrix's orthant kernel): a case that needs one is not a test case
+    assert np.prod(2.0 * reach + 1.0) <= 1 << 22
     axes = [np.arange(-r, r + 1.0) for r in reach]
     box = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
     quad = np.einsum("hk,hl,lk->k", box, omega, box)
@@ -1193,9 +1196,11 @@ class TestFreshKernels:
         theta._KERNELS.clear()
         return theta._kernel(omega, lattice)
 
-    @pytest.mark.parametrize("lattice", [Lattice.FULL, Lattice.NONNEG])
-    @pytest.mark.parametrize("scale", list(DIGEST_SCALES))
-    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    # at h = 5 the small matrix's orthant kernel is primal, and its box would
+    # hold 1e8 points
+    @pytest.mark.parametrize("h, scale, lattice", [
+        (h, scale, lattice) for h in range(1, 6) for scale in DIGEST_SCALES for lattice in Lattice
+        if (h, scale, lattice) != (5, "small", Lattice.NONNEG)])
     def test_offsets_match_a_box_enumeration(self, h, scale, lattice):
         import rtbm.theta as theta
 
@@ -1226,6 +1231,52 @@ class TestFreshKernels:
                                                       np.array([dual.radius]))
         np.testing.assert_array_equal(points, ref_cols)
         np.testing.assert_array_max_ulp(0.5 * sq, 0.5 * ref_quad, maxulp=8)
+
+    # the full-lattice kernels of the battery's matrices that take tables
+    @pytest.mark.parametrize("h, scale", [(2, "stiff"), (3, "mid"), (3, "stiff"), (4, "mid"),
+                                          (4, "stiff"), (5, "stiff")])
+    def test_separable_tables_match_a_box_enumeration(self, h, scale):
+        # the table's prefixes are those the enumeration visits, (k_2, ..., k_h)
+        # with p^T S p <= R^2 (S the Schur complement of Omega_11, the least
+        # k^T Omega k over k_1), from the first to the last that holds an offset
+        kernel = self.fresh(h, scale, Lattice.FULL)
+        assert kernel.dual is None
+        cols, quad, tables = kernel.shared_points()
+        assert tables is not None
+        omega, radius = kernel.omega, kernel.radius
+        ref_cols, _ = box_offsets(omega, radius)
+        schur = omega[1:, 1:] - np.outer(omega[1:, 0], omega[0, 1:]) / omega[0, 0]
+        visited, _ = box_offsets(schur, radius)
+        offset_prefixes = set(map(tuple, ref_cols[1:].T.tolist()))
+        held = [m for m, p in enumerate(map(tuple, visited.T.tolist())) if p in offset_prefixes]
+        prefixes = visited[:, held[0]:held[-1] + 1]
+        k1 = ref_cols[0].max()
+        np.testing.assert_array_equal(tables.firsts, np.arange(-k1, k1 + 1)[:, None])
+        np.testing.assert_array_equal(tables.prefixes, prefixes[:, :, None])
+        np.testing.assert_array_equal(
+            tables.reach, np.concatenate(([k1], np.abs(prefixes).max(axis=1)))[:, None])
+        # each offset's weight exp(-k^T Omega k / 2) in its cell, zero elsewhere
+        expected = np.zeros(tables.weights.shape)
+        column = {p: m for m, p in enumerate(map(tuple, prefixes.T.tolist()))}
+        expected[(ref_cols[0] + k1).astype(int),
+                 [column[p] for p in map(tuple, ref_cols[1:].T.tolist())]] = np.exp(-quad)
+        np.testing.assert_array_max_ulp(tables.weights, expected, maxulp=2)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_dual_scale_and_bound(self, h):
+        # log((2 pi)^{h/2} det(Omega)^{-1/2}), and the bound prod_i
+        # (min(2R / L'_ii, 2R sqrt(Omega_ii) / 2 pi) + 1) of the dual offsets
+        kernel = self.fresh(h, "small", Lattice.FULL)
+        dual = kernel.dual
+        assert dual is not None
+        log_det = np.linalg.slogdet(kernel.omega)[1]
+        assert dual.log_scale == pytest.approx(0.5 * h * math.log(2.0 * math.pi) - 0.5 * log_det,
+                                               rel=1e-13, abs=1e-13)
+        pivots = dual.chol.diagonal()
+        reach = np.minimum(2.0 * dual.radius / pivots,
+                           2.0 * dual.radius * np.sqrt(np.diag(kernel.omega)) / (2.0 * math.pi))
+        assert dual.bound == pytest.approx(np.prod(reach * (1.0 + 1e-12) + 1.0), rel=1e-14)
+        assert box_offsets(dual.omega, dual.radius)[0].shape[1] <= dual.bound < 1 << 21
 
     def test_every_form_occurs(self):
         forms = set()
