@@ -37,7 +37,7 @@ import warnings
 import numpy as np
 
 from . import __version__, pool
-from .density import condition_on, log_normalizer, log_pdf_many
+from .density import condition_on, log_pdf_many
 from .errors import RtbmError
 from .fit import FitConfig, fit_density
 from .model import load_model, save_model, validate, write_atomic, write_json
@@ -272,7 +272,7 @@ def _cmd_density(args):
     params = _load_valid_model(args.model)
     pts = _eval_points(args, params.n_v)
     try:
-        log_normalizer(params)      # kept on the model before the pool forks
+        params.log_normalizer       # kept on the model before the pool forks
         _write_csv(args.out, lambda part: _density_rows(
             pts[part], log_pdf_many(params, pts[part])), len(pts))
     except RtbmError as exc:

@@ -34,7 +34,7 @@ STALL_TOL = 1e-10
 STALL_EVALS_PER_DIM = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class CmaResult:
     x_best: np.ndarray
     f_best: float

@@ -20,14 +20,14 @@ Gaussian integral forces it, and the product-rule identity
 log P(v) = log P(y|d) + log P(d) holds exactly with it.
 
 Conditioning changes only the biases, so a query pays only for what
-depends on its values.  Each model keeps, in ``params.memo``:
+depends on its values.  What a model derives from its own arrays (its
+normalizer, 1/2 log det T, 1/2 bv^T T^-1 bv) is a property of its
+``RtbmParams``; what it keeps per request is in ``params.memo``:
 
-* per model: its normalizer and the constants 1/2 log det T,
-  1/2 log det T - n_v/2 log 2pi and 1/2 bv^T T^-1 bv;
 * per set of free coordinates y it has been conditioned to, a plan
-  (:func:`_plan`): T_yy, W_y, bv_y, the columns of T at y, the factor of
-  T_yy, T_yy^-1 W_y, the child's Schur matrix Q - W_y^T T_yy^-1 W_y and
-  1/2 log det T_yy, which every child over y shares;
+  (:func:`_plan`): the columns of T at y and the child at d = 0, whose
+  T_yy, W_y, factor of T_yy, T_yy^-1 W_y, Schur matrix
+  Q - W_y^T T_yy^-1 W_y and 1/2 log det T_yy every child over y shares;
 * the child of its last request (:func:`_child`).
 
 A child of the values d then forms bv' = bv_y + T_dy^T d and
@@ -38,9 +38,9 @@ so a result does not depend on what was kept.
 
 A far point or value overflows on the way to a density of zero, so each
 public function enters ``np.errstate(over="ignore", invalid="ignore")``
-once, and the private functions it calls (``_log_pdf_rows``,
-``_log_normalizer``, ``_child`` and theta's ``_log_theta_rows``) run under
-it; the results are judged where they are formed.
+once, and the private functions it calls (``_log_pdf_rows``, ``_child``
+and theta's ``_log_theta_rows``) and the model properties they read run
+under it; the results are judged where they are formed.
 """
 
 from __future__ import annotations
@@ -48,58 +48,13 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, RtbmError
-from .model import (SCHUR, RtbmParams, _check_finite, _chol_t, _freeze, _schur, _tinv,
-                    validate)
+from .errors import RtbmError
+from .model import RtbmParams, _check_finite, _freeze, validate
 from .theta import _LOG_2PI, _coords_dot, _coords_inner, _log_theta_rows
 from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
-
-
-def _logdet_from_chol(chol):
-    return 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
-
-
-def _kept(params: RtbmParams, name, compute):
-    """``params.memo[name]``, set to ``compute(params)`` on first use."""
-    memo = params.memo
-    if name not in memo:
-        memo[name] = compute(params)
-    return memo[name]
-
-
-def _half_logdet_t(params: RtbmParams) -> float:
-    """1/2 log det T, kept per model."""
-    return _kept(params, "half_logdet_t", lambda p: 0.5 * _logdet_from_chol(p.chol_t))
-
-
-def _half_bv_tinv_bv(params: RtbmParams) -> float:
-    """1/2 bv^T T^-1 bv, kept per model."""
-    return _kept(params, "half_bv_tinv_bv", lambda p: 0.5 * float(p.bv @ p.tinv_bv))
-
-
-def log_normalizer(params: RtbmParams) -> float:
-    """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), kept per model."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _log_normalizer(params)
-
-
-def _log_normalizer(params: RtbmParams) -> float:
-    """:func:`log_normalizer`, under the caller's ``np.errstate``: its theta
-    argument and matrix both passed ``model._finite``, so ``log_theta_many``'s
-    checks are skipped."""
-    memo = params.memo
-    if "log_normalizer" not in memo:
-        z, schur = params.z_schur[:, None], params.schur
-        try:
-            memo["log_normalizer"] = _log_theta_rows(z, schur, params.lattice)[0]
-        except NotPositiveDefiniteError as exc:     # the kernel names it "omega"
-            raise NotPositiveDefiniteError(f"{SCHUR} is not positive definite",
-                                           lambda e=exc: e.min_eigenvalue) from None
-    return memo["log_normalizer"]
 
 
 def log_pdf_many(params: RtbmParams, vs) -> np.ndarray:
@@ -120,7 +75,7 @@ def _log_pdf_rows(params: RtbmParams, v) -> np.ndarray:
     invalid="ignore")``: a far point's terms overflow, and are judged here."""
     # The batch-1 normalizer goes first: when the Schur matrix is not
     # positive definite it raises before the wide numerator sum is paid for.
-    log_norm = _log_normalizer(params)
+    log_norm = params.log_normalizer
     if not math.isfinite(log_norm):
         raise RtbmError("the normalizer log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W) "
                         "overflows")
@@ -146,8 +101,7 @@ def _log_pdf_rows(params: RtbmParams, v) -> np.ndarray:
     # Farther out, log theta overflows to +inf as well.  The density of a
     # valid model vanishes there, so such a row drops its theta term.
     np.copyto(log_num, 0.0, where=np.isinf(half_quad))
-    log_pdf = np.subtract(_kept(params, "log_pdf_offset",
-                                lambda p: _half_logdet_t(p) - 0.5 * p.n_v * _LOG_2PI),
+    log_pdf = np.subtract(params.half_logdet_t - 0.5 * params.n_v * _LOG_2PI,
                           half_quad, out=half_quad)
     log_pdf += log_num
     log_pdf -= log_norm
@@ -179,13 +133,13 @@ def log_marginal(params: RtbmParams, m: int, d) -> float:
     # A far d overflows d^T T d and the child's normalizer together: P(d) = 0.
     with np.errstate(over="ignore", invalid="ignore"):
         child = _child(params, free, fixed, d)
-        log_p = (_half_logdet_t(params)
+        log_p = (params.half_logdet_t
                  - 0.5 * (params.n_v - m) * _LOG_2PI
-                 - _half_logdet_t(child)
+                 - child.half_logdet_t
                  - 0.5 * float(d @ params.t[m:, m:] @ d) - float(params.bv[m:] @ d)
-                 - _half_bv_tinv_bv(params)
-                 + _half_bv_tinv_bv(child)
-                 + _log_normalizer(child) - _log_normalizer(params))
+                 - params.half_bv_tinv_bv
+                 + child.half_bv_tinv_bv
+                 + child.log_normalizer - params.log_normalizer)
     return -np.inf if np.isnan(log_p) else log_p
 
 
@@ -202,37 +156,25 @@ def _check_valid(params: RtbmParams):
         raise RtbmError(f"cannot condition an invalid model: {report}")
 
 
-class _Plan(NamedTuple):
-    """What every child over one set of free coordinates y shares, whatever
-    the values d: frozen arrays that no child copies."""
+def _plan(params: RtbmParams, free) -> tuple[np.ndarray, RtbmParams, dict]:
+    """The plan of the free coordinates ``free`` (ascending), kept per model:
+    T[:, y], whose rows at a request's indices are T_dy; the child at d = 0
+    (T_yy, Q, W_y, bv_y, bh); and that child's factor of T_yy, T_yy^-1 W_y,
+    Schur matrix Q - W_y^T T_yy^-1 W_y and 1/2 log det T_yy, which every
+    child over y shares.
 
-    t: np.ndarray           # T_yy
-    w: np.ndarray           # W_y
-    bv: np.ndarray          # bv_y
-    t_cols: np.ndarray      # T[:, y], whose rows at the request's indices are T_dy
-    derived: dict           # the child's chol_t, tinv_w (T_yy^-1 W_y) and schur
-    half_logdet_t: float    # 1/2 log det T_yy
-
-
-def _plan(params: RtbmParams, free) -> _Plan:
-    """The plan of the free coordinates ``free`` (ascending), kept per model.
-
-    T_yy is factored and the child's Schur matrix Q - W_y^T T_yy^-1 W_y
-    formed here, by the functions a model's own properties call, once per
-    parent and free set; NotPositiveDefiniteError if either fails.
+    The child's own properties form them, once per parent and free set;
+    NotPositiveDefiniteError if T_yy or the Schur matrix fails.
     """
     plans = params.memo.setdefault("plans", {})
     key = tuple(free)
     plan = plans.get(key)
     if plan is None:
         t_cols = _freeze(params.t[:, free])
-        t, w = _freeze(t_cols[free]), _freeze(params.w[free])
-        chol_t = _chol_t(t)
-        tinv_w = _tinv(chol_t, w)
-        plan = plans[key] = _Plan(
-            t, w, _freeze(params.bv[free]), t_cols,
-            {"chol_t": chol_t, "tinv_w": tinv_w, "schur": _schur(params.q, w, tinv_w)},
-            0.5 * _logdet_from_chol(chol_t))
+        zero = RtbmParams(t=t_cols[free], q=params.q, w=params.w[free], bv=params.bv[free],
+                          bh=params.bh, lattice=params.lattice)
+        plan = plans[key] = (t_cols, zero, {name: getattr(zero, name) for name in
+                                            ("chol_t", "tinv_w", "schur", "half_logdet_t")})
     return plan
 
 
@@ -240,10 +182,10 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     """Child RTBM over coordinates ``free`` given the float vector ``d`` at
     ``fixed``, under the caller's ``np.errstate(over="ignore", invalid="ignore")``.
 
-    Its T, W, Q and the arrays derived from them alone are the plan's
-    (:func:`_plan`) and the parent's; only the biases, which can overflow,
-    are formed and checked, and the child computes T_yy^-1 bv', its
-    normalizer's argument and its normalizer when they are first read.
+    Its T, W, Q and the values derived from them alone are those of the
+    plan's child at d = 0 (:func:`_plan`); only the biases, which can
+    overflow, are formed and checked, and the child computes T_yy^-1 bv',
+    its normalizer's argument and its normalizer when they are first read.
     The child of the parent's last request is kept in its memo, keyed by the
     indices in their order and the bytes of ``d``, so a repeated request
     returns the same child, with its kept normalizer and draw table; a
@@ -253,13 +195,12 @@ def _child(params: RtbmParams, free, fixed, d) -> RtbmParams:
     kept = params.memo.get("child")
     if kept is not None and kept[0] == key:
         return kept[1]
-    plan = _plan(params, free)
+    t_cols, zero, derived = _plan(params, free)
     # under the caller's np.errstate: a far d overflows here, and is named below
-    bv, bh = plan.bv + plan.t_cols[fixed].T @ d, params.bh + params.w[fixed].T @ d
+    bv, bh = zero.bv + t_cols[fixed].T @ d, zero.bh + params.w[fixed].T @ d
     _check_finite(bv=bv, bh=bh)
-    child = RtbmParams._of_private(
-        params.lattice, derived={**plan.derived, "memo": {"half_logdet_t": plan.half_logdet_t}},
-        t=plan.t, q=params.q, w=plan.w, bv=bv, bh=bh)
+    child = RtbmParams._of_private(params.lattice, derived=derived,
+                                   t=zero.t, q=zero.q, w=zero.w, bv=bv, bh=bh)
     params.memo["child"] = (key, child)
     return child
 

@@ -52,7 +52,7 @@ class FitConfig:
         object.__setattr__(self, "lattice", lattice)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     params: RtbmParams
     nll: float

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NotPositiveDefiniteError, RtbmError
-from .theta import Lattice, _kernel, spd_cholesky
+from .theta import Lattice, _kernel, _log_theta_rows, spd_cholesky
 
 SYMMETRY_ATOL = 1e-10
 SCHUR = "Q - W^T T^-1 W"
@@ -46,12 +46,8 @@ def _finite(a, name):
     return a
 
 
-def _chol_t(t):
-    """The lower Cholesky factor of T, a new array frozen in place;
-    NotPositiveDefiniteError if T is not PD."""
-    chol = spd_cholesky(t, "T")
-    chol.setflags(write=False)
-    return chol
+def _logdet_from_chol(chol):
+    return 2.0 * float(np.add.reduce(np.log(chol.diagonal())))
 
 
 def _tinv(chol_t, b):
@@ -61,10 +57,16 @@ def _tinv(chol_t, b):
     return x
 
 
-def _schur(q, w, tinv_w):
-    """Q - W^T T^-1 W, frozen; NotPositiveDefiniteError if it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(q - w.T @ tinv_w, SCHUR)
+def _theta_over_schur(params, theta, z, **kwargs):
+    """``theta(z, params.schur, params.lattice, **kwargs)``: a sum over the
+    Schur matrix, whose failure to be positive definite, which the kernel
+    names "omega", is raised naming it."""
+    schur = params.schur
+    try:
+        return theta(z, schur, params.lattice, **kwargs)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{SCHUR} is not positive definite",
+                                       lambda e=exc: e.min_eigenvalue) from None
 
 
 def _check_finite(**arrays):
@@ -74,13 +76,15 @@ def _check_finite(**arrays):
             raise ValueError(f"{name} contains non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RtbmParams:
     """Parameters of one RTBM. Immutable after construction.
 
-    The factorization of T and the Schur quantities derived from it are
-    computed on first use and kept on the instance; the fields are frozen
-    arrays, so a kept value cannot go stale.
+    Every value derived from the five arrays alone (the factor of T, the
+    Schur quantities, the log normalizer and the constants of the density)
+    is a property computed on first use and kept on the instance; the
+    fields are frozen arrays, so a kept value cannot go stale.  Equality is
+    identity.
     """
 
     t: np.ndarray
@@ -117,9 +121,10 @@ class RtbmParams:
     def _of_private(cls, lattice, derived=(), **arrays):
         """The model of float arrays of its shapes that the caller has checked as
         finite, frozen in place, not copied: new ones that nothing else references,
-        or another model's frozen fields (a child shares its parent's Q).
+        or another model's frozen fields (the children over one free set share
+        one T, Q and W).
 
-        ``derived`` maps names of cached properties (``chol_t``, ``memo``, ...)
+        ``derived`` maps names of cached properties (``chol_t``, ``schur``, ...)
         to values already computed from these same arrays, which the model
         takes as its own instead of computing them."""
         params = cls.__new__(cls)
@@ -138,7 +143,9 @@ class RtbmParams:
     @cached_property
     def chol_t(self) -> np.ndarray:
         """Lower Cholesky factor of T; NotPositiveDefiniteError if T is not PD."""
-        return _chol_t(self.t)
+        chol = spd_cholesky(self.t, "T")
+        chol.setflags(write=False)
+        return chol
 
     @cached_property
     def tinv_w(self) -> np.ndarray:
@@ -157,7 +164,8 @@ class RtbmParams:
 
         NotPositiveDefiniteError if it overflows.
         """
-        return _schur(self.q, self.w, self.tinv_w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self.q - self.w.T @ self.tinv_w, SCHUR)
 
     @cached_property
     def z_schur(self) -> np.ndarray:
@@ -170,15 +178,32 @@ class RtbmParams:
                            f"bh - W^T T^-1 bv (the theta argument over {SCHUR})")
 
     @cached_property
+    def half_logdet_t(self) -> float:
+        """1/2 log det T."""
+        return 0.5 * _logdet_from_chol(self.chol_t)
+
+    @cached_property
+    def half_bv_tinv_bv(self) -> float:
+        """1/2 bv^T T^-1 bv; +inf where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * float(self.bv @ self.tinv_bv)
+
+    @cached_property
+    def log_normalizer(self) -> float:
+        """log theta(bh - W^T T^-1 bv | Q - W^T T^-1 W), the visible density's
+        normalizer; NotPositiveDefiniteError if T or the Schur matrix is not
+        positive definite, or the Schur matrix or the argument overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _theta_over_schur(self, _log_theta_rows, self.z_schur[:, None])[0]
+
+    @cached_property
     def memo(self) -> dict:
-        """Values derived from this model and kept on it, each built on first
-        use: ``density``'s log normalizer, its constants (1/2 log det T, the
-        log-density's 1/2 log det T - n_v/2 log 2pi and 1/2 bv^T T^-1 bv),
-        the plan of each set of free coordinates it has been conditioned to
-        (the arrays its children share) and the child of its last
-        conditioning request (with that request's key); the report of
-        :func:`validate`; and ``sampling``'s draw table (the inverse-CDF cdf,
-        the K component means and, past 32 states, the bucket index of
+        """What other modules keep per request on this model, each built on
+        first use: ``density``'s plan of each set of free coordinates it has
+        been conditioned to (the arrays its children share) and the child of
+        its last conditioning request (with that request's key); the report
+        of :func:`validate`; and ``sampling``'s draw table (the inverse-CDF
+        cdf, the K component means and, past 32 states, the bucket index of
         cdf)."""
         return {}
 
@@ -289,7 +314,9 @@ def write_atomic(path, write):
     Readers never see a partial file, and a failed write leaves no file.
     The temporary file is created with mode 0o666 less the umask, the mode
     ``open(path, "w")`` gives a new file (``tempfile.mkstemp`` would give
-    0o600 whatever the umask).
+    0o600 whatever the umask).  An OSError of creating or renaming it (a
+    missing directory, a directory at ``path``) names ``path``, not the
+    temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     while True:
@@ -299,10 +326,15 @@ def write_atomic(path, write):
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

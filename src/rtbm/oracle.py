@@ -14,12 +14,12 @@ import numpy as np
 import scipy.linalg as la
 from scipy.special import gammaln
 
-from .density import _draw_request, _logdet_from_chol, as_points, free_coordinates
-from .model import SYMMETRY_ATOL, _check_finite, _cho_solve
+from .density import _draw_request, as_points, free_coordinates
+from .model import SYMMETRY_ATOL, _check_finite, _cho_solve, _logdet_from_chol
 from .theta import spd_cholesky, sym
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudentTParams:
     """Location mu, scale matrix sigma (not the covariance), and nu > 0."""
 

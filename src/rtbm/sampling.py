@@ -34,12 +34,9 @@ solved by one LAPACK triangular solve over the whole array, because a
 per-block solve rounds a short last block differently and would move
 seeded draws.  The generator consumes the same stream in the same order
 (``Generator.random`` split into consecutive calls gives the same
-doubles), so every draw keeps its bytes.  For the seven states of a
-two-unit fit, 100k states counted in blocks take about 0.21 ms against
-the search's 0.95 ms; for the 527 states of a four-unit model, 100k states
-read from 4096 buckets (under 1% searched) take about 0.37 ms against the
-search's 2.3 ms; 100k two-coordinate draws take about 4 ms in all
-(2-vCPU x86-64, numpy 2.4.6).
+doubles), so every draw keeps its bytes.  Counting a few states in
+blocks, and reading many from a bucket index of which under 1% is
+searched, each take a fraction of the search's time.
 
 Randomness: numpy's PCG64 via ``default_rng(seed)``; per-run substreams
 are derived with ``SeedSequence.spawn``.  Results depend only on
@@ -55,8 +52,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .density import _draw_request, _index, as_points, free_coordinates
-from .errors import InsufficientSamplesError, NotPositiveDefiniteError
-from .model import SCHUR, RtbmParams, _cho_solve
+from .errors import InsufficientSamplesError
+from .model import RtbmParams, _cho_solve, _theta_over_schur
 from .theta import log_theta_many
 
 RNG_NAME = "numpy PCG64 (default_rng), substreams via SeedSequence.spawn"
@@ -65,7 +62,7 @@ MAX_BUCKETS = 1 << 16       # most buckets of a draw table's index
 _BLOCK = 1 << 14            # draws whose uniforms, states and means are made at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiddenDistribution:
     """Truncated categorical over hidden lattice states.
 
@@ -78,12 +75,8 @@ class HiddenDistribution:
 
 def hidden_distribution(params: RtbmParams) -> HiddenDistribution:
     """Hidden-state probabilities over the normalizer argument's own certified ellipsoid."""
-    z, schur = params.z_schur[None, :], params.schur
-    try:
-        total, points, terms = log_theta_many(z, schur, params.lattice, collect_terms=True)
-    except NotPositiveDefiniteError as exc:     # the kernel names it "omega"
-        raise NotPositiveDefiniteError(f"{SCHUR} is not positive definite",
-                                       lambda e=exc: e.min_eigenvalue) from None
+    total, points, terms = _theta_over_schur(params, log_theta_many, params.z_schur[None, :],
+                                             collect_terms=True)
     log_w = terms - total[0]
     order = np.lexsort(points.T[::-1])  # deterministic point order
     points = points[order]
@@ -198,7 +191,7 @@ def sample_visible(params: RtbmParams, count: int, seed) -> np.ndarray:
     return draws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """1D or 2D density histogram with bin edges, density and raw counts.
 

@@ -58,12 +58,11 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   ellipsoid is large, take the dual.  Per row the sum is z.nhat / 2 plus
   the log of the cosine sum over k = 0 and one of each pair +-k, with
   doubled weights, the phases x reduced to [-1/2, 1/2].  Each cosine is
-  cos(2 pi x) = (1 - t^2) / (1 + t^2) with t = tan(pi x): numpy 2.4.6 on
-  a 2-vCPU x86-64 host computes float64 cos at 14.3 ns per element but tan
-  at 1.85 ns (exp at 0.82 ns), as only the tangent is vectorized, which
-  made a dual wide call cost about three times a separable one.  Where
-  numpy's tan is not vectorized it costs about what cos does, and the form
-  adds four cheap elementwise passes.  The orthant lattice, to which
+  cos(2 pi x) = (1 - t^2) / (1 + t^2) with t = tan(pi x): numpy
+  vectorizes float64 tan but not cos, which costs several times as much
+  per element and made a dual wide call slow.  Where numpy's tan is not
+  vectorized it costs about what cos does, and the form adds four cheap
+  elementwise passes.  The orthant lattice, to which
   Poisson summation does not apply, and the collected row stay primal.
 * Separable sums.  On the full lattice at h >= 2, with g = z - Omega c the
   offset of a row's rounded maximizer c, exp(g.k) = exp(g_1 k_1)
@@ -74,11 +73,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   p_m = (k_2, ..., k_h), and the fixed table A_am = exp(-k^T Omega k / 2),
   zero off the ellipsoid.  The enumeration emits the offsets grouped by
   prefix with k_1 innermost, so the table is read from its last level.  A
-  row then takes K1 + M exponentials instead of one per point: about 14
-  instead of 31 in the n_h = 2 fit, and 68 instead of 273 in the n_h = 3
-  fit.  The tables are used where they fit: at most two entries per
-  offset, which a thin, tilted ellipsoid fails, and at most 2^15 values of
-  k_1 or prefixes, which a long ellipsoid fails.  A row is summed from
+  row then takes K1 + M exponentials instead of one per point.  The
+  tables are used where they fit: at most two entries per offset, which a
+  thin, tilted ellipsoid fails, and at most 2^15 values of k_1 or
+  prefixes, which a long ellipsoid fails.  A row is summed from
   them only where its own |g_j| max |k_j| (for j >= 2 over the table's
   prefixes, some of which may hold no offset), summed over j in index
   order, is at most 600, so every factor and term stays below e^600 and a
@@ -102,11 +100,10 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   call; a 5000-row call of the n_h = 2 fit is one block or two, and of the
   n_h = 3 fit about five.  The choice is made once per kernel, from its
   offsets, whatever its batch: a kernel summed for one row, like each fit
-  candidate's normalizer, pays for tables it does not repay (about a
-  fifth of a cold call at h = 3), but no property of the matrix tells it
-  from the candidate's wide numerator kernel, whose tables save about
-  0.8 ms.  The dual form, the orthant lattice and the collected row keep
-  their sums.
+  candidate's normalizer, pays for tables it does not repay, but no
+  property of the matrix tells it from the candidate's wide numerator
+  kernel, whose many rows repay them.  The dual form, the orthant lattice
+  and the collected row keep their sums.
 * Prepared kernels.  What depends only on Omega and the lattice - the
   Cholesky factor, Omega^-1 (from the factor, by LAPACK ``dpotri``), the
   radius, the shared point bound, the one form its rows take (dual, or
@@ -135,12 +132,7 @@ Each call sums over one ellipsoid, chosen before anything is enumerated:
   form's radius and point bound are formed in Python floats, but for
   numpy's log, exp and sum over the pivots; and the enumeration about the
   origin finds the intervals of its two outermost coordinates in Python
-  floats and each further coordinate's in about two dozen calls.  Over
-  the captured matrices of the two seeded benchmark fits (a shared 2-vCPU
-  x86-64 host, each matrix's best of seven passes, interleaved with the
-  previous code in one process), construction and first enumeration take
-  87 us at h = 3 and 65 us at h = 2, against 102 and 76 us when the
-  radius, the bounds and all but the outermost coordinate were numpy's.
+  floats and each further coordinate's in about two dozen calls.
   ``log_theta_many`` checks its arguments and hands their coordinate rows
   to ``_log_theta_rows`` under one ``np.errstate``, as ``density`` does
   with rows it has checked.
@@ -588,9 +580,9 @@ def _separable_log_sums(g, f0, cols, quad, tables):
     be summed in numpy's own order, so a lone row (a batch of one, or one
     past a whole block) is broadcast into two columns.  A 5000-row call is
     one block while the table has at most 13 values of k_1 and prefixes, as
-    in all but 1 of the 879 separable wide calls of the seeded n_h = 2 fit;
-    the 87 separable wide calls of the seeded n_h = 3 fit take tables of a
-    median 7 x 61 for 273 offsets, about 1000 rows a block.
+    in almost every separable wide call of the seeded n_h = 2 fit; the
+    seeded n_h = 3 fit's tables, a median 7 x 61 for 273 offsets, take
+    about 1000 rows a block.
 
     A row whose sum over j of |g_j| max |k_j|, taken in index order, passes
     600 is summed by :func:`_log_sums` instead, whatever its kernel: |g_j|

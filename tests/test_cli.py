@@ -13,6 +13,7 @@ from test_cma import force_processes
 import rtbm.cli as cli
 import rtbm.density
 import rtbm.errors
+import rtbm.model
 from rtbm.cli import build_parser, conditional_mse, run_command
 from rtbm.density import condition_on, log_pdf_many
 from rtbm.fit import FitConfig
@@ -70,6 +71,17 @@ class TestExitCodes:
                             str(tmp_path / "o.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "taken"],
+                             ids=["missing-directory", "directory-at-path"])
+    def test_unwritable_out_names_it(self, where, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / where
+        assert run_command(["student", "sample", "--mu", "0,0", "--sigma", "2,-1,-1,4",
+                            "--nu", "6", "--count", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+        assert list(tmp_path.rglob("tmp*.tmp")) == []
 
     def test_invalid_model_is_1(self, tmp_path, capsys):
         bad = RtbmParams(t=[[-1.0]], q=[[1.0]], w=[[0.0]], bv=[0.0], bh=[0.0])
@@ -343,6 +355,7 @@ class TestCsvOnThePool:
             return real(z, *args, **kwargs)
 
         monkeypatch.setattr(rtbm.density, "_log_theta_rows", logged)
+        monkeypatch.setattr(rtbm.model, "_log_theta_rows", logged)
         outputs = []
         for processes in (2, 1):
             force_processes(monkeypatch, processes)

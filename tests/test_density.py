@@ -376,8 +376,9 @@ class TestPreparedModel:
 
         monkeypatch.setattr(rtbm.model, "spd_cholesky",
                             counted("cholesky", rtbm.model.spd_cholesky))
-        monkeypatch.setattr(rtbm.density, "_log_theta_rows",
-                            counted("theta", rtbm.density._log_theta_rows))
+        theta = counted("theta", rtbm.density._log_theta_rows)
+        monkeypatch.setattr(rtbm.density, "_log_theta_rows", theta)
+        monkeypatch.setattr(rtbm.model, "_log_theta_rows", theta)
         return calls
 
     def test_second_call_factors_nothing(self, tfit_params, monkeypatch):
@@ -479,7 +480,7 @@ class TestPreparedModel:
             own = RtbmParams(t=child.t, q=child.q, w=child.w, bv=child.bv, bh=child.bh,
                              lattice=lattice)
             for name in ("t", "w", "bv", "bh", "chol_t", "tinv_w", "schur", "tinv_bv",
-                         "z_schur"):
+                         "z_schur", "half_logdet_t", "half_bv_tinv_bv", "log_normalizer"):
                 assert_same_bits(getattr(child, name), getattr(expected, name))
                 assert_same_bits(getattr(child, name), getattr(own, name))
             assert validate(child) == validate(expected) == validate(own)
@@ -523,6 +524,23 @@ class TestPreparedModel:
         assert formed.count(SCHUR) == 1
         for name in ("t", "w", "chol_t", "tinv_w", "schur"):
             assert all(getattr(c, name) is getattr(children[0], name) for c in children)
+
+    @pytest.mark.parametrize("key", sorted(KEPT_MODELS))
+    def test_memo_keeps_only_what_requests_key(self, key):
+        # what a model derives from its own arrays is a property; its memo
+        # holds only the plans, the last child, the report and the draw table
+        fields, lattice = KEPT_MODELS[key]
+        params = RtbmParams(**fields, lattice=lattice)
+        rng = np.random.default_rng(5)
+        log_pdf_many(params, rng.standard_normal((8, params.n_v)))
+        child, _ = condition_on(params, [params.n_v - 1], [0.3])
+        log_pdf_many(child, rng.standard_normal((8, child.n_v)))
+        log_marginal(params, params.n_v - 1, [0.3])
+        validate(params)
+        sample_visible(params, 10, 0)
+        sample_visible(child, 10, 0)
+        for model in (params, child):
+            assert set(model.memo) <= {"plans", "child", "report", "draw_table"}
 
     def test_conditioning_validates_the_parent_once(self, tfit_params, monkeypatch):
         import rtbm.density

@@ -7,6 +7,7 @@ import pytest
 import rtbm.cma
 import rtbm.density
 import rtbm.fit
+import rtbm.model
 import rtbm.theta
 from rtbm.cma import minimize
 from rtbm.errors import FitError, NotPositiveDefiniteError
@@ -217,6 +218,7 @@ class TestObjective:
             rows.append(z.shape[1])     # coordinate rows (h, B)
             return inner(z, *args, **kwargs)
         monkeypatch.setattr(rtbm.density, "_log_theta_rows", counting)
+        monkeypatch.setattr(rtbm.model, "_log_theta_rows", counting)
         return rows
 
     def test_infeasible_candidate_scores_inf_without_wide_sum(self, monkeypatch):
