@@ -272,7 +272,6 @@ def _cmd_density(args):
     params = _load_valid_model(args.model)
     pts = _eval_points(args, params.n_v)
     try:
-        params.log_normalizer       # kept on the model before the pool forks
         _write_csv(args.out, lambda part: _density_rows(
             pts[part], log_pdf_many(params, pts[part])), len(pts))
     except RtbmError as exc:

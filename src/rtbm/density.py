@@ -52,7 +52,7 @@ import operator
 import numpy as np
 
 from .errors import RtbmError
-from .model import RtbmParams, _check_finite, _freeze, validate
+from .model import RtbmParams, _check_finite, validate
 from .theta import _LOG_2PI, _coords_dot, _coords_inner, _log_theta_rows
 from .theta import log_theta_many  # noqa: F401  the name bench/tracing.py wraps
 
@@ -170,7 +170,8 @@ def _plan(params: RtbmParams, free) -> tuple[np.ndarray, RtbmParams, dict]:
     key = tuple(free)
     plan = plans.get(key)
     if plan is None:
-        t_cols = _freeze(params.t[:, free])
+        t_cols = params.t[:, free]
+        t_cols.setflags(write=False)
         zero = RtbmParams(t=t_cols[free], q=params.q, w=params.w[free], bv=params.bv[free],
                           bh=params.bh, lattice=params.lattice)
         plan = plans[key] = (t_cols, zero, {name: getattr(zero, name) for name in

@@ -5,8 +5,9 @@ lower-triangular factors with exponentiated diagonals (so both are
 positive definite by construction), while W and the biases are raw.
 Positive definiteness of the Schur-type matrix Q - W^T T^-1 W is not
 structural. The objective is the plain negative log-likelihood: a
-candidate whose Schur matrix does not factor, or whose T or Q overflows,
-scores +inf, like any other model whose density cannot be evaluated.
+candidate whose Schur matrix does not factor, whose T or Q overflows, or
+whose W or biases hold an inf or NaN, scores +inf, like any other model
+whose density cannot be evaluated.
 CMA-ES selection is rank based, so such candidates rank below every finite
 one, and among themselves by their index in the population.
 """
@@ -171,7 +172,7 @@ def make_objective(data, n_h, lattice):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 params = _decode(x, n_v, n_h, lattice)
-            except RtbmError:           # T or Q overflowed
+            except (RtbmError, ValueError):     # T or Q overflowed, or W, bv or bh not finite
                 return math.inf
             return _negative_log_likelihood(params, v)
     return objective

@@ -23,12 +23,6 @@ SYMMETRY_ATOL = 1e-10
 SCHUR = "Q - W^T T^-1 W"
 
 
-def _freeze(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def _cho_solve(chol, b):
     """A^-1 b from the lower Cholesky factor of A, through LAPACK directly
     (scipy's la.cho_solve wrapper costs about 10x the solve)."""
@@ -80,11 +74,13 @@ def _check_finite(**arrays):
 class RtbmParams:
     """Parameters of one RTBM. Immutable after construction.
 
-    Every value derived from the five arrays alone (the factor of T, the
-    Schur quantities, the log normalizer and the constants of the density)
-    is a property computed on first use and kept on the instance; the
-    fields are frozen arrays, so a kept value cannot go stale.  Equality is
-    identity.
+    The constructor copies the five arrays as floats of their shapes and
+    checks that they are finite, the check :func:`rtbm.theta.spd_cholesky`
+    relies on; :meth:`_keep` freezes them once.  Every value derived from
+    the five arrays alone (the factor of T, the Schur quantities, the log
+    normalizer and the constants of the density) is a property computed on
+    first use and kept on the instance; the fields are frozen arrays, so a
+    kept value cannot go stale.  Equality is identity.
     """
 
     t: np.ndarray
@@ -95,24 +91,26 @@ class RtbmParams:
     lattice: Lattice = Lattice.FULL
 
     def __post_init__(self):
-        t = _freeze(np.atleast_2d(self.t))
-        q = _freeze(np.atleast_2d(self.q))
+        t = np.array(self.t, dtype=float, ndmin=2)
+        q = np.array(self.q, dtype=float, ndmin=2)
         n_v, n_h = t.shape[0], q.shape[0]
         for name, a, size, shape in (("W", self.w, n_v * n_h, "n_v x n_h"),
                                      ("bv", self.bv, n_v, "n_v"), ("bh", self.bh, n_h, "n_h")):
             if np.size(a) != size:
                 raise ValueError(f"{name} has {np.size(a)} entries, expected {size} "
                                  f"({shape} with n_v={n_v}, n_h={n_h})")
-        w = _freeze(np.asarray(self.w, dtype=float).reshape(n_v, n_h))
-        bv = _freeze(np.asarray(self.bv, dtype=float).reshape(n_v))
-        bh = _freeze(np.asarray(self.bh, dtype=float).reshape(n_h))
+        w = np.array(self.w, dtype=float).reshape(n_v, n_h)
+        bv = np.array(self.bv, dtype=float).reshape(n_v)
+        bh = np.array(self.bh, dtype=float).reshape(n_h)
         if t.shape != (n_v, n_v) or q.shape != (n_h, n_h):
             raise ValueError("t and q must be square")
         _check_finite(t=t, q=q, w=w, bv=bv, bh=bh)
         self._keep(self.lattice, t=t, q=q, w=w, bv=bv, bh=bh)
 
     def _keep(self, lattice, **arrays):
-        """Keep ``arrays``, frozen, as the fields of these names."""
+        """Keep ``arrays`` as the fields of these names, frozen in place: the
+        one place a model's fields are frozen, whether the constructor made
+        them or :meth:`_of_private` was given them."""
         for a in arrays.values():
             a.setflags(write=False)
         vars(self).update(arrays, lattice=Lattice(lattice))

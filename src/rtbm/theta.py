@@ -720,13 +720,13 @@ def spd_cholesky(a, name):
     prepares for the sums to reuse (at h >= 21 with a shared point bound past
     the work cap, so that no shared offset is enumerated).
 
-    A non-finite ``a`` is a ValueError; one that is not positive definite
-    is :func:`_require`'s NotPositiveDefiniteError naming ``name``.
+    ``a`` must be a finite float array: every caller's is checked where it
+    enters (the T of a constructed or decoded model, a Student-t scale, and
+    the blocks of that scale), and is not tested again here.  One that is
+    not positive definite is :func:`_require`'s NotPositiveDefiniteError
+    naming ``name``.
     """
-    s = sym(np.asarray(a, dtype=float))
-    if not np.isfinite(s).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _require(s, name)
+    return _require(sym(a), name)
 
 
 def _cholesky_inverse(chol):

@@ -79,6 +79,10 @@ class TestNegativeLogLikelihood:
         with pytest.raises(ValueError, match=r"NaN or infinite values in 1 row\(s\)"):
             negative_log_likelihood(child, [[0.0], [math.nan]])
 
+    def test_no_rows_raises(self, tfit_params):
+        with pytest.raises(ValueError, match="^data must be nonempty$"):
+            negative_log_likelihood(tfit_params, np.zeros((0, 2)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_data_raises(self, tfit_params, bad):
         data = np.zeros((4, 2))
@@ -147,6 +151,13 @@ class TestEncodeDecode:
         with pytest.raises(NotPositiveDefiniteError, match=f"^{name} is not finite"):
             decode(x, 1, 1)
 
+    @pytest.mark.parametrize("index, name", [(2, "w"), (3, "bv"), (4, "bh")])
+    def test_non_finite_weight_or_bias_is_named(self, index, name):
+        x = np.zeros(5)
+        x[index] = math.inf
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            decode(x, 1, 1)
+
 
 class TestMinimize:
     def test_sphere(self):
@@ -197,6 +208,18 @@ class TestMinimize:
         assert res.stop == "stall"
         assert res.evals == (stall_gens + 1) * lam
         assert res.f_best == 1.0
+
+    def test_stop_reason_sigma(self):
+        res = minimize(lambda x: 1e60 * float(x @ x), np.ones(2), max_evals=100000, seed=1)
+        assert res.stop == "sigma"
+        assert res.evals < 100000
+
+    def test_stop_reason_condition(self):
+        # only x[0] matters, so the covariance stretches along x[1]
+        res = minimize(lambda x: 1e60 * float(x[0] ** 2), np.ones(2), max_evals=100000,
+                       seed=1)
+        assert res.stop == "condition"
+        assert res.evals < 100000
 
     def test_stop_reason_stall_on_infinite_objective(self):
         # +inf never improves on the starting +inf, so the run stops after
@@ -258,6 +281,16 @@ class TestObjective:
     def test_overflowing_candidate_scores_inf(self):
         objective = make_objective(np.zeros((5, 1)), 1, "full")
         assert objective(np.array([400.0, 0.0, 0.0, 0.0, 0.0])) == math.inf
+
+    @pytest.mark.parametrize("index", range(5), ids=["L_T", "L_Q", "w", "bv", "bh"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_scores_inf(self, index, bad):
+        objective = make_objective(np.zeros((5, 1)), 1, "full")
+        x = np.zeros(5)
+        x[index] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert objective(x) == math.inf
 
     def test_feasible_candidate_scores_its_nll(self, monkeypatch):
         rng = np.random.default_rng(11)

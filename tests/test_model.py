@@ -16,8 +16,8 @@ from rtbm.errors import NotPositiveDefiniteError
 from rtbm.cli import _write_csv
 from rtbm.cma import CmaResult
 from rtbm.fit import FitResult
-from rtbm.model import (RtbmParams, from_dict, load_model, save_model, to_dict,
-                        validate, write_json)
+from rtbm.model import (RtbmParams, ValidationReport, from_dict, load_model, save_model,
+                        to_dict, validate, write_atomic, write_json)
 from rtbm.oracle import StudentTParams
 from rtbm.sampling import hidden_distribution, make_histogram, sample_visible
 from rtbm.theta import Lattice, sym
@@ -138,6 +138,9 @@ class TestValidate:
         for violation, (_, value) in zip(report.violations, pairs):
             expected = None if value is None else pytest.approx(value, rel=1e-12)
             assert violation.value == expected
+
+    def test_report_without_violations_reads_valid(self):
+        assert str(ValidationReport()) == "valid"
 
     def test_asymmetry_reported(self):
         t = np.array([[1.0, 1e-6], [0.0, 1.0]])
@@ -269,6 +272,18 @@ class TestSerialization:
         assert str(path) in str(err.value)
         assert list(tmp_path.rglob("tmp*.tmp")) == []
 
+    def test_taken_temporary_name_is_skipped_and_left_as_it_was(self, tmp_path, monkeypatch):
+        names = iter([bytes(8), b"\x01" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        taken = tmp_path / f"tmp{bytes(8).hex()}.tmp"
+        taken.write_text("not ours\n")
+        path = tmp_path / "out.txt"
+        write_atomic(path, lambda fh: fh.write("ours\n"))
+        assert path.read_text() == "ours\n"
+        assert taken.read_text() == "not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", taken.name]
+        assert next(names, None) is None    # the taken name was tried, then the next
+
     def test_dict_shape_check(self):
         doc = to_dict(RtbmParams(**TFIT))
         doc["nv"] = 3
@@ -304,6 +319,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RtbmParams(t=np.eye(2), q=np.eye(2), w=np.zeros((3, 2)),
                        bv=np.zeros(2), bh=np.zeros(2))
+
+    def test_non_square_t_is_named(self):
+        with pytest.raises(ValueError, match="^t and q must be square$"):
+            RtbmParams(t=np.ones((2, 3)), q=[[1.0]], w=np.zeros((2, 1)), bv=[0, 0], bh=[0])
 
 
 @pytest.mark.parametrize("make", [

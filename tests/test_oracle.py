@@ -44,6 +44,13 @@ class TestStudentLogpdf:
         with pytest.raises(ValueError, match=f"nu must be finite and positive, got {nu}"):
             StudentTParams(mu=[0.0], sigma=[[1.0]], nu=nu)
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.eye(3), "sigma shape incompatible with mu"),
+        ([[1.0, 0.5], [0.0, 1.0]], "sigma must be symmetric")], ids=["3x3", "asymmetric"])
+    def test_bad_scale_is_named(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudentTParams(mu=[0.0, 0.0], sigma=sigma, nu=3.0)
+
     def test_not_pd_scale(self):
         with pytest.raises(NotPositiveDefiniteError):
             student_logpdf(StudentTParams(mu=[0.0], sigma=[[-1.0]], nu=3.0), [0.0])

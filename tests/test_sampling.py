@@ -280,6 +280,24 @@ class TestHistogram:
         np.testing.assert_array_equal(hist.edges[0], edges)
         assert (hist.density * np.diff(edges)).sum() == pytest.approx(1.0)
 
+    def test_centers_are_bin_midpoints(self):
+        s = np.array([[0.5, 0.5], [2.0, 1.5]])
+        hist = make_histogram(s, bins=[[0.0, 1.0, 3.0], [0.0, 2.0, 4.0]])
+        assert len(hist.centers) == 2
+        np.testing.assert_array_equal(hist.centers[0], [0.5, 2.0])
+        np.testing.assert_array_equal(hist.centers[1], [1.0, 3.0])
+
+    @pytest.mark.parametrize("samples, bins, message", [
+        (np.zeros((10, 3)), None, "histograms support 1 or 2 dimensions"),
+        (np.arange(10.0)[:, None], [[1.0, 0.0, -1.0]],
+         "explicit edges must be strictly increasing"),
+        (np.ones((10, 1)), None, "degenerate bin range"),
+        (np.arange(10.0)[:, None], [[20.0, 30.0]], "no samples fall inside the bin range")],
+        ids=["three-columns", "decreasing-edges", "constant-samples", "empty-edges"])
+    def test_unusable_samples_or_edges_are_named(self, samples, bins, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_histogram(samples, bins=bins)
+
     @pytest.mark.parametrize("bins, message", [
         (2.5, "bins 2.5 is not an integer"),
         (0, "bins must be at least 1, got 0"),

@@ -230,9 +230,6 @@ class TestErrors:
         with pytest.raises(NotPositiveDefiniteError, match="A is not positive definite") as exc:
             spd_cholesky(indefinite, "A")
         assert exc.value.min_eigenvalue == np.linalg.eigvalsh(indefinite)[0]
-        indefinite[0, -1] = np.inf
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            spd_cholesky(indefinite, "A")
 
     @pytest.mark.parametrize("zs, omega", [
         (np.ones((3, 1)), 3.0 * np.eye(2)),
@@ -246,6 +243,31 @@ class TestErrors:
     def test_mismatched_shapes_rejected(self, zs, omega):
         with pytest.raises(ValueError, match=r"are not \(B, h\) and \(h, h\)"):
             log_theta_many(zs, omega)
+
+    def test_collect_terms_takes_one_row(self):
+        with pytest.raises(ValueError, match="^collect_terms requires a single argument vector$"):
+            log_theta_many(np.zeros((2, 1)), np.eye(1), collect_terms=True)
+
+    @pytest.mark.parametrize("zs, omega", [
+        ([[np.inf]], [[1.0]]), ([[np.nan]], [[1.0]]), ([[0.0]], [[np.inf]]),
+        ([[0.0]], [[np.nan]])], ids=["inf-z", "nan-z", "inf-omega", "nan-omega"])
+    def test_non_finite_arguments_rejected(self, zs, omega):
+        with pytest.raises(ValueError, match="^theta arguments must be finite$"):
+            log_theta_many(zs, omega)
+
+    def test_overflowing_dual_is_declined_and_the_sum_is_loud(self):
+        import warnings
+
+        import rtbm.theta as theta
+
+        # the inverse of a subnormal omega overflows, so the dual is not
+        # formed, and the primal sum needs far more points than the work cap
+        omega = np.array([[1e-310]])
+        assert theta._dual_form(omega, theta._cholesky_inverse(theta._factor(omega))) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ThetaTruncationError, match="not converged.*work cap"):
+                log_theta_many([[0.0]], omega)
 
     def test_largest_eps_accepted(self):
         with tolerance(1e-3):
@@ -545,6 +567,21 @@ def off_origin_switch(fixed_lengths_sq):
 
 class TestDualSums:
     """Small matrices are summed over the dual lattice of Poisson summation."""
+
+    def test_dual_past_the_work_cap_is_declined(self):
+        import rtbm.theta as theta
+
+        # at h = 8 the dual's off-origin bound admits it, but its point bound
+        # is past the work cap
+        omega = 3.0 * np.eye(8)
+        omega_inv = theta._cholesky_inverse(theta._factor(omega))
+        pivots = theta._factor(theta._DUAL_SCALE * omega_inv).diagonal()
+        assert theta._off_origin_bound([p * p for p in pivots.tolist()]) == pytest.approx(
+            0.022, abs=5e-4)
+        radius = theta._certified_radius(pivots, theta._LOG_EPS - theta._LOG_2)
+        spans = [2.0 * radius * math.sqrt(3.0) / (2.0 * math.pi)] * 8
+        assert theta._point_bounds(pivots, radius, spans) >= theta._WORK_CAP
+        assert theta._dual_form(omega, omega_inv) is None
 
     @staticmethod
     def is_dual(omega, lattice=Lattice.FULL):
